@@ -601,9 +601,10 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
     """Determinant over any commutative ring, computed without division.
 
     Laplace expansion along rows, memoized on the set of still-unused
-    columns: O(2^n * n) ring operations.  The matrices in this package never
-    exceed n ~ 8, where this is both fast and free of any divisibility
-    assumptions on the ring.  The 0x0 determinant is one.
+    columns: O(2^n * n) ring operations, free of any divisibility
+    assumption on the ring.  The cost doubles with each row: palindromic
+    windows of n = 11 over t-polynomials take seconds, so much larger
+    matrices need another method.  The 0x0 determinant is one.
     """
     n = len(matrix)
     for row in matrix:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
@@ -27,7 +29,7 @@ from .rings import (
     TPoly,
     q_integer,
 )
-from .shapes import Partition, Tableau, corners, iter_filling_rows
+from .shapes import Partition, Tableau, corners, layer_table
 
 
 @dataclass(frozen=True)
@@ -186,28 +188,71 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     """Sum over all ordered fillings of the shape, each contributing
     t^v (1-t)^h times the product of f(label, entry) over the cells.
 
-    Computed by full enumeration of the fillings; the result has degree at
-    most (cell count - 1) in t.
+    Computed one value at a time over the shape's layer table: after
+    value M each sub-partition mu carries the sum over the ordered
+    fillings of mu by 1..M, and value M+1 extends them by the layers
+    nu/mu, each weighing t^v (1-t)^h times the product of f(label, M+1)
+    over its cells.  The cost is polynomial in N and in the number of
+    sub-partitions; the result has degree at most (cell count - 1) in t.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     ring = cmap.ring
     shape = weights.shape
-    size = shape.size
-    if size == 0:
+    if shape.size == 0:
         return TPoly.one(ring)
-    label_rows = weights.rows
-    acc = [ring.zero] * size
-    for rows, v, h in iter_filling_rows(shape, N):
-        prod = ring.one
-        for label_row, row in zip(label_rows, rows):
-            for label, m in zip(label_row, row):
-                prod = prod * cmap(label, m)
-        # Multiply by t^v (1-t)^h, expanded by the binomial theorem.
-        for s in range(h + 1):
-            c = math.comb(h, s)
-            acc[v + s] = acc[v + s] + prod * (c if s % 2 == 0 else -c)
-    return TPoly(ring, acc)
+    table = layer_table(shape)
+    depth = table.depth
+    if depth[0] >= N:  # a diagonal longer than the N-1 values: no filling
+        return TPoly.zero(ring)
+    labels = weights.rows
+    layers = table.layers
+    zero = ring.zero
+    # Coefficient lists by ascending power of t, None for unreachable states.
+    by_state: list[list | None] = [None] * len(table.states)
+    by_state[0] = [ring.one]
+    for M in range(1, N):
+        remaining = N - 1 - M
+        f = [[cmap(label, M) for label in row] for row in labels]
+        layer_weights: dict[int, Any] = {}
+        # Per target and (v, h): the sum of the source states, each times
+        # its layer's product of f(label, M).
+        sums: dict[tuple[int, int, int], list] = {}
+        for source, target, layer in table.steps:
+            coeffs = by_state[source]
+            if coeffs is None or depth[target] > remaining:
+                continue
+            w = layer_weights.get(layer)
+            if w is None:
+                w = reduce(mul, (f[i - 1][j - 1] for i, j in layers[layer].cells))
+                layer_weights[layer] = w
+            scaled = [c * w for c in coeffs]
+            key = (target, layers[layer].v, layers[layer].h)
+            if key in sums:
+                _add_shifted(sums[key], scaled, 0, 1, zero)
+            else:
+                sums[key] = scaled
+        new = [c if d <= remaining else None for c, d in zip(by_state, depth)]
+        for (target, v, h), acc in sums.items():
+            out = list(new[target] or ())
+            for s in range(h + 1):  # times t^v (1-t)^h
+                _add_shifted(out, acc, v + s, (-1) ** s * math.comb(h, s), zero)
+            new[target] = out
+        by_state = new
+    return TPoly(ring, by_state[-1] or ())
+
+
+def _add_shifted(out: list, coeffs: list, shift: int, factor: int, zero: Any) -> None:
+    """out += t^shift * factor * coeffs, growing out as needed."""
+    if len(out) < shift + len(coeffs):
+        out.extend([zero] * (shift + len(coeffs) - len(out)))
+    for k, c in enumerate(coeffs, start=shift):
+        if factor == 1:
+            out[k] = out[k] + c
+        elif factor == -1:
+            out[k] = out[k] - c
+        else:
+            out[k] = out[k] + c * factor
 
 
 def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:

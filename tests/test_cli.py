@@ -1,8 +1,10 @@
 """Command-line driver: outputs, exit codes, determinism, config files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from schurzeta import cli
 
@@ -68,6 +70,15 @@ def test_compute_qseries_ring(capsys):
     assert code == 0
     # 1/[1]_q + 1/[2]_q = 1 + (1 - q + q^2 - q^3)
     assert payload["coefficients"] == [{"order": 4, "coeffs": ["2", "-1", "1", "-1"]}]
+
+
+def test_compute_large_shape_finishes(capsys):
+    diagonal = json.dumps({d: 2 + d % 2 for d in range(-3, 5)})
+    code, payload, _ = run_json(
+        ["compute", "--shape", "[5,5,5,5]", "--diagonal", diagonal, "--N", "12"], capsys
+    )
+    assert code == 0
+    assert payload["coefficients"]
 
 
 def test_oyt_count(capsys):
@@ -221,6 +232,10 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_module_entry_point_process():
+    # The child imports the same schurzeta as this test, installed or not.
+    env = dict(os.environ)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable, "-m", "schurzeta",
@@ -228,6 +243,7 @@ def test_module_entry_point_process():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["coefficients"] == ["1/4", "17/16"]
@@ -237,5 +253,6 @@ def test_module_entry_point_process():
         [sys.executable, "-m", "schurzeta", "compute", "--shape", "oops"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 2

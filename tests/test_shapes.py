@@ -1,6 +1,7 @@
 """Partitions, ordered-filling enumeration, and zero-one layer tableaux."""
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from schurzeta.shapes import (
     count_oyt,
     enumerate_oyt,
     iter_filling_rows,
+    layer_table,
     partitions_of,
     partitions_up_to,
 )
@@ -171,6 +173,22 @@ def test_oyt_counts_match_brute_force_small():
             assert count_oyt(shape, N) == brute_force_count_oyt(shape, N)
 
 
+def test_oyt_counts_match_enumeration():
+    for shape in partitions_up_to(7):
+        for N in range(1, 6):
+            assert count_oyt(shape, N) == sum(1 for _ in iter_filling_rows(shape, N))
+
+
+def test_oyt_counts_large_n_closed_forms():
+    # a row or a column is a multiset of n values from 1..N-1
+    for n in range(1, 5):
+        expected = math.comb(n + 28, n)
+        assert count_oyt(Partition((n,)), 30) == expected
+        assert count_oyt(Partition((1,) * n), 30) == expected
+    with pytest.raises(ValueError):
+        count_oyt(Partition((1,)), 0)
+
+
 def test_oyt_transpose_swaps_counts():
     for shape in partitions_up_to(5, include_empty=False):
         for f in enumerate_oyt(shape, 4):
@@ -232,3 +250,34 @@ def test_admissible_baselines_small():
     got = list(admissible_baselines(Partition((2,))))
     assert got == [(1, 1), (1, 0), (0, 0)]
     assert list(admissible_baselines(Partition(()))) == [()]
+
+
+def test_layer_table_matches_bit_tableaux():
+    """The layers that complete a shape are its one-ordered zero-one
+    tableaux: the baseline b is the conjugate of the state left below the
+    layer, and the pair counts agree with bit_tableau_stats."""
+    for shape in partitions_up_to(6, include_empty=False):
+        table = layer_table(shape)
+        assert table.states[0] == (0,) * shape.height
+        assert table.states[-1] == shape.parts
+        last = len(table.states) - 1
+        from_table = {}
+        for source, target, layer in table.steps:
+            if target == last:
+                mu = Partition(p for p in table.states[source] if p)
+                b = mu.conjugate().parts + (0,) * (shape.width - mu.width)
+                from_table[b] = (table.layers[layer].v, table.layers[layer].h)
+        expected = {}
+        for b in admissible_baselines(shape):
+            stats = bit_tableau_stats(build_bit_tableau(shape, b))
+            if stats.one_ordered and b != shape.conjugate().parts:
+                expected[b] = (stats.v1, stats.h1)
+        assert from_table == expected, shape
+
+
+def test_layer_table_depth_is_fewest_values():
+    assert layer_table(Partition((3, 3, 3))).depth[0] == 3
+    assert layer_table(Partition((3, 3, 2))).depth[0] == 2
+    for shape in partitions_up_to(6, include_empty=False):
+        depth = layer_table(shape).depth[0]
+        assert count_oyt(shape, depth) == 0 < count_oyt(shape, depth + 1)

@@ -1,13 +1,20 @@
 """Linear and Schur values: frozen examples, oracle cross-checks, symmetry."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from schurzeta.errors import DomainError
-from schurzeta.rings import QQ, TPoly
-from schurzeta.shapes import Partition, Tableau, enumerate_oyt, partitions_up_to
+from schurzeta.rings import QQ, PolyRing, TPoly, ring_determinant
+from schurzeta.shapes import (
+    Partition,
+    Tableau,
+    enumerate_oyt,
+    iter_filling_rows,
+    partitions_up_to,
+)
 from schurzeta.values import (
     DiagonalWeights,
     coefficient_map_for,
@@ -45,6 +52,43 @@ def chain_sum_oracle(keys, N):
             term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
         acc[e] += term
     return TPoly(QQ, acc)
+
+
+def enumeration_oracle(tab, N, cmap):
+    """The defining sum, filling by filling: every ordered filling adds the
+    product of f(label, entry) times t^v (1-t)^h."""
+    ring = cmap.ring
+    acc = [ring.zero] * max(tab.shape.size, 1)
+    for rows, v, h in iter_filling_rows(tab.shape, N):
+        prod = ring.one
+        for label_row, row in zip(tab.rows, rows):
+            for label, m in zip(label_row, row):
+                prod = prod * cmap(label, m)
+        for s in range(h + 1):
+            acc[v + s] = acc[v + s] + prod * ((-1) ** s * math.comb(h, s))
+    return TPoly(ring, acc)
+
+
+def jt_row_determinant(shape, N, cmap, weights):
+    """Row-reading Jacobi-Trudi determinant of a diagonal-constant tableau.
+
+    Entries come from the peeling recursion, which equals linear_value
+    (tested above) and stays fast at large N, where the chain enumeration
+    of linear_value does not."""
+    conj = shape.conjugate().parts
+    n = shape.width
+    matrix = [
+        [
+            linear_value_by_recursion(
+                [weights[j - 1 - s] for s in range(conj[i] + j - 1 - i)], N, cmap
+            )
+            if conj[i] + j - 1 - i >= 0
+            else TPoly.zero(cmap.ring)
+            for j in range(1, n + 1)
+        ]
+        for i in range(n)
+    ]
+    return ring_determinant(matrix, PolyRing(cmap.ring))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +281,46 @@ def test_specialization_at_zero_matches_strict_vertical_fillings():
                     term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
             expected += term
         assert value_at_zero == expected
+
+
+@pytest.mark.parametrize(
+    "cmap, weight_range",
+    [(RAT, (-2, 3)), (q_analogue_map(8), (1, 3)), (quasisymmetric_map(), (1, 3))],
+    ids=["rational", "qseries8", "qsym"],
+)
+def test_schur_value_matches_enumeration(cmap, weight_range):
+    """Arbitrary tableaux, every shape with at most 6 cells, N = 1..5."""
+    rng = random.Random(24)
+    lo, hi = weight_range
+    for shape in partitions_up_to(6):
+        for N in range(1, 6):
+            rows = [[rng.randint(lo, hi) for _ in range(p)] for p in shape.parts]
+            tab = Tableau(shape, rows)
+            assert schur_value(tab, N, cmap) == enumeration_oracle(tab, N, cmap), (
+                shape, N, rows)
+
+
+def test_schur_value_edge_cases():
+    for cmap in (RAT, q_analogue_map(8), quasisymmetric_map()):
+        empty = Tableau.from_rows([])
+        for N in (1, 2, 5):
+            assert schur_value(empty, N, cmap) == TPoly.one(cmap.ring)
+            assert enumeration_oracle(empty, N, cmap) == TPoly.one(cmap.ring)
+        single = Tableau.from_rows([[2, 1], [3]])
+        assert schur_value(single, 1, cmap) == TPoly.zero(cmap.ring)
+        assert enumeration_oracle(single, 1, cmap) == TPoly.zero(cmap.ring)
+    # a diagonal of three cells needs three distinct values
+    tab = Tableau.from_rows([[1, 2, 2], [2, 1, 3], [2, 2, 1]])
+    assert schur_value(tab, 3, RAT) == TPoly.zero(QQ)
+    assert schur_value(tab, 4, RAT) == enumeration_oracle(tab, 4, RAT) != TPoly.zero(QQ)
+
+
+def test_schur_value_large_instance_matches_jacobi_trudi():
+    """(4,3,2,1) at N = 30: far beyond filling enumeration."""
+    shape = Partition((4, 3, 2, 1))
+    weights = DiagonalWeights({d: 2 + d % 2 for d in required_offsets(shape)})
+    value = schur_value(diagonal_tableau(shape, weights), 30, RAT)
+    assert value and value == jt_row_determinant(shape, 30, RAT, weights)
 
 
 def test_degree_bound():
