@@ -43,10 +43,7 @@ def _json_flag(value: Any) -> Any:
 
 
 def _parse_shape(value: Any) -> Partition:
-    parts = _json_flag(value)
-    if not isinstance(parts, list):
-        raise ValueError(f"shape must be a JSON list of parts, got {value!r}")
-    return Partition(parts)
+    return Partition(_parse_int_list(value, "shape"))
 
 
 def _parse_diagonal(value: Any) -> DiagonalWeights:
@@ -58,7 +55,9 @@ def _parse_diagonal(value: Any) -> DiagonalWeights:
 
 def _parse_int_list(value: Any, what: str) -> list[int]:
     obj = _json_flag(value)
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    if not isinstance(obj, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in obj
+    ):
         raise ValueError(f"{what} must be a JSON list of integers, got {value!r}")
     return obj
 

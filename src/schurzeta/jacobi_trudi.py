@@ -12,12 +12,15 @@ column - row = d) the Schur-type value equals two determinants:
 Entries with index length zero are one, with negative length zero.  The E
 side is produced by computing the linear values at t and then substituting
 t -> 1-t, which reuses the tested substitution instead of a second
-summation routine.
+summation routine.  On either side the entries of one column are prefixes
+of a single run of offsets, so each column comes from one prefix DP
+(``linear_value_prefixes``) instead of one chain enumeration per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .rings import PolyRing, TPoly, ring_determinant
 from .shapes import Partition
@@ -25,7 +28,8 @@ from .values import (
     CoefficientMap,
     DiagonalWeights,
     diagonal_tableau,
-    linear_value,
+    linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
+    linear_value_prefixes,
     rational_map,
     schur_value,
 )
@@ -54,44 +58,54 @@ def build_jt_matrix(spec: JTMatrixSpec) -> list[list[TPoly]]:
 def _h_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> list[list[TPoly]]:
-    ring = cmap.ring
     conj = shape.conjugate().parts
-    n = shape.width
-    matrix = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            length = conj[i - 1] + j - i
-            if length == 0:
-                row.append(TPoly.one(ring))
-            elif length < 0:
-                row.append(TPoly.zero(ring))
-            else:
-                keys = [weights[j - 1 - s] for s in range(length)]
-                row.append(linear_value(keys, N, cmap))
-        matrix.append(row)
-    return matrix
+    return _prefix_matrix(
+        shape.width,
+        lambda i, j: conj[i - 1] + j - i,
+        lambda j, s: weights[j - 1 - s],
+        N,
+        cmap,
+        at_one_minus_t=False,
+    )
 
 
 def _e_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> list[list[TPoly]]:
-    ring = cmap.ring
-    n = shape.height
-    matrix = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            length = shape.parts[i - 1] - i + j
-            if length == 0:
-                row.append(TPoly.one(ring))
-            elif length < 0:
-                row.append(TPoly.zero(ring))
-            else:
-                keys = [weights[1 - j + s] for s in range(length)]
-                row.append(linear_value(keys, N, cmap).subs_one_minus_t())
-        matrix.append(row)
-    return matrix
+    parts = shape.parts
+    return _prefix_matrix(
+        shape.height,
+        lambda i, j: parts[i - 1] - i + j,
+        lambda j, s: weights[1 - j + s],
+        N,
+        cmap,
+        at_one_minus_t=True,
+    )
+
+
+def _prefix_matrix(
+    n: int,
+    length: Callable[[int, int], int],
+    key: Callable[[int, int], Any],
+    N: int,
+    cmap: CoefficientMap,
+    at_one_minus_t: bool,
+) -> list[list[TPoly]]:
+    """The n x n matrix whose (i, j) entry is the linear value of the first
+    length(i, j) keys of column j's run key(j, 0), key(j, 1), ...; one at
+    length zero, zero below it, and at 1-t if asked.
+
+    Every entry of a column is a prefix of the same run, so one
+    linear_value_prefixes call gives the whole column.
+    """
+    zero = TPoly.zero(cmap.ring)
+    columns = []
+    for j in range(1, n + 1):
+        lengths = [length(i, j) for i in range(1, n + 1)]
+        prefixes = linear_value_prefixes([key(j, s) for s in range(max(lengths))], N, cmap)
+        column = [prefixes[r] if r >= 0 else zero for r in lengths]
+        columns.append([p.subs_one_minus_t() for p in column] if at_one_minus_t else column)
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,18 @@ class CoefficientMap:
         return self.fn(k, m)
 
 
+def _is_int(k: Any) -> bool:
+    """Whether a weight label is an integer; bool is an int subclass but
+    not a weight."""
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
 def rational_map() -> CoefficientMap:
     """f(k, m) = m^(-k) as an exact rational; k may be any integer."""
     cache: dict = {}
 
     def fn(k: Any, m: int) -> Fraction:
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise DomainError(f"rational weights must be integers, got {k!r}")
         try:
             return cache[(k, m)]
@@ -71,7 +77,7 @@ def q_analogue_map(order: int = 16) -> CoefficientMap:
     cache: dict = {}
 
     def fn(k: Any, m: int) -> QSeries:
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise DomainError(f"q-analogue weights must be integers >= 1, got {k!r}")
         try:
             return cache[(k, m)]
@@ -96,7 +102,7 @@ def quasisymmetric_map() -> CoefficientMap:
     cache: dict = {}
 
     def fn(k: Any, m: int) -> MonomialPolynomial:
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise DomainError(f"quasi-symmetric weights must be integers >= 1, got {k!r}")
         try:
             return cache[(k, m)]
@@ -277,6 +283,44 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
             prod = prod * cmap(k, m)
         acc[e] = acc[e] + prod
     return TPoly(ring, acc)
+
+
+def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
+    """linear_value(keys[:p], N, cmap) for every p = 0 .. len(keys), from
+    one pass over the keys.
+
+    The chains of keys[:p] ending exactly at m sum to
+
+        last_p(m) = f(k_p, m) * (t * last_(p-1)(m) + sum over m' < m of last_(p-1)(m'))
+
+    (the empty chain lies below every m), so all the prefixes together take
+    O(len(keys)^2 * N) coefficient operations, where enumerating the chains
+    of one prefix of length r takes about C(r+N-2, r) * r.
+    """
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    ring = cmap.ring
+    zero = ring.zero
+    values = [TPoly.one(ring)]
+    # Coefficient lists by ascending power of t, indexed by m - 1: the
+    # chains of the current prefix ending at m, and those ending below m.
+    last: list[list] = [[]] * (N - 1)
+    below: list[list] = [[ring.one]] * (N - 1)
+    for k in keys:
+        new_last, new_below = [], []
+        total: list = []
+        for m in range(1, N):
+            new_below.append(total)
+            acc = [zero, *last[m - 1]]  # t * last_(p-1)(m)
+            for i, c in enumerate(below[m - 1]):
+                acc[i] = acc[i] + c
+            w = cmap(k, m)
+            acc = [c * w for c in acc]
+            new_last.append(acc)
+            total = [a + b for a, b in zip(total, acc)] + acc[len(total):]
+        last, below = new_last, new_below
+        values.append(TPoly(ring, total))
+    return values
 
 
 def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:

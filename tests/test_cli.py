@@ -169,6 +169,18 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2  # missing shape
 
 
+def test_boolean_weights_exit_2(capsys):
+    # JSON true is not the integer 1
+    code, out, err = run(["palindrome-verify", "--keys", "[true, 2]", "--N", "3"], capsys)
+    assert code == 2 and "invalid input" in err and not out
+    code, out, err = run(
+        ["layer-verify", "--shape", "[2,1]", "--b", "[1,false]", "--M", "2"], capsys
+    )
+    assert code == 2 and "invalid input" in err and not out
+    code, out, err = run(["oyt-count", "--shape", "[2,true]", "--N", "3"], capsys)
+    assert code == 2 and "invalid input" in err and not out
+
+
 def test_domain_error_exits_3(capsys):
     code, out, err = run(
         [

@@ -15,11 +15,13 @@ from schurzeta.jacobi_trudi import (
 )
 from schurzeta.values import (
     DiagonalWeights,
+    diagonal_tableau,
     linear_value,
     q_analogue_map,
     quasisymmetric_map,
     rational_map,
     required_offsets,
+    schur_value,
 )
 
 RAT = rational_map()
@@ -126,6 +128,49 @@ def test_conjugation_coherence_between_sides():
         assert det_h == det_e_conj.subs_one_minus_t()
 
 
+@pytest.mark.parametrize(
+    "cmap", [RAT, q_analogue_map(8), quasisymmetric_map()], ids=["rational", "qseries8", "qsym"]
+)
+def test_matrix_entries_are_linear_values(cmap):
+    # Every entry, built column by column from prefixes, equals the linear
+    # value of its own key list (at 1-t on the E side).
+    rng = random.Random(61)
+    for shape in partitions_up_to(5, include_empty=False):
+        dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
+        conj = shape.conjugate().parts
+        h = build_jt_matrix(spec(shape.parts, "H", 4, cmap, dw))
+        for i in range(1, shape.width + 1):
+            for j in range(1, shape.width + 1):
+                length = conj[i - 1] + j - i
+                keys = [dw[j - 1 - s] for s in range(length)]
+                expected = linear_value(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
+                assert h[i - 1][j - 1] == expected
+        e = build_jt_matrix(spec(shape.parts, "E", 4, cmap, dw))
+        for i in range(1, shape.height + 1):
+            for j in range(1, shape.height + 1):
+                length = shape.parts[i - 1] - i + j
+                keys = [dw[1 - j + s] for s in range(length)]
+                expected = (
+                    linear_value(keys, 4, cmap).subs_one_minus_t()
+                    if length >= 0
+                    else TPoly.zero(cmap.ring)
+                )
+                assert e[i - 1][j - 1] == expected
+
+
+@pytest.mark.parametrize(
+    "parts,degree", [((9, 9, 9), 24), ((10, 8, 3), 18)], ids=["9,9,9", "10,8,3"]
+)
+def test_verify_wide_rational_shapes(parts, degree):
+    # 9x9 and 10x10 H determinants against the layer DP and the 3x3 E side
+    shape = Partition(parts)
+    rng = random.Random(sum(parts))
+    dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
+    rep = verify_jacobi_trudi(shape, 5, RAT, dw)
+    assert rep.schur == rep.det_h == rep.det_e
+    assert rep.det_h.degree == degree
+
+
 def test_negative_weights_allowed():
     dw = DiagonalWeights({-2: -2, -1: 0, 0: -1, 1: 3, 2: 1})
     rep = verify_jacobi_trudi(Partition((3, 2, 1)), 4, RAT, dw)
@@ -150,6 +195,20 @@ def test_palindrome_single_key_is_constant():
 def test_palindrome_frozen_cases():
     assert verify_palindromic_matrix((2, 3), 4).equal
     assert verify_palindromic_matrix((2, 2, 2), 3).equal
+
+
+@pytest.mark.parametrize(
+    "keys,degree", [((2, 3, 2), 6), ((2, 3, 2, 3), -1)], ids=["r3-nonzero", "r4-zero"]
+)
+def test_palindrome_is_square_schur_value(keys, degree):
+    # The palindromic determinant is the Schur value of the r x r square.
+    # Its main diagonal needs r distinct values, so at r >= N it vanishes
+    # and the palindromy check compares 0 with 0.
+    r = len(keys)
+    rep = verify_palindromic_matrix(keys, 4)
+    square = diagonal_tableau(Partition((r,) * r), palindrome_weights(keys))
+    assert rep.poly == schur_value(square, 4, RAT)
+    assert rep.poly.degree == degree
 
 
 def test_palindrome_rejects_empty():

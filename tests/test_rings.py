@@ -137,13 +137,65 @@ def test_determinant_matches_permutation_oracle_random_4x4():
     assert ring_determinant(matrix, ring) == permutation_determinant(matrix, ring)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_determinant_matches_permutation_oracle_all_sizes(n):
     rng = random.Random(100 + n)
     ring = PolyRing(QQ)
     for _ in range(3):
         matrix = [[random_tpoly(rng, max_degree=2) for _ in range(n)] for _ in range(n)]
         assert ring_determinant(matrix, ring) == permutation_determinant(matrix, ring)
+
+
+def wide_fraction(rng):
+    """Mixed small and large numerators and denominators."""
+    return Fraction(
+        rng.choice((rng.randint(-9, 9), rng.randint(-(10**15), 10**15))),
+        rng.choice((1, 2, 3, 12, 97, 10**9 + 7, 2**61 - 1, rng.randint(1, 10**12))),
+    )
+
+
+def sparse_qseries(rng, order=8):
+    """A q-series with a constant term and at most two more nonzero
+    coefficients, to keep the permutation oracle fast at n = 6."""
+    coeffs = [wide_fraction(rng)] + [0] * (order - 1)
+    for _ in range(rng.randint(0, 2)):
+        coeffs[rng.randrange(order)] = wide_fraction(rng)
+    return QSeries(order, coeffs)
+
+
+def poly_over(ring, sample, max_degree):
+    def draw(rng):
+        return TPoly(ring, [sample(rng) for _ in range(rng.randint(1, max_degree + 1))])
+
+    return draw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "ring,sample",
+    [
+        (QQ, wide_fraction),
+        (PolyRing(QQ), poly_over(QQ, wide_fraction, 2)),
+        (PolyRing(QSeriesRing(8)), poly_over(QSeriesRing(8), sparse_qseries, 1)),
+        (PolyRing(QsymRing()), poly_over(QsymRing(), random_monomial_poly, 1)),
+    ],
+    ids=["rational", "poly-rational", "poly-qseries8", "poly-qsym"],
+)
+def test_determinant_matches_permutation_oracle_every_ring(ring, sample, n):
+    # A generic matrix, then the same with a zero row and with a row that
+    # keeps a single nonzero entry.
+    rng = random.Random(300 + n)
+    matrix = [[sample(rng) for _ in range(n)] for _ in range(n)]
+    zero_row = [list(row) for row in matrix]
+    zero_row[rng.randrange(n)] = [ring.zero] * n
+    single = [list(row) for row in matrix]
+    i, j = rng.randrange(n), rng.randrange(n)
+    while not single[i][j]:
+        single[i][j] = sample(rng)
+    single[i] = [single[i][j] if c == j else ring.zero for c in range(n)]
+    for m in (matrix, zero_row, single):
+        assert ring_determinant(m, ring) == permutation_determinant(m, ring)
+    assert ring_determinant(zero_row, ring) == ring.zero
 
 
 # ---------------------------------------------------------------------------

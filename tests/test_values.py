@@ -22,6 +22,7 @@ from schurzeta.values import (
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
+    linear_value_prefixes,
     merge_expansion,
     q_analogue_map,
     quasisymmetric_map,
@@ -139,6 +140,32 @@ def test_linear_value_against_direct_oracle():
         assert linear_value(keys, N, RAT) == chain_sum_oracle(keys, N)
 
 
+@pytest.mark.parametrize(
+    "cmap,lo,hi",
+    [(RAT, -2, 3), (q_analogue_map(8), 1, 3), (quasisymmetric_map(), 1, 3)],
+    ids=["rational", "qseries8", "qsym"],
+)
+def test_linear_value_prefixes_match_linear_value(cmap, lo, hi):
+    rng = random.Random(12)
+    cases = [((), N) for N in range(1, 7)] + [((2, 1, 3), 1)]
+    for N in range(1, 7):
+        for r in range(7):
+            cases.append((tuple(rng.randint(lo, hi) for _ in range(r)), N))
+    for keys, N in cases:
+        prefixes = linear_value_prefixes(keys, N, cmap)
+        assert len(prefixes) == len(keys) + 1
+        for p, value in enumerate(prefixes):
+            assert value == linear_value(keys[:p], N, cmap), (keys, N, p)
+
+
+def test_linear_value_prefixes_edge_cases():
+    assert linear_value_prefixes((), 1, RAT) == [TPoly.one(QQ)]
+    assert linear_value_prefixes((2, 3), 1, RAT) == [poly(1), poly(), poly()]
+    assert linear_value_prefixes((2, 2), 3, RAT) == [poly(1), poly("5/4"), poly("1/4", "17/16")]
+    with pytest.raises(ValueError):
+        linear_value_prefixes((2,), 0, RAT)
+
+
 def test_top_coefficient_is_single_power_sum():
     # the t^(r-1) coefficient merges every key into one exponent
     for keys, N in [((2, 3, 2), 5), ((1, 1, 2), 4), ((2, 2, 2, 3), 5)]:
@@ -189,6 +216,18 @@ def test_merge_expansion_random_tuples():
 def test_rational_map_negative_weights():
     assert RAT(-2, 3) == Fraction(9)
     assert RAT(0, 5) == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "cmap", [RAT, q_analogue_map(6), quasisymmetric_map()], ids=["rational", "qseries6", "qsym"]
+)
+def test_maps_reject_boolean_weights(cmap):
+    # bool is an int subclass; True must not pass as the weight 1
+    for k in (True, False):
+        with pytest.raises(DomainError):
+            cmap(k, 2)
+    with pytest.raises(DomainError):
+        linear_value((2, True), 3, cmap)
 
 
 def test_q_map_rejects_nonpositive_weights():
