@@ -3,7 +3,9 @@ reproducible batch commands with JSON output.
 
 Structured JSON goes to stdout (or --output), a one-line human summary to
 stderr.  Exit codes: 0 all checks pass, 1 an identity mismatch, 2 malformed
-input, 3 domain error (a weight outside the chosen ring's map).
+input (including a config file with an unknown key or a value of the wrong
+type, and a sweep that would check no instance), 3 domain error (a weight
+outside the chosen ring's map).
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ def _parse_int_list(value: Any, what: str) -> list[int]:
     ):
         raise ValueError(f"{what} must be a JSON list of integers, got {value!r}")
     return obj
+
+
+def _sweep_n(args) -> int:
+    """--N of jt-verify, conjugation-verify and all-verify, refused up
+    front below 2: no entry lies below N = 1, so nothing nonzero is checked
+    (all-verify would check no Jacobi-Trudi or conjugation instance)."""
+    if args.N < 2:
+        raise ValueError(f"{args.command} needs --N >= 2, got {args.N}")
+    return args.N
 
 
 def _weights_for(args, shape: Partition) -> DiagonalWeights:
@@ -124,6 +135,7 @@ def cmd_oyt_count(args) -> tuple[dict, bool]:
 
 
 def _single_or_sweep_jt(args) -> tuple[dict, bool]:
+    _sweep_n(args)
     if args.shape is not None:
         shape = _parse_shape(args.shape)
         cmap = coefficient_map_for(args.ring)
@@ -234,7 +246,7 @@ def cmd_layer_verify(args) -> tuple[dict, bool]:
 def cmd_conjugation_verify(args) -> tuple[dict, bool]:
     payload = sweeps.run_conjugation_sweep(
         max_cells=args.max_cells,
-        n_values=tuple(range(1, args.N + 1)),
+        n_values=tuple(range(1, _sweep_n(args) + 1)),
         trials=args.trials,
         seed=args.seed,
         ring_spec=args.ring,
@@ -277,7 +289,7 @@ def cmd_linear_verify(args) -> tuple[dict, bool]:
 def cmd_all_verify(args) -> tuple[dict, bool]:
     payload = sweeps.run_all(
         max_cells=args.max_cells,
-        max_n=args.N,
+        max_n=_sweep_n(args),
         trials=args.trials,
         seed=args.seed,
         ring_spec=args.ring,
@@ -369,7 +381,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--ring")
 
+    for p in sub.choices.values():
+        # argparse offers no public list of a parser's flags.
+        p.set_defaults(flag_types={
+            a.dest: a.type for a in p._actions if a.dest not in ("help", "config")
+        })
     return parser
+
+
+# Flags holding JSON text on the command line; a config file may give the
+# parsed value instead, which the flag's own parser checks.
+_JSON_FLAGS = {"shape", "entries", "diagonal", "b", "keys"}
+
+
+def _config_value(dest: str, flag_type, value: Any) -> Any:
+    """A config value checked as its flag would be: int flags need JSON
+    integers, text flags JSON strings."""
+    if flag_type is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"config key {dest!r} needs a JSON integer, got {value!r}")
+    if dest in _JSON_FLAGS or isinstance(value, str):
+        return value
+    raise ValueError(f"config key {dest!r} needs a JSON string, got {value!r}")
 
 
 def _apply_config_and_defaults(args) -> None:
@@ -381,11 +415,24 @@ def _apply_config_and_defaults(args) -> None:
             raise ValueError("config file must hold a JSON object")
     for key, value in config.items():
         dest = key.replace("-", "_")
+        if dest not in args.flag_types:
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        value = _config_value(dest, args.flag_types[dest], value)
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
     for dest, value in _DEFAULTS.get(args.command, {}).items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
+
+
+def _unchecked_families(payload: dict) -> list[str]:
+    """Identity families a sweep report covers without checking any
+    instance; single-instance payloads have none."""
+    if "summary" in payload:
+        return [name for name, info in sorted(payload["summary"].items()) if not info["checked"]]
+    if payload.get("checked") == 0:
+        return [payload["identity"]]
+    return []
 
 
 def main(argv=None) -> int:
@@ -394,6 +441,9 @@ def main(argv=None) -> int:
     try:
         _apply_config_and_defaults(args)
         payload, ok = args.func(args)
+        empty = _unchecked_families(payload)
+        if empty:
+            raise ValueError(f"{args.command} checked no instance of {', '.join(empty)}")
         _emit(payload, args)
         return 0 if ok else 1
     except DomainError as exc:

@@ -20,6 +20,11 @@ the t factors, so d counts them.  The signed sums over vertex-disjoint path
 systems computed here equal determinants of pairwise path-weight matrices
 (the Lindstrom-Gessel-Viennot identity), which is what the verification
 commands check.
+
+A path leaves every column between its endpoints exactly once, so all the
+terms of a path sum or a signed sum multiply the same labels, and over the
+rational map they share one denominator: both run over the map's integer
+form and divide once (see ``values``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .rings import Element, TPoly, ring_determinant, PolyRing
 from .shapes import BitStats, BitTableau, Partition, bit_tableau_stats, build_bit_tableau
-from .values import CoefficientMap, DiagonalWeights
+from .values import CoefficientMap, DiagonalWeights, _evaluate
 
 
 class Vertex(NamedTuple):
@@ -153,6 +158,13 @@ def path_weight_sum(
 
     Unreachable targets give the zero polynomial, not an error.
     """
+    labels = _crossed_labels((A,), (B,), weights)
+    return _evaluate(cmap, A.y, labels, lambda c: _path_weight_sum(A, B, c, weights))
+
+
+def _path_weight_sum(
+    A: Vertex, B: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
+) -> TPoly:
     ring = cmap.ring
     one = TPoly.one(ring)
     zero = TPoly.zero(ring)
@@ -177,6 +189,22 @@ def path_weight_sum(
         return acc
 
     return total(A)
+
+
+def _crossed_labels(
+    sources: Sequence[Vertex], sinks: Sequence[Vertex], weights: DiagonalWeights
+) -> list:
+    """The labels every path system sources -> sinks multiplies: column x is
+    left by #{sources with x-coordinate <= x} - #{sinks with x-coordinate
+    <= x} paths, whatever the pairing.  Columns outside the window are
+    skipped; a path that needs one fails on its own lookup."""
+    xs = [v.x for v in (*sources, *sinks)]
+    labels = []
+    for x in range(min(xs, default=0), max(xs, default=0)):
+        crossing = sum(v.x <= x for v in sources) - sum(v.x <= x for v in sinks)
+        if crossing > 0 and x in weights:
+            labels += [weights[x]] * crossing
+    return labels
 
 
 def _iter_paths(
@@ -272,6 +300,17 @@ def lgv_signed_sum(
     weights: DiagonalWeights,
 ) -> TPoly:
     """Sum of sign * weight over all vertex-disjoint path systems."""
+    top = max((v.y for v in sources), default=0)
+    labels = _crossed_labels(sources, sinks, weights)
+    return _evaluate(cmap, top, labels, lambda c: _lgv_signed_sum(sources, sinks, c, weights))
+
+
+def _lgv_signed_sum(
+    sources: Sequence[Vertex],
+    sinks: Sequence[Vertex],
+    cmap: CoefficientMap,
+    weights: DiagonalWeights,
+) -> TPoly:
     if len(sources) == 0 and len(sinks) == 0:
         return TPoly.one(cmap.ring)
     acc = TPoly.zero(cmap.ring)
@@ -374,7 +413,7 @@ def layer_check(
             for j, f in enumerate(row, start=1):
                 if f:
                     prod = prod * cmap(weights[j - i], M)
-        one_minus_t = TPoly(ring, (ring.one, ring.neg(ring.one)))
+        one_minus_t = TPoly(ring, (ring.one, -ring.one))
         predicted = TPoly.monomial(ring, prod, stats.v1) * one_minus_t**stats.h1
     else:
         predicted = TPoly.zero(ring)

@@ -15,7 +15,14 @@ to use from concurrent code without locking.  Concrete representations:
 A ``Ring`` object bundles the constants and element operations of a
 commutative ring so that generic algorithms (polynomial arithmetic,
 division-free determinants) can run over any of them.  Elements themselves
-are plain Python values supporting ``+``, ``-``, ``*`` and ``==``.
+are plain Python values supporting ``+``, ``-``, ``*`` and ``==``, and are
+zero exactly when false.
+
+Rationals are mostly not summed as ``Fraction``s: rational values and
+rational t-polynomial determinants are expanded over integer numerators, in
+a private ring of plain ``int``s, and divided by their common denominator
+once at the end, which keeps ``Fraction`` normalization out of the inner
+loops.
 """
 
 from __future__ import annotations
@@ -64,9 +71,6 @@ class Ring:
     def add(self, a: Element, b: Element) -> Element:
         return a + b
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return a - b
-
     def neg(self, a: Element) -> Element:
         return -a
 
@@ -76,21 +80,15 @@ class Ring:
     def eq(self, a: Element, b: Element) -> bool:
         return a == b
 
-    def is_zero(self, a: Element) -> bool:
-        return a == self.zero
 
-    # Exact division is optional; rings that support it override div().
-    supports_division = False
-
-    def div(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError(f"{self.name} does not support exact division")
+# Fractions are immutable, so the rational constants are shared.
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class RationalRing(Ring):
     """The field of exact rationals, elements are fractions.Fraction."""
-
-    supports_division = True
 
     @property
     def name(self) -> str:
@@ -98,17 +96,14 @@ class RationalRing(Ring):
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _FRACTION_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _FRACTION_ONE
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return Fraction(a) / b
 
 
 QQ = RationalRing()
@@ -116,7 +111,8 @@ QQ = RationalRing()
 
 @dataclass(frozen=True)
 class _IntegerRing(Ring):
-    """Plain ``int`` elements: the rational determinant expands over it."""
+    """Plain ``int`` elements: rational values and determinants are expanded
+    over it and divided once at the end."""
 
     @property
     def name(self) -> str:
@@ -275,8 +271,6 @@ class QSeriesRing(Ring):
 
     order: int = 16
 
-    supports_division = True
-
     @property
     def name(self) -> str:
         return f"qseries:{self.order}"
@@ -291,9 +285,6 @@ class QSeriesRing(Ring):
 
     def from_int(self, n: int) -> QSeries:
         return QSeries.constant(self.order, n)
-
-    def div(self, a: QSeries, b: QSeries) -> QSeries:
-        return a * b.inverse()
 
 
 class MonomialPolynomial:
@@ -545,25 +536,24 @@ class TPoly:
 
     def evaluate(self, value: Element) -> Element:
         """Evaluate at a base-ring element (Horner)."""
-        ring = self.ring
-        acc = ring.zero
+        acc = self.ring.zero
         for c in reversed(self.coeffs):
-            acc = ring.add(ring.mul(acc, value), c)
+            acc = acc * value + c
         return acc
 
     def subs_one_minus_t(self) -> "TPoly":
         """The polynomial p(1-t); an involution."""
-        ring = self.ring
-        n = len(self.coeffs)
+        coeffs = self.coeffs
+        n = len(coeffs)
         out = []
         for k in range(n):
-            s = ring.zero
+            s = self.ring.zero
             for m in range(k, n):
-                c = self.coeffs[m]
-                if not ring.is_zero(c):
-                    s = ring.add(s, ring.mul(c, ring.from_int(math.comb(m, k))))
-            out.append(s if k % 2 == 0 else ring.neg(s))
-        return TPoly(ring, out)
+                c = coeffs[m]
+                if c:
+                    s = s + c * math.comb(m, k)
+            out.append(s if k % 2 == 0 else -s)
+        return TPoly(self.ring, out)
 
     def __eq__(self, other):
         if not isinstance(other, TPoly):
@@ -578,7 +568,7 @@ class TPoly:
             return "TPoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             cs = format_rational(c) if isinstance(c, Fraction) else repr(c)
             terms.append(cs if i == 0 else f"({cs})*t^{i}")
@@ -646,8 +636,12 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
         scaled.append(
             [TPoly(_ZZ, [c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in row]
         )
-    det = _laplace(scaled, PolyRing(_ZZ))
-    return TPoly(QQ, [Fraction(c, denominator) for c in det.coeffs])
+    return _divide_integer_poly(_laplace(scaled, PolyRing(_ZZ)), denominator)
+
+
+def _divide_integer_poly(p: TPoly, denominator: int) -> TPoly:
+    """The rational t-polynomial p / denominator, for p over the integers."""
+    return TPoly(QQ, [Fraction(c, denominator) for c in p.coeffs])
 
 
 def _laplace(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:

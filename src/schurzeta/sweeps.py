@@ -24,7 +24,6 @@ from .lattice import (
 )
 from .shapes import Partition, Tableau, admissible_baselines, partitions_up_to
 from .values import (
-    CoefficientMap,
     DiagonalWeights,
     coefficient_map_for,
     diagonal_tableau,
@@ -34,10 +33,6 @@ from .values import (
     required_offsets,
     schur_value,
 )
-
-
-def _map_for(ring_spec: str) -> CoefficientMap:
-    return coefficient_map_for(ring_spec)
 
 
 def weight_bounds(ring_spec: str, requested: tuple[int, int] | None) -> tuple[int, int]:
@@ -58,7 +53,8 @@ def _report(identity: str, instances: list[dict], **extra: Any) -> dict:
     report = {
         "identity": identity,
         "checked": len(instances),
-        "pass": not failures,
+        # A sweep that checked nothing has shown nothing.
+        "pass": bool(instances) and not failures,
         "failures": failures,
         "instances": instances,
     }
@@ -77,7 +73,7 @@ def run_jt_sweep(
 ) -> dict:
     """Schur value vs. both Jacobi-Trudi determinants on random diagonals."""
     lo, hi = weight_bounds(ring_spec, weight_range)
-    cmap = _map_for(ring_spec)
+    cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
     if shapes is None:
         shapes = list(partitions_up_to(max_cells))
@@ -112,7 +108,7 @@ def run_conjugation_sweep(
 ) -> dict:
     """schur(k) at 1-t vs. schur(conjugate k) at t on random tableaux."""
     lo, hi = weight_bounds(ring_spec, weight_range)
-    cmap = _map_for(ring_spec)
+    cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
     instances = []
     for shape in partitions_up_to(max_cells):
@@ -149,7 +145,7 @@ def run_lgv_sweep(
 ) -> dict:
     """Signed path-system sum vs. path-matrix determinant vs. Schur value."""
     lo, hi = weight_bounds(ring_spec, weight_range)
-    cmap = _map_for(ring_spec)
+    cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
     instances = []
     for shape in partitions_up_to(max_cells, include_empty=False):
@@ -185,7 +181,7 @@ def run_layer_sweep(
     """Single-layer signed sums vs. their closed form, over all admissible
     baselines of every small shape."""
     lo, hi = weight_bounds(ring_spec, weight_range)
-    cmap = _map_for(ring_spec)
+    cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
     instances = []
 
@@ -232,7 +228,7 @@ def run_path_linear_sweep(
     linear value of the descending offsets a_j, ..., a_i.
     """
     lo, hi = weight_bounds(ring_spec, weight_range)
-    cmap = _map_for(ring_spec)
+    cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
     instances = []
     for i in column_starts:
@@ -264,7 +260,7 @@ def run_oracle_triangle(
 ) -> dict:
     """linear_value == linear_value_by_recursion == merge_expansion on every
     rational tuple drawn from the given weight values."""
-    cmap = _map_for("rational")
+    cmap = coefficient_map_for("rational")
     instances = []
     for r in range(0, max_r + 1):
         for keys in product(weight_values, repeat=r):

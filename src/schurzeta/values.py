@@ -6,6 +6,14 @@ contributes a factor t (vertically) or 1-t (horizontally), and every entry m
 with weight label k contributes a ring element f(k, m).  Swapping in
 different coefficient maps f yields the classical rational values, their
 q-analogues, or quasi-symmetric functions, all computed exactly.
+
+Over the rational map every term of a value carries one factor m^(-k) per
+label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
+and K is the sum of the positive labels.  The map therefore carries an
+integer form, f(k, m) * L^max(k, 0); each evaluator runs its body once over
+that form and divides by L^K at the end, so no ``Fraction`` is normalized
+inside the sums.  Any other map, including a hand-built rational one, runs
+the same body over its own ring.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .rings import (
     QsymRing,
     Ring,
     TPoly,
+    _ZZ,
+    _divide_integer_poly,
     q_integer,
 )
 from .shapes import Partition, Tableau, corners, layer_table
@@ -34,11 +44,17 @@ from .shapes import Partition, Tableau, corners, layer_table
 
 @dataclass(frozen=True)
 class CoefficientMap:
-    """A deterministic map (weight label, positive integer) -> ring element."""
+    """A deterministic map (weight label, positive integer) -> ring element.
+
+    ``integer_form``, when set, takes L and returns the map over the
+    integers f(k, m) * L^max(k, 0), for every m dividing L; the evaluators
+    then sum integers and divide once (see the module docstring).
+    """
 
     name: str
     ring: Ring
     fn: Callable[[Any, int], Any] = field(repr=False)
+    integer_form: Callable[[int], "CoefficientMap"] | None = field(default=None, repr=False)
 
     def __call__(self, k: Any, m: int) -> Any:
         return self.fn(k, m)
@@ -64,7 +80,68 @@ def rational_map() -> CoefficientMap:
             cache[(k, m)] = value
             return value
 
-    return CoefficientMap("rational", QQ, fn)
+    forms: dict[int, CoefficientMap] = {}
+
+    def integer_form(L: int) -> CoefficientMap:
+        form = forms.get(L)
+        if form is None:
+            form = forms[L] = CoefficientMap(f"rational*{L}", _ZZ, _scaled_powers(L))
+        return form
+
+    return CoefficientMap("rational", QQ, fn, integer_form)
+
+
+def _scaled_powers(L: int) -> Callable[[Any, int], int]:
+    """f(k, m) = m^(-k) * L^max(k, 0) as an int, for m dividing L."""
+    cache: dict = {}
+
+    def fn(k: Any, m: int) -> int:
+        if not _is_int(k):
+            raise DomainError(f"rational weights must be integers, got {k!r}")
+        try:
+            return cache[(k, m)]
+        except KeyError:
+            if L % m:
+                raise ValueError(f"entry {m} does not divide the scale {L}") from None
+            value = (L // m) ** k if k >= 0 else m ** (-k)
+            cache[(k, m)] = value
+            return value
+
+    return fn
+
+
+def _integer_form(
+    cmap: CoefficientMap, top: int, labels: Sequence[Any]
+) -> tuple[CoefficientMap, int] | None:
+    """cmap's integer form for entries 1..top, with its scale L = lcm(1..top).
+
+    None when cmap has no integer form, or when one of the labels the value
+    multiplies is not an integer: the generic route then raises where the
+    map first meets that label, just as it would without the form.
+    """
+    if cmap.integer_form is None or not all(_is_int(k) for k in labels):
+        return None
+    L = math.lcm(*range(1, top + 1))  # 1 when top < 1
+    return cmap.integer_form(L), L
+
+
+def _positive_sum(labels: Sequence[int]) -> int:
+    """K = sum of max(k, 0) over the labels: the power of L in the common
+    denominator of every term that multiplies them."""
+    return sum(k for k in labels if k > 0)
+
+
+def _evaluate(
+    cmap: CoefficientMap, top: int, labels: Sequence[Any], body: Callable[[CoefficientMap], TPoly]
+) -> TPoly:
+    """body(cmap) for a value whose every term multiplies f(k, m) once per
+    label, with entries m in 1..top: run over cmap's integer form when it has
+    one, then divided once by L^K."""
+    form = _integer_form(cmap, top, labels)
+    if form is None:
+        return body(cmap)
+    imap, L = form
+    return _divide_integer_poly(body(imap), L ** _positive_sum(labels))
 
 
 def q_analogue_map(order: int = 16) -> CoefficientMap:
@@ -203,6 +280,11 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
+    labels = [k for row in weights.rows for k in row]
+    return _evaluate(cmap, N - 1, labels, lambda c: _schur_value(weights, N, c))
+
+
+def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
     shape = weights.shape
     if shape.size == 0:
@@ -271,6 +353,10 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
+    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value(keys, N, c))
+
+
+def _linear_value(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
     r = len(keys)
     if r == 0:
@@ -299,6 +385,18 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
+    keys = tuple(keys)
+    form = _integer_form(cmap, N - 1, keys)
+    if form is None:
+        return _linear_value_prefixes(keys, N, cmap)
+    imap, L = form
+    return [
+        _divide_integer_poly(value, L ** _positive_sum(keys[:p]))
+        for p, value in enumerate(_linear_value_prefixes(keys, N, imap))
+    ]
+
+
+def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
     ring = cmap.ring
     zero = ring.zero
     values = [TPoly.one(ring)]
@@ -337,6 +435,10 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
+    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value_by_recursion(keys, N, c))
+
+
+def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
     one = TPoly.one(ring)
     zero = TPoly.zero(ring)
@@ -364,17 +466,15 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
     return value(len(keys), N)
 
 
-def _strict_power_sum(exponents: Sequence[int], N: int) -> Fraction:
-    """Sum over strictly increasing chains 0 < m_1 < ... < m_s < N of the
-    product m_i^(-c_i)."""
-    total = Fraction(0)
-    s = len(exponents)
-    if s == 0:
-        return Fraction(1)
-    for chain in combinations(range(1, N), s):
-        term = Fraction(1)
+def _strict_power_sum(exponents: Sequence[int], N: int, L: int) -> int:
+    """L^(sum of the positive c_i) times the sum over strictly increasing
+    chains 0 < m_1 < ... < m_s < N of the product m_i^(-c_i); an integer,
+    since every m below N divides L."""
+    total = 0
+    for chain in combinations(range(1, N), len(exponents)):
+        term = 1
         for c, m in zip(exponents, chain):
-            term *= Fraction(1, m**c) if c >= 0 else Fraction(m ** (-c))
+            term *= (L // m) ** c if c >= 0 else m ** (-c)
         total += term
     return total
 
@@ -385,7 +485,10 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     Each of the 2^(r-1) ways of merging adjacent keys (replacing a comma by
     a plus) contributes its strict truncated sum at t^(number of merges);
     weak chains partition by their equality pattern, so this must agree with
-    linear_value under the rational map.
+    linear_value under the rational map.  The strict sums are taken times
+    L^K, L = lcm(1..N-1) and K the sum of the positive keys (merging never
+    raises the sum of the positive parts), and divided out once; this
+    arithmetic is the route's own, independent of the maps' integer form.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -393,7 +496,9 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     r = len(keys)
     if r == 0:
         return TPoly.one(QQ)
-    acc = [Fraction(0)] * r
+    L = math.lcm(*range(1, N))
+    K = sum(k for k in keys if k > 0)
+    acc = [0] * r
     for mask in range(1 << (r - 1)):
         merged = [keys[0]]
         for gap in range(r - 1):
@@ -401,8 +506,9 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
                 merged[-1] += keys[gap + 1]
             else:
                 merged.append(keys[gap + 1])
-        acc[bin(mask).count("1")] += _strict_power_sum(merged, N)
-    return TPoly(QQ, acc)
+        missing = K - sum(c for c in merged if c > 0)
+        acc[bin(mask).count("1")] += _strict_power_sum(merged, N, L) * L**missing
+    return TPoly(QQ, [Fraction(a, L**K) for a in acc])
 
 
 def corner_condition(weights: Tableau) -> bool:

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from schurzeta import cli
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from schurzeta import cli, sweeps
 
 
 def run(argv, capsys):
@@ -227,6 +231,92 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert payload["N"] == 3  # the flag wins over the config file
     assert payload["coefficients"] == ["1/4", "17/16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all-verify", "--N", "1"],
+        ["jt-verify", "--N", "1"],
+        ["jt-verify", "--shape", "[1]", "--N", "0"],
+        ["conjugation-verify", "--N", "1"],
+    ],
+)
+def test_sweeps_below_n_2_are_refused(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and "--N >= 2" in err and not out
+
+
+def test_empty_sweeps_do_not_pass(capsys):
+    report = sweeps.run_lgv_sweep(max_cells=0)
+    assert report["checked"] == 0 and report["pass"] is False
+    for argv in (
+        ["lgv-verify", "--max-cells", "0"],
+        ["jt-verify", "--trials", "0", "--N", "2"],
+        ["all-verify", "--max-cells", "0", "--N", "2"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "checked no instance" in err and not out
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"N": "abc"}, {"N": True}, {"N": 2.0}, {"seed": "x"}, {"Nx": 3}, {"ring": 5},
+     {"max-cells": None}],
+)
+def test_malformed_config_exits_2(config, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(["jt-verify", "--config", str(path)], capsys)
+    assert code == 2 and not out
+    assert "config key" in err  # named by the check, not by a later failure
+
+
+def test_config_accepts_dashed_and_parsed_values(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"max-cells": 2, "N": 2, "trials": 1, "ring": "qsym"}))
+    code, payload, _ = run_json(["jt-verify", "--config", str(path)], capsys)
+    assert code == 0 and payload["ring"] == "qsym" and payload["checked"] > 0
+
+
+COMMANDS = sorted(cli._DEFAULTS)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_configs(draw):
+    """A command and a config holding one entry its flags would reject."""
+    command = draw(st.sampled_from(COMMANDS))
+    flag_types = cli.build_parser().parse_args([command]).flag_types
+    int_flags = sorted(d for d, t in flag_types.items() if t is int)
+    text_flags = sorted(d for d, t in flag_types.items() if t is None and d not in cli._JSON_FLAGS)
+    kind = draw(st.sampled_from(["unknown", "int", "text"]))
+    if kind == "unknown":
+        key = draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k.replace("-", "_") not in flag_types))
+        value = draw(JSON_VALUES)
+    elif kind == "int":
+        key = draw(st.sampled_from(int_flags))
+        value = draw(JSON_VALUES.filter(lambda v: type(v) is not int))
+    else:
+        key = draw(st.sampled_from(text_flags))
+        value = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+    return command, {key: value}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_configs())
+def test_malformed_configs_never_exit_0_or_1(tmp_path, capsys, case):
+    command, config = case
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run([command, "--config", str(path)], capsys)
+    assert code == 2 and not out
 
 
 def test_output_file(tmp_path, capsys):

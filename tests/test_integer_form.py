@@ -1,0 +1,203 @@
+"""The rational map's integer form against the plain ``Fraction`` route.
+
+``rational_map()`` carries an integer form, so its values are summed over
+integers and divided once.  A hand-built map with the same function but no
+integer form runs the same evaluator bodies over ``Fraction`` and is the
+oracle here.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from schurzeta import lattice, values
+from schurzeta.errors import DomainError
+from schurzeta.lattice import (
+    black,
+    layer_endpoints,
+    lgv_signed_sum,
+    path_weight_sum,
+    schur_path_endpoints,
+    white,
+)
+from schurzeta.rings import QQ, TPoly
+from schurzeta.shapes import Partition, Tableau, admissible_baselines, partitions_up_to
+from schurzeta.values import (
+    CoefficientMap,
+    DiagonalWeights,
+    linear_value,
+    linear_value_by_recursion,
+    linear_value_prefixes,
+    merge_expansion,
+    rational_map,
+    required_offsets,
+    schur_value,
+)
+
+RAT = rational_map()
+FRACTIONS = CoefficientMap("rational", QQ, RAT.fn)
+LABELS = range(-2, 4)
+N_VALUES = range(1, 7)
+
+
+def assert_rational(p):
+    assert isinstance(p, TPoly) and p.ring == QQ
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def same(fast, slow):
+    assert_rational(fast)
+    assert fast == slow
+
+
+def test_integer_form_values_and_cache():
+    form = RAT.integer_form(12)
+    assert form is RAT.integer_form(12)  # cached per L
+    assert form.ring.name == "integer" and FRACTIONS.integer_form is None
+    for k, m in product(LABELS, (1, 2, 3, 4, 6, 12)):
+        assert form(k, m) == RAT(k, m) * 12 ** max(k, 0)
+        assert type(form(k, m)) is int
+    with pytest.raises(ValueError):
+        form(1, 5)  # 5 does not divide 12
+    with pytest.raises(DomainError):
+        form(True, 2)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_linear_routes_match_fraction_route(r):
+    for keys in product(LABELS, repeat=r):
+        for N in N_VALUES:
+            slow = linear_value(keys, N, FRACTIONS)
+            same(linear_value(keys, N, RAT), slow)
+            same(linear_value_by_recursion(keys, N, RAT), slow)
+            same(merge_expansion(keys, N), slow)
+            fast_prefixes = linear_value_prefixes(keys, N, RAT)
+            slow_prefixes = linear_value_prefixes(keys, N, FRACTIONS)
+            assert len(fast_prefixes) == len(slow_prefixes) == r + 1
+            for fast, prefix in zip(fast_prefixes, slow_prefixes):
+                same(fast, prefix)
+
+
+def test_long_keys_match_fraction_route():
+    rng = random.Random(4)
+    for r in (4, 5, 6):
+        for N in N_VALUES:
+            keys = [rng.choice(LABELS) for _ in range(r)]
+            slow = linear_value_by_recursion(keys, N, FRACTIONS)
+            same(linear_value_by_recursion(keys, N, RAT), slow)
+            same(merge_expansion(keys, N), slow)
+            same(linear_value_prefixes(keys, N, RAT)[-1], slow)
+
+
+def test_schur_values_match_fraction_route():
+    rng = random.Random(5)
+    for shape in partitions_up_to(5):
+        for N in N_VALUES:
+            rows = [[rng.choice(LABELS) for _ in range(p)] for p in shape.parts]
+            tableau = Tableau(shape, rows)
+            same(schur_value(tableau, N, RAT), schur_value(tableau, N, FRACTIONS))
+
+
+def random_window(rng, offsets):
+    return DiagonalWeights({d: rng.choice(LABELS) for d in offsets})
+
+
+def test_path_sums_match_fraction_route():
+    rng = random.Random(6)
+    dw = random_window(rng, range(-3, 4))
+    for (x0, y0), (x1, y1) in product(product(range(-3, 3), range(0, 6)), repeat=2):
+        for B in (white(x1, y1), black(x1, y1)):
+            A = white(x0, y0)
+            same(path_weight_sum(A, B, RAT, dw), path_weight_sum(A, B, FRACTIONS, dw))
+
+
+def test_signed_sums_match_fraction_route():
+    rng = random.Random(7)
+    for shape in partitions_up_to(4, include_empty=False):
+        dw = random_window(rng, required_offsets(shape))
+        for N in N_VALUES:
+            sources, sinks = schur_path_endpoints(shape, N)
+            same(
+                lgv_signed_sum(sources, sinks, RAT, dw),
+                lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+            )
+        for b in admissible_baselines(shape):
+            for M in range(1, 4):
+                sources, sinks = layer_endpoints(shape, b, M)
+                same(
+                    lgv_signed_sum(sources, sinks, RAT, dw),
+                    lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+                )
+
+
+def test_signed_sums_with_mixed_heights_match_fraction_route():
+    # The scale must cover the highest source, not only the first one.
+    rng = random.Random(8)
+    dw = random_window(rng, range(-3, 4))
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        sources = [white(rng.randint(-3, 0), rng.randint(0, 5)) for _ in range(n)]
+        sinks = [white(rng.randint(-1, 3), rng.randint(0, 2)) for _ in range(n)]
+        same(
+            lgv_signed_sum(sources, sinks, RAT, dw),
+            lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+        )
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_signed_sum_without_identity_pairing(M):
+    # Sinks at x = 2 and 0 for sources at x = -1 and 1: only the swapped
+    # pairing has paths, and it crosses columns -1 and 1 once each.
+    shape = Partition((2, 1))
+    sources, sinks = layer_endpoints(shape, (-1, 2), M)
+    assert sinks[1].x < sources[1].x
+    dw = DiagonalWeights({-1: 3, 0: -2, 1: 2})
+    fast = lgv_signed_sum(sources, sinks, RAT, dw)
+    same(fast, lgv_signed_sum(sources, sinks, FRACTIONS, dw))
+    assert fast == TPoly(QQ, [-Fraction(1, M**5)])
+
+
+def test_labels_outside_the_map_still_raise_where_used():
+    with pytest.raises(DomainError):
+        linear_value([2, True], 3, RAT)
+    with pytest.raises(DomainError):
+        schur_value(Tableau(Partition((1,)), [["x"]]), 2, RAT)
+    with pytest.raises(DomainError):
+        path_weight_sum(white(0, 2), white(1, 0), RAT, DiagonalWeights({0: 1.5}))
+    # No chain below N = 1, so the label is never used.
+    assert linear_value(["x"], 1, RAT) == TPoly.zero(QQ)
+    # A column outside the window fails on its own lookup, as before.
+    with pytest.raises(ValueError):
+        path_weight_sum(white(0, 2), white(2, 0), RAT, DiagonalWeights({0: 1}))
+
+
+EVALUATORS = [
+    (values, "linear_value", lambda f: f((2, -1, 3), 5, RAT)),
+    (values, "linear_value_by_recursion", lambda f: f((2, -1, 3), 5, RAT)),
+    (values, "linear_value_prefixes", lambda f: f((2, -1, 3), 5, RAT)),
+    (values, "schur_value",
+     lambda f: f(Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, RAT)),
+    (lattice, "path_weight_sum",
+     lambda f: f(white(0, 4), white(3, 0), RAT, DiagonalWeights({0: 2, 1: -1, 2: 3}))),
+    (lattice, "lgv_signed_sum",
+     lambda f: f(*schur_path_endpoints(Partition((2, 2)), 4), RAT,
+                 DiagonalWeights({-1: 2, 0: 1, 1: 3}))),
+]
+
+
+@pytest.mark.parametrize("module, name, call", EVALUATORS, ids=[e[1] for e in EVALUATORS])
+def test_evaluator_runs_once_per_call(monkeypatch, module, name, call):
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    result = call(getattr(module, name))
+    assert len(calls) == 1
+    for value in result if isinstance(result, list) else [result]:
+        assert_rational(value)

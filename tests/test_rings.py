@@ -84,6 +84,17 @@ def test_rational_ring_is_normalized():
     assert (y.numerator, y.denominator) == (-1, 2)
 
 
+def test_tpoly_repr_skips_zero_coefficients():
+    assert repr(TPoly(QQ, [Fraction(1, 2), Fraction(0), Fraction(-3)])) == "TPoly(1/2 + (-3)*t^2)"
+    assert repr(TPoly(QQ)) == "TPoly(0)"
+
+
+def test_rational_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 
