@@ -15,9 +15,7 @@ from .rings import (
     format_rational,
     parse_rational,
     q_integer,
-    qseries_invert,
     ring_determinant,
-    tpoly_substitute_one_minus_t,
 )
 from .shapes import (
     BitStats,

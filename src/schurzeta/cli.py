@@ -4,8 +4,8 @@ reproducible batch commands with JSON output.
 Structured JSON goes to stdout (or --output), a one-line human summary to
 stderr.  Exit codes: 0 all checks pass, 1 an identity mismatch, 2 malformed
 input (including a config file with an unknown key or a value of the wrong
-type, and a sweep that would check no instance), 3 domain error (a weight
-outside the chosen ring's map).
+type, a single-instance flag without --shape, and a sweep that would check
+no instance), 3 domain error (a weight outside the chosen ring's map).
 """
 
 from __future__ import annotations
@@ -425,6 +425,20 @@ def _apply_config_and_defaults(args) -> None:
             setattr(args, dest, value)
 
 
+# Flags that only describe the one instance named by --shape.
+_INSTANCE_FLAGS = ("entries", "diagonal", "b")
+
+
+def _check_instance_flags(args) -> None:
+    """Refuse single-instance flags given without --shape: a sweep would
+    silently ignore them."""
+    if getattr(args, "shape", None) is not None:
+        return
+    for dest in _INSTANCE_FLAGS:
+        if getattr(args, dest, None) is not None:
+            raise ValueError(f"{args.command} --{dest} needs --shape")
+
+
 def _unchecked_families(payload: dict) -> list[str]:
     """Identity families a sweep report covers without checking any
     instance; single-instance payloads have none."""
@@ -440,6 +454,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_and_defaults(args)
+        _check_instance_flags(args)
         payload, ok = args.func(args)
         empty = _unchecked_families(payload)
         if empty:

@@ -7,10 +7,12 @@ to use from concurrent code without locking.  Concrete representations:
 * rationals -- ``fractions.Fraction`` (always normalized, exact equality)
 * ``TPoly`` -- dense tuple of coefficients by ascending degree in ``t``,
   trailing zeros trimmed; the coefficients live in any ring below
-* ``QSeries`` -- rational coefficients of q^0 .. q^(order-1); all arithmetic
-  is performed modulo q^order
+* ``QSeries`` -- rational coefficients of q^0 .. q^(order-1), each an
+  ``int`` when integral and a normalized ``Fraction`` otherwise; all
+  arithmetic is performed modulo q^order
 * ``MonomialPolynomial`` -- sparse integer combination of monomials in
-  countably many variables x_1, x_2, ...
+  countably many variables x_1, x_2, ...: a dict from sorted keys of
+  (variable, exponent) pairs to nonzero ``int`` coefficients
 
 A ``Ring`` object bundles the constants and element operations of a
 commutative ring so that generic algorithms (polynomial arithmetic,
@@ -23,12 +25,24 @@ rational t-polynomial determinants are expanded over integer numerators, in
 a private ring of plain ``int``s, and divided by their common denominator
 once at the end, which keeps ``Fraction`` normalization out of the inner
 loops.
+
+``QSeries`` and ``MonomialPolynomial`` normalize in their public
+constructors only: a series converts each coefficient through ``Fraction``
+and stores the integral ones as ``int``; a polynomial casts, validates and
+sorts every key, merges repeated keys and drops zero coefficients.  Their
+operators build results through a private trusted constructor that skips
+all of that: series operators only turn the integral ``Fraction``s that
+``Fraction`` arithmetic returns back into ``int``s, and polynomial
+operators drop coefficients where they cancel.  Values of the q-analogue
+map have integer coefficients, so their arithmetic builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -133,10 +147,19 @@ class _IntegerRing(Ring):
 _ZZ = _IntegerRing()
 
 
+def _stored(coeffs: Iterable) -> tuple:
+    """``QSeries`` coefficients in stored form: integral ``Fraction``s become
+    their ``int`` numerators, everything else is kept as it is."""
+    return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in coeffs])
+
+
 class QSeries:
     """Truncated power series in q with exact rational coefficients.
 
     The truncation order is fixed per value; mixing orders is an error.
+    Coefficients are stored as ``int`` when integral and as normalized
+    ``Fraction``s otherwise, so series with integer coefficients (every
+    value of the q-analogue map) are summed and multiplied over ``int``s.
     """
 
     __slots__ = ("order", "coeffs")
@@ -145,9 +168,19 @@ class QSeries:
         if order < 1:
             raise ValueError("truncation order must be a positive integer")
         cs = [Fraction(c) for c in list(coeffs)[:order]]
-        cs.extend([Fraction(0)] * (order - len(cs)))
+        cs.extend([0] * (order - len(cs)))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _stored(cs))
+
+    @classmethod
+    def _make(cls, order: int, coeffs: Iterable) -> "QSeries":
+        """Trusted constructor for results of series arithmetic: exactly
+        ``order`` coefficients, each an ``int`` or a ``Fraction``.  Integral
+        ``Fraction``s become ``int``s; nothing else is converted or checked."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "order", order)
+        object.__setattr__(series, "coeffs", _stored(coeffs))
+        return series
 
     def __setattr__(self, *_):
         raise AttributeError("QSeries values are immutable")
@@ -162,45 +195,47 @@ class QSeries:
                 f"q-series truncation orders differ: {self.order} vs {other.order}"
             )
 
+    # Operators test for a series first: isinstance against Fraction goes
+    # through the numbers ABCs, which costs more than the sum itself.
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(self.order, other)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QSeries.constant(self.order, other)
         self._check(other)
-        return QSeries(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return QSeries._make(self.order, map(operator.add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.order, (-a for a in self.coeffs))
+        return QSeries._make(self.order, map(operator.neg, self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(self.order, other)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QSeries.constant(self.order, other)
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries(self.order, (a * other for a in self.coeffs))
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return QSeries._make(self.order, [a * other for a in self.coeffs])
         self._check(other)
         n = self.order
-        out = [Fraction(0)] * n
+        theirs = other.coeffs
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j in range(n - i):
-                b = other.coeffs[j]
+            for j, b in enumerate(theirs[: n - i], i):
                 if b:
-                    out[i + j] += a * b
-        return QSeries(n, out)
+                    out[j] += a * b
+        return QSeries._make(n, out)
 
     __rmul__ = __mul__
 
@@ -260,11 +295,6 @@ def q_integer(m: int, order: int) -> QSeries:
     return QSeries(order, [1] * min(m, order))
 
 
-def qseries_invert(s: QSeries) -> QSeries:
-    """Inverse of a truncated q-series (unit constant term required)."""
-    return s.inverse()
-
-
 @dataclass(frozen=True)
 class QSeriesRing(Ring):
     """Truncated rational power series in q at a fixed order."""
@@ -275,11 +305,12 @@ class QSeriesRing(Ring):
     def name(self) -> str:
         return f"qseries:{self.order}"
 
-    @property
+    # Series are immutable, so each ring builds its constants once.
+    @cached_property
     def zero(self) -> QSeries:
         return QSeries(self.order)
 
-    @property
+    @cached_property
     def one(self) -> QSeries:
         return QSeries.constant(self.order, 1)
 
@@ -310,6 +341,15 @@ class MonomialPolynomial:
             clean[norm] = clean.get(norm, 0) + coeff
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
 
+    @classmethod
+    def _make(cls, terms: dict) -> "MonomialPolynomial":
+        """Trusted constructor for results of polynomial arithmetic: the
+        keys are already sorted tuples of positive pairs and every
+        coefficient is a nonzero ``int``; nothing is converted or checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, *_):
         raise AttributeError("MonomialPolynomial values are immutable")
 
@@ -329,13 +369,17 @@ class MonomialPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return MonomialPolynomial(out)
+            total = out.get(key, 0) + coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return MonomialPolynomial._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MonomialPolynomial({k: -c for k, c in self.terms.items()})
+        return MonomialPolynomial._make({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -349,6 +393,12 @@ class MonomialPolynomial:
 
     @staticmethod
     def _merge_keys(k1, k2):
+        # Schur and linear values multiply by the variables in increasing
+        # order, so one key usually ends below where the other starts.
+        if not k1 or not k2 or k1[-1][0] < k2[0][0]:
+            return k1 + k2
+        if k2[-1][0] < k1[0][0]:
+            return k2 + k1
         exps = dict(k1)
         for v, e in k2:
             exps[v] = exps.get(v, 0) + e
@@ -357,8 +407,8 @@ class MonomialPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return MonomialPolynomial()
-            return MonomialPolynomial({k: c * other for k, c in self.terms.items()})
+                return MonomialPolynomial._make({})
+            return MonomialPolynomial._make({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, MonomialPolynomial):
             return NotImplemented
         out: dict = {}
@@ -366,7 +416,7 @@ class MonomialPolynomial:
             for k2, c2 in other.terms.items():
                 key = self._merge_keys(k1, k2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return MonomialPolynomial(out)
+        return MonomialPolynomial._make({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -407,11 +457,12 @@ class QsymRing(Ring):
     def name(self) -> str:
         return "qsym"
 
-    @property
+    # Polynomials are immutable, so each ring builds its constants once.
+    @cached_property
     def zero(self) -> MonomialPolynomial:
         return MonomialPolynomial()
 
-    @property
+    @cached_property
     def one(self) -> MonomialPolynomial:
         return MonomialPolynomial.constant(1)
 
@@ -573,11 +624,6 @@ class TPoly:
             cs = format_rational(c) if isinstance(c, Fraction) else repr(c)
             terms.append(cs if i == 0 else f"({cs})*t^{i}")
         return "TPoly(" + " + ".join(terms) + ")"
-
-
-def tpoly_substitute_one_minus_t(p: TPoly) -> TPoly:
-    """Substitute t -> 1-t in a polynomial."""
-    return p.subs_one_minus_t()
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,31 @@ def test_empty_sweeps_do_not_pass(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["lgv-verify", "--diagonal", "[1]", "--max-cells", "2", "--N", "2"],
+        ["jt-verify", "--diagonal", "oops", "--max-cells", "2", "--N", "2"],
+        ["layer-verify", "--b", "[9]", "--max-cells", "2", "--M", "2"],
+        ["layer-verify", "--diagonal", '{"0": 2}', "--max-cells", "2", "--M", "2"],
+        ["compute", "--entries", "[[2]]", "--N", "3"],
+    ],
+    ids=["lgv-diagonal", "jt-diagonal", "layer-b", "layer-diagonal", "compute-entries"],
+)
+def test_instance_flags_without_shape_are_refused(argv, capsys):
+    # A sweep would ignore them and exit 0.
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert f"{argv[1]} needs --shape" in err
+
+
+def test_instance_flags_from_config_without_shape_are_refused(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"diagonal": {"0": 2}, "max-cells": 2, "N": 2}))
+    code, out, err = run(["jt-verify", "--config", str(path)], capsys)
+    assert code == 2 and not out and "--diagonal needs --shape" in err
+
+
+@pytest.mark.parametrize(
     "config",
     [{"N": "abc"}, {"N": True}, {"N": 2.0}, {"seed": "x"}, {"Nx": 3}, {"ring": 5},
      {"max-cells": None}],

@@ -171,6 +171,16 @@ def test_verify_wide_rational_shapes(parts, degree):
     assert rep.det_h.degree == degree
 
 
+def test_verify_wide_qseries_shape():
+    # A 10x10 H determinant over dense order-8 series; the layer DP
+    # multiplies such series at every step.
+    shape = Partition((10, 8, 3))
+    dw = DiagonalWeights({d: 2 if d == 0 else 1 for d in required_offsets(shape)})
+    rep = verify_jacobi_trudi(shape, 5, q_analogue_map(8), dw)
+    assert rep.schur == rep.det_h == rep.det_e
+    assert rep.det_h.degree == 12
+
+
 def test_negative_weights_allowed():
     dw = DiagonalWeights({-2: -2, -1: 0, 0: -1, 1: 3, 2: 1})
     rep = verify_jacobi_trudi(Partition((3, 2, 1)), 4, RAT, dw)

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from schurzeta.errors import NonInvertibleError
+from schurzeta.values import q_analogue_map
 from schurzeta.rings import (
     MonomialPolynomial,
     PolyRing,
@@ -18,9 +19,7 @@ from schurzeta.rings import (
     format_rational,
     parse_rational,
     q_integer,
-    qseries_invert,
     ring_determinant,
-    tpoly_substitute_one_minus_t,
 )
 
 
@@ -93,6 +92,12 @@ def test_rational_constants_are_shared():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
     assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
     assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+
+
+@pytest.mark.parametrize("ring", [QSeriesRing(8), QsymRing()], ids=["qseries8", "qsym"])
+def test_series_and_qsym_constants_are_shared(ring):
+    assert ring.zero is ring.zero and ring.one is ring.one
+    assert not ring.zero and ring.one == ring.from_int(1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +220,11 @@ def test_determinant_matches_permutation_oracle_every_ring(ring, sample, n):
 
 def test_substitution_examples():
     zero = TPoly.zero(QQ)
-    assert tpoly_substitute_one_minus_t(zero) == zero
+    assert zero.subs_one_minus_t() == zero
     p = TPoly(QQ, [Fraction(1, 4), Fraction(17, 16)])
-    assert tpoly_substitute_one_minus_t(p) == TPoly(QQ, [Fraction(21, 16), Fraction(-17, 16)])
+    assert p.subs_one_minus_t() == TPoly(QQ, [Fraction(21, 16), Fraction(-17, 16)])
     t_squared = TPoly(QQ, [0, 0, Fraction(1)])
-    assert tpoly_substitute_one_minus_t(t_squared) == TPoly(
+    assert t_squared.subs_one_minus_t() == TPoly(
         QQ, [Fraction(1), Fraction(-2), Fraction(1)]
     )
 
@@ -248,22 +253,22 @@ def test_tpoly_basic_shapes():
 
 def test_qseries_invert_identity():
     one = QSeriesRing(6).one
-    assert qseries_invert(one) == one
+    assert one.inverse() == one
 
 
 def test_qseries_invert_q_integer_two():
     # 1/(1+q) = 1 - q + q^2 - q^3 mod q^4
-    assert qseries_invert(q_integer(2, 4)) == QSeries(4, [1, -1, 1, -1])
+    assert q_integer(2, 4).inverse() == QSeries(4, [1, -1, 1, -1])
 
 
 def test_qseries_invert_multiply_back():
     s = q_integer(3, 5)
-    assert s * qseries_invert(s) == QSeriesRing(5).one
+    assert s * s.inverse() == QSeriesRing(5).one
 
 
 def test_qseries_invert_needs_unit():
     with pytest.raises(NonInvertibleError):
-        qseries_invert(QSeries(4, [0, 1]))
+        QSeries(4, [0, 1]).inverse()
 
 
 def test_qseries_truncation_and_associativity():
@@ -286,6 +291,79 @@ def test_qseries_json():
     assert q_integer(2, 3).to_json() == {"order": 3, "coeffs": ["1", "1", "0"]}
 
 
+def mixed_coefficient(rng):
+    """An int, an integral Fraction or a proper Fraction; denominators 1 and
+    2 make Fraction sums and products integral often."""
+    n = rng.randint(-4, 4)
+    return rng.choice((n, Fraction(n), Fraction(n, 2)))
+
+
+def assert_stored_form(series):
+    for c in series.coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def reference_mul(a, b):
+    """Truncated product of two Fraction coefficient lists."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(len(a))]
+
+
+def reference_inverse(a):
+    """Inverse of a Fraction coefficient list with a unit constant term."""
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def test_qseries_kernel_matches_fraction_reference():
+    rng = random.Random(5150)
+    for _ in range(400):
+        order = rng.randint(1, 6)
+        a = QSeries(order, [mixed_coefficient(rng) for _ in range(order)])
+        b = QSeries(order, [mixed_coefficient(rng) for _ in range(order)])
+        x = mixed_coefficient(rng)
+        fa = [Fraction(c) for c in a.coeffs]
+        fb = [Fraction(c) for c in b.coeffs]
+        cases = [
+            (a + b, [p + q for p, q in zip(fa, fb)]),
+            (a - b, [p - q for p, q in zip(fa, fb)]),
+            (-a, [-p for p in fa]),
+            (a * b, reference_mul(fa, fb)),
+            (a * x, [p * x for p in fa]),
+            (x * a, [p * x for p in fa]),
+            (a + x, [fa[0] + x] + fa[1:]),
+            (x - a, [x - fa[0]] + [-p for p in fa[1:]]),
+        ]
+        if fa[0]:
+            cases.append((a.inverse(), reference_inverse(fa)))
+        for got, want in cases:
+            assert list(got.coeffs) == want
+            assert_stored_form(got)
+    assert_stored_form(QSeries(4, [Fraction(1, 2), Fraction(4, 2), 3.0, "5/3"]))
+
+
+def test_q_analogue_values_have_int_coefficients():
+    for order in (1, 4, 8):
+        cmap = q_analogue_map(order)
+        values = [cmap(k, m) for k in range(1, 5) for m in range(1, 10)]
+        values += [cmap.ring.zero, cmap.ring.one, values[0] * values[-1] - values[3]]
+        for value in values:
+            assert all(type(c) is int for c in value.coeffs)
+
+
+def test_qseries_int_and_fraction_forms_agree():
+    from_ints = QSeries(5, [1, -2, 0, 3])
+    from_fractions = QSeries(5, [Fraction(2, 2), Fraction(-2), Fraction(0), Fraction(6, 2)])
+    from_arithmetic = QSeries(5, [Fraction(1, 2), -1, 0, Fraction(3, 2)]) * 2
+    for s in (from_fractions, from_arithmetic):
+        assert s == from_ints and hash(s) == hash(from_ints)
+        assert_stored_form(s)
+    half = QSeries(3, [Fraction(1, 2), 2])
+    assert half.to_json() == {"order": 3, "coeffs": ["1/2", "2", "0"]}
+    assert repr(half) == "QSeries[3](1/2*q^0 + 2*q^1)"
+
+
 # ---------------------------------------------------------------------------
 # monomial polynomials
 
@@ -306,3 +384,37 @@ def test_monomial_polynomial_rejects_bad_exponents():
         MonomialPolynomial({((1, 0),): 1})
     with pytest.raises(ValueError):
         MonomialPolynomial({((0, 2),): 1})
+
+
+def assert_normal_form(poly):
+    """Sorted keys, no zero and only int coefficients: what the public
+    constructor would build from the same terms."""
+    rebuilt = MonomialPolynomial(dict(poly.terms))
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+    assert all(type(c) is int and c for c in poly.terms.values())
+    assert all(list(key) == sorted(key) for key in poly.terms)
+
+
+def test_monomial_polynomial_operators_keep_normal_form():
+    rng = random.Random(8128)
+    for _ in range(500):
+        a, b = random_monomial_poly(rng), random_monomial_poly(rng)
+        n = rng.randint(-3, 3)
+        for result in (a + b, a - b, -a, a * b, a * n, n * a, a + n, n - a, a * (b + n)):
+            assert_normal_form(result)
+    x = MonomialPolynomial({((1, 2), (3, 1)): 4, ((2, 1),): -1, (): 7})
+    y = MonomialPolynomial.variable_power(2, 3)
+    for zero in (x - x, x + (-x), x * 0, x * y - y * x, (x + y) * (x - y) - (x * x - y * y)):
+        assert zero.terms == {} and not zero
+        assert_normal_form(zero)
+
+
+def test_monomial_polynomial_constructor_normalizes_keys():
+    poly = MonomialPolynomial(
+        {((2, 1), (1, 3)): 2, ((1, 3), (2, 1)): 1, ((1, 1),): 0, ((4, 1), (2, 2)): -2}
+    )
+    assert poly.terms == {((1, 3), (2, 1)): 3, ((2, 2), (4, 1)): -2}
+    assert MonomialPolynomial({((2, 1), (1, 3)): 2, ((1, 3), (2, 1)): -2}).terms == {}
+    for key in (((1, 2), (2, 0)), ((0, 1),), ((3, 1), (-1, 2))):
+        with pytest.raises(ValueError):
+            MonomialPolynomial({key: 1})
