@@ -48,18 +48,12 @@ from .values import (
     schur_value,
 )
 from .lattice import (
-    LatticePath,
     LayerReport,
-    PathSystem,
     Vertex,
     black,
-    edge_kind,
-    edge_weight,
-    enumerate_path_systems,
     layer_check,
     lgv_determinant,
     lgv_signed_sum,
-    path_from_edge_kinds,
     path_matrix,
     path_weight_sum,
     schur_path_endpoints,

@@ -1,5 +1,5 @@
 """The two-colored lattice graph whose weighted path sums produce
-interpolated values, plus vertex-disjoint path-system machinery.
+interpolated values, and signed sums over vertex-disjoint path systems.
 
 Geometry: every integer position (x, y) with y >= 0 carries a white and a
 black vertex.  From height y >= 1 the outgoing edges are
@@ -21,6 +21,30 @@ systems computed here equal determinants of pairwise path-weight matrices
 (the Lindstrom-Gessel-Viennot identity), which is what the verification
 commands check.
 
+Signed sums are swept one column at a time, by a transfer matrix (Stanley,
+EC1 4.7; the layer table of ``shapes`` is the same idea).  Inside column x
+a path is one black vertex, or a run of white vertices going down from
+where it entered.
+
+* State, at the boundary left of column x: per source, not yet started,
+  the vertex where its path enters column x, or the sink j it ended at;
+  with a {t-degree: coefficient} sum per state.
+* Transitions: each path in column x picks where its white run stops, then
+  exits from that height h >= 1 to white(x+1, h-1) (weight f(a_x, h)) or to
+  black(x+1, h) (weight t * f(a_x, h)), or ends at a sink of column x.
+* Disjointness: the vertices the paths hold in column x are bits of one
+  occupancy mask and must not overlap.  What follows from it is enforced
+  early, to drop doomed states: a run ends at the first sink it reaches,
+  entries into column x+1 differ, column x's sinks are all claimed in
+  column x, and an exit from height h needs a sink further right at height
+  h or below (h-1 or below for the white exit).
+* Sign: read off the permutation of sinks in the final state.
+
+The checks stay independent of the sweep: the determinant side multiplies
+pairwise path sums (``path_weight_sum``, ``ring_determinant``), and
+``values.schur_value`` runs the row-layer table.  Enumerating the systems
+one by one remains the test oracle.
+
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the
 rational map they share one denominator: both run over the map's integer
@@ -29,9 +53,9 @@ form and divide once (see ``values``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .rings import Element, TPoly, ring_determinant, PolyRing
 from .shapes import BitStats, BitTableau, Partition, bit_tableau_stats, build_bit_tableau
@@ -54,81 +78,6 @@ def white(x: int, y: int) -> Vertex:
 
 def black(x: int, y: int) -> Vertex:
     return Vertex(x, y, True)
-
-
-class LatticePath(NamedTuple):
-    vertices: tuple[Vertex, ...]
-    weight: TPoly
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """Pairwise vertex-disjoint paths sources[i] -> sinks[sigma[i]]."""
-
-    sigma: tuple[int, ...]
-    paths: tuple[LatticePath, ...]
-    sign: int
-    weight: TPoly
-
-
-def edge_kind(tail: Vertex, head: Vertex) -> int:
-    """Classify an edge (1..5) from its endpoints; raises for non-edges."""
-    dx, dy = head.x - tail.x, head.y - tail.y
-    if tail.y < 1:
-        raise ValueError(f"no outgoing edges at height {tail.y}")
-    if not tail.black and not head.black:
-        if dx == 0 and dy == -1:
-            return 1
-        if dx == 1 and dy == -1:
-            return 2
-    elif not tail.black and head.black:
-        if dx == 1 and dy == 0:
-            return 3
-    elif tail.black and not head.black:
-        if dx == 1 and dy == -1:
-            return 4
-    else:
-        if dx == 1 and dy == 0:
-            return 5
-    raise ValueError(f"{tail} -> {head} is not a lattice edge")
-
-
-def edge_weight(
-    tail: Vertex, head: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
-) -> tuple[Element, int]:
-    """Weight of one edge as (coefficient, t-degree)."""
-    kind = edge_kind(tail, head)
-    if kind == 1:
-        return (cmap.ring.one, 0)
-    return (cmap(weights[tail.x], tail.y), 1 if kind in (3, 5) else 0)
-
-
-def path_from_edge_kinds(
-    start: Vertex, kinds: Sequence[int], cmap: CoefficientMap, weights: DiagonalWeights
-) -> LatticePath:
-    """Build a path by following edge kinds from a start vertex."""
-    steps = {
-        1: (False, 0, -1, False),
-        2: (False, 1, -1, False),
-        3: (False, 1, 0, True),
-        4: (True, 1, -1, False),
-        5: (True, 1, 0, True),
-    }
-    vertices = [start]
-    coeff = cmap.ring.one
-    tdeg = 0
-    current = start
-    for kind in kinds:
-        from_black, dx, dy, to_black = steps[int(kind)]
-        if current.black != from_black:
-            raise ValueError(f"edge kind {kind} cannot leave {current}")
-        head = Vertex(current.x + dx, current.y + dy, to_black)
-        c, d = edge_weight(current, head, cmap, weights)
-        coeff = coeff * c
-        tdeg += d
-        vertices.append(head)
-        current = head
-    return LatticePath(tuple(vertices), TPoly.monomial(cmap.ring, coeff, tdeg))
 
 
 def _successors(
@@ -198,39 +147,18 @@ def _crossed_labels(
     left by #{sources with x-coordinate <= x} - #{sinks with x-coordinate
     <= x} paths, whatever the pairing.  Columns outside the window are
     skipped; a path that needs one fails on its own lookup."""
-    xs = [v.x for v in (*sources, *sinks)]
+    delta = Counter(v.x for v in sources)
+    delta.subtract(v.x for v in sinks)
     labels = []
-    for x in range(min(xs, default=0), max(xs, default=0)):
-        crossing = sum(v.x <= x for v in sources) - sum(v.x <= x for v in sinks)
+    crossing = 0
+    for x in range(min(delta, default=0), max(delta, default=0)):
+        crossing += delta[x]
         if crossing > 0 and x in weights:
             labels += [weights[x]] * crossing
     return labels
 
 
-def _iter_paths(
-    A: Vertex,
-    B: Vertex,
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-    blocked: frozenset[Vertex],
-) -> Iterator[tuple[tuple[Vertex, ...], Element, int]]:
-    """All paths A -> B avoiding blocked vertices, as (vertices, coeff, t-degree)."""
-    if A in blocked or B in blocked or A.x > B.x or A.y < B.y:
-        return
-    path = [A]
-
-    def rec(v: Vertex, coeff: Element, tdeg: int):
-        if v == B:
-            yield (tuple(path), coeff, tdeg)
-            return
-        for head, c, d in _successors(v, cmap, weights, B.x):
-            if head.y < B.y or head in blocked:
-                continue
-            path.append(head)
-            yield from rec(head, coeff * c, tdeg + d)
-            path.pop()
-
-    yield from rec(A, cmap.ring.one, 0)
+_NOT_STARTED = -1
 
 
 def _permutation_sign(sigma: Sequence[int]) -> int:
@@ -241,56 +169,6 @@ def _permutation_sign(sigma: Sequence[int]) -> int:
         if sigma[i] > sigma[j]
     )
     return -1 if inversions % 2 else 1
-
-
-def enumerate_path_systems(
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-) -> Iterator[PathSystem]:
-    """Every vertex-disjoint path system between the two vertex lists,
-    over every permutation; exhaustive and duplicate-free."""
-    sources = tuple(sources)
-    sinks = tuple(sinks)
-    if len(sources) != len(sinks):
-        raise ValueError("need equally many sources and sinks")
-    n = len(sources)
-    if n == 0:
-        raise ValueError("need at least one source/sink pair")
-    ring = cmap.ring
-
-    for sigma in permutations(range(n)):
-        # A path can never move left or up.
-        if any(
-            sinks[sigma[i]].x < sources[i].x or sinks[sigma[i]].y > sources[i].y
-            for i in range(n)
-        ):
-            continue
-        sign = _permutation_sign(sigma)
-        chosen: list[tuple[tuple[Vertex, ...], Element, int]] = []
-
-        def assign(i: int, blocked: frozenset[Vertex]) -> Iterator[PathSystem]:
-            if i == n:
-                coeff = ring.one
-                tdeg = 0
-                paths = []
-                for verts, c, d in chosen:
-                    coeff = coeff * c
-                    tdeg += d
-                    paths.append(LatticePath(verts, TPoly.monomial(ring, c, d)))
-                yield PathSystem(
-                    sigma, tuple(paths), sign, TPoly.monomial(ring, coeff, tdeg)
-                )
-                return
-            for candidate in _iter_paths(
-                sources[i], sinks[sigma[i]], cmap, weights, blocked
-            ):
-                chosen.append(candidate)
-                yield from assign(i + 1, blocked | frozenset(candidate[0]))
-                chosen.pop()
-
-        yield from assign(0, frozenset())
 
 
 def lgv_signed_sum(
@@ -311,12 +189,122 @@ def _lgv_signed_sum(
     cmap: CoefficientMap,
     weights: DiagonalWeights,
 ) -> TPoly:
-    if len(sources) == 0 and len(sinks) == 0:
-        return TPoly.one(cmap.ring)
-    acc = TPoly.zero(cmap.ring)
-    for system in enumerate_path_systems(sources, sinks, cmap, weights):
-        acc = acc + (system.weight if system.sign > 0 else -system.weight)
-    return acc
+    """The column sweep of the module docstring.  A vertex of a column is
+    the bit 2 * (y - lo) + black, lo the lowest endpoint height or 0; a
+    state entry is that bit for a path entering the next column,
+    _NOT_STARTED, or ~(j + 1) for a path that ended at sink j."""
+    n = len(sources)
+    if n != len(sinks):
+        raise ValueError("need equally many sources and sinks")
+    ring = cmap.ring
+    if not n:
+        return TPoly.one(ring)
+    if len(set(sources)) < n or len(set(sinks)) < n:
+        return TPoly.zero(ring)  # two paths would share an endpoint
+    lo = min(0, *[v.y for v in sources], *[v.y for v in sinks])
+    starts: dict[int, list[tuple[int, int]]] = {}
+    ends: dict[int, dict[int, int]] = {}
+    lowest: dict[int, int] = {}
+    for i, (x, y, is_black) in enumerate(sources):
+        starts.setdefault(x, []).append((i, 2 * (y - lo) + is_black))
+    for j, (x, y, is_black) in enumerate(sinks):
+        ends.setdefault(x, {})[2 * (y - lo) + is_black] = ~(j + 1)
+        lowest[x] = min(y, lowest.get(x, y))
+    first, last = min(min(starts), min(ends)), max(max(starts), max(ends))
+    # floors[x - first]: the lowest sink right of column x, None if none.
+    floors: list[int | None] = []
+    floor = None
+    for x in range(last, first - 1, -1):
+        floors.append(floor)
+        if x in lowest and (floor is None or lowest[x] < floor):
+            floor = lowest[x]
+    floors.reverse()
+
+    # {t-degree: coefficient} per state at the boundary left of column x.
+    states: dict[tuple[int, ...], dict[int, Element]] = {(_NOT_STARTED,) * n: {0: ring.one}}
+    for x in range(first, last + 1):
+        claims = ends.get(x, {})
+        floor = floors[x - first]
+        moves: dict[int, list[tuple[int, int, int, Element | None, int]]] = {}
+
+        def moves_from(entry: int) -> list[tuple[int, int, int, Element | None, int]]:
+            """(occupied bits, new entry, exit bit, weight or None, t-degree),
+            one per way a path entering column x at this vertex goes on."""
+            out = moves.get(entry)
+            if out is not None:
+                return out
+            out = moves[entry] = []
+            occupied = 0
+            y = (entry >> 1) + lo
+            vertex = entry
+            while True:
+                occupied |= 1 << vertex
+                end = claims.get(vertex)
+                if end is not None:  # a sink ends every path that reaches it
+                    out.append((occupied, end, 0, None, 0))
+                    break
+                if y < 1:
+                    break
+                if floor is not None and y >= floor:
+                    f = cmap(weights[x], y)
+                    down = 2 * (y - 1 - lo)  # white(x + 1, y - 1)
+                    if y > floor:
+                        out.append((occupied, down, 1 << down, f, 0))
+                    out.append((occupied, down + 3, 1 << (down + 3), f, 1))  # black(x + 1, y)
+                if vertex & 1:  # black: one vertex per column
+                    break
+                y -= 1
+                vertex -= 2
+            return out
+
+        begin = [(i, moves_from(entry)) for i, entry in starts.get(x, ())]
+        new_states: dict[tuple[int, ...], dict[int, Element]] = {}
+        for state, coeffs in states.items():
+            paths = [(i, moves_from(e)) for i, e in enumerate(state) if e >= 0] + begin
+            if not paths:
+                if not claims:
+                    _add_scaled(new_states.setdefault(state, {}), coeffs, None, 0)
+                continue
+            new = list(state)
+
+            def place(k: int, occupied: int, exits: int, claimed: int, w, d: int) -> None:
+                """Go on with paths[k:], given the choices of paths[:k]."""
+                i, options = paths[k]
+                for occ, entry, exit_bit, f, dt in options:
+                    if occ & occupied or exit_bit & exits:
+                        continue
+                    new[i] = entry
+                    wf = f if w is None else w if f is None else w * f
+                    if k + 1 < len(paths):
+                        place(k + 1, occupied | occ, exits | exit_bit,
+                              claimed + (entry < 0), wf, d + dt)
+                    elif claimed + (entry < 0) == len(claims):
+                        _add_scaled(new_states.setdefault(tuple(new), {}), coeffs, wf, d + dt)
+
+            place(0, 0, 0, 0, None, 0)
+        states = new_states
+        if not states:
+            return TPoly.zero(ring)
+
+    # Every source has started by the last column and no path can leave it,
+    # so each surviving state has ended every path at a sink.
+    total: dict[int, Element] = {}
+    for state, coeffs in states.items():
+        if _permutation_sign([~e - 1 for e in state]) < 0:
+            coeffs = {deg: -c for deg, c in coeffs.items()}
+        _add_scaled(total, coeffs, None, 0)
+    return TPoly(ring, [total.get(deg, ring.zero) for deg in range(max(total) + 1)])
+
+
+def _add_scaled(target: dict[int, Element], coeffs: dict[int, Element], w, d: int) -> None:
+    """target += coeffs * w * t^d, both as {t-degree: coefficient}; None for
+    w stands for one."""
+    for deg, c in coeffs.items():
+        if w is not None:
+            c = c * w
+        deg += d
+        prev = target.get(deg)
+        target[deg] = c if prev is None else prev + c
 
 
 def path_matrix(

@@ -322,8 +322,9 @@ class MonomialPolynomial:
     """Sparse integer polynomial in the variables x_1, x_2, ...
 
     Terms map a monomial key -- a sorted tuple of (variable index, exponent)
-    pairs, both positive -- to a nonzero integer coefficient.  The constant
-    term uses the empty key ().
+    pairs, both positive, one per variable -- to a nonzero integer
+    coefficient.  The constant term uses the empty key ().  The constructor
+    merges a variable repeated within a key by summing its exponents.
     """
 
     __slots__ = ("terms",)
@@ -334,10 +335,13 @@ class MonomialPolynomial:
             coeff = int(coeff)
             if coeff == 0:
                 continue
-            norm = tuple(sorted((int(v), int(e)) for v, e in key))
-            for v, e in norm:
+            exponents: dict[int, int] = {}
+            for v, e in key:
+                v, e = int(v), int(e)
                 if v < 1 or e < 1:
                     raise ValueError("monomial needs positive variable indices and exponents")
+                exponents[v] = exponents.get(v, 0) + e
+            norm = tuple(sorted(exponents.items()))
             clean[norm] = clean.get(norm, 0) + coeff
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
 

@@ -115,6 +115,12 @@ def test_lgv_verify_single_instance(capsys):
     assert payload["equal"] is True
 
 
+def test_lgv_verify_large_single_instance(capsys):
+    code, payload, _ = run_json(["lgv-verify", "--shape", "[4,4,4]", "--N", "6"], capsys)
+    assert code == 0
+    assert payload["equal"] is True
+
+
 def test_layer_verify_single_instance(capsys):
     code, payload, _ = run_json(
         [

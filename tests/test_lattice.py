@@ -6,17 +6,15 @@ from itertools import product as iproduct
 
 import pytest
 
+from schurzeta.errors import DomainError
 from schurzeta.rings import QQ, TPoly
-from schurzeta.shapes import Partition, partitions_up_to
+from schurzeta.shapes import Partition, admissible_baselines, partitions_up_to
 from schurzeta.lattice import (
     black,
-    edge_kind,
-    edge_weight,
-    enumerate_path_systems,
     layer_check,
+    layer_endpoints,
     lgv_determinant,
     lgv_signed_sum,
-    path_from_edge_kinds,
     path_weight_sum,
     schur_path_endpoints,
     schur_scenario_sum,
@@ -24,11 +22,20 @@ from schurzeta.lattice import (
 )
 from schurzeta.values import (
     DiagonalWeights,
+    coefficient_map_for,
     diagonal_tableau,
     linear_value,
     rational_map,
     required_offsets,
     schur_value,
+)
+
+from path_enumeration import (
+    edge_kind,
+    edge_weight,
+    enumerate_path_systems,
+    enumerated_signed_sum,
+    path_from_edge_kinds,
 )
 
 RAT = rational_map()
@@ -327,3 +334,131 @@ def test_path_system_requires_matching_sizes():
         list(enumerate_path_systems([white(0, 2)], [], RAT, dw))
     with pytest.raises(ValueError):
         list(enumerate_path_systems([], [], RAT, dw))
+
+
+# ---------------------------------------------------------------------------
+# the column sweep against enumeration
+
+RING_SPECS = ["rational", "qseries:8", "qsym"]
+
+
+def random_window(rng, spec, offsets):
+    lo = -2 if spec == "rational" else 1
+    return DiagonalWeights({d: rng.randint(lo, 3) for d in offsets})
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_sweep_matches_enumeration_on_schur_endpoints(spec):
+    cmap = coefficient_map_for(spec)
+    rng = random.Random(61)
+    nonzero = 0
+    for shape in partitions_up_to(5):
+        for N in range(1, 6):
+            dw = random_window(rng, spec, required_offsets(shape))
+            sources, sinks = schur_path_endpoints(shape, N)
+            swept = lgv_signed_sum(sources, sinks, cmap, dw)
+            assert swept == enumerated_signed_sum(sources, sinks, cmap, dw), (shape, N)
+            nonzero += bool(swept)
+    assert nonzero > 50
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_sweep_matches_enumeration_on_layer_endpoints(spec):
+    cmap = coefficient_map_for(spec)
+    rng = random.Random(62)
+    cases = [
+        (shape, b)
+        for shape in partitions_up_to(5, include_empty=False)
+        for b in admissible_baselines(shape)
+    ]
+    cases.append((Partition((4, 2, 2, 1)), (2, 1, 1, 0)))
+    odd_systems = 0
+    for shape, b in cases:
+        for M in range(1, 5):
+            dw = random_window(rng, spec, required_offsets(shape))
+            sources, sinks = layer_endpoints(shape, b, M)
+            assert lgv_signed_sum(sources, sinks, cmap, dw) == enumerated_signed_sum(
+                sources, sinks, cmap, dw
+            ), (shape, b, M)
+            odd_systems += any(
+                s.sign < 0 for s in enumerate_path_systems(sources, sinks, cmap, dw)
+            )
+    assert odd_systems > 0  # the sign of a non-identity pairing is exercised
+
+
+HAND_BUILT = {
+    "black-endpoints": ([black(0, 3), black(1, 2)], [black(2, 3), black(3, 1)]),
+    "black-and-white-at-one-position": (
+        [white(0, 2), black(0, 2)], [white(2, 0), black(2, 2)]
+    ),
+    "trivial-path": ([white(0, 2), white(-1, 3)], [white(0, 2), white(2, 0)]),
+    "trivial-path-below-zero": ([white(0, -1), white(0, 2)], [white(0, -1), white(1, 0)]),
+    "duplicate-sources": ([white(0, 2), white(0, 2)], [white(1, 0), white(2, 0)]),
+    "duplicate-sinks": ([white(0, 2), white(1, 2)], [white(2, 0), white(2, 0)]),
+    "unreachable-sink": ([white(0, 2), white(1, 3)], [white(2, 0), white(3, 4)]),
+    "sinks-left-of-sources": ([white(2, 3), white(3, 3)], [white(0, 0), white(1, 0)]),
+    "source-right-of-every-sink": ([white(0, 2), white(3, 2)], [white(1, 0), white(2, 0)]),
+    "mixed-heights": (
+        [white(-1, 4), white(0, 2), black(1, 3)], [white(2, 0), white(3, 1), black(3, 2)]
+    ),
+    "swapped-pairing": ([white(-1, 3), white(1, 3)], [white(2, 2), white(0, 2)]),
+}
+ZERO_CASES = {
+    "duplicate-sources",
+    "duplicate-sinks",
+    "unreachable-sink",
+    "sinks-left-of-sources",
+    "source-right-of-every-sink",
+}
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_sweep_matches_enumeration_on_hand_built_endpoints(name, spec):
+    cmap = coefficient_map_for(spec)
+    dw = DiagonalWeights({-2: 1, -1: 2, 0: 1, 1: 2, 2: 1, 3: 1})
+    sources, sinks = HAND_BUILT[name]
+    swept = lgv_signed_sum(sources, sinks, cmap, dw)
+    assert swept == enumerated_signed_sum(sources, sinks, cmap, dw)
+    assert bool(swept) == (name not in ZERO_CASES)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_sweep_endpoint_counts(spec):
+    cmap = coefficient_map_for(spec)
+    dw = DiagonalWeights({0: 2, 1: 2})
+    with pytest.raises(ValueError):
+        lgv_signed_sum([white(0, 2)], [], cmap, dw)
+    with pytest.raises(ValueError):
+        lgv_signed_sum([white(0, 2)], [white(1, 0), white(2, 0)], cmap, dw)
+    assert lgv_signed_sum([], [], cmap, dw) == TPoly.one(cmap.ring)
+
+
+def test_sweep_reads_only_the_labels_a_path_needs():
+    # (2, 2) at N = 3: sources in columns -1 and 0, sinks in columns 1 and 2,
+    # so every system leaves columns -1, 0 and 1, and none leaves column 2.
+    sources, sinks = schur_path_endpoints(Partition((2, 2)), 3)
+    with pytest.raises(ValueError):
+        lgv_signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 1: 2}))
+    with pytest.raises(DomainError):
+        lgv_signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 0: "x", 1: 2}))
+    with pytest.raises(DomainError):
+        lgv_signed_sum(
+            sources, sinks, coefficient_map_for("qsym"), DiagonalWeights({-1: 2, 0: 0, 1: 2})
+        )
+    needed = {-1: 2, 0: 1, 1: 3}
+    assert lgv_signed_sum(
+        sources, sinks, RAT, DiagonalWeights({**needed, 2: "x"})
+    ) == lgv_signed_sum(sources, sinks, RAT, DiagonalWeights(needed))
+
+
+def test_large_scenario_sum_matches_determinant_and_schur_value():
+    # 491,081 path systems, too many to enumerate in a test; the sweep never lists them.
+    shape, N = Partition((4, 4, 4)), 6
+    rng = random.Random(444)
+    dw = DiagonalWeights({d: rng.randint(-2, 3) for d in required_offsets(shape)})
+    signed = schur_scenario_sum(shape, N, RAT, dw)
+    sources, sinks = schur_path_endpoints(shape, N)
+    assert signed
+    assert signed == lgv_determinant(sources, sinks, RAT, dw)
+    assert signed == schur_value(diagonal_tableau(shape, dw), N, RAT)

@@ -409,6 +409,22 @@ def test_monomial_polynomial_operators_keep_normal_form():
         assert_normal_form(zero)
 
 
+def test_monomial_polynomial_constructor_merges_repeated_variables():
+    merged = MonomialPolynomial({((1, 2), (1, 3)): 1})
+    x1_5 = MonomialPolynomial.variable_power(1, 5)
+    assert merged.terms == {((1, 5),): 1}
+    assert merged == x1_5 and hash(merged) == hash(x1_5)
+    x1_2, x1_3 = MonomialPolynomial.variable_power(1, 2), MonomialPolynomial.variable_power(1, 3)
+    assert merged == x1_2 * x1_3
+    # Keys that merge into one monomial add their coefficients.
+    poly = MonomialPolynomial(
+        {((2, 1), (1, 1), (2, 2)): 2, ((1, 1), (2, 3)): -2, ((3, 1), (3, 1)): 4}
+    )
+    assert poly.terms == {((3, 2),): 4}
+    with pytest.raises(ValueError):
+        MonomialPolynomial({((1, 2), (1, 0)): 1})
+
+
 def test_monomial_polynomial_constructor_normalizes_keys():
     poly = MonomialPolynomial(
         {((2, 1), (1, 3)): 2, ((1, 3), (2, 1)): 1, ((1, 1),): 0, ((4, 1), (2, 2)): -2}
