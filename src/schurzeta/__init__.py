@@ -20,7 +20,6 @@ from .rings import (
 from .shapes import (
     BitStats,
     BitTableau,
-    OrderedFilling,
     Partition,
     Tableau,
     admissible_baselines,
@@ -28,7 +27,6 @@ from .shapes import (
     build_bit_tableau,
     corners,
     count_oyt,
-    enumerate_oyt,
     partitions_of,
     partitions_up_to,
 )
@@ -36,7 +34,6 @@ from .values import (
     CoefficientMap,
     DiagonalWeights,
     coefficient_map_for,
-    corner_condition,
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
@@ -61,10 +58,8 @@ from .lattice import (
     white,
 )
 from .jacobi_trudi import (
-    JTMatrixSpec,
     JTReport,
     PalindromeReport,
-    build_jt_matrix,
     verify_jacobi_trudi,
     verify_palindromic_matrix,
 )

@@ -1,33 +1,35 @@
 """Command-line driver: compute values and verify identities as
 reproducible batch commands with JSON output.
 
+Two value commands, ``compute`` and ``oyt-count``, are written out here.
+Every verify subcommand is generated from the family registry
+(``sweeps.FAMILIES``): its flags and defaults come from the family, a sweep
+runs the family's sweep, and ``--shape`` (or ``--keys``) runs the family's
+checker on that one instance.  ``all-verify`` runs ``sweeps.run_all``, a
+loop over the registry.  Every flag is declared once, in ``FLAGS``, with
+its type and the parser of its JSON value.
+
 Structured JSON goes to stdout (or --output), a one-line human summary to
 stderr.  Exit codes: 0 all checks pass, 1 an identity mismatch, 2 malformed
 input (including a config file with an unknown key or a value of the wrong
-type, a single-instance flag without --shape, and a sweep that would check
-no instance), 3 domain error (a weight outside the chosen ring's map).
+type, a weight label that is not a JSON integer, a diagonal offset that is
+not a canonical decimal integer or is repeated, a single-instance flag
+without --shape, and a sweep that would check no instance), 3 domain error
+(an integer weight outside the chosen ring's map).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from . import sweeps
 from .errors import DomainError
-from .jacobi_trudi import verify_jacobi_trudi, verify_palindromic_matrix
-from .lattice import layer_check, lgv_determinant, schur_path_endpoints, schur_scenario_sum
 from .shapes import Partition, Tableau, count_oyt
-from .values import (
-    DiagonalWeights,
-    coefficient_map_for,
-    diagonal_tableau,
-    required_offsets,
-    schur_value,
-)
+from .values import DiagonalWeights, coefficient_map_for, diagonal_tableau, schur_value
 
 READING_NOTES = [
     "index order: the first label of a linear value attaches to the smallest summand",
@@ -36,32 +38,100 @@ READING_NOTES = [
 ]
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"repeated JSON object key in {keys!r}")
+    return dict(pairs)
+
+
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _json_flag(value: Any) -> Any:
-    """Accept either a JSON string (from the command line) or an already
-    parsed value (from a config file)."""
-    if isinstance(value, str):
-        return json.loads(value)
-    return value
+    """Accept either a JSON string (from the command line or a config file)
+    or an already parsed value (from a config file)."""
+    return _load_json(value) if isinstance(value, str) else value
 
 
-def _parse_shape(value: Any) -> Partition:
-    return Partition(_parse_int_list(value, "shape"))
+def _is_int(x: Any) -> bool:
+    """A JSON integer: JSON true is not the integer 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_int_list(value: Any, what: str) -> list[int]:
+    obj = _json_flag(value)
+    if not isinstance(obj, list) or not all(map(_is_int, obj)):
+        raise ValueError(f"{what} must be a JSON list of integers, got {value!r}")
+    return obj
+
+
+def _parse_entries(value: Any) -> list[list[int]]:
+    obj = _json_flag(value)
+    if not isinstance(obj, list) or not all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in obj
+    ):
+        raise ValueError(f"entries must be a JSON list of rows of integer labels, got {value!r}")
+    return obj
+
+
+def _is_offset(key: str) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
 
 
 def _parse_diagonal(value: Any) -> DiagonalWeights:
     obj = _json_flag(value)
     if not isinstance(obj, dict):
         raise ValueError(f"diagonal must be a JSON object of offset: label, got {value!r}")
-    return DiagonalWeights(obj)
+    for key, label in obj.items():
+        if not _is_offset(key):
+            raise ValueError(f"diagonal offset {key!r} is not a decimal integer such as \"-1\"")
+        if not _is_int(label):
+            raise ValueError(f"diagonal label {label!r} at offset {key} is not a JSON integer")
+    return DiagonalWeights({int(key): label for key, label in obj.items()})
 
 
-def _parse_int_list(value: Any, what: str) -> list[int]:
-    obj = _json_flag(value)
-    if not isinstance(obj, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in obj
-    ):
-        raise ValueError(f"{what} must be a JSON list of integers, got {value!r}")
-    return obj
+# Every flag: its kind (int, str, or the parser of a JSON value) and help.
+# A config file gives int flags as JSON integers, str flags as JSON strings,
+# and JSON flags as JSON text or as the parsed value.
+FLAGS: dict[str, tuple[Callable[[Any], Any], str]] = {
+    "shape": (lambda v: Partition(_parse_int_list(v, "shape")), "JSON list of parts, e.g. [2,1]"),
+    "entries": (_parse_entries, "JSON rows of integer weight labels, e.g. [[2,2],[3]]"),
+    "diagonal": (_parse_diagonal, 'JSON offset: integer label, e.g. {"-1":2,"0":2}'),
+    "b": (lambda v: _parse_int_list(v, "b"), "JSON list: column baseline, e.g. [2,1,1,0]"),
+    "keys": (lambda v: _parse_int_list(v, "keys"), "JSON list of integer keys, e.g. [2,3]"),
+    "N": (int, "truncation bound: entries run below N"),
+    "M": (int, "layer height (sweeps use 1..M)"),
+    "max_cells": (int, "sweep every shape with at most this many cells"),
+    "max_r": (int, "sweep every key tuple up to this length"),
+    "trials": (int, "random weight draws per instance"),
+    "seed": (int, "seed of the random weights"),
+    "ring": (str, "rational | qseries:Q | qsym"),
+    "output": (str, "write the JSON report to this path"),
+}
+
+# Flags that only describe the one instance named by --shape.
+_INSTANCE_FLAGS = ("entries", "diagonal", "b")
+
+
+def _emit(payload: dict, args) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _summary(line: str) -> None:
+    print(line, file=sys.stderr)
 
 
 def _sweep_n(args) -> int:
@@ -73,40 +143,15 @@ def _sweep_n(args) -> int:
     return args.N
 
 
-def _weights_for(args, shape: Partition) -> DiagonalWeights:
-    if getattr(args, "diagonal", None) is not None:
-        return _parse_diagonal(args.diagonal)
-    rng = random.Random(args.seed)
-    lo, hi = sweeps.weight_bounds(args.ring, None)
-    return sweeps.random_diagonal(rng, required_offsets(shape), lo, hi)
-
-
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
 def cmd_compute(args) -> tuple[dict, bool]:
     if args.shape is None:
         raise ValueError("compute needs --shape")
-    shape = _parse_shape(args.shape)
+    shape = args.shape
     cmap = coefficient_map_for(args.ring)
     if args.entries is not None:
-        rows = _json_flag(args.entries)
-        if not isinstance(rows, list):
-            raise ValueError("entries must be a JSON list of rows")
-        tableau = Tableau(shape, rows)
+        tableau = Tableau(shape, args.entries)
     elif args.diagonal is not None:
-        tableau = diagonal_tableau(shape, _parse_diagonal(args.diagonal))
+        tableau = diagonal_tableau(shape, args.diagonal)
     elif shape.size == 0:
         tableau = Tableau(shape, ())
     else:
@@ -128,161 +173,29 @@ def cmd_compute(args) -> tuple[dict, bool]:
 def cmd_oyt_count(args) -> tuple[dict, bool]:
     if args.shape is None:
         raise ValueError("oyt-count needs --shape")
-    shape = _parse_shape(args.shape)
+    shape = args.shape
     count = count_oyt(shape, args.N)
     _summary(f"oyt-count: shape={list(shape.parts)} N={args.N} -> {count}")
     return {"command": "oyt-count", "shape": list(shape.parts), "N": args.N, "count": count}, True
 
 
-def _single_or_sweep_jt(args) -> tuple[dict, bool]:
-    _sweep_n(args)
-    if args.shape is not None:
-        shape = _parse_shape(args.shape)
-        cmap = coefficient_map_for(args.ring)
-        weights = _weights_for(args, shape)
-        rep = verify_jacobi_trudi(shape, args.N, cmap, weights)
-        payload = {
-            "command": "jt-verify",
-            "ring": args.ring,
-            "shape": list(shape.parts),
-            "N": args.N,
-            "diagonal": weights.to_json(),
-            "schur": rep.schur.to_json(),
-            "detH": rep.det_h.to_json(),
-            "detE": rep.det_e.to_json(),
-            "equal": rep.equal,
-            "reading_notes": READING_NOTES,
-        }
-        return payload, rep.equal
-    report = sweeps.run_jt_sweep(
-        max_cells=args.max_cells,
-        n_values=tuple(range(2, args.N + 1)),
-        trials=args.trials,
-        seed=args.seed,
-        ring_spec=args.ring,
-    )
-    report["command"] = "jt-verify"
-    report["reading_notes"] = READING_NOTES
-    return report, report["pass"]
-
-
-def cmd_jt_verify(args) -> tuple[dict, bool]:
-    payload, ok = _single_or_sweep_jt(args)
-    _summary(f"jt-verify: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
-    return payload, ok
-
-
-def cmd_lgv_verify(args) -> tuple[dict, bool]:
-    if args.shape is not None:
-        shape = _parse_shape(args.shape)
-        if shape.size == 0:
-            raise ValueError("lgv-verify needs a nonempty shape")
-        cmap = coefficient_map_for(args.ring)
-        weights = _weights_for(args, shape)
-        signed = schur_scenario_sum(shape, args.N, cmap, weights)
-        sources, sinks = schur_path_endpoints(shape, args.N)
-        det = lgv_determinant(sources, sinks, cmap, weights)
-        schur = schur_value(diagonal_tableau(shape, weights), args.N, cmap)
-        equal = signed == det and det == schur
-        payload = {
-            "command": "lgv-verify",
-            "ring": args.ring,
-            "shape": list(shape.parts),
-            "N": args.N,
-            "diagonal": weights.to_json(),
-            "signed_sum": signed.to_json(),
-            "determinant": det.to_json(),
-            "schur": schur.to_json(),
-            "equal": equal,
-        }
-        ok = equal
+def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool]:
+    """One family's subcommand: its checker on the instance named by
+    --shape or --keys, or else its sweep."""
+    if family.needs_n2:
+        _sweep_n(args)
+    if getattr(args, "shape", None) is not None or getattr(args, "keys", None) is not None:
+        payload = family.single(args)
+        if "ring" in family.flags:
+            payload["ring"] = args.ring
+        ok = payload["equal"]
     else:
-        payload = sweeps.run_lgv_sweep(
-            max_cells=args.max_cells, max_n=args.N, seed=args.seed, ring_spec=args.ring
-        )
-        payload["command"] = "lgv-verify"
+        payload = family.sweep(args)
         ok = payload["pass"]
-    _summary(f"lgv-verify: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
-    return payload, ok
-
-
-def cmd_layer_verify(args) -> tuple[dict, bool]:
-    if args.shape is not None:
-        shape = _parse_shape(args.shape)
-        if args.b is None:
-            raise ValueError("layer-verify with --shape also needs --b")
-        b = _parse_int_list(args.b, "b")
-        cmap = coefficient_map_for(args.ring)
-        weights = _weights_for(args, shape)
-        rep = layer_check(shape, b, args.M, cmap, weights)
-        payload = {
-            "command": "layer-verify",
-            "ring": args.ring,
-            "shape": list(shape.parts),
-            "b": list(rep.b),
-            "M": args.M,
-            "diagonal": weights.to_json(),
-            "bit_rows": [list(r) for r in rep.bit_tableau.rows],
-            "one_ordered": rep.stats.one_ordered,
-            "v1": rep.stats.v1,
-            "h1": rep.stats.h1,
-            "predicted": rep.predicted.to_json(),
-            "signed_sum": rep.signed_sum.to_json(),
-            "equal": rep.equal,
-            "reading_notes": READING_NOTES,
-        }
-        ok = rep.equal
-    else:
-        payload = sweeps.run_layer_sweep(
-            max_cells=args.max_cells, max_m=args.M, seed=args.seed, ring_spec=args.ring
-        )
-        payload["command"] = "layer-verify"
+    payload["command"] = args.command
+    if family.notes:
         payload["reading_notes"] = READING_NOTES
-        ok = payload["pass"]
-    _summary(f"layer-verify: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
-    return payload, ok
-
-
-def cmd_conjugation_verify(args) -> tuple[dict, bool]:
-    payload = sweeps.run_conjugation_sweep(
-        max_cells=args.max_cells,
-        n_values=tuple(range(1, _sweep_n(args) + 1)),
-        trials=args.trials,
-        seed=args.seed,
-        ring_spec=args.ring,
-    )
-    payload["command"] = "conjugation-verify"
-    ok = payload["pass"]
-    _summary(f"conjugation-verify: {'pass' if ok else 'FAIL'} ({payload['checked']} instance(s))")
-    return payload, ok
-
-
-def cmd_palindrome_verify(args) -> tuple[dict, bool]:
-    if args.keys is not None:
-        keys = _parse_int_list(args.keys, "keys")
-        rep = verify_palindromic_matrix(keys, args.N)
-        payload = {
-            "command": "palindrome-verify",
-            "keys": keys,
-            "N": args.N,
-            "poly": rep.poly.to_json(),
-            "flipped": rep.flipped.to_json(),
-            "equal": rep.equal,
-        }
-        ok = rep.equal
-    else:
-        payload = sweeps.run_palindrome_sweep(max_r=args.max_r, max_n=args.N)
-        payload["command"] = "palindrome-verify"
-        ok = payload["pass"]
-    _summary(f"palindrome-verify: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
-    return payload, ok
-
-
-def cmd_linear_verify(args) -> tuple[dict, bool]:
-    payload = sweeps.run_oracle_triangle(max_r=args.max_r, max_n=args.N)
-    payload["command"] = "linear-verify"
-    ok = payload["pass"]
-    _summary(f"linear-verify: {'pass' if ok else 'FAIL'} ({payload['checked']} instance(s))")
+    _summary(f"{args.command}: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
     return payload, ok
 
 
@@ -301,16 +214,27 @@ def cmd_all_verify(args) -> tuple[dict, bool]:
     return payload, ok
 
 
-_DEFAULTS = {
-    "compute": {"N": 4, "ring": "rational"},
-    "oyt-count": {"N": 4},
-    "jt-verify": {"N": 4, "ring": "rational", "max_cells": 4, "trials": 2, "seed": 0},
-    "lgv-verify": {"N": 4, "ring": "rational", "max_cells": 4, "seed": 0},
-    "layer-verify": {"M": 3, "ring": "rational", "max_cells": 4, "seed": 0},
-    "conjugation-verify": {"N": 4, "ring": "rational", "max_cells": 4, "trials": 2, "seed": 0},
-    "palindrome-verify": {"N": 4, "max_r": 3},
-    "linear-verify": {"N": 4, "max_r": 3},
-    "all-verify": {"N": 4, "ring": "rational", "max_cells": 4, "trials": 2, "seed": 0},
+class Command(NamedTuple):
+    run: Callable[[Any], tuple[dict, bool]]
+    help: str
+    flags: dict[str, Any]  # flag -> default (None: unset); --output is implied
+
+
+COMMANDS: dict[str, Command] = {
+    "compute": Command(
+        cmd_compute, "evaluate one tableau value",
+        {"shape": None, "entries": None, "diagonal": None, "N": 4, "ring": "rational"},
+    ),
+    "oyt-count": Command(cmd_oyt_count, "count ordered fillings of a shape", {"shape": None, "N": 4}),
+    **{
+        family.command: Command(partial(cmd_verify, family), family.help, family.flags)
+        for family in sweeps.FAMILIES
+        if family.command
+    },
+    "all-verify": Command(
+        cmd_all_verify, "run every identity family at bounded size",
+        {"N": 4, "max_cells": 4, "trials": 2, "seed": 0, "ring": "rational"},
+    ),
 }
 
 
@@ -320,113 +244,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact interpolated Schur multiple zeta values and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--output", help="write the JSON report to this path")
-        return p
-
-    p = add("compute", cmd_compute, "evaluate one tableau value")
-    p.add_argument("--shape", help="JSON list of parts, e.g. [2,1]")
-    p.add_argument("--entries", help="JSON rows of weight labels, e.g. [[2,2],[3]]")
-    p.add_argument("--diagonal", help='JSON offsets, e.g. {"-1":2,"0":2}')
-    p.add_argument("--N", type=int, help="truncation bound (entries run below N)")
-    p.add_argument("--ring", help="rational | qseries:Q | qsym")
-
-    p = add("oyt-count", cmd_oyt_count, "count ordered fillings of a shape")
-    p.add_argument("--shape", required=False)
-    p.add_argument("--N", type=int)
-
-    for name, func, extra in (
-        ("jt-verify", cmd_jt_verify, ("shape", "diagonal", "trials")),
-        ("lgv-verify", cmd_lgv_verify, ("shape", "diagonal")),
-        ("conjugation-verify", cmd_conjugation_verify, ("trials",)),
-    ):
-        p = add(name, func, f"check the {name.split('-')[0]} identity family")
-        if "shape" in extra:
-            p.add_argument("--shape", help="verify one instance of this shape")
-        if "diagonal" in extra:
-            p.add_argument("--diagonal", help="diagonal weights for single-instance mode")
-        if "trials" in extra:
-            p.add_argument("--trials", type=int, help="random weight draws per instance")
-        p.add_argument("--N", type=int, help="truncation bound (sweeps use 2..N)")
-        p.add_argument("--max-cells", type=int, dest="max_cells")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--ring", help="rational | qseries:Q | qsym")
-
-    p = add("layer-verify", cmd_layer_verify, "check single-layer signed sums")
-    p.add_argument("--shape")
-    p.add_argument("--b", help="JSON list: column baseline, e.g. [2,1,1,0]")
-    p.add_argument("--diagonal")
-    p.add_argument("--M", type=int, help="layer height (sweeps use 1..M)")
-    p.add_argument("--max-cells", type=int, dest="max_cells")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ring")
-
-    p = add("palindrome-verify", cmd_palindrome_verify, "check t -> 1-t symmetric determinants")
-    p.add_argument("--keys", help="JSON list, e.g. [2,3]")
-    p.add_argument("--N", type=int)
-    p.add_argument("--max-r", type=int, dest="max_r")
-
-    p = add("linear-verify", cmd_linear_verify, "cross-check the three linear-value routes")
-    p.add_argument("--N", type=int)
-    p.add_argument("--max-r", type=int, dest="max_r")
-
-    p = add("all-verify", cmd_all_verify, "run every identity family at bounded size")
-    p.add_argument("--N", type=int)
-    p.add_argument("--max-cells", type=int, dest="max_cells")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ring")
-
-    for p in sub.choices.values():
-        # argparse offers no public list of a parser's flags.
-        p.set_defaults(flag_types={
-            a.dest: a.type for a in p._actions if a.dest not in ("help", "config")
-        })
+        for dest in [*command.flags, "output"]:
+            kind, help_text = FLAGS[dest]
+            p.add_argument(
+                "--" + dest.replace("_", "-"), dest=dest, help=help_text,
+                type=int if kind is int else None,
+            )
     return parser
 
 
-# Flags holding JSON text on the command line; a config file may give the
-# parsed value instead, which the flag's own parser checks.
-_JSON_FLAGS = {"shape", "entries", "diagonal", "b", "keys"}
-
-
-def _config_value(dest: str, flag_type, value: Any) -> Any:
+def _config_value(dest: str, value: Any) -> Any:
     """A config value checked as its flag would be: int flags need JSON
-    integers, text flags JSON strings."""
-    if flag_type is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
+    integers, text flags JSON strings; JSON flags are parsed later."""
+    kind = FLAGS[dest][0]
+    if kind is int and not _is_int(value):
         raise ValueError(f"config key {dest!r} needs a JSON integer, got {value!r}")
-    if dest in _JSON_FLAGS or isinstance(value, str):
-        return value
-    raise ValueError(f"config key {dest!r} needs a JSON string, got {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"config key {dest!r} needs a JSON string, got {value!r}")
+    return value
 
 
-def _apply_config_and_defaults(args) -> None:
+def _apply_config_and_defaults(args, flags: dict[str, Any]) -> None:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = _load_json(fh.read())
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in args.flag_types:
+        if dest not in flags and dest != "output":
             raise ValueError(f"unknown config key {key!r} for {args.command}")
-        value = _config_value(dest, args.flag_types[dest], value)
-        if getattr(args, dest, None) is None:
+        value = _config_value(dest, value)
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
-    for dest, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, dest, None) is None:
+    for dest, value in flags.items():
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
-
-
-# Flags that only describe the one instance named by --shape.
-_INSTANCE_FLAGS = ("entries", "diagonal", "b")
 
 
 def _check_instance_flags(args) -> None:
@@ -437,6 +294,14 @@ def _check_instance_flags(args) -> None:
     for dest in _INSTANCE_FLAGS:
         if getattr(args, dest, None) is not None:
             raise ValueError(f"{args.command} --{dest} needs --shape")
+
+
+def _parse_json_flags(args, flags: dict[str, Any]) -> None:
+    for dest in flags:
+        kind = FLAGS[dest][0]
+        value = getattr(args, dest)
+        if kind not in (int, str) and value is not None:
+            setattr(args, dest, kind(value))
 
 
 def _unchecked_families(payload: dict) -> list[str]:
@@ -450,12 +315,13 @@ def _unchecked_families(payload: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        _apply_config_and_defaults(args)
+        _apply_config_and_defaults(args, command.flags)
         _check_instance_flags(args)
-        payload, ok = args.func(args)
+        _parse_json_flags(args, command.flags)
+        payload, ok = command.run(args)
         empty = _unchecked_families(payload)
         if empty:
             raise ValueError(f"{args.command} checked no instance of {', '.join(empty)}")
@@ -464,7 +330,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -35,26 +35,6 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class JTMatrixSpec:
-    """Which determinant matrix to build: side "H" (row reading, width x
-    width) or "E" (column reading, height x height, at 1-t)."""
-
-    shape: Partition
-    side: str
-    N: int
-    cmap: CoefficientMap
-    weights: DiagonalWeights
-
-
-def build_jt_matrix(spec: JTMatrixSpec) -> list[list[TPoly]]:
-    if spec.side == "H":
-        return _h_matrix(spec.shape, spec.N, spec.cmap, spec.weights)
-    if spec.side == "E":
-        return _e_matrix(spec.shape, spec.N, spec.cmap, spec.weights)
-    raise ValueError(f"matrix side must be 'H' or 'E', got {spec.side!r}")
-
-
 def _h_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> list[list[TPoly]]:

@@ -65,7 +65,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 class Ring:
-    """Commutative ring contract: constants plus element operations."""
+    """Commutative ring contract: a name and constants; elements combine
+    with the Python operators `+`, `-`, `*` and `==`."""
 
     @property
     def name(self) -> str:
@@ -81,18 +82,6 @@ class Ring:
 
     def from_int(self, n: int) -> Element:
         raise NotImplementedError
-
-    def add(self, a: Element, b: Element) -> Element:
-        return a + b
-
-    def neg(self, a: Element) -> Element:
-        return -a
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return a * b
-
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
 
 
 # Fractions are immutable, so the rational constants are shared.

@@ -149,19 +149,6 @@ class Tableau:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
 
 
-@dataclass(frozen=True)
-class OrderedFilling:
-    """An ordered filling with its equality counts.
-
-    v_count is the number of cells equal to the cell below, h_count the
-    number of cells equal to the cell to the right.
-    """
-
-    tableau: Tableau
-    v_count: int
-    h_count: int
-
-
 def _equality_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     v = h = 0
     for i, row in enumerate(rows):
@@ -212,12 +199,6 @@ def iter_filling_rows(shape: Partition, N: int) -> Iterator[tuple[tuple[tuple[in
         rows[i - 1][j - 1] = 0
 
     yield from rec(0)
-
-
-def enumerate_oyt(shape: Partition, N: int) -> Iterator[OrderedFilling]:
-    """Stream the ordered fillings of a shape with entries below N."""
-    for rows, v, h in iter_filling_rows(shape, N):
-        yield OrderedFilling(Tableau(shape, rows), v, h)
 
 
 def count_oyt(shape: Partition, N: int) -> int:

@@ -1,17 +1,31 @@
-"""Deterministic verification sweeps over families of identities.
+"""The identity families, each declared once, and their seeded sweeps.
 
-Every sweep walks a grid of instances in a fixed order, draws any random
-weights from a seeded generator, checks the identity on each instance with
-both sides computed by independent code paths, and returns a JSON-friendly
-report.  Reports list every instance with its serialized sides so a failure
-is fully reproducible from the report alone.
+A family is one identity checked on finite instances.  Each has
+
+* a checker: it takes one instance, computes the identity's sides by
+  independent code paths and returns the instance's JSON-ready dict, with
+  ``"equal"`` saying whether the sides agree;
+* a sweep, ``run_*``: it walks a fixed grid of instances in a fixed order,
+  draws any random weights from a seeded generator, calls the checker on
+  each instance and returns a report listing every instance with its
+  serialized sides, so a failure is reproducible from the report alone;
+* one ``Family`` entry in ``FAMILIES``: its command-line subcommand with
+  the flags and defaults, how those flags map to a sweep and, for families
+  that take ``--shape`` or ``--keys``, to one checked instance; and the
+  sizes ``all-verify`` sweeps it at.
+
+The command line builds its verify subcommands from ``FAMILIES`` and
+``run_all`` loops over it, so a new family is one checker, one sweep and
+one entry.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Sequence
 
 from .jacobi_trudi import verify_jacobi_trudi, verify_palindromic_matrix
 from .lattice import (
@@ -22,7 +36,7 @@ from .lattice import (
     schur_scenario_sum,
     white,
 )
-from .shapes import Partition, Tableau, admissible_baselines, partitions_up_to
+from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau, partitions_up_to
 from .values import (
     DiagonalWeights,
     coefficient_map_for,
@@ -62,6 +76,31 @@ def _report(identity: str, instances: list[dict], **extra: Any) -> dict:
     return report
 
 
+def _instance_weights(flags, shape: Partition) -> DiagonalWeights:
+    """The weights of a single instance: --diagonal, or drawn from --seed
+    over the shape's offsets."""
+    if flags.diagonal is not None:
+        return flags.diagonal
+    lo, hi = weight_bounds(flags.ring, None)
+    return random_diagonal(random.Random(flags.seed), required_offsets(shape), lo, hi)
+
+
+# --------------------------------------------------------------------------
+# Jacobi-Trudi: Schur value vs. both determinants.
+
+def _check_jt(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
+    rep = verify_jacobi_trudi(shape, N, cmap, weights)
+    return {
+        "shape": list(shape.parts),
+        "N": N,
+        "diagonal": weights.to_json(),
+        "schur": rep.schur.to_json(),
+        "detH": rep.det_h.to_json(),
+        "detE": rep.det_e.to_json(),
+        "equal": rep.equal,
+    }
+
+
 def run_jt_sweep(
     max_cells: int = 6,
     n_values: Sequence[int] = (2, 3, 4, 5),
@@ -69,33 +108,35 @@ def run_jt_sweep(
     seed: int = 0,
     ring_spec: str = "rational",
     weight_range: tuple[int, int] | None = None,
-    shapes: Sequence[Partition] | None = None,
 ) -> dict:
     """Schur value vs. both Jacobi-Trudi determinants on random diagonals."""
     lo, hi = weight_bounds(ring_spec, weight_range)
     cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
-    if shapes is None:
-        shapes = list(partitions_up_to(max_cells))
-    instances = []
-    for shape in shapes:
-        for N in n_values:
-            for trial in range(trials):
-                weights = random_diagonal(rng, required_offsets(shape), lo, hi)
-                rep = verify_jacobi_trudi(shape, N, cmap, weights)
-                instances.append(
-                    {
-                        "shape": list(shape.parts),
-                        "N": N,
-                        "trial": trial,
-                        "diagonal": weights.to_json(),
-                        "schur": rep.schur.to_json(),
-                        "detH": rep.det_h.to_json(),
-                        "detE": rep.det_e.to_json(),
-                        "equal": rep.equal,
-                    }
-                )
+    instances = [
+        {**_check_jt(shape, N, cmap, random_diagonal(rng, required_offsets(shape), lo, hi)),
+         "trial": trial}
+        for shape in partitions_up_to(max_cells)
+        for N in n_values
+        for trial in range(trials)
+    ]
     return _report("jacobi-trudi", instances, ring=ring_spec, seed=seed)
+
+
+# --------------------------------------------------------------------------
+# Conjugation: the value at 1-t vs. the conjugate tableau's value at t.
+
+def _check_conjugation(tableau: Tableau, N: int, cmap) -> dict:
+    lhs = schur_value(tableau, N, cmap).subs_one_minus_t()
+    rhs = schur_value(tableau.conjugate(), N, cmap)
+    return {
+        "shape": list(tableau.shape.parts),
+        "N": N,
+        "rows": [list(r) for r in tableau.rows],
+        "lhs": lhs.to_json(),
+        "rhs": rhs.to_json(),
+        "equal": lhs == rhs,
+    }
 
 
 def run_conjugation_sweep(
@@ -110,30 +151,37 @@ def run_conjugation_sweep(
     lo, hi = weight_bounds(ring_spec, weight_range)
     cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
-    instances = []
-    for shape in partitions_up_to(max_cells):
-        for N in n_values:
-            for trial in range(trials):
-                # Weights drawn cell by cell: the symmetry holds for any
-                # tableau, not just diagonal-constant ones.
-                rows = tuple(
-                    tuple(rng.randint(lo, hi) for _ in range(p)) for p in shape.parts
-                )
-                tableau = Tableau(shape, rows)
-                lhs = schur_value(tableau, N, cmap).subs_one_minus_t()
-                rhs = schur_value(tableau.conjugate(), N, cmap)
-                instances.append(
-                    {
-                        "shape": list(shape.parts),
-                        "N": N,
-                        "trial": trial,
-                        "rows": [list(r) for r in rows],
-                        "lhs": lhs.to_json(),
-                        "rhs": rhs.to_json(),
-                        "equal": lhs == rhs,
-                    }
-                )
+    # Weights drawn cell by cell: the symmetry holds for any tableau, not
+    # just diagonal-constant ones.
+    instances = [
+        {**_check_conjugation(
+            Tableau(shape, [[rng.randint(lo, hi) for _ in range(p)] for p in shape.parts]),
+            N, cmap),
+         "trial": trial}
+        for shape in partitions_up_to(max_cells)
+        for N in n_values
+        for trial in range(trials)
+    ]
     return _report("conjugation", instances, ring=ring_spec, seed=seed)
+
+
+# --------------------------------------------------------------------------
+# LGV: signed path-system sum vs. path-matrix determinant vs. Schur value.
+
+def _check_lgv(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
+    signed = schur_scenario_sum(shape, N, cmap, weights)
+    sources, sinks = schur_path_endpoints(shape, N)
+    det = lgv_determinant(sources, sinks, cmap, weights)
+    schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
+    return {
+        "shape": list(shape.parts),
+        "N": N,
+        "diagonal": weights.to_json(),
+        "signed_sum": signed.to_json(),
+        "determinant": det.to_json(),
+        "schur": schur.to_json(),
+        "equal": signed == det and det == schur,
+    }
 
 
 def run_lgv_sweep(
@@ -147,27 +195,40 @@ def run_lgv_sweep(
     lo, hi = weight_bounds(ring_spec, weight_range)
     cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
-    instances = []
-    for shape in partitions_up_to(max_cells, include_empty=False):
-        for N in range(1, max_n + 1):
-            weights = random_diagonal(rng, required_offsets(shape), lo, hi)
-            signed = schur_scenario_sum(shape, N, cmap, weights)
-            sources, sinks = schur_path_endpoints(shape, N)
-            det = lgv_determinant(sources, sinks, cmap, weights)
-            schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
-            equal = signed == det and det == schur
-            instances.append(
-                {
-                    "shape": list(shape.parts),
-                    "N": N,
-                    "diagonal": weights.to_json(),
-                    "signed_sum": signed.to_json(),
-                    "determinant": det.to_json(),
-                    "schur": schur.to_json(),
-                    "equal": equal,
-                }
-            )
+    instances = [
+        _check_lgv(shape, N, cmap, random_diagonal(rng, required_offsets(shape), lo, hi))
+        for shape in partitions_up_to(max_cells, include_empty=False)
+        for N in range(1, max_n + 1)
+    ]
     return _report("lgv", instances, ring=ring_spec, seed=seed)
+
+
+def _single_lgv(flags) -> dict:
+    if flags.shape.size == 0:
+        raise ValueError("lgv-verify needs a nonempty shape")
+    cmap = coefficient_map_for(flags.ring)
+    return _check_lgv(flags.shape, flags.N, cmap, _instance_weights(flags, flags.shape))
+
+
+# --------------------------------------------------------------------------
+# Layer: single-layer signed sums vs. their closed form.
+
+def _check_layer(
+    shape: Partition, b: Sequence[int], M: int, cmap, weights: DiagonalWeights
+) -> dict:
+    rep = layer_check(shape, b, M, cmap, weights)
+    return {
+        "shape": list(shape.parts),
+        "b": list(rep.b),
+        "M": M,
+        "diagonal": weights.to_json(),
+        "one_ordered": rep.stats.one_ordered,
+        "v1": rep.stats.v1,
+        "h1": rep.stats.h1,
+        "predicted": rep.predicted.to_json(),
+        "signed_sum": rep.signed_sum.to_json(),
+        "equal": rep.equal,
+    }
 
 
 def run_layer_sweep(
@@ -179,38 +240,48 @@ def run_layer_sweep(
     extra_instances: Sequence[tuple[Partition, tuple[int, ...]]] = (),
 ) -> dict:
     """Single-layer signed sums vs. their closed form, over all admissible
-    baselines of every small shape."""
+    baselines of every small shape, then over the extra (shape, b) pairs."""
     lo, hi = weight_bounds(ring_spec, weight_range)
     cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
-    instances = []
-
-    def check(shape: Partition, b: tuple[int, ...], M: int) -> None:
-        weights = random_diagonal(rng, required_offsets(shape), lo, hi)
-        rep = layer_check(shape, b, M, cmap, weights)
-        instances.append(
-            {
-                "shape": list(shape.parts),
-                "b": list(b),
-                "M": M,
-                "diagonal": weights.to_json(),
-                "one_ordered": rep.stats.one_ordered,
-                "v1": rep.stats.v1,
-                "h1": rep.stats.h1,
-                "predicted": rep.predicted.to_json(),
-                "signed_sum": rep.signed_sum.to_json(),
-                "equal": rep.equal,
-            }
-        )
-
-    for shape in partitions_up_to(max_cells, include_empty=False):
-        for b in admissible_baselines(shape):
-            for M in range(1, max_m + 1):
-                check(shape, b, M)
-    for shape, b in extra_instances:
-        for M in range(1, max_m + 1):
-            check(shape, tuple(b), M)
+    grid = [
+        (shape, b)
+        for shape in partitions_up_to(max_cells, include_empty=False)
+        for b in admissible_baselines(shape)
+    ]
+    instances = [
+        _check_layer(shape, b, M, cmap, random_diagonal(rng, required_offsets(shape), lo, hi))
+        for shape, b in grid + list(extra_instances)
+        for M in range(1, max_m + 1)
+    ]
     return _report("layer", instances, ring=ring_spec, seed=seed)
+
+
+def _single_layer(flags) -> dict:
+    if flags.b is None:
+        raise ValueError("layer-verify with --shape also needs --b")
+    cmap = coefficient_map_for(flags.ring)
+    weights = _instance_weights(flags, flags.shape)
+    instance = _check_layer(flags.shape, flags.b, flags.M, cmap, weights)
+    instance["bit_rows"] = [list(r) for r in build_bit_tableau(flags.shape, flags.b).rows]
+    return instance
+
+
+# --------------------------------------------------------------------------
+# Path-linear: single-path weight sums vs. direct linear values.
+
+def _check_path_linear(i: int, j: int, N: int, cmap, weights: DiagonalWeights) -> dict:
+    by_path = path_weight_sum(white(i, N - 1), white(j + 1, 0), cmap, weights)
+    direct = linear_value([weights[d] for d in range(j, i - 1, -1)], N, cmap)
+    return {
+        "start_column": i,
+        "end_column": j,
+        "N": N,
+        "diagonal": weights.to_json(),
+        "path_sum": by_path.to_json(),
+        "linear": direct.to_json(),
+        "equal": by_path == direct,
+    }
 
 
 def run_path_linear_sweep(
@@ -219,7 +290,6 @@ def run_path_linear_sweep(
     seed: int = 0,
     ring_spec: str = "rational",
     weight_range: tuple[int, int] | None = None,
-    column_starts: Sequence[int] = (-2, 0, 1),
 ) -> dict:
     """Single-path weight sums vs. direct linear values.
 
@@ -230,27 +300,30 @@ def run_path_linear_sweep(
     lo, hi = weight_bounds(ring_spec, weight_range)
     cmap = coefficient_map_for(ring_spec)
     rng = random.Random(seed)
-    instances = []
-    for i in column_starts:
-        for r in range(1, max_r + 1):
-            j = i + r - 1
-            for N in range(1, max_n + 1):
-                weights = random_diagonal(rng, range(i, j + 1), lo, hi)
-                by_path = path_weight_sum(white(i, N - 1), white(j + 1, 0), cmap, weights)
-                keys = [weights[j - s] for s in range(r)]
-                direct = linear_value(keys, N, cmap)
-                instances.append(
-                    {
-                        "start_column": i,
-                        "end_column": j,
-                        "N": N,
-                        "diagonal": weights.to_json(),
-                        "path_sum": by_path.to_json(),
-                        "linear": direct.to_json(),
-                        "equal": by_path == direct,
-                    }
-                )
+    instances = [
+        _check_path_linear(i, i + r - 1, N, cmap, random_diagonal(rng, range(i, i + r), lo, hi))
+        for i in (-2, 0, 1)
+        for r in range(1, max_r + 1)
+        for N in range(1, max_n + 1)
+    ]
     return _report("path-linear", instances, ring=ring_spec, seed=seed)
+
+
+# --------------------------------------------------------------------------
+# Linear oracles: three routes to one rational linear value.
+
+def _check_linear_oracles(keys: Sequence[int], N: int, cmap) -> dict:
+    direct = linear_value(keys, N, cmap)
+    recursive = linear_value_by_recursion(keys, N, cmap)
+    merged = merge_expansion(keys, N)
+    return {
+        "keys": list(keys),
+        "N": N,
+        "direct": direct.to_json(),
+        "recursion": recursive.to_json(),
+        "merge": merged.to_json(),
+        "equal": direct == recursive and recursive == merged,
+    }
 
 
 def run_oracle_triangle(
@@ -261,25 +334,27 @@ def run_oracle_triangle(
     """linear_value == linear_value_by_recursion == merge_expansion on every
     rational tuple drawn from the given weight values."""
     cmap = coefficient_map_for("rational")
-    instances = []
-    for r in range(0, max_r + 1):
-        for keys in product(weight_values, repeat=r):
-            for N in range(1, max_n + 1):
-                direct = linear_value(keys, N, cmap)
-                recursive = linear_value_by_recursion(keys, N, cmap)
-                merged = merge_expansion(keys, N)
-                equal = direct == recursive and recursive == merged
-                instances.append(
-                    {
-                        "keys": list(keys),
-                        "N": N,
-                        "direct": direct.to_json(),
-                        "recursion": recursive.to_json(),
-                        "merge": merged.to_json(),
-                        "equal": equal,
-                    }
-                )
+    instances = [
+        _check_linear_oracles(keys, N, cmap)
+        for r in range(0, max_r + 1)
+        for keys in product(weight_values, repeat=r)
+        for N in range(1, max_n + 1)
+    ]
     return _report("linear-oracles", instances, ring="rational")
+
+
+# --------------------------------------------------------------------------
+# Palindrome: symmetric-window square determinants are fixed by t -> 1-t.
+
+def _check_palindrome(keys: Sequence[int], N: int) -> dict:
+    rep = verify_palindromic_matrix(keys, N)
+    return {
+        "keys": list(keys),
+        "N": N,
+        "poly": rep.poly.to_json(),
+        "flipped": rep.flipped.to_json(),
+        "equal": rep.equal,
+    }
 
 
 def run_palindrome_sweep(
@@ -288,21 +363,109 @@ def run_palindrome_sweep(
     key_values: Sequence[int] = (2, 3),
 ) -> dict:
     """Determinants of symmetric-window square shapes are fixed by t -> 1-t."""
-    instances = []
-    for r in range(1, max_r + 1):
-        for keys in product(key_values, repeat=r):
-            for N in range(1, max_n + 1):
-                rep = verify_palindromic_matrix(keys, N)
-                instances.append(
-                    {
-                        "keys": list(keys),
-                        "N": N,
-                        "poly": rep.poly.to_json(),
-                        "flipped": rep.flipped.to_json(),
-                        "equal": rep.equal,
-                    }
-                )
+    instances = [
+        _check_palindrome(keys, N)
+        for r in range(1, max_r + 1)
+        for keys in product(key_values, repeat=r)
+        for N in range(1, max_n + 1)
+    ]
     return _report("palindrome", instances, ring="rational")
+
+
+# --------------------------------------------------------------------------
+# The registry.
+
+@dataclass(frozen=True)
+class Family:
+    """One identity family as the command line and all-verify see it.
+
+    ``sweep``, ``all_verify`` and ``single`` take flag values as attributes
+    (``N``, ``ring``, ``max_cells``, ...), with the JSON-valued flags
+    already parsed: ``shape`` a Partition, ``diagonal`` DiagonalWeights or
+    None, ``b`` and ``keys`` lists of ints.
+    """
+
+    name: str  # the report's identity
+    command: str | None  # subcommand; None: checked by all-verify only
+    help: str
+    flags: dict[str, Any]  # the subcommand's flags -> default (None: unset)
+    sweep: Callable[[Any], dict]  # flags -> sweep report
+    # all-verify's flags -> sweep report, where its sizes differ from sweep's
+    all_verify: Callable[[Any], dict] | None = None
+    # flags -> one checked instance, run when --shape or --keys is given
+    single: Callable[[Any], dict] | None = None
+    needs_n2: bool = False  # --N below 2 checks no nonzero entry: refused
+    notes: bool = False  # the payload carries the reading notes
+
+    @property
+    def key(self) -> str:
+        """The family's key in all-verify's report."""
+        return self.name.replace("-", "_")
+
+
+_SWEEP_FLAGS = {"N": 4, "max_cells": 4, "seed": 0, "ring": "rational"}
+
+FAMILIES = (
+    Family(
+        "jacobi-trudi", "jt-verify", "check the Jacobi-Trudi determinants",
+        {"shape": None, "diagonal": None, "trials": 2, **_SWEEP_FLAGS},
+        sweep=lambda f: run_jt_sweep(
+            max_cells=f.max_cells, n_values=tuple(range(2, f.N + 1)), trials=f.trials,
+            seed=f.seed, ring_spec=f.ring),
+        single=lambda f: _check_jt(
+            f.shape, f.N, coefficient_map_for(f.ring), _instance_weights(f, f.shape)),
+        needs_n2=True,
+        notes=True,
+    ),
+    Family(
+        "lgv", "lgv-verify", "check the LGV identity for Schur values",
+        {"shape": None, "diagonal": None, **_SWEEP_FLAGS},
+        sweep=lambda f: run_lgv_sweep(
+            max_cells=f.max_cells, max_n=f.N, seed=f.seed, ring_spec=f.ring),
+        all_verify=lambda f: run_lgv_sweep(
+            max_cells=min(f.max_cells, 4), max_n=f.N, seed=f.seed, ring_spec=f.ring),
+        single=_single_lgv,
+    ),
+    Family(
+        "conjugation", "conjugation-verify", "check the conjugation symmetry",
+        {"trials": 2, **_SWEEP_FLAGS},
+        sweep=lambda f: run_conjugation_sweep(
+            max_cells=f.max_cells, n_values=tuple(range(1, f.N + 1)), trials=f.trials,
+            seed=f.seed, ring_spec=f.ring),
+        all_verify=lambda f: run_conjugation_sweep(
+            max_cells=f.max_cells, n_values=tuple(range(2, f.N + 1)), trials=f.trials,
+            seed=f.seed, ring_spec=f.ring),
+        needs_n2=True,
+    ),
+    Family(
+        "layer", "layer-verify", "check single-layer signed sums",
+        {"shape": None, "b": None, "diagonal": None, "M": 3, "max_cells": 4, "seed": 0,
+         "ring": "rational"},
+        sweep=lambda f: run_layer_sweep(
+            max_cells=f.max_cells, max_m=f.M, seed=f.seed, ring_spec=f.ring),
+        all_verify=lambda f: run_layer_sweep(
+            max_cells=min(f.max_cells, 4), max_m=min(f.N, 3), seed=f.seed, ring_spec=f.ring),
+        single=_single_layer,
+        notes=True,
+    ),
+    Family(
+        "palindrome", "palindrome-verify", "check t -> 1-t symmetric determinants",
+        {"keys": None, "N": 4, "max_r": 3},
+        sweep=lambda f: run_palindrome_sweep(max_r=f.max_r, max_n=f.N),
+        all_verify=lambda f: run_palindrome_sweep(max_r=3, max_n=min(f.N, 4)),
+        single=lambda f: _check_palindrome(f.keys, f.N),
+    ),
+    Family(
+        "linear-oracles", "linear-verify", "cross-check the three linear-value routes",
+        {"N": 4, "max_r": 3},
+        sweep=lambda f: run_oracle_triangle(max_r=f.max_r, max_n=f.N),
+        all_verify=lambda f: run_oracle_triangle(max_r=3, max_n=f.N),
+    ),
+    Family(
+        "path-linear", None, "check single-path sums against linear values", {},
+        sweep=lambda f: run_path_linear_sweep(max_r=3, max_n=f.N, seed=f.seed, ring_spec=f.ring),
+    ),
+)
 
 
 def run_all(
@@ -313,37 +476,17 @@ def run_all(
     ring_spec: str = "rational",
 ) -> dict:
     """Bounded pass over every identity family; the CLI's all-verify."""
-    n_values = tuple(range(2, max_n + 1))
+    flags = SimpleNamespace(max_cells=max_cells, N=max_n, trials=trials, seed=seed, ring=ring_spec)
     families = {
-        "jacobi_trudi": run_jt_sweep(
-            max_cells=max_cells, n_values=n_values, trials=trials, seed=seed,
-            ring_spec=ring_spec,
-        ),
-        "conjugation": run_conjugation_sweep(
-            max_cells=max_cells, n_values=n_values, trials=trials, seed=seed,
-            ring_spec=ring_spec,
-        ),
-        "lgv": run_lgv_sweep(
-            max_cells=min(max_cells, 4), max_n=max_n, seed=seed, ring_spec=ring_spec
-        ),
-        "layer": run_layer_sweep(
-            max_cells=min(max_cells, 4), max_m=min(max_n, 3), seed=seed,
-            ring_spec=ring_spec,
-        ),
-        "path_linear": run_path_linear_sweep(
-            max_r=3, max_n=max_n, seed=seed, ring_spec=ring_spec
-        ),
-        "linear_oracles": run_oracle_triangle(max_r=3, max_n=max_n),
-        "palindrome": run_palindrome_sweep(max_r=3, max_n=min(max_n, 4)),
-    }
-    summary = {
-        name: {"pass": rep["pass"], "checked": rep["checked"]}
-        for name, rep in families.items()
+        family.key: (family.all_verify or family.sweep)(flags) for family in FAMILIES
     }
     return {
         "identity": "all",
         "pass": all(rep["pass"] for rep in families.values()),
         "checked": sum(rep["checked"] for rep in families.values()),
-        "summary": summary,
+        "summary": {
+            name: {"pass": rep["pass"], "checked": rep["checked"]}
+            for name, rep in families.items()
+        },
         "families": families,
     }

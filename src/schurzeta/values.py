@@ -39,7 +39,7 @@ from .rings import (
     _divide_integer_poly,
     q_integer,
 )
-from .shapes import Partition, Tableau, corners, layer_table
+from .shapes import Partition, Tableau, layer_table
 
 
 @dataclass(frozen=True)
@@ -509,18 +509,3 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
         missing = K - sum(c for c in merged if c > 0)
         acc[bin(mask).count("1")] += _strict_power_sum(merged, N, L) * L**missing
     return TPoly(QQ, [Fraction(a, L**K) for a in acc])
-
-
-def corner_condition(weights: Tableau) -> bool:
-    """Whether the untruncated limit would converge: integer weights at
-    least 2 on every corner cell and at least 1 elsewhere.
-
-    Purely diagnostic; truncated values exist for arbitrary weights.
-    """
-    corner_cells = corners(weights.shape)
-    for i, j, k in weights.cells():
-        if not isinstance(k, int):
-            raise ValueError(f"corner condition needs integer weights, got {k!r}")
-        if k < (2 if (i, j) in corner_cells else 1):
-            return False
-    return True

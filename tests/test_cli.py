@@ -310,7 +310,7 @@ def test_config_accepts_dashed_and_parsed_values(tmp_path, capsys):
     assert code == 0 and payload["ring"] == "qsym" and payload["checked"] > 0
 
 
-COMMANDS = sorted(cli._DEFAULTS)
+COMMANDS = sorted(cli.COMMANDS)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -318,17 +318,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+def command_flags(command):
+    """The flags a command takes, from the command registry."""
+    return [*cli.COMMANDS[command].flags, "output"]
+
+
 @st.composite
 def malformed_configs(draw):
     """A command and a config holding one entry its flags would reject."""
     command = draw(st.sampled_from(COMMANDS))
-    flag_types = cli.build_parser().parse_args([command]).flag_types
-    int_flags = sorted(d for d, t in flag_types.items() if t is int)
-    text_flags = sorted(d for d, t in flag_types.items() if t is None and d not in cli._JSON_FLAGS)
+    flags = command_flags(command)
+    int_flags = sorted(d for d in flags if cli.FLAGS[d][0] is int)
+    text_flags = sorted(d for d in flags if cli.FLAGS[d][0] is str)
     kind = draw(st.sampled_from(["unknown", "int", "text"]))
     if kind == "unknown":
         key = draw(st.text(min_size=1, max_size=8).filter(
-            lambda k: k.replace("-", "_") not in flag_types))
+            lambda k: k.replace("-", "_") not in flags))
         value = draw(JSON_VALUES)
     elif kind == "int":
         key = draw(st.sampled_from(int_flags))
@@ -348,6 +353,113 @@ def test_malformed_configs_never_exit_0_or_1(tmp_path, capsys, case):
     path.write_text(json.dumps(config))
     code, out, _ = run([command, "--config", str(path)], capsys)
     assert code == 2 and not out
+
+
+def _is_int(x):
+    return type(x) is int
+
+
+def _int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+# What each JSON-valued flag accepts, restated independently of the parsers.
+VALID_JSON = {
+    "shape": _int_list,
+    "b": _int_list,
+    "keys": _int_list,
+    "entries": lambda v: isinstance(v, list) and all(map(_int_list, v)),
+    "diagonal": lambda v: isinstance(v, dict) and all(
+        k.lstrip("-").isascii() and k.lstrip("-").isdigit() and str(int(k)) == k and _is_int(x)
+        for k, x in v.items()
+    ),
+}
+
+
+def _valid_json_text(flag, text):
+    try:
+        return VALID_JSON[flag](json.loads(text))
+    except ValueError:
+        return False
+
+
+@st.composite
+def malformed_json_flags(draw):
+    """A command, one of its JSON-valued flags, and command-line text that
+    flag must refuse: not JSON, JSON of the wrong form, or an object with a
+    repeated key."""
+    command = draw(st.sampled_from(
+        [c for c in COMMANDS if set(command_flags(c)) & set(VALID_JSON)]))
+    flag = draw(st.sampled_from(sorted(set(command_flags(command)) & set(VALID_JSON))))
+    malformed = (
+        st.text(max_size=8)
+        | JSON_VALUES.map(json.dumps)
+        | st.dictionaries(st.sampled_from(["0", "1", "-1", "01", " 1", "1_0", "+1", "-0"]),
+                          st.integers(-2, 3), min_size=1, max_size=3).map(json.dumps)
+        | st.just("[2, 2]")
+    ).filter(lambda text: not _valid_json_text(flag, text))
+    # json.loads keeps one of two repeated keys, so these read as valid above.
+    repeated = st.sampled_from(['{"1": 2, "1": 2}', '{"0": 2, "0": 3}'])
+    text = draw(malformed | repeated)
+    return command, flag, text
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_json_flags())
+def test_malformed_json_flags_never_exit_0_or_1(capsys, case):
+    command, flag, text = case
+    argv = [command, f"--{flag}={text}"]
+    if flag not in ("shape", "keys"):
+        argv.insert(1, "--shape=[1]")
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out, (argv, code, err)
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # The decoder's RecursionError used to escape as a traceback with exit 1.
+    nested = "[" * 100_000
+    code, out, err = run(["compute", "--shape", nested, "--N", "3"], capsys)
+    assert code == 2 and not out and "nested too deeply" in err
+    path = tmp_path / "run.json"
+    path.write_text('{"shape": ' + nested)
+    code, out, err = run(["compute", "--config", str(path)], capsys)
+    assert code == 2 and not out and "nested too deeply" in err
+
+
+def test_compute_entries_must_be_rows_of_labels(capsys):
+    # A flat list of labels used to fail with a TypeError traceback and exit 1.
+    code, out, err = run(["compute", "--shape", "[2]", "--entries", "[2,2]", "--N", "3"], capsys)
+    assert code == 2 and not out and "entries" in err
+
+
+@pytest.mark.parametrize("label", ['"2"', "null", "2.5", "[2]", "true"])
+@pytest.mark.parametrize("flag", ["entries", "diagonal"])
+def test_non_integer_labels_exit_2(flag, label, capsys):
+    # These labels used to reach the coefficient map and exit 3.
+    value = f"[[{label}]]" if flag == "entries" else f'{{"0": {label}}}'
+    code, out, err = run(["compute", "--shape", "[1]", f"--{flag}", value, "--N", "3"], capsys)
+    assert code == 2 and not out and "invalid input" in err
+
+
+@pytest.mark.parametrize("extra", ['"01":3', '" 1":3', '"1_0":3', '"+1":3', '"-0":3', '"1":3'])
+def test_diagonal_offsets_must_be_canonical_and_distinct(extra, capsys):
+    # Each used to exit 0: "01", "-0" and a repeated "1" silently replaced a
+    # label, and " 1", "1_0" and "+1" were read as offsets.
+    diagonal = f'{{"-1":2,"0":2,"1":2,{extra}}}'
+    code, out, err = run(["jt-verify", "--shape", "[2,1]", "--diagonal", diagonal], capsys)
+    assert code == 2 and not out and "invalid input" in err
+    code, _, _ = run(["jt-verify", "--shape", "[2,1]", "--diagonal", '{"-1":2,"0":2,"1":2}'], capsys)
+    assert code == 0
+
+
+def test_integer_labels_outside_the_domain_stay_exit_3(capsys):
+    code, out, err = run(
+        ["compute", "--shape", "[1]", "--diagonal", '{"0": 0}', "--N", "3", "--ring", "qsym"],
+        capsys,
+    )
+    assert code == 3 and not out and "domain error" in err
 
 
 def test_output_file(tmp_path, capsys):

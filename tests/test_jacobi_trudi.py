@@ -7,8 +7,8 @@ import pytest
 from schurzeta.rings import PolyRing, QQ, TPoly, ring_determinant
 from schurzeta.shapes import Partition, partitions_up_to
 from schurzeta.jacobi_trudi import (
-    JTMatrixSpec,
-    build_jt_matrix,
+    _e_matrix,
+    _h_matrix,
     palindrome_weights,
     verify_jacobi_trudi,
     verify_palindromic_matrix,
@@ -27,20 +27,22 @@ from schurzeta.values import (
 RAT = rational_map()
 
 
-def spec(shape, side, N, cmap, weights):
-    return JTMatrixSpec(Partition(shape), side, N, cmap, weights)
+def jt_matrix(shape, side, N, cmap, weights):
+    """The row-reading ("H") or column-reading ("E") matrix of a shape."""
+    build = {"H": _h_matrix, "E": _e_matrix}[side]
+    return build(Partition(shape), N, cmap, weights)
 
 
 def test_h_matrix_single_column_shape():
     dw = DiagonalWeights({-1: 3, 0: 2})
-    matrix = build_jt_matrix(spec((1, 1), "H", 4, RAT, dw))
+    matrix = jt_matrix((1, 1), "H", 4, RAT, dw)
     assert len(matrix) == 1
     assert matrix[0][0] == linear_value([dw[0], dw[-1]], 4, RAT)
 
 
 def test_h_matrix_hook_structure():
     dw = DiagonalWeights({-1: 3, 0: 2, 1: 2})
-    matrix = build_jt_matrix(spec((2, 1), "H", 4, RAT, dw))
+    matrix = jt_matrix((2, 1), "H", 4, RAT, dw)
     assert matrix[0][0] == linear_value([dw[0], dw[-1]], 4, RAT)
     assert matrix[0][1] == linear_value([dw[1], dw[0], dw[-1]], 4, RAT)
     assert matrix[1][0] == TPoly.one(QQ)  # index length zero
@@ -54,7 +56,7 @@ def test_h_matrix_row_shape_is_almost_triangular():
     r = len(keys)
     dw = DiagonalWeights({d: keys[d] for d in range(r)})
     for N in range(1, 6):
-        matrix = build_jt_matrix(spec((r,), "H", N, RAT, dw))
+        matrix = jt_matrix((r,), "H", N, RAT, dw)
         for i in range(r):
             for j in range(r):
                 if j == i - 1:
@@ -71,15 +73,9 @@ def test_h_matrix_row_shape_is_almost_triangular():
         assert det == flipped_column
 
 
-def test_build_jt_matrix_rejects_unknown_side():
-    dw = DiagonalWeights({0: 2})
-    with pytest.raises(ValueError):
-        build_jt_matrix(spec((1,), "X", 3, RAT, dw))
-
-
 def test_jt_matrix_needs_full_window():
     with pytest.raises(ValueError):
-        build_jt_matrix(spec((2, 1), "H", 3, RAT, DiagonalWeights({0: 2})))
+        jt_matrix((2, 1), "H", 3, RAT, DiagonalWeights({0: 2}))
 
 
 def test_verify_single_column_trivial():
@@ -120,9 +116,9 @@ def test_conjugation_coherence_between_sides():
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(-2, 3) for d in required_offsets(shape)})
         reflected = DiagonalWeights({-d: k for d, k in dw.items()})
-        det_h = ring_determinant(build_jt_matrix(spec(shape.parts, "H", 4, RAT, dw)), poly_ring)
+        det_h = ring_determinant(jt_matrix(shape.parts, "H", 4, RAT, dw), poly_ring)
         det_e_conj = ring_determinant(
-            build_jt_matrix(spec(shape.conjugate().parts, "E", 4, RAT, reflected)),
+            jt_matrix(shape.conjugate().parts, "E", 4, RAT, reflected),
             poly_ring,
         )
         assert det_h == det_e_conj.subs_one_minus_t()
@@ -138,14 +134,14 @@ def test_matrix_entries_are_linear_values(cmap):
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
         conj = shape.conjugate().parts
-        h = build_jt_matrix(spec(shape.parts, "H", 4, cmap, dw))
+        h = jt_matrix(shape.parts, "H", 4, cmap, dw)
         for i in range(1, shape.width + 1):
             for j in range(1, shape.width + 1):
                 length = conj[i - 1] + j - i
                 keys = [dw[j - 1 - s] for s in range(length)]
                 expected = linear_value(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
                 assert h[i - 1][j - 1] == expected
-        e = build_jt_matrix(spec(shape.parts, "E", 4, cmap, dw))
+        e = jt_matrix(shape.parts, "E", 4, cmap, dw)
         for i in range(1, shape.height + 1):
             for j in range(1, shape.height + 1):
                 length = shape.parts[i - 1] - i + j

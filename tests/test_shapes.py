@@ -17,7 +17,6 @@ from schurzeta.shapes import (
     build_bit_tableau,
     corners,
     count_oyt,
-    enumerate_oyt,
     iter_filling_rows,
     layer_table,
     partitions_of,
@@ -98,7 +97,7 @@ def test_tableau_shape_mismatch():
 
 
 def test_oyt_2x2_members_and_exclusions():
-    fillings = {f.tableau.rows for f in enumerate_oyt(Partition((2, 2)), 4)}
+    fillings = {rows for rows, _, _ in iter_filling_rows(Partition((2, 2)), 4)}
     assert ((1, 1), (1, 2)) in fillings
     assert ((1, 2), (1, 2)) in fillings
     # equal diagonal entries are forbidden
@@ -125,18 +124,15 @@ def test_oyt_equality_counts_worked_example():
     rows = [[2, 2, 3], [2, 3], [2, 4], [2]]
     shape = Partition((3, 2, 2, 1))
     match = [
-        f for f in enumerate_oyt(shape, 5) if f.tableau.rows == tuple(map(tuple, rows))
+        (v, h) for f, v, h in iter_filling_rows(shape, 5) if f == tuple(map(tuple, rows))
     ]
-    assert len(match) == 1
-    assert match[0].v_count == 3
-    assert match[0].h_count == 1
+    assert match == [(3, 1)]
 
 
 def test_oyt_trivial_streams():
-    assert [f.tableau.rows for f in enumerate_oyt(Partition(()), 1)] == [()]
-    only = list(enumerate_oyt(Partition(()), 9))
-    assert len(only) == 1 and only[0].v_count == 0 and only[0].h_count == 0
-    assert list(enumerate_oyt(Partition((2, 1)), 1)) == []
+    assert [rows for rows, _, _ in iter_filling_rows(Partition(()), 1)] == [()]
+    assert list(iter_filling_rows(Partition(()), 9)) == [((), 0, 0)]
+    assert list(iter_filling_rows(Partition((2, 1)), 1)) == []
 
 
 def test_oyt_stream_is_lexicographic_and_duplicate_free():
@@ -191,22 +187,21 @@ def test_oyt_counts_large_n_closed_forms():
 
 def test_oyt_transpose_swaps_counts():
     for shape in partitions_up_to(5, include_empty=False):
-        for f in enumerate_oyt(shape, 4):
-            transposed = f.tableau.conjugate()
+        for rows, v_count, h_count in iter_filling_rows(shape, 4):
+            transposed = Tableau(shape, rows).conjugate()
             assert _is_ordered_filling([list(r) for r in transposed.rows], 4)
             flipped = [
-                g
-                for g in enumerate_oyt(shape.conjugate(), 4)
-                if g.tableau.rows == transposed.rows
+                (v, h)
+                for g, v, h in iter_filling_rows(shape.conjugate(), 4)
+                if g == transposed.rows
             ]
-            assert flipped[0].v_count == f.h_count
-            assert flipped[0].h_count == f.v_count
+            assert flipped[0] == (h_count, v_count)
 
 
 def test_oyt_equality_count_bound():
     for shape in partitions_up_to(5, include_empty=False):
-        for f in enumerate_oyt(shape, 4):
-            assert f.v_count + f.h_count <= shape.size - 1
+        for _, v_count, h_count in iter_filling_rows(shape, 4):
+            assert v_count + h_count <= shape.size - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from schurzeta.rings import QQ, PolyRing, TPoly, ring_determinant
 from schurzeta.shapes import (
     Partition,
     Tableau,
-    enumerate_oyt,
     iter_filling_rows,
     partitions_up_to,
 )
 from schurzeta.values import (
     DiagonalWeights,
     coefficient_map_for,
-    corner_condition,
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
@@ -310,11 +308,11 @@ def test_specialization_at_zero_matches_strict_vertical_fillings():
         N = 4
         value_at_zero = schur_value(tab, N, RAT).evaluate(Fraction(0))
         expected = Fraction(0)
-        for filling in enumerate_oyt(shape, N):
-            if filling.v_count:
+        for filling, v_count, _ in iter_filling_rows(shape, N):
+            if v_count:
                 continue
             term = Fraction(1)
-            for (ri, row) in enumerate(filling.tableau.rows):
+            for (ri, row) in enumerate(filling):
                 for (ci, m) in enumerate(row):
                     k = rows[ri][ci]
                     term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
@@ -368,20 +366,3 @@ def test_degree_bound():
         rows = [[rng.randint(-1, 3) for _ in range(p)] for p in shape.parts]
         value = schur_value(Tableau(shape, rows), 4, RAT)
         assert value.degree <= shape.size - 1
-
-
-# ---------------------------------------------------------------------------
-# corner condition
-
-
-def test_corner_condition_examples():
-    hook = Tableau.from_rows([[1, 2], [2]])
-    assert corner_condition(hook) is True
-    assert corner_condition(Tableau.from_rows([[1]])) is False
-    for shape in partitions_up_to(4, include_empty=False):
-        all_twos = Tableau(shape, [[2] * p for p in shape.parts])
-        assert corner_condition(all_twos) is True
-
-
-def test_corner_condition_inner_zero_fails():
-    assert corner_condition(Tableau.from_rows([[0, 2], [2]])) is False
