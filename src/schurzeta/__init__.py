@@ -25,7 +25,6 @@ from .shapes import (
     admissible_baselines,
     bit_tableau_stats,
     build_bit_tableau,
-    corners,
     count_oyt,
     partitions_of,
     partitions_up_to,

@@ -29,7 +29,13 @@ from typing import Any, Callable, NamedTuple
 from . import sweeps
 from .errors import DomainError
 from .shapes import Partition, Tableau, count_oyt
-from .values import DiagonalWeights, coefficient_map_for, diagonal_tableau, schur_value
+from .values import (
+    DiagonalWeights,
+    _is_offset,
+    coefficient_map_for,
+    diagonal_tableau,
+    schur_value,
+)
 
 READING_NOTES = [
     "index order: the first label of a linear value attaches to the smallest summand",
@@ -77,13 +83,6 @@ def _parse_entries(value: Any) -> list[list[int]]:
     ):
         raise ValueError(f"entries must be a JSON list of rows of integer labels, got {value!r}")
     return obj
-
-
-def _is_offset(key: str) -> bool:
-    try:
-        return str(int(key)) == key
-    except ValueError:
-        return False
 
 
 def _parse_diagonal(value: Any) -> DiagonalWeights:

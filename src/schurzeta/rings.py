@@ -20,11 +20,15 @@ division-free determinants) can run over any of them.  Elements themselves
 are plain Python values supporting ``+``, ``-``, ``*`` and ``==``, and are
 zero exactly when false.
 
-Rationals are mostly not summed as ``Fraction``s: rational values and
-rational t-polynomial determinants are expanded over integer numerators, in
-a private ring of plain ``int``s, and divided by their common denominator
-once at the end, which keeps ``Fraction`` normalization out of the inner
-loops.
+Rationals are mostly not summed as ``Fraction``s: rational values are
+expanded over integer numerators, in a private ring of plain ``int``s, and
+divided by their common denominator once at the end, which keeps
+``Fraction`` normalization out of the inner loops.  Determinants of
+rational t-polynomial matrices likewise scale each row to integer
+coefficients and run fraction-free (Bareiss) elimination over Z[t], with
+exact polynomial division, in O(n^3) polynomial operations; every other
+ring goes through the division-free Laplace expansion, O(2^n * n), which is
+also the tests' oracle for the elimination.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
@@ -650,16 +654,18 @@ def element_to_json(x: Element):
 
 
 def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:
-    """Determinant over any commutative ring, computed without division.
+    """Determinant of a square matrix over one of the package's rings.
 
-    Laplace expansion along rows, memoized on the set of still-unused
-    columns: O(2^n * n) ring operations, free of any divisibility
-    assumption on the ring.  Over t-polynomials with rational coefficients
-    each row is first scaled by the lcm of its coefficient denominators, the
-    expansion runs over integer coefficients, and the result is divided once
-    by the product of the row scales; this keeps ``Fraction`` normalization
-    out of the expansion, which puts palindromic windows of n = 11 well
-    under a second.  The 0x0 determinant is one.
+    Over t-polynomials with rational coefficients each row is first scaled
+    by the lcm of its coefficient denominators, the determinant of the
+    scaled matrix is taken over Z[t] by fraction-free elimination
+    (``_bareiss``: O(n^3) polynomial operations, each division exact), and
+    the result is divided once by the product of the row scales.  Every
+    other ring -- truncated q-series are not an integral domain, and qsym
+    would need multivariate exact division -- goes through the
+    division-free Laplace expansion (``_laplace``: O(2^n * n) ring
+    operations), which also serves as the tests' oracle for the rational
+    route.  The 0x0 determinant is one.
     """
     n = len(matrix)
     for row in matrix:
@@ -672,15 +678,107 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
     for row in matrix:
         scale = math.lcm(*(c.denominator for p in row for c in p.coeffs))
         denominator *= scale
-        scaled.append(
-            [TPoly(_ZZ, [c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in row]
-        )
-    return _divide_integer_poly(_laplace(scaled, PolyRing(_ZZ)), denominator)
+        scaled.append([[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row])
+    return TPoly(QQ, [Fraction(c, denominator) for c in _bareiss(scaled)])
 
 
 def _divide_integer_poly(p: TPoly, denominator: int) -> TPoly:
     """The rational t-polynomial p / denominator, for p over the integers."""
     return TPoly(QQ, [Fraction(c, denominator) for c in p.coeffs])
+
+
+# Integer polynomials inside ``_bareiss`` are plain lists of ``int``
+# coefficients by ascending degree, with no trailing zero; zero is [].
+
+
+def _poly_mul(a: list, b: list) -> list:
+    """Product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    """Difference of two integer polynomials, trimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials with b nonzero, by long division;
+    raises ArithmeticError unless b divides a exactly in Z[t]."""
+    db = len(b) - 1
+    lead = b[db]
+    rem = list(a)
+    quotient = [0] * max(len(a) - db, 0)
+    for i in reversed(range(len(quotient))):
+        # Each step leaves its remainder in the top coefficient it cleared.
+        quotient[i], rem[i + db] = divmod(rem[i + db], lead)
+        for j in range(db):
+            rem[i + j] -= quotient[i] * b[j]
+    if any(rem):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return quotient
+
+
+def _bareiss(a: list) -> list:
+    """Determinant of a square matrix over Z[t] by fraction-free elimination
+    (Bareiss 1968); the matrix, rows of integer polynomials, is overwritten.
+
+    Step k replaces each entry a_ij below and right of the pivot p = a_kk by
+    (p * a_ij - a_ik * a_kj) / (the previous pivot), a division that is
+    exact in Z[t] (the entries are minors of the matrix); a nonzero
+    remainder raises.  Coefficient growth decides the cost, so the integer
+    content of every row and then every column is taken out first and
+    multiplied back at the end, and the pivot is the remaining entry of
+    column k with the lowest degree, then the fewest coefficient bits.  A
+    column with no nonzero entry left makes the determinant zero.
+    """
+    n = len(a)
+    factor = 1
+    for row in a:
+        g = math.gcd(*(c for p in row for c in p))
+        if not g:
+            return []
+        factor *= g
+        row[:] = [[c // g for c in p] for p in row]
+    for j in range(n):
+        g = math.gcd(*(c for row in a for c in row[j]))
+        if not g:
+            return []
+        factor *= g
+        for row in a:
+            row[j] = [c // g for c in row[j]]
+    previous = [1]
+    for k in range(n):
+        candidates = [i for i in range(k, n) if a[i][k]]
+        if not candidates:
+            return []
+        best = min(
+            candidates, key=lambda i: (len(a[i][k]), max(map(abs, a[i][k])).bit_length())
+        )
+        if best != k:
+            a[k], a[best] = a[best], a[k]
+            factor = -factor
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                entry = _poly_mul(p, row[j]) if row[j] else []
+                if lead and pivot_row[j]:
+                    entry = _poly_sub(entry, _poly_mul(lead, pivot_row[j]))
+                row[j] = _exact_quotient(entry, previous)
+        previous = p
+    return [c * factor for c in a[n - 1][n - 1]] if n else [1]
 
 
 def _laplace(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:

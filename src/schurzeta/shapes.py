@@ -25,7 +25,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(parts)
+        for p in ps:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"partition parts must be integers: {p!r}")
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {ps}")
@@ -71,15 +74,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
-
-
-def corners(shape: Partition) -> set[tuple[int, int]]:
-    """Cells with no neighbor to the right or below."""
-    return {
-        (i, j)
-        for (i, j) in shape.cells()
-        if not shape.contains(i, j + 1) and not shape.contains(i + 1, j)
-    }
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -210,13 +210,37 @@ def coefficient_map_for(spec: str) -> CoefficientMap:
     raise ValueError(f"unknown ring selector {spec!r}")
 
 
+def _is_offset(key: Any) -> bool:
+    """A diagonal offset: an ``int`` that is not a ``bool``, or the
+    canonical decimal string of one, such as "-1" (not "-01" or "+1")."""
+    if isinstance(key, str):
+        try:
+            return str(int(key)) == key
+        except ValueError:
+            return False
+    return isinstance(key, int) and not isinstance(key, bool)
+
+
 class DiagonalWeights:
-    """Weight labels a_d indexed by the diagonal offset d = column - row."""
+    """Weight labels a_d indexed by the diagonal offset d = column - row.
+
+    Offsets are ints or their canonical decimal strings (JSON object keys);
+    anything else, or two keys naming the same offset, raises ValueError.
+    """
 
     __slots__ = ("_labels",)
 
     def __init__(self, labels: Mapping[Any, Any]):
-        object.__setattr__(self, "_labels", {int(d): k for d, k in labels.items()})
+        clean: dict[int, Any] = {}
+        for d, k in labels.items():
+            if not _is_offset(d):
+                raise ValueError(
+                    f"diagonal offset {d!r} is not an int or a decimal string such as \"-1\""
+                )
+            if int(d) in clean:
+                raise ValueError(f"diagonal offset {d!r} names offset {int(d)} a second time")
+            clean[int(d)] = k
+        object.__setattr__(self, "_labels", clean)
 
     def __setattr__(self, *_):
         raise AttributeError("DiagonalWeights values are immutable")

@@ -27,6 +27,8 @@ EXTRA_COMMANDS = [
     "palindrome-verify",
     "all-verify --ring qsym --seed 5 --N 3",
     "all-verify --ring qseries:8 --seed 3 --N 3",
+    "jt-verify --shape '[16,16]' --N 4 --seed 1",
+    "palindrome-verify --keys '[2,3,2,3,2,3,2,3]' --N 9",
 ]
 
 

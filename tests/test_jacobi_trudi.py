@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from schurzeta import rings
 from schurzeta.rings import PolyRing, QQ, TPoly, ring_determinant
 from schurzeta.shapes import Partition, partitions_up_to
 from schurzeta.jacobi_trudi import (
@@ -167,6 +168,18 @@ def test_verify_wide_rational_shapes(parts, degree):
     assert rep.det_h.degree == degree
 
 
+@pytest.mark.parametrize("n,degree", [(16, 30), (20, 38)])
+def test_wide_two_row_h_determinant_is_schur_value(n, degree):
+    # n x n H matrices of full rank, far past what the Laplace expansion
+    # reaches, against the layer DP.
+    shape = Partition((n, n))
+    rng = random.Random(n)
+    dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
+    det_h = ring_determinant(jt_matrix(shape.parts, "H", 4, RAT, dw), PolyRing(QQ))
+    assert det_h == schur_value(diagonal_tableau(shape, dw), 4, RAT)
+    assert det_h.degree == degree
+
+
 def test_verify_wide_qseries_shape():
     # A 10x10 H determinant over dense order-8 series; the layer DP
     # multiplies such series at every step.
@@ -215,6 +228,16 @@ def test_palindrome_is_square_schur_value(keys, degree):
     square = diagonal_tableau(Partition((r,) * r), palindrome_weights(keys))
     assert rep.poly == schur_value(square, 4, RAT)
     assert rep.poly.degree == degree
+
+
+def test_full_rank_palindrome_matches_laplace():
+    # At N > r the square-shape determinant does not vanish; the Laplace
+    # expansion is the oracle for the elimination.
+    keys = (2, 3, 2, 3, 3, 2, 3, 2)
+    rep = verify_palindromic_matrix(keys, 9)
+    assert rep.equal and rep.poly.degree == 56
+    matrix = jt_matrix((8,) * 8, "H", 9, RAT, palindrome_weights(keys))
+    assert rep.poly == rings._laplace(matrix, PolyRing(QQ))
 
 
 def test_palindrome_rejects_empty():

@@ -6,8 +6,11 @@ from itertools import permutations
 
 import pytest
 
+from schurzeta import rings
 from schurzeta.errors import NonInvertibleError
-from schurzeta.values import q_analogue_map
+from schurzeta.jacobi_trudi import _h_matrix, palindrome_weights
+from schurzeta.shapes import Partition
+from schurzeta.values import q_analogue_map, rational_map
 from schurzeta.rings import (
     MonomialPolynomial,
     PolyRing,
@@ -212,6 +215,112 @@ def test_determinant_matches_permutation_oracle_every_ring(ring, sample, n):
     for m in (matrix, zero_row, single):
         assert ring_determinant(m, ring) == permutation_determinant(m, ring)
     assert ring_determinant(zero_row, ring) == ring.zero
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination (the rational t-polynomial route)
+
+
+def laplace_determinant(matrix):
+    """The Laplace expansion that every other ring goes through."""
+    return rings._laplace(matrix, PolyRing(QQ))
+
+
+def tpolys(rows):
+    """A matrix of rational t-polynomials from rows of coefficient lists."""
+    return [[TPoly(QQ, [Fraction(c) for c in entry]) for entry in row] for row in rows]
+
+
+def assert_oracles_agree(matrix):
+    det = ring_determinant(matrix, PolyRing(QQ))
+    assert det == laplace_determinant(matrix)
+    if len(matrix) <= 6:
+        assert det == permutation_determinant(matrix, PolyRing(QQ))
+    return det
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([], [1]),
+        ([[[]]], []),
+        ([[[Fraction(-3, 4), 0, 6]]], [Fraction(-3, 4), 0, 6]),
+        # A zero leading entry: the first pivot comes from the second row.
+        ([[[], [1]], [[1], []]], [-1]),
+        ([[[0, 1], [2]], [[3], [0, 1]]], [-6, 0, 1]),
+        # The lower-degree pivot sits below the top row, one swap per step.
+        ([[[0, 0, 1], [1], [2, 1]], [[1], [0, 1], [3]], [[0, 1], [5], [1, 1, 1]]], None),
+        # A zero column, and a zero row.
+        ([[[1], [], [2]], [[3], [], [0, 4]], [[5], [], [6]]], []),
+        ([[[1], [2], [3]], [[], [], []], [[4], [5], [6]]], []),
+        # Non-monic pivots with row and column contents to take out.
+        # (Row contents 2, 5, 3, then column contents 3, 1, 7.)
+        (
+            [
+                [[6, 12], [6], [14, 0, 28]],
+                [[30, 45], [5], [0, 105]],
+                [[18, 63], [3, 3], [21, 21, 21]],
+            ],
+            None,
+        ),
+        (
+            [[[Fraction(2, 3), Fraction(5, 7)], [Fraction(1, 2)]], [[3, 9], [Fraction(-4, 9), 1]]],
+            None,
+        ),
+    ],
+    ids=[
+        "n0", "n1-zero", "n1", "swap-constant", "swap-degree", "swap-each-step",
+        "zero-column", "zero-row", "non-monic-contents", "non-monic-fractions",
+    ],
+)
+def test_bareiss_hand_built_matrices(rows, expected):
+    det = assert_oracles_agree(tpolys(rows))
+    if expected is not None:
+        assert det == TPoly(QQ, [Fraction(c) for c in expected])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_bareiss_matches_oracles_on_wide_fractions(n):
+    # The matrix, a copy whose first column is zero at the top, and one
+    # with a low-degree non-monic entry in its last row.
+    rng = random.Random(900 + n)
+    draw = poly_over(QQ, wide_fraction, 2)
+    matrix = [[draw(rng) for _ in range(n)] for _ in range(n)]
+    assert_oracles_agree(matrix)
+    zero_top = [list(row) for row in matrix]
+    zero_top[0][0] = TPoly.zero(QQ)
+    assert_oracles_agree(zero_top)
+    low_last = [list(row) for row in matrix]
+    low_last[-1][0] = TPoly(QQ, [Fraction(7, 3)])
+    assert_oracles_agree(low_last)
+
+
+def test_bareiss_rank_deficient_with_every_entry_nonzero():
+    # The square-shape palindromic windows at N = 4: every entry is a
+    # nonzero polynomial, yet r >= N makes the determinant vanish.
+    rng = random.Random(17)
+    for r in (9, 10, 11):
+        keys = [rng.choice((2, 3)) for _ in range(r)]
+        matrix = _h_matrix(Partition((r,) * r), 4, rational_map(), palindrome_weights(keys))
+        assert all(entry for row in matrix for entry in row)
+        assert ring_determinant(matrix, PolyRing(QQ)) == TPoly.zero(QQ)
+        assert laplace_determinant(matrix) == TPoly.zero(QQ)
+    # A rank-one matrix of nonzero entries, and the sum of two such.
+    u = [TPoly(QQ, [1, 2]), TPoly(QQ, [Fraction(1, 3)]), TPoly(QQ, [0, 0, 5])]
+    v = [TPoly(QQ, [2]), TPoly(QQ, [-1, 1]), TPoly(QQ, [3, 0, 1])]
+    rank_one = [[a * b for b in v] for a in u]
+    assert assert_oracles_agree(rank_one) == TPoly.zero(QQ)
+    rank_two = [[a * b + b * b for b in v] for a in u]
+    assert assert_oracles_agree(rank_two) == TPoly.zero(QQ)
+
+
+def test_bareiss_division_keeps_no_remainder():
+    assert rings._exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert rings._exact_quotient([], [3, 1]) == []
+    assert rings._exact_quotient([6, -9], [3]) == [2, -3]
+    for a, b in (([1, 0, 1], [1, 1]), ([1, 2], [2]), ([4], [2, 1]), ([2, 3, 1], [1, 2])):
+        with pytest.raises(ArithmeticError):
+            rings._exact_quotient(a, b)
 
 
 # ---------------------------------------------------------------------------

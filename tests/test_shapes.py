@@ -15,7 +15,6 @@ from schurzeta.shapes import (
     bit_tableau_stats,
     brute_force_count_oyt,
     build_bit_tableau,
-    corners,
     count_oyt,
     iter_filling_rows,
     layer_table,
@@ -69,11 +68,12 @@ def test_partitions_of_counts():
     assert [sum(1 for _ in partitions_of(n)) for n in range(7)] == [1, 1, 2, 3, 5, 7, 11]
 
 
-def test_corners_examples():
-    assert corners(Partition((3, 2, 2, 1))) == {(1, 3), (3, 2), (4, 1)}
-    assert corners(Partition((1,))) == {(1, 1)}
-    assert corners(Partition((2, 2))) == {(2, 2)}
-    assert corners(Partition(())) == set()
+def test_partition_rejects_non_integer_parts():
+    # A float or a bool part is refused, not truncated or read as 1.
+    for parts in ((2.7, 1), (2, True), ("2",), (2.0,)):
+        with pytest.raises(ValueError):
+            Partition(parts)
+    assert Partition([3, 1]).parts == (3, 1)
 
 
 # ---------------------------------------------------------------------------

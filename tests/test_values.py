@@ -279,6 +279,21 @@ def test_diagonal_weights_window():
     ).rows == ((8, 9), (7,))
 
 
+def test_diagonal_weights_rejects_non_offset_keys():
+    # A float, a bool or a non-canonical string is refused, not truncated
+    # or parsed.
+    for key in (1.7, True, "01", "+1", " 1", "1.0", "x", None):
+        with pytest.raises(ValueError):
+            DiagonalWeights({key: 2})
+    assert DiagonalWeights({-1: 2, "0": 3}).to_json() == {"-1": 2, "0": 3}
+
+
+def test_diagonal_weights_rejects_repeated_offsets():
+    for labels in ({"1": 3, 1: 5}, {"-2": 1, -2: 1}):
+        with pytest.raises(ValueError):
+            DiagonalWeights(labels)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 
