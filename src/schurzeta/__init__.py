@@ -9,11 +9,9 @@ from .rings import (
     QSeries,
     QSeriesRing,
     QsymRing,
-    RationalRing,
     Ring,
     TPoly,
     format_rational,
-    parse_rational,
     q_integer,
     ring_determinant,
 )

@@ -31,7 +31,7 @@ from .errors import DomainError
 from .shapes import Partition, Tableau, count_oyt
 from .values import (
     DiagonalWeights,
-    _is_offset,
+    _is_int,
     coefficient_map_for,
     diagonal_tableau,
     schur_value,
@@ -64,11 +64,6 @@ def _json_flag(value: Any) -> Any:
     return _load_json(value) if isinstance(value, str) else value
 
 
-def _is_int(x: Any) -> bool:
-    """A JSON integer: JSON true is not the integer 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_int_list(value: Any, what: str) -> list[int]:
     obj = _json_flag(value)
     if not isinstance(obj, list) or not all(map(_is_int, obj)):
@@ -90,11 +85,9 @@ def _parse_diagonal(value: Any) -> DiagonalWeights:
     if not isinstance(obj, dict):
         raise ValueError(f"diagonal must be a JSON object of offset: label, got {value!r}")
     for key, label in obj.items():
-        if not _is_offset(key):
-            raise ValueError(f"diagonal offset {key!r} is not a decimal integer such as \"-1\"")
         if not _is_int(label):
             raise ValueError(f"diagonal label {label!r} at offset {key} is not a JSON integer")
-    return DiagonalWeights({int(key): label for key, label in obj.items()})
+    return DiagonalWeights(obj)
 
 
 # Every flag: its kind (int, str, or the parser of a JSON value) and help.

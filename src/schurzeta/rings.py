@@ -14,11 +14,11 @@ to use from concurrent code without locking.  Concrete representations:
   countably many variables x_1, x_2, ...: a dict from sorted keys of
   (variable, exponent) pairs to nonzero ``int`` coefficients
 
-A ``Ring`` object bundles the constants and element operations of a
-commutative ring so that generic algorithms (polynomial arithmetic,
-division-free determinants) can run over any of them.  Elements themselves
-are plain Python values supporting ``+``, ``-``, ``*`` and ``==``, and are
-zero exactly when false.
+A ``Ring`` is one record: a name, a zero and a one, which is all that
+generic algorithms (polynomial arithmetic, division-free determinants) need
+to run over any of these rings.  Rings compare and hash by name.  Elements
+themselves are plain Python values supporting ``+``, ``-``, ``*`` and
+``==``, multiply by an ``int``, and are zero exactly when false.
 
 Rationals are mostly not summed as ``Fraction``s: rational values are
 expanded over integer numerators, in a private ring of plain ``int``s, and
@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -63,81 +62,21 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or ``"num"`` into an exact rational."""
-    return Fraction(str(text))
-
-
+@dataclass(frozen=True)
 class Ring:
-    """Commutative ring contract: a name and constants; elements combine
-    with the Python operators `+`, `-`, `*` and `==`."""
+    """A commutative ring: its name, which alone decides equality and the
+    hash, and its shared constants zero and one."""
 
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> Element:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Element:
-        raise NotImplementedError
-
-    def from_int(self, n: int) -> Element:
-        raise NotImplementedError
+    name: str
+    zero: Element = field(compare=False)
+    one: Element = field(compare=False)
 
 
-# Fractions are immutable, so the rational constants are shared.
-_FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
+QQ = Ring("rational", Fraction(0), Fraction(1))
 
-
-@dataclass(frozen=True)
-class RationalRing(Ring):
-    """The field of exact rationals, elements are fractions.Fraction."""
-
-    @property
-    def name(self) -> str:
-        return "rational"
-
-    @property
-    def zero(self) -> Fraction:
-        return _FRACTION_ZERO
-
-    @property
-    def one(self) -> Fraction:
-        return _FRACTION_ONE
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-
-QQ = RationalRing()
-
-
-@dataclass(frozen=True)
-class _IntegerRing(Ring):
-    """Plain ``int`` elements: rational values and determinants are expanded
-    over it and divided once at the end."""
-
-    @property
-    def name(self) -> str:
-        return "integer"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def from_int(self, n: int) -> int:
-        return n
-
-
-_ZZ = _IntegerRing()
+# Plain ``int`` elements: rational values and determinants are expanded over
+# it and divided once at the end.
+_ZZ = Ring("integer", 0, 1)
 
 
 def _stored(coeffs: Iterable) -> tuple:
@@ -288,27 +227,9 @@ def q_integer(m: int, order: int) -> QSeries:
     return QSeries(order, [1] * min(m, order))
 
 
-@dataclass(frozen=True)
-class QSeriesRing(Ring):
+def QSeriesRing(order: int = 16) -> Ring:
     """Truncated rational power series in q at a fixed order."""
-
-    order: int = 16
-
-    @property
-    def name(self) -> str:
-        return f"qseries:{self.order}"
-
-    # Series are immutable, so each ring builds its constants once.
-    @cached_property
-    def zero(self) -> QSeries:
-        return QSeries(self.order)
-
-    @cached_property
-    def one(self) -> QSeries:
-        return QSeries.constant(self.order, 1)
-
-    def from_int(self, n: int) -> QSeries:
-        return QSeries.constant(self.order, n)
+    return Ring(f"qseries:{order}", QSeries(order), QSeries.constant(order, 1))
 
 
 class MonomialPolynomial:
@@ -446,25 +367,9 @@ class MonomialPolynomial:
         return "MonomialPolynomial(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class QsymRing(Ring):
+def QsymRing() -> Ring:
     """Integer combinations of monomials in x_1, x_2, ..."""
-
-    @property
-    def name(self) -> str:
-        return "qsym"
-
-    # Polynomials are immutable, so each ring builds its constants once.
-    @cached_property
-    def zero(self) -> MonomialPolynomial:
-        return MonomialPolynomial()
-
-    @cached_property
-    def one(self) -> MonomialPolynomial:
-        return MonomialPolynomial.constant(1)
-
-    def from_int(self, n: int) -> MonomialPolynomial:
-        return MonomialPolynomial.constant(n)
+    return Ring("qsym", MonomialPolynomial(), MonomialPolynomial.constant(1))
 
 
 class TPoly:
@@ -493,11 +398,6 @@ class TPoly:
     @classmethod
     def constant(cls, ring: Ring, value: Element) -> "TPoly":
         return cls(ring, (value,))
-
-    @classmethod
-    def variable(cls, ring: Ring) -> "TPoly":
-        """The polynomial t."""
-        return cls(ring, (ring.zero, ring.one))
 
     @classmethod
     def monomial(cls, ring: Ring, coeff: Element, degree: int) -> "TPoly":
@@ -541,12 +441,12 @@ class TPoly:
         return self.__add__(-other)
 
     def __mul__(self, other):
-        ring = self.ring
         if isinstance(other, int):
-            return self.scale(ring.from_int(other))
+            return self.scale(other)
         if not isinstance(other, TPoly):
             return NotImplemented
         self._check(other)
+        ring = self.ring
         if not self.coeffs or not other.coeffs:
             return TPoly(ring)
         out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -623,26 +523,9 @@ class TPoly:
         return "TPoly(" + " + ".join(terms) + ")"
 
 
-@dataclass(frozen=True)
-class PolyRing(Ring):
+def PolyRing(base: Ring) -> Ring:
     """Polynomials in t over a base ring, itself a commutative ring."""
-
-    base: Ring
-
-    @property
-    def name(self) -> str:
-        return f"poly[{self.base.name}]"
-
-    @property
-    def zero(self) -> TPoly:
-        return TPoly.zero(self.base)
-
-    @property
-    def one(self) -> TPoly:
-        return TPoly.one(self.base)
-
-    def from_int(self, n: int) -> TPoly:
-        return TPoly.constant(self.base, self.base.from_int(n))
+    return Ring(f"poly[{base.name}]", TPoly.zero(base), TPoly.one(base))
 
 
 def element_to_json(x: Element):

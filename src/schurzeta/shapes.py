@@ -6,7 +6,7 @@ increase weakly along rows and columns and strictly along diagonal steps
 (i, j) -> (i+1, j+1); their vertical/horizontal equality counts drive the
 t-interpolation weights downstream.  They are counted and summed through
 the layer table (one value at a time); the filling-by-filling enumeration
-stays as an independent oracle.
+is the tests' independent oracle, in ``tests/filling_enumeration.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -56,15 +55,6 @@ class Partition:
 
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.height and 1 <= j <= self.parts[i - 1]
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All diagram cells in row-major order."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
-    def row_length(self, i: int) -> int:
-        return self.parts[i - 1] if 1 <= i <= self.height else 0
 
     def __iter__(self):
         return iter(self.parts)
@@ -120,9 +110,6 @@ class Tableau:
         rs = [tuple(r) for r in rows]
         return cls(Partition(len(r) for r in rs), rs)
 
-    def entry(self, i: int, j: int) -> Any:
-        return self.rows[i - 1][j - 1]
-
     def conjugate(self) -> "Tableau":
         """Transpose: entry (i, j) of the result is entry (j, i) of self."""
         conj = self.shape.conjugate()
@@ -134,65 +121,8 @@ class Tableau:
             ),
         )
 
-    def cells(self) -> Iterator[tuple[int, int, Any]]:
-        for i, row in enumerate(self.rows, start=1):
-            for j, value in enumerate(row, start=1):
-                yield (i, j, value)
-
     def to_json(self) -> dict:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
-
-
-def _equality_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    v = h = 0
-    for i, row in enumerate(rows):
-        below = rows[i + 1] if i + 1 < len(rows) else ()
-        for j, value in enumerate(row):
-            if j < len(below) and value == below[j]:
-                v += 1
-            if j + 1 < len(row) and value == row[j + 1]:
-                h += 1
-    return v, h
-
-
-def iter_filling_rows(shape: Partition, N: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
-    """Yield (rows, v_count, h_count) for every ordered filling with entries
-    in 1..N-1, in lexicographic order of the row-major entry sequence.
-
-    Backtracking fills cells row-major; the lower bound at each cell comes
-    from the left and upper neighbors, with a strict bound from the
-    upper-left diagonal neighbor, so no candidate is ever filtered late.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    cells = list(shape.cells())
-    if not cells:
-        yield ((), 0, 0)
-        return
-    if N == 1:
-        return
-    rows: list[list[int]] = [[0] * p for p in shape.parts]
-
-    def rec(idx: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
-        if idx == len(cells):
-            frozen = tuple(tuple(r) for r in rows)
-            v, h = _equality_counts(frozen)
-            yield (frozen, v, h)
-            return
-        i, j = cells[idx]
-        low = 1
-        if j > 1:
-            low = max(low, rows[i - 1][j - 2])
-        if i > 1:
-            low = max(low, rows[i - 2][j - 1])
-            if j > 1:
-                low = max(low, rows[i - 2][j - 2] + 1)
-        for value in range(low, N):
-            rows[i - 1][j - 1] = value
-            yield from rec(idx + 1)
-        rows[i - 1][j - 1] = 0
-
-    yield from rec(0)
 
 
 def count_oyt(shape: Partition, N: int) -> int:
@@ -209,32 +139,6 @@ def count_oyt(shape: Partition, N: int) -> int:
             new[target] += counts[source]
         counts = new
     return counts[-1]
-
-
-def brute_force_count_oyt(shape: Partition, N: int) -> int:
-    """Independent count: filter all unconstrained fillings.
-
-    Exponential in the cell count; only used as an oracle on small shapes.
-    """
-    cells = list(shape.cells())
-    if not cells:
-        return 1
-    total = 0
-    for values in product(range(1, N), repeat=len(cells)):
-        entries = dict(zip(cells, values))
-        ok = True
-        for (i, j), m in entries.items():
-            if (i + 1, j) in entries and m > entries[(i + 1, j)]:
-                ok = False
-                break
-            if (i, j + 1) in entries and m > entries[(i, j + 1)]:
-                ok = False
-                break
-            if (i + 1, j + 1) in entries and m >= entries[(i + 1, j + 1)]:
-                ok = False
-                break
-        total += ok
-    return total
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ as they complete.
 import json
 from pathlib import Path
 
-from schurzeta.shapes import Partition, brute_force_count_oyt, count_oyt, partitions_up_to
+from schurzeta.shapes import Partition, count_oyt, partitions_up_to
 from schurzeta.sweeps import (
     run_conjugation_sweep,
     run_jt_sweep,
@@ -19,6 +19,8 @@ from schurzeta.sweeps import (
     run_palindrome_sweep,
     run_path_linear_sweep,
 )
+
+from filling_enumeration import brute_force_count_oyt
 
 GOLDEN = Path(__file__).parent / "golden" / "oyt_counts.json"
 

@@ -20,7 +20,6 @@ from schurzeta.rings import (
     QsymRing,
     TPoly,
     format_rational,
-    parse_rational,
     q_integer,
     ring_determinant,
 )
@@ -74,8 +73,6 @@ def test_rational_serialization_round_trip():
     assert format_rational(Fraction(1, 4)) == "1/4"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert format_rational(Fraction(3)) == "3"
-    assert parse_rational("17/16") == Fraction(17, 16)
-    assert parse_rational("-5") == Fraction(-5)
 
 
 def test_rational_ring_is_normalized():
@@ -100,7 +97,37 @@ def test_rational_constants_are_shared():
 @pytest.mark.parametrize("ring", [QSeriesRing(8), QsymRing()], ids=["qseries8", "qsym"])
 def test_series_and_qsym_constants_are_shared(ring):
     assert ring.zero is ring.zero and ring.one is ring.one
-    assert not ring.zero and ring.one == ring.from_int(1)
+    assert not ring.zero and ring.one and ring.one * ring.one == ring.one
+
+
+@pytest.mark.parametrize(
+    "ring,sample",
+    [
+        (QQ, random_fraction),
+        (rings._ZZ, lambda rng: rng.randint(-9, 9)),
+        (QSeriesRing(8), random_qseries),
+        (QsymRing(), random_monomial_poly),
+        (PolyRing(QQ), random_tpoly),
+    ],
+    ids=["rational", "integer", "qseries8", "qsym", "poly"],
+)
+def test_tpoly_times_int_over_every_ring(ring, sample):
+    rng = random.Random(7)
+    for _ in range(10):
+        p = TPoly(ring, [sample(rng) for _ in range(3)])
+        assert p * 3 == p + p + p == 3 * p
+        assert p * -1 == -p
+        assert p * 0 == TPoly.zero(ring) and not p * 0
+
+
+def test_rings_compare_and_hash_by_name():
+    assert QSeriesRing(8) == QSeriesRing(8) and QSeriesRing(8) != QSeriesRing(9)
+    assert hash(PolyRing(QQ)) == hash(PolyRing(QQ))
+    assert PolyRing(QQ) != PolyRing(rings._ZZ)
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        TPoly.one(QSeriesRing(8)) + TPoly.one(QSeriesRing(9))
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        TPoly.one(QQ) + TPoly.one(rings._ZZ)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ from schurzeta.shapes import (
     Tableau,
     admissible_baselines,
     bit_tableau_stats,
-    brute_force_count_oyt,
     build_bit_tableau,
     count_oyt,
-    iter_filling_rows,
     layer_table,
     partitions_of,
     partitions_up_to,
 )
+
+from filling_enumeration import brute_force_count_oyt, iter_filling_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "oyt_counts.json"
 
