@@ -15,7 +15,8 @@ input (including a config file with an unknown key or a value of the wrong
 type, a weight label that is not a JSON integer, a diagonal offset that is
 not a canonical decimal integer or is repeated, a single-instance flag
 without --shape, and a sweep that would check no instance), 3 domain error
-(an integer weight outside the chosen ring's map).
+(an integer weight outside the chosen ring's map), 4 internal error (any
+other exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -40,8 +40,9 @@ where it entered.
   h or below (h-1 or below for the white exit).
 * Sign: read off the permutation of sinks in the final state.
 
-The checks stay independent of the sweep: the determinant side multiplies
-pairwise path sums (``path_weight_sum``, ``ring_determinant``), and
+The checks stay independent of the sweep: the determinant side is one
+forward path sum per source row (``path_matrix``, which gives a whole row
+of pairwise path sums at once, then ``ring_determinant``), and
 ``values.schur_value`` runs the row-layer table.  Enumerating the systems
 one by one remains the test oracle.
 
@@ -59,7 +60,7 @@ from typing import NamedTuple, Sequence
 
 from .rings import Element, TPoly, ring_determinant, PolyRing
 from .shapes import BitStats, BitTableau, Partition, bit_tableau_stats, build_bit_tableau
-from .values import CoefficientMap, DiagonalWeights, _evaluate
+from .values import CoefficientMap, DiagonalWeights, _evaluate, _evaluate_each
 
 
 class Vertex(NamedTuple):
@@ -80,64 +81,78 @@ def black(x: int, y: int) -> Vertex:
     return Vertex(x, y, True)
 
 
-def _successors(
-    v: Vertex, cmap: CoefficientMap, weights: DiagonalWeights, x_max: int
-) -> tuple[tuple[Vertex, Element, int], ...]:
-    """Outgoing edges staying in columns <= x_max.
-
-    The column bound is applied before the weight lookup so the diagonal
-    window only ever needs the columns a path can actually leave from.
-    """
-    if v.y < 1:
-        return ()
-    out: list[tuple[Vertex, Element, int]] = []
-    if not v.black:
-        out.append((Vertex(v.x, v.y - 1, False), cmap.ring.one, 0))
-    if v.x + 1 <= x_max:
-        f = cmap(weights[v.x], v.y)
-        out.append((Vertex(v.x + 1, v.y - 1, False), f, 0))
-        out.append((Vertex(v.x + 1, v.y, True), f, 1))
-    return tuple(out)
-
-
 def path_weight_sum(
     A: Vertex, B: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> TPoly:
-    """Sum of weights of all paths A -> B (dynamic programming).
+    """Sum of weights of all paths A -> B: the one-entry ``path_matrix``.
 
     Unreachable targets give the zero polynomial, not an error.
     """
-    labels = _crossed_labels((A,), (B,), weights)
-    return _evaluate(cmap, A.y, labels, lambda c: _path_weight_sum(A, B, c, weights))
+    return path_matrix((A,), (B,), cmap, weights)[0][0]
 
 
-def _path_weight_sum(
-    A: Vertex, B: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
-) -> TPoly:
+def _path_row(
+    A: Vertex, sinks: Sequence[Vertex], cmap: CoefficientMap, weights: DiagonalWeights
+) -> list[TPoly]:
+    """The path sums A -> B for every sink B, from one forward dynamic
+    program over the columns A.x .. (rightmost sink).
+
+    Column x is swept from the top down: white(x, y) sums its entries from
+    column x - 1 and white(x, y + 1) above it, and black(x, y) its entries
+    from column x - 1.  An exit from height y to column x + 1 looks up
+    f(a_x, y) only when some sink lies right of column x at height y or
+    below, so the window needs only the columns a path to a sink leaves
+    from.  Path sums are t-coefficient lists, None where no path reaches.
+    """
     ring = cmap.ring
-    one = TPoly.one(ring)
-    zero = TPoly.zero(ring)
-    memo: dict[Vertex, TPoly] = {}
+    zero = ring.zero
+    targets = [B for B in sinks if B.x >= A.x and B.y <= A.y]
+    found: dict[Vertex, list] = {}
+    if targets:
+        last = max(B.x for B in targets)
+        # lowest[x - A.x]: the lowest target in column x or right of it.
+        lowest = [min(B.y for B in targets if B.x >= x) for x in range(A.x, last + 1)]
+        heights: dict[int, set[int]] = {}  # column -> heights of its targets
+        for B in targets:
+            heights.setdefault(B.x, set()).add(B.y)
+        length = last - A.x + 1  # a path exits at most last - A.x columns
+        start = [ring.one] + [zero] * (length - 1)
+        whites: dict[int, list] = {} if A.black else {A.y: start}
+        blacks: dict[int, list] = {A.y: start} if A.black else {}
+        for x in range(A.x, last + 1):
+            floor = lowest[x + 1 - A.x] if x < last else None
+            next_whites: dict[int, list] = {}
+            next_blacks: dict[int, list] = {}
+            ends = heights.get(x, ())
+            above = None  # the sum at white(x, y + 1)
+            for y in range(A.y, lowest[x - A.x] - 1, -1):
+                w = _sum_lists(whites.get(y), above)
+                b = blacks.get(y)
+                if y in ends:
+                    found[Vertex(x, y, False)] = w
+                    found[Vertex(x, y, True)] = b
+                above = w if y >= 1 else None
+                if floor is None or y < max(floor, 1):
+                    continue
+                here = _sum_lists(w, b)
+                if here is None:
+                    continue
+                f = cmap(weights[x], y)
+                out = [c * f for c in here]
+                if y > floor:
+                    next_whites[y - 1] = _sum_lists(next_whites.get(y - 1), out)
+                next_blacks[y] = [zero, *out[:-1]]  # times t
+            whites, blacks = next_whites, next_blacks
+    return [TPoly(ring, found.get(B) or ()) for B in sinks]
 
-    def total(v: Vertex) -> TPoly:
-        if v == B:
-            return one
-        if v.x > B.x or v.y < B.y:
-            return zero
-        cached = memo.get(v)
-        if cached is not None:
-            return cached
-        acc = zero
-        for head, coeff, tdeg in _successors(v, cmap, weights, B.x):
-            if head.y < B.y:
-                continue
-            sub = total(head)
-            if sub:
-                acc = acc + sub.scale(coeff).shifted(tdeg)
-        memo[v] = acc
-        return acc
 
-    return total(A)
+def _sum_lists(a: list | None, b: list | None) -> list | None:
+    """a + b for equally long coefficient lists, None standing for no path."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return [x + y for x, y in zip(a, b)]
 
 
 def _crossed_labels(
@@ -313,8 +328,17 @@ def path_matrix(
     cmap: CoefficientMap,
     weights: DiagonalWeights,
 ) -> list[list[TPoly]]:
-    """The matrix of pairwise path-weight sums w(sources[i], sinks[j])."""
-    return [[path_weight_sum(a, b, cmap, weights) for b in sinks] for a in sources]
+    """The matrix of pairwise path-weight sums w(sources[i], sinks[j]), one
+    forward path sum per source row; over the rational map each entry is
+    divided by its own L^K."""
+    rows = []
+    for a in sources:
+        parts = [_crossed_labels((a,), (b,), weights) for b in sinks]
+        labels = [k for part in parts for k in part]
+        rows.append(
+            _evaluate_each(cmap, a.y, labels, parts, lambda c: _path_row(a, sinks, c, weights))
+        )
+    return rows
 
 
 def lgv_determinant(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from operator import mul
+from operator import getitem, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
@@ -110,6 +110,9 @@ def _scaled_powers(L: int) -> Callable[[Any, int], int]:
     return fn
 
 
+_LCMS: dict[int, int] = {}  # top -> lcm(1..top), the scale of an integer form
+
+
 def _integer_form(
     cmap: CoefficientMap, top: int, labels: Sequence[Any]
 ) -> tuple[CoefficientMap, int] | None:
@@ -121,7 +124,9 @@ def _integer_form(
     """
     if cmap.integer_form is None or not all(_is_int(k) for k in labels):
         return None
-    L = math.lcm(*range(1, top + 1))  # 1 when top < 1
+    L = _LCMS.get(top)
+    if L is None:
+        L = _LCMS[top] = math.lcm(*range(1, top + 1))  # 1 when top < 1
     return cmap.integer_form(L), L
 
 
@@ -137,11 +142,27 @@ def _evaluate(
     """body(cmap) for a value whose every term multiplies f(k, m) once per
     label, with entries m in 1..top: run over cmap's integer form when it has
     one, then divided once by L^K."""
+    return _evaluate_each(cmap, top, labels, [labels], lambda c: [body(c)])[0]
+
+
+def _evaluate_each(
+    cmap: CoefficientMap,
+    top: int,
+    labels: Sequence[Any],
+    parts: Sequence[Sequence[Any]],
+    body: Callable[[CoefficientMap], list[TPoly]],
+) -> list[TPoly]:
+    """body(cmap) for a list of values, the i-th multiplying the labels
+    parts[i], all of them among ``labels``: as ``_evaluate``, with one body
+    run and each value divided by its own L^K."""
     form = _integer_form(cmap, top, labels)
     if form is None:
         return body(cmap)
     imap, L = form
-    return _divide_integer_poly(body(imap), L ** _positive_sum(labels))
+    return [
+        _divide_integer_poly(value, L ** _positive_sum(part))
+        for value, part in zip(body(imap), parts)
+    ]
 
 
 def q_analogue_map(order: int = 16) -> CoefficientMap:
@@ -372,7 +393,8 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     t^(number of adjacent equalities) times the product of f(k_i, m_i).
 
     The first key attaches to the smallest chain entry; this matches the
-    single-column Schur value with the first key in the top cell.
+    single-column Schur value with the first key in the top cell.  The
+    chains are enumerated one by one over a per-call table of f(k_i, m).
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -385,13 +407,14 @@ def _linear_value(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
     r = len(keys)
     if r == 0:
         return TPoly.one(ring)
+    # table[i][m] = f(keys[i], m): every pair a chain below N meets, looked
+    # up once (index 0 unused).
+    table = [[None, *(cmap(k, m) for m in range(1, N))] for k in keys]
     acc = [ring.zero] * r
     for chain in combinations_with_replacement(range(1, N), r):
-        e = sum(1 for idx in range(r - 1) if chain[idx] == chain[idx + 1])
-        prod = ring.one
-        for k, m in zip(keys, chain):
-            prod = prod * cmap(k, m)
-        acc[e] = acc[e] + prod
+        # a weakly increasing chain has r - (distinct entries) equalities
+        e = r - len(set(chain))
+        acc[e] = acc[e] + reduce(mul, map(getitem, table, chain))
     return TPoly(ring, acc)
 
 
@@ -410,14 +433,10 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    form = _integer_form(cmap, N - 1, keys)
-    if form is None:
-        return _linear_value_prefixes(keys, N, cmap)
-    imap, L = form
-    return [
-        _divide_integer_poly(value, L ** _positive_sum(keys[:p]))
-        for p, value in enumerate(_linear_value_prefixes(keys, N, imap))
-    ]
+    prefixes = [keys[:p] for p in range(len(keys) + 1)]
+    return _evaluate_each(
+        cmap, N - 1, keys, prefixes, lambda c: _linear_value_prefixes(keys, N, c)
+    )
 
 
 def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
@@ -454,7 +473,8 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
         value(keys, n) = sum over g, m of
             t^g * f(keys[-1], m) * ... * f(keys[-1-g], m) * value(keys[:-g-1], m)
 
-    memoized on (prefix length, m).
+    memoized on (prefix length, m) as coefficient lists, over a per-call
+    table of f(k_i, m).
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -464,42 +484,60 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
 
 def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
-    one = TPoly.one(ring)
-    zero = TPoly.zero(ring)
-    memo: dict[tuple[int, int], TPoly] = {}
+    zero = ring.zero
+    # table[i][m] = f(keys[i], m), looked up once (index 0 unused).
+    table = [[None, *(cmap(k, m) for m in range(1, N))] for k in keys]
+    one = [ring.one]
+    # Coefficient lists by ascending power of t; a chain of p entries has
+    # at most p - 1 equalities, so p coefficients hold value(p, n).
+    memo: dict[tuple[int, int], list] = {}
 
-    def value(p: int, n: int) -> TPoly:
+    def value(p: int, n: int) -> list:
         if p == 0:
             return one
         if n <= 1:
-            return zero
-        cached = memo.get((p, n))
-        if cached is not None:
-            return cached
-        acc = zero
+            return []
+        acc = memo.get((p, n))
+        if acc is not None:
+            return acc
+        acc = [zero] * p
         for m in range(1, n):
-            block = ring.one
+            block = None
             for g in range(p):
-                block = block * cmap(keys[p - 1 - g], m)
-                sub = value(p - g - 1, m)
-                if sub:
-                    acc = acc + sub.scale(block).shifted(g)
+                f = table[p - 1 - g][m]
+                block = f if block is None else block * f
+                for i, c in enumerate(value(p - g - 1, m), g):
+                    acc[i] = acc[i] + c * block
         memo[(p, n)] = acc
         return acc
 
-    return value(len(keys), N)
+    return TPoly(ring, value(len(keys), N))
 
 
-def _strict_power_sum(exponents: Sequence[int], N: int, L: int) -> int:
+def _strict_power_sum(
+    exponents: Sequence[int], N: int, L: int, powers: dict[int, list[int]]
+) -> int:
     """L^(sum of the positive c_i) times the sum over strictly increasing
     chains 0 < m_1 < ... < m_s < N of the product m_i^(-c_i); an integer,
-    since every m below N divides L."""
+    since every m below N divides L.
+
+    powers[c][m] = (L // m)^c for c >= 0 and m^(-c) otherwise, the factor
+    of entry m under exponent c; rows are filled in on first use.
+    """
+    if len(exponents) >= N:
+        return 0  # no strict chain that long below N
+    rows = []
+    for c in exponents:
+        row = powers.get(c)
+        if row is None:
+            if c >= 0:
+                row = powers[c] = [None, *((L // m) ** c for m in range(1, N))]
+            else:
+                row = powers[c] = [None, *(m ** -c for m in range(1, N))]
+        rows.append(row)
     total = 0
-    for chain in combinations(range(1, N), len(exponents)):
-        term = 1
-        for c, m in zip(exponents, chain):
-            term *= (L // m) ** c if c >= 0 else m ** (-c)
-        total += term
+    for chain in combinations(range(1, N), len(rows)):
+        total += math.prod(map(getitem, rows, chain))
     return total
 
 
@@ -513,6 +551,7 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     L^K, L = lcm(1..N-1) and K the sum of the positive keys (merging never
     raises the sum of the positive parts), and divided out once; this
     arithmetic is the route's own, independent of the maps' integer form.
+    The strict sums read their factors from a per-call table of powers.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -522,6 +561,7 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
         return TPoly.one(QQ)
     L = math.lcm(*range(1, N))
     K = sum(k for k in keys if k > 0)
+    powers: dict[int, list[int]] = {}  # the strict sums' table, per call
     acc = [0] * r
     for mask in range(1 << (r - 1)):
         merged = [keys[0]]
@@ -531,5 +571,5 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
             else:
                 merged.append(keys[gap + 1])
         missing = K - sum(c for c in merged if c > 0)
-        acc[bin(mask).count("1")] += _strict_power_sum(merged, N, L) * L**missing
+        acc[bin(mask).count("1")] += _strict_power_sum(merged, N, L, powers) * L**missing
     return TPoly(QQ, [Fraction(a, L**K) for a in acc])

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schurzeta import cli, sweeps
+from schurzeta import cli, lattice, sweeps
+from schurzeta.rings import QQ, TPoly
 
 
 def run(argv, capsys):
@@ -216,6 +217,54 @@ def test_identity_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert payload["pass"] is False
     assert "FAIL" in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # A defect of the program, such as an exception no handler names, is
+    # neither a mismatch (1) nor bad input (2): one line on stderr, code 4.
+    def broken_checker(keys, N, cmap):
+        raise RuntimeError("checker broke")
+
+    monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
+    code, out, err = run(["linear-verify", "--max-r", "1", "--N", "2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: checker broke\n"
+    assert "Traceback" not in err
+
+
+def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
+    # The faster routes are compared, not bypassed: one wrong recursion
+    # value fails its instance, the sweep and the command.
+    original = sweeps.linear_value_by_recursion
+
+    def perturbed(keys, N, cmap):
+        value = original(keys, N, cmap)
+        return value + TPoly.one(QQ) if (tuple(keys), N) == ((2, 1), 3) else value
+
+    monkeypatch.setattr(sweeps, "linear_value_by_recursion", perturbed)
+    report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
+    assert report["pass"] is False
+    assert [(f["keys"], f["N"]) for f in report["failures"]] == [([2, 1], 3)]
+    code, payload, _ = run_json(["linear-verify", "--max-r", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_lgv_sweep_catches_a_perturbed_path_matrix(capsys, monkeypatch):
+    original = lattice.path_matrix
+
+    def perturbed(sources, sinks, cmap, weights):
+        matrix = original(sources, sinks, cmap, weights)
+        matrix[0][0] = matrix[0][0] + TPoly.one(cmap.ring)
+        return matrix
+
+    monkeypatch.setattr(lattice, "path_matrix", perturbed)
+    report = sweeps.run_lgv_sweep(max_cells=2, max_n=2)
+    assert report["pass"] is False
+    # The one-cell shape's 1 x 1 matrix moves its determinant by one.
+    assert any(f["shape"] == [1] for f in report["failures"])
+    code, payload, _ = run_json(["lgv-verify", "--max-cells", "2", "--N", "2"], capsys)
+    assert code == 1 and payload["pass"] is False
 
 
 def test_byte_identical_reruns(capsys):

@@ -31,6 +31,7 @@ from schurzeta.values import (
     linear_value_by_recursion,
     linear_value_prefixes,
     merge_expansion,
+    q_analogue_map,
     rational_map,
     required_offsets,
     schur_value,
@@ -171,6 +172,30 @@ def test_labels_outside_the_map_still_raise_where_used():
     # A column outside the window fails on its own lookup, as before.
     with pytest.raises(ValueError):
         path_weight_sum(white(0, 2), white(2, 0), RAT, DiagonalWeights({0: 1}))
+
+
+ROUTES_WITH_LABEL = {
+    "linear_value": lambda label, N, cmap: linear_value([2, label], N, cmap),
+    "linear_value_by_recursion":
+        lambda label, N, cmap: linear_value_by_recursion([label, 2], N, cmap),
+    # N - 1 is the source height, so N = 1 leaves no edge to take.
+    "path_matrix": lambda label, N, cmap: lattice.path_matrix(
+        [white(0, N - 1), white(1, N - 1)], [white(1, 0), black(2, 0)], cmap,
+        DiagonalWeights({0: 2, 1: label})),
+}
+
+
+@pytest.mark.parametrize("cmap", [RAT, q_analogue_map(8)], ids=["rational", "qseries8"])
+@pytest.mark.parametrize("label", [True, "x"])
+@pytest.mark.parametrize("route", list(ROUTES_WITH_LABEL))
+def test_rewritten_routes_raise_on_labels_they_meet(route, label, cmap):
+    call = ROUTES_WITH_LABEL[route]
+    with pytest.raises(DomainError):
+        call(label, 3, cmap)
+    # No entry below N = 1: the label is never met.
+    result = call(label, 1, cmap)
+    for value in result[0] if route == "path_matrix" else [result]:
+        assert value == TPoly.zero(cmap.ring)
 
 
 EVALUATORS = [

@@ -15,6 +15,7 @@ from schurzeta.lattice import (
     layer_endpoints,
     lgv_determinant,
     lgv_signed_sum,
+    path_matrix,
     path_weight_sum,
     schur_path_endpoints,
     schur_scenario_sum,
@@ -35,6 +36,7 @@ from path_enumeration import (
     edge_weight,
     enumerate_path_systems,
     enumerated_signed_sum,
+    iter_paths,
     path_from_edge_kinds,
 )
 
@@ -421,6 +423,54 @@ def test_sweep_matches_enumeration_on_hand_built_endpoints(name, spec):
     swept = lgv_signed_sum(sources, sinks, cmap, dw)
     assert swept == enumerated_signed_sum(sources, sinks, cmap, dw)
     assert bool(swept) == (name not in ZERO_CASES)
+
+
+def enumerated_path_sum(A, B, cmap, dw):
+    acc = TPoly.zero(cmap.ring)
+    for _, coeff, tdeg in iter_paths(A, B, cmap, dw, frozenset()):
+        acc = acc + TPoly.monomial(cmap.ring, coeff, tdeg)
+    return acc
+
+
+PATH_MATRIX_LAYOUT = (
+    [white(-2, 4), white(0, 3), black(1, 4), white(3, 2), white(4, 0)],
+    [white(0, 0), black(1, 1), white(2, 2), black(3, 0), white(4, 0), white(-1, 5),
+     white(0, 3), black(4, 2)],
+)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("name", ["layout", *HAND_BUILT])
+def test_path_matrix_matches_enumerated_paths(name, spec):
+    # Black sinks, sinks above height 0 and in several columns, sinks above
+    # a source (zero entries) and sources right of a sink.
+    cmap = coefficient_map_for(spec)
+    dw = random_window(random.Random(63), spec, range(-2, 5))
+    sources, sinks = PATH_MATRIX_LAYOUT if name == "layout" else HAND_BUILT[name]
+    matrix = path_matrix(sources, sinks, cmap, dw)
+    assert len(matrix) == len(sources)
+    for A, row in zip(sources, matrix):
+        assert len(row) == len(sinks)
+        for B, entry in zip(sinks, row):
+            assert entry == enumerated_path_sum(A, B, cmap, dw), (A, B)
+            assert entry == path_weight_sum(A, B, cmap, dw)
+    if name == "layout":
+        entries = [entry for row in matrix for entry in row]
+        assert sum(bool(e) for e in entries) > 10 and not all(entries)
+
+
+def test_path_matrix_reads_only_the_columns_a_path_leaves():
+    # Sinks up to column 2: column 2 is never left, and columns left of the
+    # source never entered.
+    sources, sinks = [white(0, 3), white(1, 2)], [white(1, 0), black(2, 1)]
+    needed = {0: 2, 1: -1}
+    expected = path_matrix(sources, sinks, RAT, DiagonalWeights(needed))
+    assert all(expected[0])
+    assert path_matrix(
+        sources, sinks, RAT, DiagonalWeights({-1: "x", **needed, 2: "x"})
+    ) == expected
+    with pytest.raises(ValueError):
+        path_matrix(sources, sinks, RAT, DiagonalWeights({0: 2}))
 
 
 @pytest.mark.parametrize("spec", RING_SPECS)

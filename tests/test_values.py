@@ -37,21 +37,26 @@ def poly(*coeffs):
     return TPoly(QQ, [Fraction(c) for c in coeffs])
 
 
-def chain_sum_oracle(keys, N):
-    """Direct restatement of the defining sum, kept free of library code."""
+def chain_sum_oracle(keys, N, cmap=None):
+    """Direct restatement of the defining sum, kept free of library code
+    but for the map's values f(k, m) when a map is given."""
     from itertools import combinations_with_replacement
 
+    ring = QQ if cmap is None else cmap.ring
     r = len(keys)
-    acc = [Fraction(0)] * max(r, 1)
+    acc = [ring.zero] * max(r, 1)
     if r == 0:
-        return poly(1)
+        return TPoly.one(ring)
     for chain in combinations_with_replacement(range(1, N), r):
         e = sum(1 for i in range(r - 1) if chain[i] == chain[i + 1])
-        term = Fraction(1)
+        term = ring.one
         for k, m in zip(keys, chain):
-            term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
-        acc[e] += term
-    return TPoly(QQ, acc)
+            if cmap is not None:
+                term = term * cmap(k, m)
+            else:
+                term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
+        acc[e] = acc[e] + term
+    return TPoly(ring, acc)
 
 
 def enumeration_oracle(tab, N, cmap):
@@ -186,6 +191,20 @@ def test_recursion_frozen_examples():
     assert linear_value_by_recursion((2, 2), 3, RAT) == poly("1/4", "17/16")
     keys = (3, 2, 2)
     assert linear_value_by_recursion(keys, 5, RAT) == linear_value(keys, 5, RAT)
+
+
+@pytest.mark.parametrize(
+    "cmap", [q_analogue_map(8), quasisymmetric_map()], ids=["qseries8", "qsym"]
+)
+def test_recursion_matches_chain_sums_over_other_rings(cmap):
+    rng = random.Random(14)
+    for r in range(6):
+        for N in range(1, 7):
+            for _ in range(2):
+                keys = tuple(rng.randint(1, 3) for _ in range(r))
+                expected = chain_sum_oracle(keys, N, cmap)
+                assert linear_value(keys, N, cmap) == expected, (keys, N)
+                assert linear_value_by_recursion(keys, N, cmap) == expected, (keys, N)
 
 
 def test_merge_expansion_frozen_example():
