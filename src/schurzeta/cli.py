@@ -9,14 +9,16 @@ checker on that one instance.  ``all-verify`` runs ``sweeps.run_all``, a
 loop over the registry.  Every flag is declared once, in ``FLAGS``, with
 its type and the parser of its JSON value.
 
-Structured JSON goes to stdout (or --output), a one-line human summary to
-stderr.  Exit codes: 0 all checks pass, 1 an identity mismatch, 2 malformed
-input (including a config file with an unknown key or a value of the wrong
-type, a weight label that is not a JSON integer, a diagonal offset that is
-not a canonical decimal integer or is repeated, a single-instance flag
-without --shape, and a sweep that would check no instance), 3 domain error
-(an integer weight outside the chosen ring's map), 4 internal error (any
-other exception, reported in one line on stderr).
+Structured JSON goes to stdout (or --output), then a human summary, one
+line per command or family, to stderr; a run that exits 2, 3 or 4 writes
+only its one error line there.  Exit codes: 0 all checks pass, 1 an
+identity mismatch, 2 malformed input (including a config file with an
+unknown key or a value of the wrong type, a weight label that is not a JSON
+integer, a diagonal offset that is not a canonical decimal integer or is
+repeated, a single-instance flag without --shape, and a sweep that would
+check no instance), 3 domain error (an integer weight outside the chosen
+ring's map), 4 internal error (any other exception, reported in one line on
+stderr).
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
 def _sweep_n(args) -> int:
     """--N of jt-verify, conjugation-verify and all-verify, refused up
     front below 2: no entry lies below N = 1, so nothing nonzero is checked
@@ -136,7 +134,7 @@ def _sweep_n(args) -> int:
     return args.N
 
 
-def cmd_compute(args) -> tuple[dict, bool]:
+def cmd_compute(args) -> tuple[dict, bool, list[str]]:
     if args.shape is None:
         raise ValueError("compute needs --shape")
     shape = args.shape
@@ -159,20 +157,20 @@ def cmd_compute(args) -> tuple[dict, bool]:
         "coefficients": value.to_json(),
         "degree": value.degree,
     }
-    _summary(f"compute: shape={list(shape.parts)} N={args.N} ring={args.ring} -> {value.to_json()}")
-    return payload, True
+    summary = f"compute: shape={list(shape.parts)} N={args.N} ring={args.ring} -> {value.to_json()}"
+    return payload, True, [summary]
 
 
-def cmd_oyt_count(args) -> tuple[dict, bool]:
+def cmd_oyt_count(args) -> tuple[dict, bool, list[str]]:
     if args.shape is None:
         raise ValueError("oyt-count needs --shape")
     shape = args.shape
     count = count_oyt(shape, args.N)
-    _summary(f"oyt-count: shape={list(shape.parts)} N={args.N} -> {count}")
-    return {"command": "oyt-count", "shape": list(shape.parts), "N": args.N, "count": count}, True
+    payload = {"command": "oyt-count", "shape": list(shape.parts), "N": args.N, "count": count}
+    return payload, True, [f"oyt-count: shape={list(shape.parts)} N={args.N} -> {count}"]
 
 
-def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool]:
+def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool, list[str]]:
     """One family's subcommand: its checker on the instance named by
     --shape or --keys, or else its sweep."""
     if family.needs_n2:
@@ -188,11 +186,11 @@ def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool]:
     payload["command"] = args.command
     if family.notes:
         payload["reading_notes"] = READING_NOTES
-    _summary(f"{args.command}: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))")
-    return payload, ok
+    summary = f"{args.command}: {'pass' if ok else 'FAIL'} ({payload.get('checked', 1)} instance(s))"
+    return payload, ok, [summary]
 
 
-def cmd_all_verify(args) -> tuple[dict, bool]:
+def cmd_all_verify(args) -> tuple[dict, bool, list[str]]:
     payload = sweeps.run_all(
         max_cells=args.max_cells,
         max_n=_sweep_n(args),
@@ -201,14 +199,16 @@ def cmd_all_verify(args) -> tuple[dict, bool]:
         ring_spec=args.ring,
     )
     payload["command"] = "all-verify"
-    ok = payload["pass"]
-    for name, info in sorted(payload["summary"].items()):
-        _summary(f"all-verify/{name}: {'pass' if info['pass'] else 'FAIL'} ({info['checked']} instance(s))")
-    return payload, ok
+    summary = [
+        f"all-verify/{name}: {'pass' if info['pass'] else 'FAIL'} ({info['checked']} instance(s))"
+        for name, info in sorted(payload["summary"].items())
+    ]
+    return payload, payload["pass"], summary
 
 
 class Command(NamedTuple):
-    run: Callable[[Any], tuple[dict, bool]]
+    # (payload, ok, the stderr summary lines, printed once the report is out)
+    run: Callable[[Any], tuple[dict, bool, list[str]]]
     help: str
     flags: dict[str, Any]  # flag -> default (None: unset); --output is implied
 
@@ -314,11 +314,13 @@ def main(argv=None) -> int:
         _apply_config_and_defaults(args, command.flags)
         _check_instance_flags(args)
         _parse_json_flags(args, command.flags)
-        payload, ok = command.run(args)
+        payload, ok, summary = command.run(args)
         empty = _unchecked_families(payload)
         if empty:
             raise ValueError(f"{args.command} checked no instance of {', '.join(empty)}")
         _emit(payload, args)
+        for line in summary:
+            print(line, file=sys.stderr)
         return 0 if ok else 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

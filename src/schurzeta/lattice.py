@@ -22,7 +22,7 @@ systems computed here equal determinants of pairwise path-weight matrices
 commands check.
 
 Signed sums are swept one column at a time, by a transfer matrix (Stanley,
-EC1 4.7; the layer table of ``shapes`` is the same idea).  Inside column x
+EC1 4.7; the layer walk of ``shapes`` is the same idea).  Inside column x
 a path is one black vertex, or a run of white vertices going down from
 where it entered.
 
@@ -43,8 +43,8 @@ where it entered.
 The checks stay independent of the sweep: the determinant side is one
 forward path sum per source row (``path_matrix``, which gives a whole row
 of pairwise path sums at once, then ``ring_determinant``), and
-``values.schur_value`` runs the row-layer table.  Enumerating the systems
-one by one remains the test oracle.
+``values.schur_value`` walks the row layers of sub-partitions.  Enumerating
+the systems one by one remains the test oracle.
 
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the

@@ -396,10 +396,6 @@ class TPoly:
         return cls(ring, (ring.one,))
 
     @classmethod
-    def constant(cls, ring: Ring, value: Element) -> "TPoly":
-        return cls(ring, (value,))
-
-    @classmethod
     def monomial(cls, ring: Ring, coeff: Element, degree: int) -> "TPoly":
         return cls(ring, [ring.zero] * degree + [coeff])
 
@@ -476,19 +472,6 @@ class TPoly:
         """Multiply every coefficient by a base-ring element."""
         return TPoly(self.ring, [c * value for c in self.coeffs])
 
-    def shifted(self, k: int) -> "TPoly":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        return TPoly(self.ring, (self.ring.zero,) * k + self.coeffs)
-
-    def evaluate(self, value: Element) -> Element:
-        """Evaluate at a base-ring element (Horner)."""
-        acc = self.ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def subs_one_minus_t(self) -> "TPoly":
         """The polynomial p(1-t); an involution."""
         coeffs = self.coeffs
@@ -562,7 +545,7 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
         scale = math.lcm(*(c.denominator for p in row for c in p.coeffs))
         denominator *= scale
         scaled.append([[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row])
-    return TPoly(QQ, [Fraction(c, denominator) for c in _bareiss(scaled)])
+    return _divide_integer_poly(TPoly(_ZZ, _bareiss(scaled)), denominator)
 
 
 def _divide_integer_poly(p: TPoly, denominator: int) -> TPoly:

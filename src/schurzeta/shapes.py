@@ -4,9 +4,10 @@ Cells are addressed 1-based as (row, column).  A partition's diagram
 contains (i, j) iff i <= height and j <= parts[i-1].  Ordered fillings
 increase weakly along rows and columns and strictly along diagonal steps
 (i, j) -> (i+1, j+1); their vertical/horizontal equality counts drive the
-t-interpolation weights downstream.  They are counted and summed through
-the layer table (one value at a time); the filling-by-filling enumeration
-is the tests' independent oracle, in ``tests/filling_enumeration.py``.
+t-interpolation weights downstream.  They are counted and summed one value
+at a time, over the layers out of each sub-partition a filling can reach
+(``_layers_from``); the filling-by-filling enumeration is the tests'
+independent oracle, in ``tests/filling_enumeration.py``.
 """
 
 from __future__ import annotations
@@ -127,18 +128,20 @@ class Tableau:
 
 def count_oyt(shape: Partition, N: int) -> int:
     """Number of ordered fillings with entries in 1..N-1: chains of N-1
-    layers through the layer table, every layer counting one."""
+    layers from the empty sub-partition, every layer counting one."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    table = layer_table(shape)
-    counts = [0] * len(table.states)
-    counts[0] = 1
-    for _ in range(1, N):
-        new = list(counts)  # the empty layer keeps every state
-        for source, target, _layer in table.steps:
-            new[target] += counts[source]
+    parts = shape.parts
+    counts = {(0,) * len(parts): 1}
+    for M in range(1, N):
+        remaining = N - 1 - M  # values left after M: deeper states are dead
+        new = {mu: c for mu, c in counts.items() if _depth(parts, mu) <= remaining}
+        for mu, c in counts.items():
+            for (nu, _, _), depth, _ in _layers_from(parts, mu):
+                if depth <= remaining:
+                    new[nu] = new.get(nu, 0) + c
         counts = new
-    return counts[-1]
+    return counts.get(parts, 0)
 
 
 @dataclass(frozen=True)
@@ -220,98 +223,54 @@ def admissible_baselines(shape: Partition) -> Iterator[tuple[int, ...]]:
     yield from rec(0, conj[0], ())
 
 
-class Layer(NamedTuple):
-    """The cells of an ordered filling that hold one value: a skew shape
-    with no two cells (i, j), (i+1, j+1).  v and h count its vertical and
-    horizontal pairs of cells."""
-
-    cells: tuple[tuple[int, int], ...]
-    v: int
-    h: int
-
-
-class LayerTable(NamedTuple):
-    """Transfer matrix of the ordered fillings of one shape.
-
-    In an ordered filling the cells holding entries <= M form a
-    sub-partition mu_M of the shape, and the cells equal to M form the
-    layer mu_M / mu_(M-1).  Conversely every chain of sub-partitions whose
-    steps are layers is exactly one filling, and its equality counts are
-    the sums of the layers' v and h.  This is the single-layer picture of
-    build_bit_tableau, one value at a time.
-
-    states are the sub-partitions padded with zeros to the shape's height,
-    by size: states[0] is empty and states[-1] is the shape.  steps holds
-    (source, target, layer) indices, one per nonempty layer; the empty
-    layer, which keeps a state, is left implicit.  depth[s] is the fewest
-    layers that complete the shape from state s: the most cells of
-    shape/state on one diagonal, which must all differ.
-    """
-
-    states: tuple[tuple[int, ...], ...]
-    depth: tuple[int, ...]
-    layers: tuple[Layer, ...]
-    steps: tuple[tuple[int, int, int], ...]
+# The transfer matrix of the ordered fillings.  In an ordered filling the
+# cells holding entries <= M form a sub-partition mu_M of the shape, and
+# the cells equal to M form the layer mu_M / mu_(M-1), with no two cells
+# (i, j), (i+1, j+1).  Conversely every chain of sub-partitions whose steps
+# are layers is exactly one filling, and its equality counts are the sums
+# of the layers' vertical and horizontal pairs: the single-layer picture of
+# build_bit_tableau, one value at a time.  A sub-partition is its parts
+# padded with zeros to the shape's height; its transitions are built when
+# a walk first reaches it, and kept.
 
 
-def layer_table(shape: Partition) -> LayerTable:
-    """The shape's layer table, built once per shape."""
-    return _layer_table(shape.parts)
+@lru_cache(maxsize=1 << 16)
+def _depth(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """The fewest layers that complete the shape from mu: the most cells of
+    shape/mu on one diagonal, which must all differ."""
+    diagonals = Counter(j - i for i, (m, p) in enumerate(zip(mu, parts)) for j in range(m, p))
+    return max(diagonals.values(), default=0)
 
 
-@lru_cache(maxsize=128)
-def _layer_table(parts: tuple[int, ...]) -> LayerTable:
+@lru_cache(maxsize=1 << 16)
+def _layers_from(parts: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
+    """Every nonempty layer nu/mu as ((nu, v, h), depth of nu, cells), with
+    v and h its vertical and horizontal pairs and its cells numbered 0, 1,
+    ... in row-major order over the shape.
+
+    Built row by row: a row below a nonempty layer row i may reach at most
+    one column past mu_i, or a cell of it would sit diagonally below one of
+    row i.  Row i's segment mu_i..x holds x - mu_i - 1 horizontal pairs, and
+    x - mu_(i-1) vertical ones with the segment above it."""
     height = len(parts)
-    # A baseline b is the column heights of a sub-partition; read it by rows.
-    states = sorted(
-        (tuple(sum(1 for x in b if x > i) for i in range(height))
-         for b in admissible_baselines(Partition(parts))),
-        key=sum,
-    )
-    index = {mu: s for s, mu in enumerate(states)}
+    starts = [sum(parts[:i]) for i in range(height)]  # the number of cell (i, 0)
+    layers = []
 
-    def depth(mu: tuple[int, ...]) -> int:
-        diagonals = Counter(j - i for i, (m, p) in enumerate(zip(mu, parts)) for j in range(m, p))
-        return max(diagonals.values(), default=0)
-
-    def layers_from(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """Every nu with nu/mu a layer, row by row: a row below a nonempty
-        layer row i may reach at most one column past mu_i, or a cell of
-        it would sit diagonally below one of row i."""
-
-        def rec(i: int, cap: int) -> Iterator[tuple[int, ...]]:
-            if i == height:
-                yield ()
-                return
-            for x in range(mu[i], min(cap, parts[i]) + 1):
-                for rest in rec(i + 1, x if x == mu[i] else min(x, mu[i] + 1)):
-                    yield (x,) + rest
-
-        return rec(0, parts[0] if parts else 0)
-
-    layers: list[Layer] = []
-    layer_ids: dict[tuple[tuple[int, int], ...], int] = {}
-    steps = []
-    for source, mu in enumerate(states):
-        for nu in layers_from(mu):
-            if nu == mu:
-                continue
-            cells = tuple(
-                (i + 1, j + 1) for i in range(height) for j in range(mu[i], nu[i])
+    def rec(i: int, cap: int, nu: tuple, v: int, h: int, cells: tuple) -> None:
+        if i == height:
+            if cells:
+                layers.append(((nu, v, h), _depth(parts, nu), cells))
+            return
+        m = mu[i]
+        for x in range(m, min(cap, parts[i]) + 1):
+            rec(
+                i + 1,
+                x if x == m else min(x, m + 1),
+                nu + (x,),
+                v + max(0, x - mu[i - 1]) if i else v,
+                h + max(0, x - m - 1),
+                cells + tuple(range(starts[i] + m, starts[i] + x)),
             )
-            layer = layer_ids.get(cells)
-            if layer is None:
-                # A vertical pair is a column of row i+1's segment that row
-                # i's segment covers too; a horizontal pair is two adjacent
-                # cells of one segment.
-                v = sum(max(0, nu[i + 1] - mu[i]) for i in range(height - 1))
-                h = sum(max(0, n - m - 1) for m, n in zip(mu, nu))
-                layer = layer_ids[cells] = len(layers)
-                layers.append(Layer(cells, v, h))
-            steps.append((source, index[nu], layer))
-    return LayerTable(
-        tuple(states),
-        tuple(depth(mu) for mu in states),
-        tuple(layers),
-        tuple(steps),
-    )
+
+    rec(0, parts[0] if parts else 0, (), 0, 0, ())
+    return tuple(layers)

@@ -39,7 +39,7 @@ from .rings import (
     _divide_integer_poly,
     q_integer,
 )
-from .shapes import Partition, Tableau, layer_table
+from .shapes import Partition, Tableau, _depth, _layers_from
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,6 @@ class DiagonalWeights:
     def __contains__(self, d: int) -> bool:
         return d in self._labels
 
-    def offsets(self) -> list[int]:
-        return sorted(self._labels)
-
     def items(self):
         return sorted(self._labels.items())
 
@@ -316,12 +313,14 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     """Sum over all ordered fillings of the shape, each contributing
     t^v (1-t)^h times the product of f(label, entry) over the cells.
 
-    Computed one value at a time over the shape's layer table: after
-    value M each sub-partition mu carries the sum over the ordered
-    fillings of mu by 1..M, and value M+1 extends them by the layers
-    nu/mu, each weighing t^v (1-t)^h times the product of f(label, M+1)
-    over its cells.  The cost is polynomial in N and in the number of
-    sub-partitions; the result has degree at most (cell count - 1) in t.
+    Computed one value at a time: after value M each sub-partition mu
+    that a filling by 1..M can reach carries the sum over those fillings,
+    and value M+1 extends them by the layers nu/mu (``shapes._layers_from``),
+    each weighing t^v (1-t)^h times the product of f(label, M+1) over its
+    cells.  A target with a diagonal longer than the values left is
+    skipped, so only the states live at M are walked.  The cost is
+    polynomial in N and in the number of sub-partitions; the result has
+    degree at most (cell count - 1) in t.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -331,48 +330,42 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
 
 def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
-    shape = weights.shape
-    if shape.size == 0:
-        return TPoly.one(ring)
-    table = layer_table(shape)
-    depth = table.depth
-    if depth[0] >= N:  # a diagonal longer than the N-1 values: no filling
-        return TPoly.zero(ring)
-    labels = weights.rows
-    layers = table.layers
     zero = ring.zero
-    # Coefficient lists by ascending power of t, None for unreachable states.
-    by_state: list[list | None] = [None] * len(table.states)
-    by_state[0] = [ring.one]
+    parts = weights.shape.parts
+    labels = [k for row in weights.rows for k in row]  # by cell number
+    start = (0,) * len(parts)
+    if _depth(parts, start) >= N:  # a diagonal longer than the N-1 values: no filling
+        return TPoly.zero(ring)
+    # Coefficient lists by ascending power of t, per live sub-partition.
+    by_state: dict[tuple[int, ...], list] = {start: [ring.one]}
     for M in range(1, N):
-        remaining = N - 1 - M
-        f = [[cmap(label, M) for label in row] for row in labels]
-        layer_weights: dict[int, Any] = {}
-        # Per target and (v, h): the sum of the source states, each times
-        # its layer's product of f(label, M).
-        sums: dict[tuple[int, int, int], list] = {}
-        for source, target, layer in table.steps:
-            coeffs = by_state[source]
-            if coeffs is None or depth[target] > remaining:
-                continue
-            w = layer_weights.get(layer)
-            if w is None:
-                w = reduce(mul, (f[i - 1][j - 1] for i, j in layers[layer].cells))
-                layer_weights[layer] = w
-            scaled = [c * w for c in coeffs]
-            key = (target, layers[layer].v, layers[layer].h)
-            if key in sums:
-                _add_shifted(sums[key], scaled, 0, 1, zero)
-            else:
-                sums[key] = scaled
-        new = [c if d <= remaining else None for c, d in zip(by_state, depth)]
-        for (target, v, h), acc in sums.items():
-            out = list(new[target] or ())
+        remaining = N - 1 - M  # values left after M: deeper states are dead
+        f = [cmap(label, M) for label in labels]
+        layer_weights: dict[tuple, Any] = {}  # cells -> product of f over them
+        # Per (target, v, h): the sum of the source states, each times its
+        # layer's product of f(label, M).
+        sums: dict[tuple, list] = {}
+        for mu, coeffs in by_state.items():
+            for key, depth, cells in _layers_from(parts, mu):
+                if depth > remaining:
+                    continue
+                w = layer_weights.get(cells)
+                if w is None:
+                    w = layer_weights[cells] = reduce(mul, map(f.__getitem__, cells))
+                scaled = [c * w for c in coeffs]
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = scaled
+                else:
+                    _add_shifted(acc, scaled, 0, 1, zero)
+        new = {mu: c for mu, c in by_state.items() if _depth(parts, mu) <= remaining}
+        for (nu, v, h), acc in sums.items():
+            out = list(new.get(nu, ()))
             for s in range(h + 1):  # times t^v (1-t)^h
                 _add_shifted(out, acc, v + s, (-1) ** s * math.comb(h, s), zero)
-            new[target] = out
+            new[nu] = out
         by_state = new
-    return TPoly(ring, by_state[-1] or ())
+    return TPoly(ring, by_state.get(parts, ()))
 
 
 def _add_shifted(out: list, coeffs: list, shift: int, factor: int, zero: Any) -> None:

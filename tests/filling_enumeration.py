@@ -1,6 +1,6 @@
 """Exhaustive enumeration of ordered fillings.
 
-The test-side oracle for the layer table (``shapes.count_oyt`` and
+The test-side oracle for the layer walk (``shapes.count_oyt`` and
 ``values.schur_value``): it builds every filling cell by cell, or filters
 every unconstrained filling, straight from the definition in the ``shapes``
 module docstring, and shares no code with the transfer matrix it checks.

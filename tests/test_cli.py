@@ -317,6 +317,22 @@ def test_empty_sweeps_do_not_pass(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["linear-verify", "--N", "0"],
+        ["jt-verify", "--trials", "0"],
+        ["all-verify", "--max-cells", "-1"],
+    ],
+)
+def test_refused_empty_sweep_writes_one_stderr_line(argv, capsys):
+    # No per-family verdict may come before the refusal.
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.splitlines() == [err.strip()] and err.startswith("invalid input: ")
+    assert "checked no instance" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["lgv-verify", "--diagonal", "[1]", "--max-cells", "2", "--N", "2"],
         ["jt-verify", "--diagonal", "oops", "--max-cells", "2", "--N", "2"],
         ["layer-verify", "--b", "[9]", "--max-cells", "2", "--M", "2"],

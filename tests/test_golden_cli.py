@@ -29,6 +29,9 @@ EXTRA_COMMANDS = [
     "all-verify --ring qseries:8 --seed 3 --N 3",
     "jt-verify --shape '[16,16]' --N 4 --seed 1",
     "palindrome-verify --keys '[2,3,2,3,2,3,2,3]' --N 9",
+    "jt-verify --shape '[32,32]' --N 4 --seed 1",
+    "jt-verify --shape '[16,16,16]' --N 5 --seed 1",
+    "oyt-count --shape '[6,6,6,6,6,6]' --N 12",
 ]
 
 

@@ -14,8 +14,9 @@ from schurzeta.shapes import (
     admissible_baselines,
     bit_tableau_stats,
     build_bit_tableau,
+    _depth,
+    _layers_from,
     count_oyt,
-    layer_table,
     partitions_of,
     partitions_up_to,
 )
@@ -247,32 +248,78 @@ def test_admissible_baselines_small():
     assert list(admissible_baselines(Partition(()))) == [()]
 
 
-def test_layer_table_matches_bit_tableaux():
-    """The layers that complete a shape are its one-ordered zero-one
-    tableaux: the baseline b is the conjugate of the state left below the
-    layer, and the pair counts agree with bit_tableau_stats."""
+def sub_partitions(shape: Partition):
+    """Every sub-partition of the shape, padded with zeros to its height:
+    the column heights of a baseline, read by rows."""
+    for b in admissible_baselines(shape):
+        yield tuple(sum(1 for x in b if x > i) for i in range(shape.height))
+
+
+def test_layers_from_matches_bit_tableaux():
+    """Every layer out of every sub-partition lands on a sub-partition, with
+    the cells nu/mu and the depth of nu, and the layers that complete a shape are its one-ordered
+    zero-one tableaux: the baseline b is the conjugate of the state left
+    below the layer, and the pair counts agree with bit_tableau_stats."""
     for shape in partitions_up_to(6, include_empty=False):
-        table = layer_table(shape)
-        assert table.states[0] == (0,) * shape.height
-        assert table.states[-1] == shape.parts
-        last = len(table.states) - 1
-        from_table = {}
-        for source, target, layer in table.steps:
-            if target == last:
-                mu = Partition(p for p in table.states[source] if p)
-                b = mu.conjugate().parts + (0,) * (shape.width - mu.width)
-                from_table[b] = (table.layers[layer].v, table.layers[layer].h)
+        parts = shape.parts
+        states = set(sub_partitions(shape))
+        completing = {}
+        for mu in states:
+            layers = _layers_from(parts, mu)
+            assert len({key for key, _, _ in layers}) == len(layers)
+            for (nu, v, h), depth, cells in layers:
+                assert nu in states and nu != mu, (shape, mu, nu)
+                assert depth == _depth(parts, nu)
+                # cells are numbered row by row over the whole shape
+                assert cells == tuple(
+                    sum(parts[:i]) + j for i in range(shape.height) for j in range(mu[i], nu[i])
+                )
+                if nu == parts:
+                    sub = Partition(p for p in mu if p)
+                    b = sub.conjugate().parts + (0,) * (shape.width - sub.width)
+                    completing[b] = (v, h)
         expected = {}
         for b in admissible_baselines(shape):
             stats = bit_tableau_stats(build_bit_tableau(shape, b))
             if stats.one_ordered and b != shape.conjugate().parts:
                 expected[b] = (stats.v1, stats.h1)
-        assert from_table == expected, shape
+        assert completing == expected, shape
 
 
-def test_layer_table_depth_is_fewest_values():
-    assert layer_table(Partition((3, 3, 3))).depth[0] == 3
-    assert layer_table(Partition((3, 3, 2))).depth[0] == 2
+def test_depth_is_fewest_values():
+    """From every sub-partition mu, the shape is reached by _depth(mu)
+    nonempty layers and by no fewer."""
+    assert _depth((3, 3, 3), (0, 0, 0)) == 3
+    assert _depth((3, 3, 2), (0, 0, 0)) == 2
     for shape in partitions_up_to(6, include_empty=False):
-        depth = layer_table(shape).depth[0]
+        parts = shape.parts
+        # fewest[mu]: the fewest nonempty layers from mu to the shape,
+        # by breadth-first search from the shape down to every state.
+        states = list(sub_partitions(shape))
+        into = {mu: [] for mu in states}
+        for mu in states:
+            for (nu, _, _), _, _ in _layers_from(parts, mu):
+                into[nu].append(mu)
+        fewest = {parts: 0}
+        frontier = [parts]
+        while frontier:
+            nxt = []
+            for nu in frontier:
+                for mu in into[nu]:
+                    if mu not in fewest:
+                        fewest[mu] = fewest[nu] + 1
+                        nxt.append(mu)
+            frontier = nxt
+        assert fewest == {mu: _depth(parts, mu) for mu in states}, shape
+        depth = _depth(parts, (0,) * shape.height)
         assert count_oyt(shape, depth) == 0 < count_oyt(shape, depth + 1)
+
+
+def test_wide_shape_walks_few_states():
+    """(32,32) has 561 sub-partitions, but at N = 4 the walk reaches only
+    those a diagonal of at most three values allows; only theirs are built."""
+    shape = Partition((32, 32))
+    assert len(list(sub_partitions(shape))) == 561
+    _layers_from.cache_clear()
+    assert count_oyt(shape, 4) > 0
+    assert _layers_from.cache_info().currsize < 561 // 4
