@@ -126,9 +126,11 @@ def _emit(payload: dict, args) -> None:
 
 
 def _sweep_n(args) -> int:
-    """--N of jt-verify, conjugation-verify and all-verify, refused up
-    front below 2: no entry lies below N = 1, so nothing nonzero is checked
-    (all-verify would check no Jacobi-Trudi or conjugation instance)."""
+    """--N of the verify subcommands whose family sets ``needs_n2``
+    (jt-verify, lgv-verify, conjugation-verify, palindrome-verify) and of
+    all-verify, refused up front below 2: no entry lies below N = 1, so
+    every value compared is zero (all-verify would check no Jacobi-Trudi
+    or conjugation instance)."""
     if args.N < 2:
         raise ValueError(f"{args.command} needs --N >= 2, got {args.N}")
     return args.N
@@ -139,6 +141,8 @@ def cmd_compute(args) -> tuple[dict, bool, list[str]]:
         raise ValueError("compute needs --shape")
     shape = args.shape
     cmap = coefficient_map_for(args.ring)
+    if args.entries is not None and args.diagonal is not None:
+        raise ValueError("compute takes --entries or --diagonal, not both")
     if args.entries is not None:
         tableau = Tableau(shape, args.entries)
     elif args.diagonal is not None:

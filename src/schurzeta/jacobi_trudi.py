@@ -9,18 +9,19 @@ column - row = d) the Schur-type value equals two determinants:
 * the column reading ("E side"): a height x height matrix of linear values
   of the ascending offsets a_(1-j), ..., a_(part_i - i), evaluated at 1-t.
 
-Entries with index length zero are one, with negative length zero.  The E
-side is produced by computing the linear values at t and then substituting
-t -> 1-t, which reuses the tested substitution instead of a second
-summation routine.  On either side the entries of one column are prefixes
-of a single run of offsets, so each column comes from one prefix DP
-(``linear_value_prefixes``) instead of one chain enumeration per entry.
+Entries with index length zero are one, with negative length zero.  Only
+the H side has a matrix builder.  The E matrix of a shape is, entry by
+entry, the H matrix of the conjugate shape on the reflected window
+(offset d carries a_(-d)) at 1-t; since t -> 1-t is a ring homomorphism,
+det E is that H determinant with t -> 1-t substituted once.  The entries
+of one H column are prefixes of a single run of offsets, so each column
+comes from one prefix DP (``linear_value_prefixes``) instead of one chain
+enumeration per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from .rings import PolyRing, TPoly, ring_determinant
 from .shapes import Partition
@@ -38,53 +39,22 @@ from .values import (
 def _h_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> list[list[TPoly]]:
-    conj = shape.conjugate().parts
-    return _prefix_matrix(
-        shape.width,
-        lambda i, j: conj[i - 1] + j - i,
-        lambda j, s: weights[j - 1 - s],
-        N,
-        cmap,
-        at_one_minus_t=False,
-    )
-
-
-def _e_matrix(
-    shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
-) -> list[list[TPoly]]:
-    parts = shape.parts
-    return _prefix_matrix(
-        shape.height,
-        lambda i, j: parts[i - 1] - i + j,
-        lambda j, s: weights[1 - j + s],
-        N,
-        cmap,
-        at_one_minus_t=True,
-    )
-
-
-def _prefix_matrix(
-    n: int,
-    length: Callable[[int, int], int],
-    key: Callable[[int, int], Any],
-    N: int,
-    cmap: CoefficientMap,
-    at_one_minus_t: bool,
-) -> list[list[TPoly]]:
-    """The n x n matrix whose (i, j) entry is the linear value of the first
-    length(i, j) keys of column j's run key(j, 0), key(j, 1), ...; one at
-    length zero, zero below it, and at 1-t if asked.
+    """The width x width row-reading matrix: entry (i, j) is the linear value
+    of the first conjugate_i + j - i offsets of the descending run a_(j-1),
+    a_(j-2), ...; one at length zero, zero below it.
 
     Every entry of a column is a prefix of the same run, so one
     linear_value_prefixes call gives the whole column.
     """
+    conj = shape.conjugate().parts
+    n = shape.width
     zero = TPoly.zero(cmap.ring)
     columns = []
     for j in range(1, n + 1):
-        lengths = [length(i, j) for i in range(1, n + 1)]
-        prefixes = linear_value_prefixes([key(j, s) for s in range(max(lengths))], N, cmap)
-        column = [prefixes[r] if r >= 0 else zero for r in lengths]
-        columns.append([p.subs_one_minus_t() for p in column] if at_one_minus_t else column)
+        lengths = [conj[i - 1] + j - i for i in range(1, n + 1)]
+        run = [weights[j - 1 - s] for s in range(max(lengths))]
+        prefixes = linear_value_prefixes(run, N, cmap)
+        columns.append([prefixes[r] if r >= 0 else zero for r in lengths])
     return [list(row) for row in zip(*columns)]
 
 
@@ -108,7 +78,11 @@ def verify_jacobi_trudi(
     poly_ring = PolyRing(cmap.ring)
     schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
     det_h = ring_determinant(_h_matrix(shape, N, cmap, weights), poly_ring)
-    det_e = ring_determinant(_e_matrix(shape, N, cmap, weights), poly_ring)
+    # E(shape, a) is H(shape', a reflected) entrywise at 1-t, and t -> 1-t is
+    # a ring homomorphism, so one substitution of one determinant gives det E.
+    reflected = DiagonalWeights({-d: k for d, k in weights.items()})
+    e_at_t = _h_matrix(shape.conjugate(), N, cmap, reflected)
+    det_e = ring_determinant(e_at_t, poly_ring).subs_one_minus_t()
     equal = schur == det_h and det_h == det_e
     return JTReport(shape, N, schur, det_h, det_e, equal)
 

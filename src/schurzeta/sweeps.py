@@ -425,6 +425,7 @@ FAMILIES = (
         all_verify=lambda f: run_lgv_sweep(
             max_cells=min(f.max_cells, 4), max_n=f.N, seed=f.seed, ring_spec=f.ring),
         single=_single_lgv,
+        needs_n2=True,
     ),
     Family(
         "conjugation", "conjugation-verify", "check the conjugation symmetry",
@@ -454,6 +455,7 @@ FAMILIES = (
         sweep=lambda f: run_palindrome_sweep(max_r=f.max_r, max_n=f.N),
         all_verify=lambda f: run_palindrome_sweep(max_r=3, max_n=min(f.N, 4)),
         single=lambda f: _check_palindrome(f.keys, f.N),
+        needs_n2=True,
     ),
     Family(
         "linear-oracles", "linear-verify", "cross-check the three linear-value routes",

@@ -49,15 +49,27 @@ class CoefficientMap:
     ``integer_form``, when set, takes L and returns the map over the
     integers f(k, m) * L^max(k, 0), for every m dividing L; the evaluators
     then sum integers and divide once (see the module docstring).
+
+    Calling the map memoises ``fn`` per (k, m) for labels whose type is
+    exactly ``int``; any other label goes straight to ``fn``, which rejects
+    it, so ``True`` is never served the value of 1.  The constructors'
+    ``fn`` therefore check and compute, and keep no cache of their own.
     """
 
     name: str
     ring: Ring
     fn: Callable[[Any, int], Any] = field(repr=False)
     integer_form: Callable[[int], "CoefficientMap"] | None = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, k: Any, m: int) -> Any:
-        return self.fn(k, m)
+        if type(k) is not int:
+            return self.fn(k, m)
+        try:
+            return self._memo[k, m]
+        except KeyError:
+            value = self._memo[k, m] = self.fn(k, m)
+            return value
 
 
 def _is_int(k: Any) -> bool:
@@ -68,17 +80,10 @@ def _is_int(k: Any) -> bool:
 
 def rational_map() -> CoefficientMap:
     """f(k, m) = m^(-k) as an exact rational; k may be any integer."""
-    cache: dict = {}
-
     def fn(k: Any, m: int) -> Fraction:
         if not _is_int(k):
             raise DomainError(f"rational weights must be integers, got {k!r}")
-        try:
-            return cache[(k, m)]
-        except KeyError:
-            value = Fraction(1, m**k) if k >= 0 else Fraction(m ** (-k))
-            cache[(k, m)] = value
-            return value
+        return Fraction(1, m**k) if k >= 0 else Fraction(m ** (-k))
 
     forms: dict[int, CoefficientMap] = {}
 
@@ -93,19 +98,12 @@ def rational_map() -> CoefficientMap:
 
 def _scaled_powers(L: int) -> Callable[[Any, int], int]:
     """f(k, m) = m^(-k) * L^max(k, 0) as an int, for m dividing L."""
-    cache: dict = {}
-
     def fn(k: Any, m: int) -> int:
         if not _is_int(k):
             raise DomainError(f"rational weights must be integers, got {k!r}")
-        try:
-            return cache[(k, m)]
-        except KeyError:
-            if L % m:
-                raise ValueError(f"entry {m} does not divide the scale {L}") from None
-            value = (L // m) ** k if k >= 0 else m ** (-k)
-            cache[(k, m)] = value
-            return value
+        if L % m:
+            raise ValueError(f"entry {m} does not divide the scale {L}")
+        return (L // m) ** k if k >= 0 else m ** (-k)
 
     return fn
 
@@ -172,48 +170,33 @@ def q_analogue_map(order: int = 16) -> CoefficientMap:
     """
     ring = QSeriesRing(order)
     inverses: dict[int, QSeries] = {}
-    cache: dict = {}
 
     def fn(k: Any, m: int) -> QSeries:
         if not _is_int(k) or k < 1:
             raise DomainError(f"q-analogue weights must be integers >= 1, got {k!r}")
-        try:
-            return cache[(k, m)]
-        except KeyError:
-            pass
         exponent = m * (k - 1)
         if exponent >= order:
-            value = ring.zero
-        else:
-            if m not in inverses:
-                inverses[m] = q_integer(m, order).inverse()
-            q_power = QSeries(order, [0] * exponent + [1])
-            value = q_power * inverses[m] ** k
-        cache[(k, m)] = value
-        return value
+            return ring.zero
+        if m not in inverses:
+            inverses[m] = q_integer(m, order).inverse()
+        return QSeries(order, [0] * exponent + [1]) * inverses[m] ** k
 
     return CoefficientMap(f"qseries:{order}", ring, fn)
 
 
 def quasisymmetric_map() -> CoefficientMap:
     """f(k, m) = x_m^k over integer monomial polynomials; requires k >= 1."""
-    cache: dict = {}
-
     def fn(k: Any, m: int) -> MonomialPolynomial:
         if not _is_int(k) or k < 1:
             raise DomainError(f"quasi-symmetric weights must be integers >= 1, got {k!r}")
-        try:
-            return cache[(k, m)]
-        except KeyError:
-            value = MonomialPolynomial.variable_power(m, k)
-            cache[(k, m)] = value
-            return value
+        return MonomialPolynomial.variable_power(m, k)
 
     return CoefficientMap("qsym", QsymRing(), fn)
 
 
 def coefficient_map_for(spec: str) -> CoefficientMap:
-    """Build a coefficient map from a selector: rational | qseries:Q | qsym."""
+    """Build a coefficient map from a selector: rational | qseries:Q | qsym,
+    Q written as a canonical positive decimal ("8", not "08", "+8" or "0_8")."""
     if spec == "rational":
         return rational_map()
     if spec == "qsym":
@@ -221,13 +204,10 @@ def coefficient_map_for(spec: str) -> CoefficientMap:
     if spec == "qseries":
         return q_analogue_map()
     if spec.startswith("qseries:"):
-        try:
-            order = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad q-series order in ring selector {spec!r}") from None
-        if order < 1:
-            raise ValueError("q-series order must be a positive integer")
-        return q_analogue_map(order)
+        order = spec[len("qseries:"):]
+        if not _is_offset(order) or int(order) < 1:
+            raise ValueError(f"ring selector {spec!r} needs a canonical q-series order such as 8")
+        return q_analogue_map(int(order))
     raise ValueError(f"unknown ring selector {spec!r}")
 
 

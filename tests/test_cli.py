@@ -295,6 +295,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ["jt-verify", "--N", "1"],
         ["jt-verify", "--shape", "[1]", "--N", "0"],
         ["conjugation-verify", "--N", "1"],
+        ["lgv-verify", "--N", "1"],
+        ["lgv-verify", "--shape", "[2,1]", "--N", "1"],
+        ["palindrome-verify", "--N", "1"],
+        ["palindrome-verify", "--keys", "[2,3]", "--N", "1"],
     ],
 )
 def test_sweeps_below_n_2_are_refused(argv, capsys):
@@ -491,6 +495,24 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     path.write_text('{"shape": ' + nested)
     code, out, err = run(["compute", "--config", str(path)], capsys)
     assert code == 2 and not out and "nested too deeply" in err
+
+
+def test_compute_refuses_entries_with_diagonal(capsys):
+    # Used to exit 0 and silently ignore --diagonal.
+    code, out, err = run(
+        ["compute", "--shape", "[1]", "--entries", "[[2]]", "--diagonal", '{"0":2}', "--N", "3"],
+        capsys,
+    )
+    assert code == 2 and not out and "not both" in err
+
+
+def test_noncanonical_qseries_order_exits_2(capsys):
+    # Used to run over an order-10 ring and echo "qseries:1_0" in the report.
+    argv = ["compute", "--shape", "[1]", "--entries", "[[2]]", "--N", "3", "--ring"]
+    code, out, err = run([*argv, "qseries:1_0"], capsys)
+    assert code == 2 and not out and "q-series order" in err
+    code, payload, _ = run_json([*argv, "qseries:8"], capsys)
+    assert code == 0 and payload["ring"] == "qseries:8"
 
 
 def test_compute_entries_must_be_rows_of_labels(capsys):

@@ -32,6 +32,8 @@ EXTRA_COMMANDS = [
     "jt-verify --shape '[32,32]' --N 4 --seed 1",
     "jt-verify --shape '[16,16,16]' --N 5 --seed 1",
     "oyt-count --shape '[6,6,6,6,6,6]' --N 12",
+    "jt-verify --shape '[4,4,4]' --N 5 --ring qsym --seed 1",
+    "jt-verify --shape '[10,8,3]' --N 5 --ring qseries:8 --seed 1",
 ]
 
 

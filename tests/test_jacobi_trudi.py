@@ -8,7 +8,6 @@ from schurzeta import rings
 from schurzeta.rings import PolyRing, QQ, TPoly, ring_determinant
 from schurzeta.shapes import Partition, partitions_up_to
 from schurzeta.jacobi_trudi import (
-    _e_matrix,
     _h_matrix,
     palindrome_weights,
     verify_jacobi_trudi,
@@ -28,9 +27,27 @@ from schurzeta.values import (
 RAT = rational_map()
 
 
+def e_matrix(shape, N, cmap, weights):
+    """The column-reading ("E") matrix of a shape, entry by entry: (i, j) is
+    the linear value of the ascending offsets a_(1-j), a_(2-j), ... of length
+    part_i - i + j, at 1-t; one at length zero, zero below it.  The package
+    builds no E matrix, so this is the oracle for its det_e."""
+    parts = shape.parts
+
+    def entry(i, j):
+        length = parts[i - 1] - i + j
+        if length < 0:
+            return TPoly.zero(cmap.ring)
+        keys = [weights[1 - j + s] for s in range(length)]
+        return linear_value(keys, N, cmap).subs_one_minus_t()
+
+    n = shape.height
+    return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
 def jt_matrix(shape, side, N, cmap, weights):
     """The row-reading ("H") or column-reading ("E") matrix of a shape."""
-    build = {"H": _h_matrix, "E": _e_matrix}[side]
+    build = {"H": _h_matrix, "E": e_matrix}[side]
     return build(Partition(shape), N, cmap, weights)
 
 
@@ -110,8 +127,8 @@ def test_verify_empty_shape():
 
 
 def test_conjugation_coherence_between_sides():
-    # the H matrix of a shape and the E matrix of its conjugate (built on
-    # the reflected window) are entrywise related by t -> 1-t
+    # the H determinant of a shape and the E determinant of its conjugate
+    # (built entry by entry on the reflected window) are related by t -> 1-t
     rng = random.Random(51)
     poly_ring = PolyRing(QQ)
     for shape in partitions_up_to(5, include_empty=False):
@@ -125,12 +142,15 @@ def test_conjugation_coherence_between_sides():
         assert det_h == det_e_conj.subs_one_minus_t()
 
 
-@pytest.mark.parametrize(
-    "cmap", [RAT, q_analogue_map(8), quasisymmetric_map()], ids=["rational", "qseries8", "qsym"]
-)
+CMAPS = [RAT, q_analogue_map(8), quasisymmetric_map()]
+CMAP_IDS = ["rational", "qseries8", "qsym"]
+
+
+@pytest.mark.parametrize("cmap", CMAPS, ids=CMAP_IDS)
 def test_matrix_entries_are_linear_values(cmap):
-    # Every entry, built column by column from prefixes, equals the linear
-    # value of its own key list (at 1-t on the E side).
+    # Every H entry, built column by column from prefixes, equals the linear
+    # value of its own key list; the E matrix of a shape is the H matrix of
+    # its conjugate on the reflected window, entrywise at 1-t.
     rng = random.Random(61)
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
@@ -142,17 +162,24 @@ def test_matrix_entries_are_linear_values(cmap):
                 keys = [dw[j - 1 - s] for s in range(length)]
                 expected = linear_value(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
                 assert h[i - 1][j - 1] == expected
+        reflected = DiagonalWeights({-d: k for d, k in dw.items()})
+        h_conj = jt_matrix(shape.conjugate().parts, "H", 4, cmap, reflected)
         e = jt_matrix(shape.parts, "E", 4, cmap, dw)
-        for i in range(1, shape.height + 1):
-            for j in range(1, shape.height + 1):
-                length = shape.parts[i - 1] - i + j
-                keys = [dw[1 - j + s] for s in range(length)]
-                expected = (
-                    linear_value(keys, 4, cmap).subs_one_minus_t()
-                    if length >= 0
-                    else TPoly.zero(cmap.ring)
-                )
-                assert e[i - 1][j - 1] == expected
+        assert e == [[x.subs_one_minus_t() for x in row] for row in h_conj]
+
+
+@pytest.mark.parametrize("cmap", CMAPS, ids=CMAP_IDS)
+def test_det_e_matches_entrywise_e_matrix(cmap):
+    # det_e substitutes t -> 1-t once, in the H determinant of the
+    # conjugate; the oracle substitutes in every entry and takes the
+    # determinant of the column-reading matrix itself.
+    rng = random.Random(71)
+    poly_ring = PolyRing(cmap.ring)
+    for shape in partitions_up_to(5, include_empty=False):
+        dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
+        rep = verify_jacobi_trudi(shape, 4, cmap, dw)
+        assert rep.det_e == ring_determinant(e_matrix(shape, 4, cmap, dw), poly_ring)
+        assert rep.equal
 
 
 @pytest.mark.parametrize(

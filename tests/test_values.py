@@ -14,6 +14,7 @@ from schurzeta.shapes import (
     partitions_up_to,
 )
 from schurzeta.values import (
+    CoefficientMap,
     DiagonalWeights,
     coefficient_map_for,
     diagonal_tableau,
@@ -248,6 +249,40 @@ def test_maps_reject_boolean_weights(cmap):
         linear_value((2, True), 3, cmap)
 
 
+MEMO_MAPS = {
+    "rational": rational_map,
+    "rational-integer-form": lambda: rational_map().integer_form(6),
+    "qseries6": lambda: q_analogue_map(6),
+    "qsym": quasisymmetric_map,
+}
+
+
+@pytest.mark.parametrize("make", MEMO_MAPS.values(), ids=MEMO_MAPS.keys())
+def test_memo_never_serves_a_bool_label(make):
+    # (True, 2) == (1, 2) as a dict key, so the memo must not answer True
+    # with the value it keeps for the label 1.
+    cmap = make()
+    cmap(1, 2)
+    with pytest.raises(DomainError):
+        cmap(True, 2)
+
+
+@pytest.mark.parametrize("make", MEMO_MAPS.values(), ids=MEMO_MAPS.keys())
+def test_memo_runs_fn_once_per_label_and_entry(make):
+    cmap = make()
+    calls = []
+
+    def counting(k, m):
+        calls.append((k, m))
+        return cmap.fn(k, m)
+
+    counted = CoefficientMap(cmap.name, cmap.ring, counting)
+    for _ in range(2):
+        assert linear_value((1, 2, 1), 4, counted) == linear_value((1, 2, 1), 4, cmap)
+    assert sorted(calls) == [(k, m) for k in (1, 2) for m in (1, 2, 3)]
+    assert counted(2, 3) is counted(2, 3) and len(calls) == 6
+
+
 def test_q_map_rejects_nonpositive_weights():
     qm = q_analogue_map(6)
     with pytest.raises(DomainError):
@@ -283,8 +318,11 @@ def test_coefficient_map_selector():
     assert coefficient_map_for("qsym").name == "qsym"
     with pytest.raises(ValueError):
         coefficient_map_for("floating")
-    with pytest.raises(ValueError):
-        coefficient_map_for("qseries:x")
+    # the order is a canonical positive decimal, as diagonal offsets are
+    for spec in ("qseries:x", "qseries:1_0", "qseries:+3", "qseries: 5", "qseries:05",
+                 "qseries:0", "qseries:-1", "qseries:"):
+        with pytest.raises(ValueError):
+            coefficient_map_for(spec)
 
 
 def test_diagonal_weights_window():
