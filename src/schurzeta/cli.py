@@ -15,10 +15,10 @@ only its one error line there.  Exit codes: 0 all checks pass, 1 an
 identity mismatch, 2 malformed input (including a config file with an
 unknown key or a value of the wrong type, a weight label that is not a JSON
 integer, a diagonal offset that is not a canonical decimal integer or is
-repeated, a single-instance flag without --shape, and a sweep that would
-check no instance), 3 domain error (an integer weight outside the chosen
-ring's map), 4 internal error (any other exception, reported in one line on
-stderr).
+repeated, a single-instance flag without --shape, --N below 2 for a verify
+command, and a sweep that would check no instance), 3 domain error (an
+integer weight outside the chosen ring's map), 4 internal error (any other
+exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -126,11 +126,10 @@ def _emit(payload: dict, args) -> None:
 
 
 def _sweep_n(args) -> int:
-    """--N of the verify subcommands whose family sets ``needs_n2``
-    (jt-verify, lgv-verify, conjugation-verify, palindrome-verify) and of
-    all-verify, refused up front below 2: no entry lies below N = 1, so
-    every value compared is zero (all-verify would check no Jacobi-Trudi
-    or conjugation instance)."""
+    """--N of every verify subcommand that takes it and of all-verify,
+    refused up front below 2: no entry lies below N = 1, so every value
+    compared is zero (all-verify would check no Jacobi-Trudi or conjugation
+    instance)."""
     if args.N < 2:
         raise ValueError(f"{args.command} needs --N >= 2, got {args.N}")
     return args.N
@@ -177,7 +176,7 @@ def cmd_oyt_count(args) -> tuple[dict, bool, list[str]]:
 def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool, list[str]]:
     """One family's subcommand: its checker on the instance named by
     --shape or --keys, or else its sweep."""
-    if family.needs_n2:
+    if "N" in family.flags:
         _sweep_n(args)
     if getattr(args, "shape", None) is not None or getattr(args, "keys", None) is not None:
         payload = family.single(args)
@@ -318,6 +317,8 @@ def main(argv=None) -> int:
         _apply_config_and_defaults(args, command.flags)
         _check_instance_flags(args)
         _parse_json_flags(args, command.flags)
+        if "ring" in command.flags:  # reports name the map, e.g. qseries:16
+            args.ring = coefficient_map_for(args.ring).name
         payload, ok, summary = command.run(args)
         empty = _unchecked_families(payload)
         if empty:
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect of the program, not of its input

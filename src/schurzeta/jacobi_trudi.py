@@ -15,8 +15,8 @@ entry, the H matrix of the conjugate shape on the reflected window
 (offset d carries a_(-d)) at 1-t; since t -> 1-t is a ring homomorphism,
 det E is that H determinant with t -> 1-t substituted once.  The entries
 of one H column are prefixes of a single run of offsets, so each column
-comes from one prefix DP (``linear_value_prefixes``) instead of one chain
-enumeration per entry.
+comes from one prefix DP (``linear_value_prefixes``) instead of one
+``linear_value`` call per entry.
 """
 
 from __future__ import annotations

@@ -394,7 +394,6 @@ class Family:
     all_verify: Callable[[Any], dict] | None = None
     # flags -> one checked instance, run when --shape or --keys is given
     single: Callable[[Any], dict] | None = None
-    needs_n2: bool = False  # --N below 2 checks no nonzero entry: refused
     notes: bool = False  # the payload carries the reading notes
 
     @property
@@ -414,7 +413,6 @@ FAMILIES = (
             seed=f.seed, ring_spec=f.ring),
         single=lambda f: _check_jt(
             f.shape, f.N, coefficient_map_for(f.ring), _instance_weights(f, f.shape)),
-        needs_n2=True,
         notes=True,
     ),
     Family(
@@ -425,7 +423,6 @@ FAMILIES = (
         all_verify=lambda f: run_lgv_sweep(
             max_cells=min(f.max_cells, 4), max_n=f.N, seed=f.seed, ring_spec=f.ring),
         single=_single_lgv,
-        needs_n2=True,
     ),
     Family(
         "conjugation", "conjugation-verify", "check the conjugation symmetry",
@@ -436,7 +433,6 @@ FAMILIES = (
         all_verify=lambda f: run_conjugation_sweep(
             max_cells=f.max_cells, n_values=tuple(range(2, f.N + 1)), trials=f.trials,
             seed=f.seed, ring_spec=f.ring),
-        needs_n2=True,
     ),
     Family(
         "layer", "layer-verify", "check single-layer signed sums",
@@ -455,7 +451,6 @@ FAMILIES = (
         sweep=lambda f: run_palindrome_sweep(max_r=f.max_r, max_n=f.N),
         all_verify=lambda f: run_palindrome_sweep(max_r=3, max_n=min(f.N, 4)),
         single=lambda f: _check_palindrome(f.keys, f.N),
-        needs_n2=True,
     ),
     Family(
         "linear-oracles", "linear-verify", "cross-check the three linear-value routes",

@@ -7,6 +7,11 @@ with weight label k contributes a ring element f(k, m).  Swapping in
 different coefficient maps f yields the classical rational values, their
 q-analogues, or quasi-symmetric functions, all computed exactly.
 
+Linear values have one evaluator, the prefix dynamic program of
+``linear_value_prefixes``; ``linear_value`` is its full-length value.  The
+peeling recursion and the merge expansion are independent routes to the same
+values, kept as its oracles.
+
 Over the rational map every term of a value carries one factor m^(-k) per
 label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
 and K is the sum of the positive labels.  The map therefore carries an
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import getitem, mul
 from typing import Any, Callable, Mapping, Sequence
 
@@ -366,34 +371,20 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     t^(number of adjacent equalities) times the product of f(k_i, m_i).
 
     The first key attaches to the smallest chain entry; this matches the
-    single-column Schur value with the first key in the top cell.  The
-    chains are enumerated one by one over a per-call table of f(k_i, m).
+    single-column Schur value with the first key in the top cell.  The value
+    is the full-length prefix of ``linear_value_prefixes``' dynamic program,
+    the one evaluator behind every Jacobi-Trudi column; only that value is
+    divided by L^K.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value(keys, N, c))
-
-
-def _linear_value(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
-    ring = cmap.ring
-    r = len(keys)
-    if r == 0:
-        return TPoly.one(ring)
-    # table[i][m] = f(keys[i], m): every pair a chain below N meets, looked
-    # up once (index 0 unused).
-    table = [[None, *(cmap(k, m) for m in range(1, N))] for k in keys]
-    acc = [ring.zero] * r
-    for chain in combinations_with_replacement(range(1, N), r):
-        # a weakly increasing chain has r - (distinct entries) equalities
-        e = r - len(set(chain))
-        acc[e] = acc[e] + reduce(mul, map(getitem, table, chain))
-    return TPoly(ring, acc)
+    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value_prefixes(keys, N, c)[-1])
 
 
 def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
-    """linear_value(keys[:p], N, cmap) for every p = 0 .. len(keys), from
-    one pass over the keys.
+    """The linear value of keys[:p] for every p = 0 .. len(keys), from one
+    pass over the keys.
 
     The chains of keys[:p] ending exactly at m sum to
 

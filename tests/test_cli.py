@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schurzeta import cli, lattice, sweeps
+from schurzeta import cli, lattice, sweeps, values
 from schurzeta.rings import QQ, TPoly
 
 
@@ -75,6 +75,25 @@ def test_compute_qseries_ring(capsys):
     assert code == 0
     # 1/[1]_q + 1/[2]_q = 1 + (1 - q + q^2 - q^3)
     assert payload["coefficients"] == [{"order": 4, "coeffs": ["2", "-1", "1", "-1"]}]
+
+
+def test_reports_name_the_ring_they_ran_over(capsys):
+    # --ring qseries runs over qseries:16, and every report says so.
+    code, payload, err = run_json(
+        ["compute", "--shape", "[1]", "--entries", "[[1]]", "--N", "3", "--ring", "qseries"],
+        capsys,
+    )
+    assert code == 0 and payload["ring"] == "qseries:16" and "ring=qseries:16" in err
+    assert payload["coefficients"][0]["order"] == 16
+    code, payload, _ = run_json(
+        ["jt-verify", "--max-cells", "2", "--N", "2", "--trials", "1", "--ring", "qseries"],
+        capsys,
+    )
+    assert code == 0 and payload["ring"] == "qseries:16"
+    code, payload, _ = run_json(
+        ["jt-verify", "--shape", "[2,1]", "--N", "3", "--ring", "qseries"], capsys
+    )
+    assert code == 0 and payload["ring"] == "qseries:16"
 
 
 def test_compute_large_shape_finishes(capsys):
@@ -233,6 +252,19 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_internal_key_error_exits_4(capsys, monkeypatch):
+    # No input path raises KeyError (DiagonalWeights turns its own into
+    # ValueError), so one escaping a sweep is a defect, not bad input.
+    def broken_checker(keys, N, cmap):
+        return {}["missing"]
+
+    monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
+    code, out, err = run(["linear-verify", "--N", "3"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: KeyError: 'missing'\n"
+
+
 def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
     # The faster routes are compared, not bypassed: one wrong recursion
     # value fails its instance, the sweep and the command.
@@ -246,6 +278,26 @@ def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
     report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
     assert report["pass"] is False
     assert [(f["keys"], f["N"]) for f in report["failures"]] == [([2, 1], 3)]
+    code, payload, _ = run_json(["linear-verify", "--max-r", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
+    # linear_value is the prefix DP that builds every Jacobi-Trudi column,
+    # so the oracle triangle and the path sums both check that evaluator.
+    original = values._linear_value_prefixes
+
+    def perturbed(keys, N, cmap):
+        prefixes = original(keys, N, cmap)
+        if len(keys) >= 2 and N >= 3:
+            prefixes[-1] = prefixes[-1] + TPoly.one(cmap.ring)
+        return prefixes
+
+    monkeypatch.setattr(values, "_linear_value_prefixes", perturbed)
+    report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
+    assert report["pass"] is False
+    assert {(len(f["keys"]), f["N"]) for f in report["failures"]} == {(2, 3)}
+    assert not sweeps.run_path_linear_sweep(max_r=2, max_n=3)["pass"]
     code, payload, _ = run_json(["linear-verify", "--max-r", "2", "--N", "3"], capsys)
     assert code == 1 and payload["pass"] is False
 
@@ -292,12 +344,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     "argv",
     [
         ["all-verify", "--N", "1"],
-        ["jt-verify", "--N", "1"],
+        # every family that takes --N, so a new one cannot pass vacuously
+        *([family.command, "--N", "1"] for family in sweeps.FAMILIES if "N" in family.flags),
         ["jt-verify", "--shape", "[1]", "--N", "0"],
-        ["conjugation-verify", "--N", "1"],
-        ["lgv-verify", "--N", "1"],
         ["lgv-verify", "--shape", "[2,1]", "--N", "1"],
-        ["palindrome-verify", "--N", "1"],
         ["palindrome-verify", "--keys", "[2,3]", "--N", "1"],
     ],
 )
@@ -321,7 +371,7 @@ def test_empty_sweeps_do_not_pass(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["linear-verify", "--N", "0"],
+        ["linear-verify", "--max-r", "-1"],
         ["jt-verify", "--trials", "0"],
         ["all-verify", "--max-cells", "-1"],
     ],

@@ -34,6 +34,8 @@ EXTRA_COMMANDS = [
     "oyt-count --shape '[6,6,6,6,6,6]' --N 12",
     "jt-verify --shape '[4,4,4]' --N 5 --ring qsym --seed 1",
     "jt-verify --shape '[10,8,3]' --N 5 --ring qseries:8 --seed 1",
+    "linear-verify --max-r 4 --N 6",
+    "all-verify --N 6 --max-cells 3 --trials 1",
 ]
 
 

@@ -16,13 +16,14 @@ from schurzeta.jacobi_trudi import (
 from schurzeta.values import (
     DiagonalWeights,
     diagonal_tableau,
-    linear_value,
     q_analogue_map,
     quasisymmetric_map,
     rational_map,
     required_offsets,
     schur_value,
 )
+
+from chain_enumeration import chain_sum_oracle
 
 RAT = rational_map()
 
@@ -31,7 +32,8 @@ def e_matrix(shape, N, cmap, weights):
     """The column-reading ("E") matrix of a shape, entry by entry: (i, j) is
     the linear value of the ascending offsets a_(1-j), a_(2-j), ... of length
     part_i - i + j, at 1-t; one at length zero, zero below it.  The package
-    builds no E matrix, so this is the oracle for its det_e."""
+    builds no E matrix, so this, with its entries summed chain by chain, is
+    the oracle for its det_e."""
     parts = shape.parts
 
     def entry(i, j):
@@ -39,7 +41,7 @@ def e_matrix(shape, N, cmap, weights):
         if length < 0:
             return TPoly.zero(cmap.ring)
         keys = [weights[1 - j + s] for s in range(length)]
-        return linear_value(keys, N, cmap).subs_one_minus_t()
+        return chain_sum_oracle(keys, N, cmap).subs_one_minus_t()
 
     n = shape.height
     return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -55,16 +57,16 @@ def test_h_matrix_single_column_shape():
     dw = DiagonalWeights({-1: 3, 0: 2})
     matrix = jt_matrix((1, 1), "H", 4, RAT, dw)
     assert len(matrix) == 1
-    assert matrix[0][0] == linear_value([dw[0], dw[-1]], 4, RAT)
+    assert matrix[0][0] == chain_sum_oracle([dw[0], dw[-1]], 4, RAT)
 
 
 def test_h_matrix_hook_structure():
     dw = DiagonalWeights({-1: 3, 0: 2, 1: 2})
     matrix = jt_matrix((2, 1), "H", 4, RAT, dw)
-    assert matrix[0][0] == linear_value([dw[0], dw[-1]], 4, RAT)
-    assert matrix[0][1] == linear_value([dw[1], dw[0], dw[-1]], 4, RAT)
+    assert matrix[0][0] == chain_sum_oracle([dw[0], dw[-1]], 4, RAT)
+    assert matrix[0][1] == chain_sum_oracle([dw[1], dw[0], dw[-1]], 4, RAT)
     assert matrix[1][0] == TPoly.one(QQ)  # index length zero
-    assert matrix[1][1] == linear_value([dw[1]], 4, RAT)
+    assert matrix[1][1] == chain_sum_oracle([dw[1]], 4, RAT)
 
 
 def test_h_matrix_row_shape_is_almost_triangular():
@@ -82,12 +84,12 @@ def test_h_matrix_row_shape_is_almost_triangular():
                 elif j < i - 1:
                     assert matrix[i][j] == TPoly.zero(QQ)
                 else:
-                    expected = linear_value(
+                    expected = chain_sum_oracle(
                         [keys[j - s] for s in range(j - i + 1)], N, RAT
                     )
                     assert matrix[i][j] == expected
         det = ring_determinant(matrix, PolyRing(QQ))
-        flipped_column = linear_value(keys, N, RAT).subs_one_minus_t()
+        flipped_column = chain_sum_oracle(keys, N, RAT).subs_one_minus_t()
         assert det == flipped_column
 
 
@@ -160,7 +162,9 @@ def test_matrix_entries_are_linear_values(cmap):
             for j in range(1, shape.width + 1):
                 length = conj[i - 1] + j - i
                 keys = [dw[j - 1 - s] for s in range(length)]
-                expected = linear_value(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
+                expected = (
+                    chain_sum_oracle(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
+                )
                 assert h[i - 1][j - 1] == expected
         reflected = DiagonalWeights({-d: k for d, k in dw.items()})
         h_conj = jt_matrix(shape.conjugate().parts, "H", 4, cmap, reflected)

@@ -29,6 +29,7 @@ from schurzeta.values import (
     schur_value,
 )
 
+from chain_enumeration import chain_sum_oracle
 from filling_enumeration import iter_filling_rows
 
 RAT = rational_map()
@@ -36,28 +37,6 @@ RAT = rational_map()
 
 def poly(*coeffs):
     return TPoly(QQ, [Fraction(c) for c in coeffs])
-
-
-def chain_sum_oracle(keys, N, cmap=None):
-    """Direct restatement of the defining sum, kept free of library code
-    but for the map's values f(k, m) when a map is given."""
-    from itertools import combinations_with_replacement
-
-    ring = QQ if cmap is None else cmap.ring
-    r = len(keys)
-    acc = [ring.zero] * max(r, 1)
-    if r == 0:
-        return TPoly.one(ring)
-    for chain in combinations_with_replacement(range(1, N), r):
-        e = sum(1 for i in range(r - 1) if chain[i] == chain[i + 1])
-        term = ring.one
-        for k, m in zip(keys, chain):
-            if cmap is not None:
-                term = term * cmap(k, m)
-            else:
-                term *= Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
-        acc[e] = acc[e] + term
-    return TPoly(ring, acc)
 
 
 def enumeration_oracle(tab, N, cmap):
@@ -78,9 +57,10 @@ def enumeration_oracle(tab, N, cmap):
 def jt_row_determinant(shape, N, cmap, weights):
     """Row-reading Jacobi-Trudi determinant of a diagonal-constant tableau.
 
-    Entries come from the peeling recursion, which equals linear_value
-    (tested above) and stays fast at large N, where the chain enumeration
-    of linear_value does not."""
+    Entries come from the peeling recursion, an independent route from the
+    prefix dynamic program the package builds its matrices with (the two
+    are compared above); it stays fast at large N, where the chain
+    enumeration oracle does not."""
     conj = shape.conjugate().parts
     n = shape.width
     matrix = [
@@ -150,7 +130,9 @@ def test_linear_value_against_direct_oracle():
     [(RAT, -2, 3), (q_analogue_map(8), 1, 3), (quasisymmetric_map(), 1, 3)],
     ids=["rational", "qseries8", "qsym"],
 )
-def test_linear_value_prefixes_match_linear_value(cmap, lo, hi):
+def test_linear_value_prefixes_match_chain_sums(cmap, lo, hi):
+    # Every prefix of the dynamic program against the chains enumerated one
+    # by one; linear_value is the program's full-length value.
     rng = random.Random(12)
     cases = [((), N) for N in range(1, 7)] + [((2, 1, 3), 1)]
     for N in range(1, 7):
@@ -160,7 +142,8 @@ def test_linear_value_prefixes_match_linear_value(cmap, lo, hi):
         prefixes = linear_value_prefixes(keys, N, cmap)
         assert len(prefixes) == len(keys) + 1
         for p, value in enumerate(prefixes):
-            assert value == linear_value(keys[:p], N, cmap), (keys, N, p)
+            assert value == chain_sum_oracle(keys[:p], N, cmap), (keys, N, p)
+        assert linear_value(keys, N, cmap) == prefixes[-1], (keys, N)
 
 
 def test_linear_value_prefixes_edge_cases():
