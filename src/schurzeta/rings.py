@@ -11,8 +11,13 @@ to use from concurrent code without locking.  Concrete representations:
   ``int`` when integral and a normalized ``Fraction`` otherwise; all
   arithmetic is performed modulo q^order
 * ``MonomialPolynomial`` -- sparse integer combination of monomials in
-  countably many variables x_1, x_2, ...: a dict from sorted keys of
-  (variable, exponent) pairs to nonzero ``int`` coefficients
+  countably many variables x_1, x_2, ...: a dict from packed monomials to
+  nonzero ``int`` coefficients, where a packed monomial is one ``int``
+  holding the exponent of x_v in the 64-bit field at bit offset
+  64 * (v - 1), so that a product of monomials is one integer addition.
+  Exponents stop at 2^64 - 1: an operation that could pass that raises
+  ``DomainError``.  The keys are decoded to sorted (variable, exponent)
+  tuples only at the edges: ``terms``, ``to_json`` and ``repr``
 
 A ``Ring`` is one record: a name, a zero and a one, which is all that
 generic algorithms (polynomial arithmetic, division-free determinants) need
@@ -32,13 +37,15 @@ also the tests' oracle for the elimination.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
-and stores the integral ones as ``int``; a polynomial casts, validates and
-sorts every key, merges repeated keys and drops zero coefficients.  Their
-operators build results through a private trusted constructor that skips
-all of that: series operators only turn the integral ``Fraction``s that
-``Fraction`` arithmetic returns back into ``int``s, and polynomial
-operators drop coefficients where they cancel.  Values of the q-analogue
-map have integer coefficients, so their arithmetic builds no ``Fraction``.
+and stores the integral ones as ``int``; a polynomial validates every key
+and coefficient (``int`` only), packs the keys, merges repeated keys and
+drops zero coefficients.  Their operators build results through a private
+trusted constructor that skips all of that: series operators only turn the
+integral ``Fraction``s that ``Fraction`` arithmetic returns back into
+``int``s, and polynomial operators add packed keys, drop coefficients
+where they cancel and carry forward a bound on the exponents.  Values of
+the q-analogue map have integer coefficients, so their arithmetic builds
+no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .errors import NonInvertibleError
+from .errors import DomainError, NonInvertibleError
 
 # Ring elements are duck-typed: Fraction, QSeries, MonomialPolynomial or TPoly.
 Element = Any
@@ -232,44 +239,92 @@ def QSeriesRing(order: int = 16) -> Ring:
     return Ring(f"qseries:{order}", QSeries(order), QSeries.constant(order, 1))
 
 
+# Packed monomials: the exponent of x_v fills bits 64*(v-1) .. 64*v - 1.
+_FIELD_BITS = 64
+_EXPONENT_MAX = (1 << _FIELD_BITS) - 1
+
+
+def _unpack(packed: int) -> tuple:
+    """The sorted (variable, exponent) pairs of a packed monomial."""
+    pairs = []
+    v = 1
+    while packed:
+        e = packed & _EXPONENT_MAX
+        if e:
+            pairs.append((v, e))
+        packed >>= _FIELD_BITS
+        v += 1
+    return tuple(pairs)
+
+
+def _exponent_limit_error(bound: int) -> DomainError:
+    return DomainError(f"monomial exponents could reach {bound}, past the limit 2^64 - 1")
+
+
 class MonomialPolynomial:
     """Sparse integer polynomial in the variables x_1, x_2, ...
 
-    Terms map a monomial key -- a sorted tuple of (variable index, exponent)
-    pairs, both positive, one per variable -- to a nonzero integer
-    coefficient.  The constant term uses the empty key ().  The constructor
-    merges a variable repeated within a key by summing its exponents.
+    ``terms`` maps a monomial key -- a sorted tuple of (variable index,
+    exponent) pairs, both positive, one per variable -- to a nonzero integer
+    coefficient; the constant term uses the empty key ().  The constructor
+    takes terms in that form, with ``int`` indices, exponents and
+    coefficients only, and merges a variable repeated within a key by
+    summing its exponents.
+
+    Inside, each monomial is packed into one ``int`` with a 64-bit exponent
+    field per variable, and ``terms`` decodes the packed keys on every read.
+    Every value carries an upper bound on its exponents (``+`` and ``-``
+    take the larger bound, ``*`` the sum), and a constructor call or
+    product whose bound would pass 2^64 - 1 raises ``DomainError`` rather
+    than carry into the next variable's field.  One bound covers all
+    variables, so x_1^(2^63) * x_2^(2^63) is refused although each of its
+    exponents would fit.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, terms=None):
         clean: dict = {}
+        bound = 0
         for key, coeff in dict(terms or {}).items():
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
+            if type(coeff) is not int:
+                raise ValueError(f"monomial coefficients must be ints, got {coeff!r}")
             exponents: dict[int, int] = {}
             for v, e in key:
-                v, e = int(v), int(e)
-                if v < 1 or e < 1:
-                    raise ValueError("monomial needs positive variable indices and exponents")
+                if type(v) is not int or type(e) is not int or v < 1 or e < 1:
+                    raise ValueError(
+                        "monomial needs positive int variable indices and exponents, "
+                        f"got {(v, e)!r}"
+                    )
                 exponents[v] = exponents.get(v, 0) + e
-            norm = tuple(sorted(exponents.items()))
-            clean[norm] = clean.get(norm, 0) + coeff
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
+            packed = 0
+            for v, e in exponents.items():
+                if e > _EXPONENT_MAX:
+                    raise _exponent_limit_error(e)
+                bound = max(bound, e)
+                packed += e << (_FIELD_BITS * (v - 1))
+            clean[packed] = clean.get(packed, 0) + coeff
+        object.__setattr__(self, "_terms", {k: c for k, c in clean.items() if c})
+        object.__setattr__(self, "_bound", bound)
 
     @classmethod
-    def _make(cls, terms: dict) -> "MonomialPolynomial":
-        """Trusted constructor for results of polynomial arithmetic: the
-        keys are already sorted tuples of positive pairs and every
-        coefficient is a nonzero ``int``; nothing is converted or checked."""
+    def _make(cls, terms: dict, bound: int) -> "MonomialPolynomial":
+        """Trusted constructor for results of polynomial arithmetic: packed
+        keys, nonzero ``int`` coefficients and a bound at most 2^64 - 1 on
+        every exponent; nothing is converted or checked."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_bound", bound)
         return poly
 
     def __setattr__(self, *_):
         raise AttributeError("MonomialPolynomial values are immutable")
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict from sorted (variable, exponent) key tuples to the
+        nonzero coefficients."""
+        return {_unpack(k): c for k, c in self._terms.items()}
 
     @classmethod
     def constant(cls, n: int) -> "MonomialPolynomial":
@@ -281,75 +336,88 @@ class MonomialPolynomial:
         return cls({((var, exp),): 1})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = MonomialPolynomial.constant(other)
         if not isinstance(other, MonomialPolynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+            if not isinstance(other, int):
+                return NotImplemented
+            other = MonomialPolynomial.constant(int(other))
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for key, coeff in small.items():
             total = out.get(key, 0) + coeff
             if total:
                 out[key] = total
             else:
                 del out[key]
-        return MonomialPolynomial._make(out)
+        bound = self._bound if self._bound > other._bound else other._bound
+        return MonomialPolynomial._make(out, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MonomialPolynomial._make({k: -c for k, c in self.terms.items()})
+        return MonomialPolynomial._make({k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MonomialPolynomial.constant(other)
         if not isinstance(other, MonomialPolynomial):
-            return NotImplemented
-        return self.__add__(-other)
+            if not isinstance(other, int):
+                return NotImplemented
+            other = MonomialPolynomial.constant(int(other))
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            total = out.get(key, 0) - coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        bound = self._bound if self._bound > other._bound else other._bound
+        return MonomialPolynomial._make(out, bound)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    @staticmethod
-    def _merge_keys(k1, k2):
-        # Schur and linear values multiply by the variables in increasing
-        # order, so one key usually ends below where the other starts.
-        if not k1 or not k2 or k1[-1][0] < k2[0][0]:
-            return k1 + k2
-        if k2[-1][0] < k1[0][0]:
-            return k2 + k1
-        exps = dict(k1)
-        for v, e in k2:
-            exps[v] = exps.get(v, 0) + e
-        return tuple(sorted(exps.items()))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return MonomialPolynomial._make({})
-            return MonomialPolynomial._make({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, MonomialPolynomial):
-            return NotImplemented
+            if not isinstance(other, int):
+                return NotImplemented
+            if other == 0:
+                return MonomialPolynomial._make({}, 0)
+            return MonomialPolynomial._make(
+                {k: c * other for k, c in self._terms.items()}, self._bound
+            )
+        bound = self._bound + other._bound
+        if bound > _EXPONENT_MAX:
+            raise _exponent_limit_error(bound)
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # Times one monomial: distinct keys stay distinct, and products
+            # of nonzero ints are nonzero, so nothing merges or cancels.
+            ((k0, c0),) = a.items()
+            return MonomialPolynomial._make({k + k0: c * c0 for k, c in b.items()}, bound)
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = self._merge_keys(k1, k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return MonomialPolynomial._make({k: c for k, c in out.items() if c})
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return MonomialPolynomial._make({k: c for k, c in out.items() if c}, bound)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = MonomialPolynomial.constant(other)
         if not isinstance(other, MonomialPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
+            if not isinstance(other, int):
+                return NotImplemented
+            other = MonomialPolynomial.constant(int(other))
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def to_json(self) -> list:
         return [
@@ -358,7 +426,7 @@ class MonomialPolynomial:
         ]
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "MonomialPolynomial(0)"
         parts = []
         for key, coeff in sorted(self.terms.items()):

@@ -599,6 +599,33 @@ def test_integer_labels_outside_the_domain_stay_exit_3(capsys):
     assert code == 3 and not out and "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "shape, diagonal",
+    [
+        ("[1]", f'{{"0": {2**64}}}'),
+        ("[1]", f'{{"0": {2**70 + 3}}}'),
+        ("[2]", f'{{"0": {2**63}, "1": {2**63}}}'),
+    ],
+)
+def test_qsym_exponents_past_the_field_limit_exit_3(shape, diagonal, capsys):
+    # The first used to exit 0; the exponents of a qsym value are capped
+    # at 2^64 - 1, and a product that could pass the cap is refused.
+    argv = ["compute", "--shape", shape, "--diagonal", diagonal, "--N", "3", "--ring", "qsym"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and not out
+    assert err.startswith("domain error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_qsym_exponents_up_to_the_field_limit_are_computed(capsys):
+    code, payload, _ = run_json(
+        ["compute", "--shape", "[1]", "--diagonal", f'{{"0": {2**64 - 1}}}', "--N", "2",
+         "--ring", "qsym"],
+        capsys,
+    )
+    assert code == 0
+    assert payload["coefficients"] == [[{"coeff": 1, "powers": [[1, 2**64 - 1]]}]]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

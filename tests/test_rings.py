@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from schurzeta import rings
-from schurzeta.errors import NonInvertibleError
+from schurzeta.errors import DomainError, NonInvertibleError
 from schurzeta.jacobi_trudi import _h_matrix, palindrome_weights
 from schurzeta.shapes import Partition
 from schurzeta.values import q_analogue_map, rational_map
@@ -23,6 +23,8 @@ from schurzeta.rings import (
     q_integer,
     ring_determinant,
 )
+
+from monomial_reference import merge_keys, reference_product, reference_sum
 
 
 def permutation_determinant(matrix, ring):
@@ -569,3 +571,156 @@ def test_monomial_polynomial_constructor_normalizes_keys():
     for key in (((1, 2), (2, 0)), ((0, 1),), ((3, 1), (-1, 2))):
         with pytest.raises(ValueError):
             MonomialPolynomial({key: 1})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {((1.5, 2.9),): 2.7},
+        {((1, 2),): 2.7},
+        {((1, 2),): 2.0},
+        {((1, 2),): Fraction(2)},
+        {((1, 2),): True},
+        {((1, 2),): False},
+        {((1.0, 2),): 1},
+        {((1, 2.0),): 1},
+        {((True, 2),): 1},
+        {((1, True),): 1},
+        {(("1", 2),): 1},
+    ],
+)
+def test_monomial_polynomial_constructor_takes_only_ints(terms):
+    # Each used to be truncated or read as 1: the first built 2*x1^2.
+    with pytest.raises(ValueError) as excinfo:
+        MonomialPolynomial(terms)
+    assert excinfo.type is ValueError
+
+
+# Exponents include some near 2^61, far past any narrow field, while every
+# product here stays below the 2^64 limit.
+ORACLE_EXPONENTS = (1, 1, 2, 3, 2**61, 2**61 + 1)
+
+
+def random_raw_terms(rng):
+    """Raw constructor input over x_1..x_4: keys may be unsorted or repeat a
+    variable; about a third of the polynomials have a single term."""
+    count = 1 if rng.random() < 0.35 else rng.randint(0, 4)
+    terms = {}
+    for _ in range(count):
+        key = tuple(
+            (rng.randint(1, 4), rng.choice(ORACLE_EXPONENTS)) for _ in range(rng.randint(0, 3))
+        )
+        terms[key] = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+    return terms
+
+
+def reference_normal_form(raw):
+    out = {}
+    for key, coeff in raw.items():
+        out = reference_sum(out, {merge_keys((), key): coeff})
+    return out
+
+
+def test_packed_arithmetic_matches_tuple_key_reference():
+    rng = random.Random(20260)
+    single_term_factors = 0
+    for _ in range(400):
+        raw_a, raw_b = random_raw_terms(rng), random_raw_terms(rng)
+        a, b = MonomialPolynomial(raw_a), MonomialPolynomial(raw_b)
+        ta, tb = a.terms, b.terms
+        assert ta == reference_normal_form(raw_a) and tb == reference_normal_form(raw_b)
+        single_term_factors += (len(ta) == 1) + (len(tb) == 1)
+        expected = reference_product(ta, tb)
+        assert (a * b).terms == expected and (b * a).terms == expected
+        assert (a + b).terms == reference_sum(ta, tb) == (b + a).terms
+        assert (a - b).terms == reference_sum(ta, tb, -1)
+        assert (b - a).terms == reference_sum(tb, ta, -1)
+    assert single_term_factors > 200  # the one-monomial route, on either side
+
+
+LIMIT = 2**64 - 1
+
+
+def test_exponent_at_the_field_limit_round_trips():
+    for v in (1, 2, 5):
+        top = MonomialPolynomial.variable_power(v, LIMIT)
+        assert top.terms == {((v, LIMIT),): 1}
+        assert top.to_json() == [{"powers": [[v, LIMIT]], "coeff": 1}]
+        assert repr(top) == f"MonomialPolynomial(1*x{v}^{LIMIT})"
+        assert MonomialPolynomial(top.terms) == top
+    both = MonomialPolynomial.variable_power(1, LIMIT) - MonomialPolynomial.variable_power(2, LIMIT)
+    assert both.terms == {((1, LIMIT),): 1, ((2, LIMIT),): -1}
+    x1 = MonomialPolynomial.variable_power(1, 1)
+    reached = MonomialPolynomial.variable_power(1, LIMIT - 1) * x1
+    assert reached.terms == {((1, LIMIT),): 1}
+
+
+def test_exponent_past_the_field_limit_raises():
+    x1 = MonomialPolynomial.variable_power(1, 1)
+    x2 = MonomialPolynomial.variable_power(2, 1)
+    half = MonomialPolynomial.variable_power(1, 2**63)
+    top = MonomialPolynomial.variable_power(1, LIMIT)
+    # Each product has a term that would carry into the field of x_2:
+    # half * half would read as x2, and top * x1 as x2 with nothing in x_1.
+    for left, right in ((half, half), (top, x1), (x1, top), (top + x2, x1), (x1 - top, x1 + 3)):
+        with pytest.raises(DomainError):
+            left * right
+    with pytest.raises(DomainError):
+        MonomialPolynomial.variable_power(1, 2**64)
+    with pytest.raises(DomainError):
+        MonomialPolynomial({((2, LIMIT), (2, 1)): 1})
+    # The operands are untouched and nothing reached x_2.
+    assert half.terms == {((1, 2**63),): 1} and top.terms == {((1, LIMIT),): 1}
+    assert (half * x1).terms == {((1, 2**63 + 1),): 1}
+
+
+def test_monomial_polynomial_equal_however_built():
+    def x(v, e=1):
+        return MonomialPolynomial.variable_power(v, e)
+
+    # 3*x1^2*x2 + 2*x1*x3 - x3^4, four ways.
+    by_constructor = MonomialPolynomial(
+        {((2, 1), (1, 1), (1, 1)): 2, ((3, 4),): -1, ((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): 2}
+    )
+    by_general_products = (
+        (x(1) + x(3, 2)) * (x(1) - x(3, 2))
+        + (x(1) + x(3)) * (3 * x(1) * x(2) - x(1) + 2 * x(3))
+        - 3 * x(1) * x(2) * x(3)
+        - 2 * x(3, 2)
+        + x(1) * x(3)
+    )
+    rest = 3 * x(1) * x(2) + 2 * x(3)
+    by_single_term_left = x(1) * rest - x(3, 4)
+    by_single_term_right = rest * x(1) - x(3, 4)
+    built = [by_constructor, by_general_products, by_single_term_left, by_single_term_right]
+    expected = {((1, 2), (2, 1)): 3, ((1, 1), (3, 1)): 2, ((3, 4),): -1}
+    for poly in built:
+        assert poly.terms == expected
+        assert poly == by_constructor and hash(poly) == hash(by_constructor)
+    assert len({hash(poly) for poly in built}) == 1
+
+
+def test_monomial_polynomial_json_order_is_tuple_order():
+    # Packed keys would order x2 before x1^2*x3; output follows the tuples.
+    terms = {
+        ((1, 2), (3, 1)): 5, ((2, 1),): -1, ((1, 1), (2, 3)): 2,
+        ((3, 7),): 4, (): 6, ((1, 2), (2, 1)): 3,
+    }
+    expected_json = [
+        {"powers": [], "coeff": 6},
+        {"powers": [[1, 1], [2, 3]], "coeff": 2},
+        {"powers": [[1, 2], [2, 1]], "coeff": 3},
+        {"powers": [[1, 2], [3, 1]], "coeff": 5},
+        {"powers": [[2, 1]], "coeff": -1},
+        {"powers": [[3, 7]], "coeff": 4},
+    ]
+    x = MonomialPolynomial.variable_power
+    by_operators = (
+        4 * x(3, 7) - x(2, 1) + 5 * x(1, 2) * x(3, 1) + 6
+        + 3 * x(2, 1) * x(1, 2) + 2 * x(2, 3) * x(1, 1)
+    )
+    for poly in (MonomialPolynomial(terms), by_operators):
+        assert poly.to_json() == expected_json
+        assert repr(poly) == (
+            "MonomialPolynomial(6 + 2*x1*x2^3 + 3*x1^2*x2 + 5*x1^2*x3 + -1*x2 + 4*x3^7)"
+        )
