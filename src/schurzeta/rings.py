@@ -15,9 +15,10 @@ to use from concurrent code without locking.  Concrete representations:
   nonzero ``int`` coefficients, where a packed monomial is one ``int``
   holding the exponent of x_v in the 64-bit field at bit offset
   64 * (v - 1), so that a product of monomials is one integer addition.
-  Exponents stop at 2^64 - 1: an operation that could pass that raises
-  ``DomainError``.  The keys are decoded to sorted (variable, exponent)
-  tuples only at the edges: ``terms``, ``to_json`` and ``repr``
+  Exponents stop at 2^64 - 1: a product in which some variable's exponent
+  would pass that raises ``DomainError``.  The keys are decoded to sorted
+  (variable, exponent) tuples only at the edges: ``terms``, ``to_json``
+  and ``repr``
 
 A ``Ring`` is one record: a name, a zero and a one, which is all that
 generic algorithms (polynomial arithmetic, division-free determinants) need
@@ -54,6 +55,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Iterable, Sequence
 
 from .errors import DomainError, NonInvertibleError
@@ -261,6 +263,32 @@ def _exponent_limit_error(bound: int) -> DomainError:
     return DomainError(f"monomial exponents could reach {bound}, past the limit 2^64 - 1")
 
 
+def _field_maxima(terms: dict) -> list[int]:
+    """The largest exponent of each variable x_1, x_2, ... over packed keys."""
+    maxima: list[int] = []
+    for key in terms:
+        v = 0
+        while key:
+            e = key & _EXPONENT_MAX
+            if v == len(maxima):
+                maxima.append(e)
+            elif e > maxima[v]:
+                maxima[v] = e
+            key >>= _FIELD_BITS
+            v += 1
+    return maxima
+
+
+def _product_bound(a: dict, b: dict) -> int:
+    """The largest exponent any product of a term of a and one of b can
+    have, per variable the sum of the two largest; raises ``DomainError``
+    when it passes 2^64 - 1, where it would carry into the next field."""
+    bound = max(map(sum, zip_longest(_field_maxima(a), _field_maxima(b), fillvalue=0)), default=0)
+    if bound > _EXPONENT_MAX:
+        raise _exponent_limit_error(bound)
+    return bound
+
+
 class MonomialPolynomial:
     """Sparse integer polynomial in the variables x_1, x_2, ...
 
@@ -274,11 +302,13 @@ class MonomialPolynomial:
     Inside, each monomial is packed into one ``int`` with a 64-bit exponent
     field per variable, and ``terms`` decodes the packed keys on every read.
     Every value carries an upper bound on its exponents (``+`` and ``-``
-    take the larger bound, ``*`` the sum), and a constructor call or
-    product whose bound would pass 2^64 - 1 raises ``DomainError`` rather
-    than carry into the next variable's field.  One bound covers all
-    variables, so x_1^(2^63) * x_2^(2^63) is refused although each of its
-    exponents would fit.
+    take the larger bound, ``*`` the sum).  When a product's summed bound
+    passes 2^64 - 1, the exact largest exponent of each variable in the
+    two factors is read instead, and the product raises ``DomainError``
+    only if some variable's two maxima add up past 2^64 - 1, where it would
+    carry into the next variable's field; so x_1^(2^63) * x_2^(2^63) is
+    computed and x_1^(2^63) * x_1^(2^63) is refused.  A constructor call
+    with an exponent past 2^64 - 1 raises too.
     """
 
     __slots__ = ("_terms", "_bound")
@@ -387,7 +417,7 @@ class MonomialPolynomial:
             )
         bound = self._bound + other._bound
         if bound > _EXPONENT_MAX:
-            raise _exponent_limit_error(bound)
+            bound = _product_bound(self._terms, other._terms)
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a

@@ -19,6 +19,11 @@ integer form, f(k, m) * L^max(k, 0); each evaluator runs its body once over
 that form and divides by L^K at the end, so no ``Fraction`` is normalized
 inside the sums.  Any other map, including a hand-built rational one, runs
 the same body over its own ring.
+
+Over an integer form the Schur walk also packs each t-polynomial into one
+``int``, its value at t = 2^b (Kronecker substitution), so every step of
+the walk is one big-integer operation; the slot width b comes from an
+a-priori bound on the value's coefficients, proved in ``schur_value``.
 """
 
 from __future__ import annotations
@@ -306,6 +311,30 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     skipped, so only the states live at M are walked.  The cost is
     polynomial in N and in the number of sub-partitions; the result has
     degree at most (cell count - 1) in t.
+
+    Over a map's integer form each state's t-polynomial p is one ``int``,
+    p(2^b): a layer step is one big-integer multiply-add, t^v is a shift
+    by b*v, and a factor 1 - t is p - (p << b).  Over any other ring p is
+    a coefficient list with the same operations, and the walk is the same
+    code.  The value is decoded once, into signed digits in base 2^b
+    (``_signed_digits``), which are its coefficients c_k when every
+    |c_k| < 2^(b-1).  ``_slot_bits`` takes b one bit longer than the bit
+    length of the bound X below, so |c_k| <= X < 2^(b-1).
+
+    Proof of the bound.  c_k sums, over the ordered fillings F, the
+    coefficient of t^k in t^v(F) (1-t)^h(F) times the product over the
+    cells of f(label, entry).  That coefficient is +-C(h, k - v) or 0, at
+    most 2^h, and h counts equal neighbours within a row, so h <= C - height
+    for C cells.  A filling is one of the maps from the cells to 1..N-1, so
+    summing over all such maps instead,
+
+        |c_k| <= X = 2^(C - height) * prod over cells c of S_c,
+        S_c = sum over m in 1..N-1 of |f(label_c, m)|.
+
+    The packing p -> p(2^b) is a ring map Z[t] -> Z, so the walk's
+    intermediate values may carry from one slot into the next: the packed
+    result is still exactly the final value at 2^b, and only its decode
+    needs the bound.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -315,55 +344,118 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
 
 def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
-    zero = ring.zero
     parts = weights.shape.parts
     labels = [k for row in weights.rows for k in row]  # by cell number
     start = (0,) * len(parts)
     if _depth(parts, start) >= N:  # a diagonal longer than the N-1 values: no filling
         return TPoly.zero(ring)
-    # Coefficient lists by ascending power of t, per live sub-partition.
-    by_state: dict[tuple[int, ...], list] = {start: [ring.one]}
+    # Each live sub-partition carries a t-polynomial that supports +, -,
+    # * by a ring element, and << b for * t.
+    if ring is _ZZ:
+        b = _slot_bits(parts, labels, N, cmap)
+        by_state: dict[tuple[int, ...], Any] = {start: 1}
+    else:
+        b = 1
+        by_state = {start: _Coefficients([ring.one], ring.zero)}
     for M in range(1, N):
         remaining = N - 1 - M  # values left after M: deeper states are dead
         f = [cmap(label, M) for label in labels]
         layer_weights: dict[tuple, Any] = {}  # cells -> product of f over them
         # Per (target, v, h): the sum of the source states, each times its
         # layer's product of f(label, M).
-        sums: dict[tuple, list] = {}
-        for mu, coeffs in by_state.items():
+        sums: dict[tuple, Any] = {}
+        for mu, poly in by_state.items():
             for key, depth, cells in _layers_from(parts, mu):
                 if depth > remaining:
                     continue
                 w = layer_weights.get(cells)
                 if w is None:
                     w = layer_weights[cells] = reduce(mul, map(f.__getitem__, cells))
-                scaled = [c * w for c in coeffs]
                 acc = sums.get(key)
-                if acc is None:
-                    sums[key] = scaled
-                else:
-                    _add_shifted(acc, scaled, 0, 1, zero)
-        new = {mu: c for mu, c in by_state.items() if _depth(parts, mu) <= remaining}
+                sums[key] = poly * w if acc is None else acc + poly * w
+        new = {mu: p for mu, p in by_state.items() if _depth(parts, mu) <= remaining}
         for (nu, v, h), acc in sums.items():
-            out = list(new.get(nu, ()))
-            for s in range(h + 1):  # times t^v (1-t)^h
-                _add_shifted(out, acc, v + s, (-1) ** s * math.comb(h, s), zero)
-            new[nu] = out
+            acc <<= b * v  # times t^v
+            for _ in range(h):
+                acc -= acc << b  # times 1 - t
+            old = new.get(nu)
+            new[nu] = acc if old is None else old + acc
         by_state = new
-    return TPoly(ring, by_state.get(parts, ()))
+    value = by_state.get(parts)
+    if value is None:
+        return TPoly.zero(ring)
+    return TPoly(ring, _signed_digits(value, b) if ring is _ZZ else value.coeffs)
 
 
-def _add_shifted(out: list, coeffs: list, shift: int, factor: int, zero: Any) -> None:
-    """out += t^shift * factor * coeffs, growing out as needed."""
-    if len(out) < shift + len(coeffs):
-        out.extend([zero] * (shift + len(coeffs) - len(out)))
-    for k, c in enumerate(coeffs, start=shift):
-        if factor == 1:
-            out[k] = out[k] + c
-        elif factor == -1:
-            out[k] = out[k] - c
-        else:
-            out[k] = out[k] + c * factor
+def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:
+    """Bits b per power of t for an integer-form Schur value: one more
+    than the bit length of the bound X on its coefficients proved in
+    ``schur_value``.  X >= 1, so b >= 2."""
+    totals: dict[int, int] = {}
+    bound = 1 << (len(labels) - len(parts))
+    for k in labels:
+        total = totals.get(k)
+        if total is None:
+            total = totals[k] = sum(abs(cmap(k, m)) for m in range(1, N))
+        bound *= total
+    return bound.bit_length() + 1
+
+
+def _signed_digits(value: int, b: int) -> list[int]:
+    """The coefficients c_0, c_1, ... of the integer polynomial p with
+    p(2^b) = value, given |c_k| < 2^(b-1): the digits of value in base 2^b
+    taken from -2^(b-1) .. 2^(b-1) - 1, where they are unique."""
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    coeffs = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << b
+        coeffs.append(c)
+        value = (value - c) >> b
+    return coeffs
+
+
+class _Coefficients:
+    """A t-polynomial over a ring with no integer form, as its coefficient
+    list by ascending power of t: the arithmetic the Schur walk does on a
+    packed ``int`` (+, -, * by a ring element, and << n for * t^n),
+    coefficient by coefficient.  The padding that << and a longer operand
+    bring in is the ring's zero object itself, and no sum or difference is
+    formed with it."""
+
+    __slots__ = ("coeffs", "zero")
+
+    def __init__(self, coeffs: list, zero: Any):
+        self.coeffs = coeffs
+        self.zero = zero
+
+    def __add__(self, other: "_Coefficients") -> "_Coefficients":
+        zero = self.zero
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = a[:]
+        for i, c in enumerate(b):
+            if c is not zero:
+                out[i] = c if out[i] is zero else out[i] + c
+        return _Coefficients(out, zero)
+
+    def __sub__(self, other: "_Coefficients") -> "_Coefficients":
+        zero = self.zero
+        out = self.coeffs + [zero] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            if c is not zero:
+                out[i] = -c if out[i] is zero else out[i] - c
+        return _Coefficients(out, zero)
+
+    def __mul__(self, w: Any) -> "_Coefficients":
+        zero = self.zero
+        return _Coefficients([zero if c is zero else c * w for c in self.coeffs], zero)
+
+    def __lshift__(self, n: int) -> "_Coefficients":
+        return _Coefficients([self.zero] * n + self.coeffs, self.zero)
 
 
 def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
@@ -379,7 +471,9 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value_prefixes(keys, N, c)[-1])
+    return _evaluate(
+        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_prefixes(keys, N, c)[-1])
+    )
 
 
 def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
@@ -399,14 +493,20 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
     keys = tuple(keys)
     prefixes = [keys[:p] for p in range(len(keys) + 1)]
     return _evaluate_each(
-        cmap, N - 1, keys, prefixes, lambda c: _linear_value_prefixes(keys, N, c)
+        cmap,
+        N - 1,
+        keys,
+        prefixes,
+        lambda c: [TPoly(c.ring, value) for value in _linear_value_prefixes(keys, N, c)],
     )
 
 
-def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
+def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[list]:
+    """The prefix values as coefficient lists by ascending power of t; the
+    callers make a ``TPoly`` of only the values they return."""
     ring = cmap.ring
     zero = ring.zero
-    values = [TPoly.one(ring)]
+    values = [[ring.one]]
     # Coefficient lists by ascending power of t, indexed by m - 1: the
     # chains of the current prefix ending at m, and those ending below m.
     last: list[list] = [[]] * (N - 1)
@@ -424,7 +524,7 @@ def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TP
             new_last.append(acc)
             total = [a + b for a, b in zip(total, acc)] + acc[len(total):]
         last, below = new_last, new_below
-        values.append(TPoly(ring, total))
+        values.append(total)
     return values
 
 

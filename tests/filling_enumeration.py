@@ -8,10 +8,12 @@ module docstring, and shares no code with the transfer matrix it checks.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterator, Sequence
 
-from schurzeta.shapes import Partition
+from schurzeta.rings import TPoly
+from schurzeta.shapes import Partition, Tableau
 
 
 def cells(shape: Partition) -> Iterator[tuple[int, int]]:
@@ -71,6 +73,21 @@ def iter_filling_rows(shape: Partition, N: int) -> Iterator[tuple[tuple[tuple[in
         rows[i - 1][j - 1] = 0
 
     yield from rec(0)
+
+
+def filling_sum_oracle(tab: Tableau, N: int, cmap) -> TPoly:
+    """The defining Schur sum, filling by filling: every ordered filling adds
+    the product of f(label, entry) times t^v (1-t)^h."""
+    ring = cmap.ring
+    acc = [ring.zero] * max(tab.shape.size, 1)
+    for rows, v, h in iter_filling_rows(tab.shape, N):
+        prod = ring.one
+        for label_row, row in zip(tab.rows, rows):
+            for label, m in zip(label_row, row):
+                prod = prod * cmap(label, m)
+        for s in range(h + 1):
+            acc[v + s] = acc[v + s] + prod * ((-1) ** s * math.comb(h, s))
+    return TPoly(ring, acc)
 
 
 def brute_force_count_oyt(shape: Partition, N: int) -> int:

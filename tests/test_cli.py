@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from schurzeta import cli, lattice, sweeps, values
 from schurzeta.rings import QQ, TPoly
+from schurzeta.shapes import Tableau
+
+from filling_enumeration import filling_sum_oracle
 
 
 def run(argv, capsys):
@@ -290,7 +293,9 @@ def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     def perturbed(keys, N, cmap):
         prefixes = original(keys, N, cmap)
         if len(keys) >= 2 and N >= 3:
-            prefixes[-1] = prefixes[-1] + TPoly.one(cmap.ring)
+            # The prefixes are coefficient lists: add one at t^0.
+            first, *rest = prefixes[-1]
+            prefixes[-1] = [first + cmap.ring.one, *rest]
         return prefixes
 
     monkeypatch.setattr(values, "_linear_value_prefixes", perturbed)
@@ -609,7 +614,8 @@ def test_integer_labels_outside_the_domain_stay_exit_3(capsys):
 )
 def test_qsym_exponents_past_the_field_limit_exit_3(shape, diagonal, capsys):
     # The first used to exit 0; the exponents of a qsym value are capped
-    # at 2^64 - 1, and a product that could pass the cap is refused.
+    # at 2^64 - 1, and a product in which an exponent would pass the cap
+    # is refused.
     argv = ["compute", "--shape", shape, "--diagonal", diagonal, "--N", "3", "--ring", "qsym"]
     code, out, err = run(argv, capsys)
     assert code == 3 and not out
@@ -624,6 +630,25 @@ def test_qsym_exponents_up_to_the_field_limit_are_computed(capsys):
     )
     assert code == 0
     assert payload["coefficients"] == [[{"coeff": 1, "powers": [[1, 2**64 - 1]]}]]
+
+
+def test_qsym_exponents_of_different_variables_past_the_summed_bound_are_computed(capsys):
+    # The two cells at offset 0 share a diagonal, so they hold distinct
+    # entries: x_1^(2^63) * x_2^(2^63) never puts 2^64 into one field.
+    diagonal = {"-1": 1, "0": 2**63, "1": 1}
+    code, payload, _ = run_json(
+        ["compute", "--shape", "[2,2]", "--diagonal", json.dumps(diagonal), "--N", "3",
+         "--ring", "qsym"],
+        capsys,
+    )
+    assert code == 0
+    cmap = values.quasisymmetric_map()
+    tableau = Tableau.from_rows([[2**63, 1], [1, 2**63]])
+    expected = filling_sum_oracle(tableau, 3, cmap)
+    assert payload["coefficients"] == [c.to_json() for c in expected.coeffs]
+    assert payload["coefficients"][0] == [
+        {"coeff": 1, "powers": [[1, 2**63 + 1], [2, 2**63 + 1]]}
+    ]
 
 
 def test_output_file(tmp_path, capsys):

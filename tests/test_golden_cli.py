@@ -31,6 +31,8 @@ EXTRA_COMMANDS = [
     "palindrome-verify --keys '[2,3,2,3,2,3,2,3]' --N 9",
     "jt-verify --shape '[32,32]' --N 4 --seed 1",
     "jt-verify --shape '[16,16,16]' --N 5 --seed 1",
+    "compute --shape '[5,5,5,5,5]' --N 8 --diagonal"
+    " '{\"-4\":3,\"-3\":2,\"-2\":3,\"-1\":2,\"0\":3,\"1\":2,\"2\":3,\"3\":2,\"4\":3}'",
     "oyt-count --shape '[6,6,6,6,6,6]' --N 12",
     "jt-verify --shape '[4,4,4]' --N 5 --ring qsym --seed 1",
     "jt-verify --shape '[10,8,3]' --N 5 --ring qseries:8 --seed 1",

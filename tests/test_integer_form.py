@@ -6,6 +6,7 @@ integer form runs the same evaluator bodies over ``Fraction`` and is the
 oracle here.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ import pytest
 
 from schurzeta import lattice, values
 from schurzeta.errors import DomainError
+from schurzeta.jacobi_trudi import verify_jacobi_trudi
 from schurzeta.lattice import (
     black,
     layer_endpoints,
@@ -27,6 +29,7 @@ from schurzeta.shapes import Partition, Tableau, admissible_baselines, partition
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
+    diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
     linear_value_prefixes,
@@ -36,6 +39,8 @@ from schurzeta.values import (
     required_offsets,
     schur_value,
 )
+
+from filling_enumeration import filling_sum_oracle
 
 RAT = rational_map()
 FRACTIONS = CoefficientMap("rational", QQ, RAT.fn)
@@ -93,12 +98,78 @@ def test_long_keys_match_fraction_route():
 
 
 def test_schur_values_match_fraction_route():
+    # Labels vary along the diagonals, as in the tableaux conjugation reads.
     rng = random.Random(5)
     for shape in partitions_up_to(5):
         for N in N_VALUES:
             rows = [[rng.choice(LABELS) for _ in range(p)] for p in shape.parts]
             tableau = Tableau(shape, rows)
-            same(schur_value(tableau, N, RAT), schur_value(tableau, N, FRACTIONS))
+            fast = schur_value(tableau, N, RAT)
+            same(fast, schur_value(tableau, N, FRACTIONS))
+            if N <= 5:
+                assert fast == filling_sum_oracle(tableau, N, FRACTIONS)
+
+
+# Over the integer form the Schur walk packs each t-polynomial into one int,
+# its value at t = 2^b, and decodes the result's signed base-2^b digits once.
+
+@pytest.mark.parametrize("C", [1, 2, 3, 4, 9, 16, 33])
+def test_packed_one_row_of_zero_labels_is_a_power_of_one_minus_t(C):
+    # At N = 2 the only filling is all ones: h = C - 1, and every f is 1,
+    # so the middle binomials come within a factor of about sqrt(C) of the
+    # 2^(C - 1) bound that sets the slot width; for even C the top
+    # coefficient is -1.
+    tableau = Tableau(Partition((C,)), [[0] * C])
+    expected = TPoly(QQ, [Fraction((-1) ** k * math.comb(C - 1, k)) for k in range(C)])
+    fast = schur_value(tableau, 2, RAT)
+    same(fast, expected)
+    assert schur_value(tableau, 2, FRACTIONS) == expected
+
+
+def test_packed_value_with_negative_top_coefficient():
+    # Row (2, 3): fillings m <= m'; equal entries weigh 1 - t.
+    for N in range(2, 8):
+        low = sum(Fraction(1, m**2 * n**3) for m in range(1, N) for n in range(m, N))
+        top = sum(Fraction(1, m**5) for m in range(1, N))
+        value = schur_value(Tableau.from_rows([[2, 3]]), N, RAT)
+        same(value, TPoly(QQ, [low, -top]))
+        assert value.coefficient(1) < 0
+
+
+def test_packed_negative_labels_match_fraction_route_and_enumeration():
+    rng = random.Random(9)
+    for shape in partitions_up_to(5):
+        for N in range(1, 6):
+            rows = [[rng.choice((-3, -2, -1)) for _ in range(p)] for p in shape.parts]
+            tableau = Tableau(shape, rows)
+            fast = schur_value(tableau, N, RAT)
+            same(fast, schur_value(tableau, N, FRACTIONS))
+            assert fast == filling_sum_oracle(tableau, N, FRACTIONS)
+
+
+def test_packed_values_with_no_filling_are_zero():
+    zero, one = TPoly.zero(QQ), TPoly.one(QQ)
+    same(schur_value(Tableau.from_rows([]), 1, RAT), one)
+    for rows in ([[2]], [[0, -1], [3]], [[1, 2, 3]]):
+        same(schur_value(Tableau.from_rows(rows), 1, RAT), zero)
+    # A square of side r has a diagonal of r cells, which needs r distinct
+    # values below N: none at N <= r, some at N = r + 1.
+    for r in (2, 3, 4):
+        square = Tableau(Partition((r,) * r), [[2] * r] * r)
+        for N in range(1, r + 1):
+            same(schur_value(square, N, RAT), zero)
+        assert schur_value(square, r + 1, RAT) == schur_value(square, r + 1, FRACTIONS) != zero
+
+
+def test_packed_wide_two_row_value_matches_jacobi_trudi():
+    # (24, 24) at N = 4: 48 cells, one slot of several hundred bits per
+    # power of t, against the determinants of prefix-DP linear values.
+    shape = Partition((24, 24))
+    weights = DiagonalWeights({d: (2, 3, -1)[d % 3] for d in required_offsets(shape)})
+    report = verify_jacobi_trudi(shape, 4, RAT, weights)
+    assert report.equal and report.schur
+    assert_rational(report.schur)
+    assert report.schur == schur_value(diagonal_tableau(shape, weights), 4, FRACTIONS)
 
 
 def random_window(rng, offsets):

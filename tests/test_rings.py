@@ -674,6 +674,25 @@ def test_exponent_past_the_field_limit_raises():
     assert (half * x1).terms == {((1, 2**63 + 1),): 1}
 
 
+def test_exponents_of_different_variables_fit_past_the_summed_bound():
+    # Each factor's bound is 2^63 or more, so their sum passes 2^64 - 1,
+    # but no variable's exponent does: the product is computed.
+    half1 = MonomialPolynomial.variable_power(1, 2**63)
+    half2 = MonomialPolynomial.variable_power(2, 2**63)
+    top2 = MonomialPolynomial.variable_power(2, LIMIT)
+    x1 = MonomialPolynomial.variable_power(1, 1)
+    assert (half1 * half2).terms == {((1, 2**63), (2, 2**63)): 1}
+    assert (half1 * top2).terms == {((1, 2**63), (2, LIMIT)): 1}
+    left, right = half1 + 3 * MonomialPolynomial.variable_power(2, 5), half2 - 2 * x1
+    assert (left * right).terms == reference_product(left.terms, right.terms)
+    # The exact bound the product carries still refuses what would overflow.
+    with pytest.raises(DomainError):
+        half1 * half2 * half1
+    with pytest.raises(DomainError):
+        (half1 * half2) * top2
+    assert (half1 * half2 * x1).terms == {((1, 2**63 + 1), (2, 2**63)): 1}
+
+
 def test_monomial_polynomial_equal_however_built():
     def x(v, e=1):
         return MonomialPolynomial.variable_power(v, e)
