@@ -42,8 +42,7 @@ from .values import (
     coefficient_map_for,
     diagonal_tableau,
     linear_value,
-    linear_value_by_recursion,
-    merge_expansion,
+    linear_value_routes,
     required_offsets,
     schur_value,
 )
@@ -312,18 +311,22 @@ def run_path_linear_sweep(
 # --------------------------------------------------------------------------
 # Linear oracles: three routes to one rational linear value.
 
-def _check_linear_oracles(keys: Sequence[int], N: int, cmap) -> dict:
-    direct = linear_value(keys, N, cmap)
-    recursive = linear_value_by_recursion(keys, N, cmap)
-    merged = merge_expansion(keys, N)
-    return {
-        "keys": list(keys),
-        "N": N,
-        "direct": direct.to_json(),
-        "recursion": recursive.to_json(),
-        "merge": merged.to_json(),
-        "equal": direct == recursive and recursive == merged,
-    }
+def _check_linear_oracles(keys: Sequence[int], max_n: int, cmap) -> list[dict]:
+    """The instances (keys, N) for N = 1..max_n, read off one run of each
+    route at max_n."""
+    return [
+        {
+            "keys": list(keys),
+            "N": N,
+            "direct": direct.to_json(),
+            "recursion": recursive.to_json(),
+            "merge": merged.to_json(),
+            "equal": direct == recursive and recursive == merged,
+        }
+        for N, (direct, recursive, merged) in enumerate(
+            linear_value_routes(keys, max_n, cmap), start=1
+        )
+    ]
 
 
 def run_oracle_triangle(
@@ -332,13 +335,20 @@ def run_oracle_triangle(
     weight_values: Sequence[int] = (-1, 0, 1, 2, 3),
 ) -> dict:
     """linear_value == linear_value_by_recursion == merge_expansion on every
-    rational tuple drawn from the given weight values."""
+    rational tuple drawn from the given weight values, at every N = 1..max_n.
+
+    Each route runs once per tuple, at max_n, and the instances for the
+    smaller N are read off that run (``values.linear_value_routes``); they
+    are listed by tuple, then by N.
+    """
+    if max_n < 1:
+        return _report("linear-oracles", [], ring="rational")
     cmap = coefficient_map_for("rational")
     instances = [
-        _check_linear_oracles(keys, N, cmap)
+        instance
         for r in range(0, max_r + 1)
         for keys in product(weight_values, repeat=r)
-        for N in range(1, max_n + 1)
+        for instance in _check_linear_oracles(keys, max_n, cmap)
     ]
     return _report("linear-oracles", instances, ring="rational")
 

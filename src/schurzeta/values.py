@@ -10,7 +10,10 @@ q-analogues, or quasi-symmetric functions, all computed exactly.
 Linear values have one evaluator, the prefix dynamic program of
 ``linear_value_prefixes``; ``linear_value`` is its full-length value.  The
 peeling recursion and the merge expansion are independent routes to the same
-values, kept as its oracles.
+values, kept as its oracles.  Each route's one body returns its values at
+every bound n = 1..N from one run at N; the single-N functions return the
+last of them, and ``linear_value_routes`` returns all of them, for all
+three routes, to the oracle sweep.
 
 Over the rational map every term of a value carries one factor m^(-k) per
 label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
@@ -32,8 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from operator import getitem, mul
+from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
@@ -472,7 +474,7 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
     return _evaluate(
-        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_prefixes(keys, N, c)[-1])
+        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_prefixes(keys, N, c)[0][-1])
     )
 
 
@@ -497,13 +499,15 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
         N - 1,
         keys,
         prefixes,
-        lambda c: [TPoly(c.ring, value) for value in _linear_value_prefixes(keys, N, c)],
+        lambda c: [TPoly(c.ring, value) for value in _linear_value_prefixes(keys, N, c)[0]],
     )
 
 
-def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[list]:
-    """The prefix values as coefficient lists by ascending power of t; the
-    callers make a ``TPoly`` of only the values they return."""
+def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> tuple[list, list]:
+    """The prefix values at N, and the full tuple's values at the bounds
+    1 .. N-1 (its chains that end below m are its chains bounded by m), as
+    coefficient lists by ascending power of t; the callers make a ``TPoly``
+    of only the values they return."""
     ring = cmap.ring
     zero = ring.zero
     values = [[ring.one]]
@@ -525,7 +529,7 @@ def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[li
             total = [a + b for a, b in zip(total, acc)] + acc[len(total):]
         last, below = new_last, new_below
         values.append(total)
-    return values
+    return values, below
 
 
 def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
@@ -538,15 +542,19 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
             t^g * f(keys[-1], m) * ... * f(keys[-1-g], m) * value(keys[:-g-1], m)
 
     memoized on (prefix length, m) as coefficient lists, over a per-call
-    table of f(k_i, m).
+    table of f(k_i, m).  The value is the last of the recursion's values
+    at every bound n = 1..N, read from one memo.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _evaluate(cmap, N - 1, keys, lambda c: _linear_value_by_recursion(keys, N, c))
+    return _evaluate(
+        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_by_recursion(keys, N, c)[-1])
+    )
 
 
-def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> TPoly:
+def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> list[list]:
+    """value(keys, n) for n = 1..N, as coefficient lists."""
     ring = cmap.ring
     zero = ring.zero
     # table[i][m] = f(keys[i], m), looked up once (index 0 unused).
@@ -575,34 +583,7 @@ def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> TPo
         memo[(p, n)] = acc
         return acc
 
-    return TPoly(ring, value(len(keys), N))
-
-
-def _strict_power_sum(
-    exponents: Sequence[int], N: int, L: int, powers: dict[int, list[int]]
-) -> int:
-    """L^(sum of the positive c_i) times the sum over strictly increasing
-    chains 0 < m_1 < ... < m_s < N of the product m_i^(-c_i); an integer,
-    since every m below N divides L.
-
-    powers[c][m] = (L // m)^c for c >= 0 and m^(-c) otherwise, the factor
-    of entry m under exponent c; rows are filled in on first use.
-    """
-    if len(exponents) >= N:
-        return 0  # no strict chain that long below N
-    rows = []
-    for c in exponents:
-        row = powers.get(c)
-        if row is None:
-            if c >= 0:
-                row = powers[c] = [None, *((L // m) ** c for m in range(1, N))]
-            else:
-                row = powers[c] = [None, *(m ** -c for m in range(1, N))]
-        rows.append(row)
-    total = 0
-    for chain in combinations(range(1, N), len(rows)):
-        total += math.prod(map(getitem, rows, chain))
-    return total
+    return [value(len(keys), n) for n in range(1, N + 1)]
 
 
 def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
@@ -615,18 +596,29 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     L^K, L = lcm(1..N-1) and K the sum of the positive keys (merging never
     raises the sum of the positive parts), and divided out once; this
     arithmetic is the route's own, independent of the maps' integer form.
-    The strict sums read their factors from a per-call table of powers.
+    One prefix pass over the entries m takes each strict sum at every bound
+    n = 1..N (``_strict_sums``), and the value is the last of them.  A key
+    that is not an ``int``, or is a ``bool``, raises DomainError.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    keys = tuple(int(k) for k in keys)
+    sums, denominator = _merge_expansion(tuple(keys), N)
+    return TPoly(QQ, [Fraction(a, denominator) for a in sums[-1]])
+
+
+def _merge_expansion(keys: tuple, N: int) -> tuple[list[list[int]], int]:
+    """The merge expansion at every bound n = 1..N, as integer coefficient
+    lists over their common denominator L^K."""
+    for k in keys:
+        if not _is_int(k):
+            raise DomainError(f"merge expansion keys must be integers, got {k!r}")
     r = len(keys)
     if r == 0:
-        return TPoly.one(QQ)
+        return [[1]] * N, 1
     L = math.lcm(*range(1, N))
     K = sum(k for k in keys if k > 0)
     powers: dict[int, list[int]] = {}  # the strict sums' table, per call
-    acc = [0] * r
+    acc = [[0] * r for _ in range(N)]  # acc[n - 1][merges]
     for mask in range(1 << (r - 1)):
         merged = [keys[0]]
         for gap in range(r - 1):
@@ -634,6 +626,67 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
                 merged[-1] += keys[gap + 1]
             else:
                 merged.append(keys[gap + 1])
-        missing = K - sum(c for c in merged if c > 0)
-        acc[bin(mask).count("1")] += _strict_power_sum(merged, N, L, powers) * L**missing
-    return TPoly(QQ, [Fraction(a, L**K) for a in acc])
+        scale = L ** (K - sum(c for c in merged if c > 0))
+        merges = r - len(merged)
+        for coeffs, s in zip(acc, _strict_sums(merged, N, L, powers)):
+            coeffs[merges] += s * scale
+    return acc, L**K
+
+
+def _strict_sums(
+    exponents: Sequence[int], N: int, L: int, powers: dict[int, list[int]]
+) -> list[int]:
+    """For every bound n = 1..N, L^(sum of the positive c_i) times the sum
+    over strictly increasing chains 0 < m_1 < ... < m_s < n of the product
+    m_i^(-c_i); integers, since every m below N divides L.
+
+    One pass over m: after entry m, sums[j] holds the chains of the first j
+    exponents with every entry at most m, and a chain of j exponents ending
+    at m extends one of j - 1 exponents ending below m.  powers[c][m] =
+    (L // m)^c for c >= 0 and m^(-c) otherwise, the factor of entry m under
+    exponent c; rows are filled in on first use.
+    """
+    rows = []
+    for c in exponents:
+        row = powers.get(c)
+        if row is None:
+            if c >= 0:
+                row = powers[c] = [None, *((L // m) ** c for m in range(1, N))]
+            else:
+                row = powers[c] = [None, *(m ** -c for m in range(1, N))]
+        rows.append(row)
+    s = len(rows)
+    sums = [1] + [0] * s
+    by_bound = [sums[s]]
+    for m in range(1, N):
+        for j in range(min(m, s), 0, -1):
+            sums[j] += sums[j - 1] * rows[j - 1][m]
+        by_bound.append(sums[s])
+    return by_bound
+
+
+def linear_value_routes(
+    keys: Sequence[int], N: int, cmap: CoefficientMap
+) -> list[tuple[TPoly, TPoly, TPoly]]:
+    """(linear_value, linear_value_by_recursion, merge_expansion) of the
+    keys at every bound n = 1..N, under a rational map cmap.
+
+    Each route runs once, at N, and yields its values at the smaller bounds
+    on the way: the prefix DP's last ``below`` lists, the recursion's memo
+    and the strict sums' prefix pass.  The prefix DP and the recursion run
+    over one integer form at L = lcm(1..N-1), the merge expansion over its
+    own table at the same L; each value is divided by L^K once.
+    """
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    keys = tuple(keys)
+
+    def body(c: CoefficientMap) -> list[TPoly]:
+        prefixes, below = _linear_value_prefixes(keys, N, c)
+        lists = [*below, prefixes[-1], *_linear_value_by_recursion(keys, N, c)]
+        return [TPoly(c.ring, value) for value in lists]
+
+    values = _evaluate_each(cmap, N - 1, keys, [keys] * (2 * N), body)
+    sums, denominator = _merge_expansion(keys, N)
+    merged = [TPoly(QQ, [Fraction(a, denominator) for a in coeffs]) for coeffs in sums]
+    return list(zip(values[:N], values[N:], merged))

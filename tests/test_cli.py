@@ -271,13 +271,17 @@ def test_internal_key_error_exits_4(capsys, monkeypatch):
 def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
     # The faster routes are compared, not bypassed: one wrong recursion
     # value fails its instance, the sweep and the command.
-    original = sweeps.linear_value_by_recursion
+    original = values._linear_value_by_recursion
 
     def perturbed(keys, N, cmap):
-        value = original(keys, N, cmap)
-        return value + TPoly.one(QQ) if (tuple(keys), N) == ((2, 1), 3) else value
+        by_bound = original(keys, N, cmap)
+        if keys == (2, 1) and N >= 3:
+            # Coefficient lists for the bounds 1..N: add one at t^0 of N = 3.
+            first, *rest = by_bound[2]
+            by_bound[2] = [first + cmap.ring.one, *rest]
+        return by_bound
 
-    monkeypatch.setattr(sweeps, "linear_value_by_recursion", perturbed)
+    monkeypatch.setattr(values, "_linear_value_by_recursion", perturbed)
     report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
     assert report["pass"] is False
     assert [(f["keys"], f["N"]) for f in report["failures"]] == [([2, 1], 3)]
@@ -291,12 +295,13 @@ def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     original = values._linear_value_prefixes
 
     def perturbed(keys, N, cmap):
-        prefixes = original(keys, N, cmap)
+        prefixes, below = original(keys, N, cmap)
         if len(keys) >= 2 and N >= 3:
-            # The prefixes are coefficient lists: add one at t^0.
+            # The values are coefficient lists: add one at t^0 of the full
+            # tuple's value at N.
             first, *rest = prefixes[-1]
             prefixes[-1] = [first + cmap.ring.one, *rest]
-        return prefixes
+        return prefixes, below
 
     monkeypatch.setattr(values, "_linear_value_prefixes", perturbed)
     report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
@@ -362,8 +367,8 @@ def test_sweeps_below_n_2_are_refused(argv, capsys):
 
 
 def test_empty_sweeps_do_not_pass(capsys):
-    report = sweeps.run_lgv_sweep(max_cells=0)
-    assert report["checked"] == 0 and report["pass"] is False
+    for report in (sweeps.run_lgv_sweep(max_cells=0), sweeps.run_oracle_triangle(max_n=0)):
+        assert report["checked"] == 0 and report["pass"] is False
     for argv in (
         ["lgv-verify", "--max-cells", "0"],
         ["jt-verify", "--trials", "0", "--N", "2"],

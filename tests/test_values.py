@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from schurzeta.values import (
     linear_value,
     linear_value_by_recursion,
     linear_value_prefixes,
+    linear_value_routes,
     merge_expansion,
     q_analogue_map,
     quasisymmetric_map,
@@ -193,6 +195,43 @@ def test_merge_expansion_random_tuples():
         keys = [rng.choice([-1, 0, 1, 2, 3]) for _ in range(4)]
         N = rng.randint(1, 6)
         assert merge_expansion(keys, N) == linear_value(keys, N, RAT)
+
+
+# ---------------------------------------------------------------------------
+# every bound from one run of each route
+
+ROUTES = (
+    lambda keys, N: linear_value(keys, N, RAT),
+    lambda keys, N: linear_value_by_recursion(keys, N, RAT),
+    merge_expansion,
+)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_linear_value_routes_give_each_route_at_every_bound(r):
+    # The values each route reads off its one run at N are, bound by bound,
+    # that route's own single-N value and the chain sum.
+    rng = random.Random(20 + r)
+    if r <= 2:
+        tuples = list(product(range(-2, 4), repeat=r))
+    else:
+        tuples = [tuple(rng.randint(-2, 3) for _ in range(r)) for _ in range(12)]
+    for keys in tuples:
+        expected = [chain_sum_oracle(keys, n) for n in range(1, 8)]
+        single = [[route(keys, n) for route in ROUTES] for n in range(1, 8)]
+        for N in range(1, 8):
+            by_bound = linear_value_routes(keys, N, RAT)
+            assert len(by_bound) == N
+            for n, values in enumerate(by_bound, start=1):
+                assert list(values) == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
+
+
+@pytest.mark.parametrize("label", [2.5, True, "2"])
+def test_every_linear_route_rejects_a_key_that_is_not_an_int(label):
+    for call in (*ROUTES, lambda keys, N: linear_value_routes(keys, N, RAT)):
+        for keys in ([label], [2, label]):
+            with pytest.raises(DomainError):
+                call(keys, 3)
 
 
 # ---------------------------------------------------------------------------
