@@ -15,10 +15,11 @@ only its one error line there.  Exit codes: 0 all checks pass, 1 an
 identity mismatch, 2 malformed input (including a config file with an
 unknown key or a value of the wrong type, a weight label that is not a JSON
 integer, a diagonal offset that is not a canonical decimal integer or is
-repeated, a single-instance flag without --shape, --N below 2 for a verify
-command, and a sweep that would check no instance), 3 domain error (an
-integer weight outside the chosen ring's map), 4 internal error (any other
-exception, reported in one line on stderr).
+repeated, an integer flag above sys.maxsize in magnitude, a single-instance
+flag without --shape, --N below 2 for a verify command, and a sweep that
+would check no instance), 3 domain error (an integer weight outside the
+chosen ring's map), 4 internal error (any other exception, reported in one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -280,6 +281,11 @@ def _apply_config_and_defaults(args, flags: dict[str, Any]) -> None:
     for dest, value in flags.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
+        value = getattr(args, dest)
+        # Beyond a machine word: bad input, not an OverflowError in a sweep.
+        if FLAGS[dest][0] is int and value is not None and abs(value) > sys.maxsize:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} {value} exceeds {sys.maxsize} in magnitude")
 
 
 def _check_instance_flags(args) -> None:

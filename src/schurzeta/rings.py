@@ -71,6 +71,27 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _trimmed(coeffs: list) -> list:
+    """coeffs without trailing zeros, as ``TPoly`` trims them; a copy only
+    when it has some."""
+    if coeffs and not coeffs[-1]:
+        coeffs = coeffs[:]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+    return coeffs
+
+
+def format_numerators(numerators: list[int], denominator: int) -> list[str]:
+    """The JSON of ``TPoly(QQ, [Fraction(c, denominator) for c in
+    numerators])``, each c reduced by its gcd with the denominator (>= 1),
+    trailing zeros trimmed, with no ``Fraction`` built."""
+    out = []
+    for c in _trimmed(numerators):
+        g = math.gcd(c, denominator)
+        out.append(str(c // g) if g == denominator else f"{c // g}/{denominator // g}")
+    return out
+
+
 @dataclass(frozen=True)
 class Ring:
     """A commutative ring: its name, which alone decides equality and the

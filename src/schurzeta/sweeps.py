@@ -36,9 +36,11 @@ from .lattice import (
     schur_scenario_sum,
     white,
 )
+from .rings import format_numerators
 from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau, partitions_up_to
 from .values import (
     DiagonalWeights,
+    _StrictSums,
     coefficient_map_for,
     diagonal_tableau,
     linear_value,
@@ -311,22 +313,30 @@ def run_path_linear_sweep(
 # --------------------------------------------------------------------------
 # Linear oracles: three routes to one rational linear value.
 
-def _check_linear_oracles(keys: Sequence[int], max_n: int, cmap) -> list[dict]:
+def _check_linear_oracles(keys: Sequence[int], max_n: int, cmap, table) -> list[dict]:
     """The instances (keys, N) for N = 1..max_n, read off one run of each
-    route at max_n."""
-    return [
-        {
+    route at max_n, over the sweep's strict-sum table.  The routes' integer
+    numerators are compared, the merge expansion's by cross-multiplication
+    when its denominator differs; a value the sides agree on is rendered
+    once, and a side that disagrees from its own numbers."""
+    denominator, merge_denominator, by_bound = linear_value_routes(keys, max_n, cmap, table)
+    instances = []
+    for N, (direct, recursive, merged) in enumerate(by_bound, start=1):
+        shown = format_numerators(recursive, denominator)
+        direct_agrees = direct == recursive
+        merge_agrees = merged == recursive if merge_denominator == denominator else (
+            len(merged) == len(recursive)
+            and all(a * denominator == b * merge_denominator for a, b in zip(merged, recursive))
+        )
+        instances.append({
             "keys": list(keys),
             "N": N,
-            "direct": direct.to_json(),
-            "recursion": recursive.to_json(),
-            "merge": merged.to_json(),
-            "equal": direct == recursive and recursive == merged,
-        }
-        for N, (direct, recursive, merged) in enumerate(
-            linear_value_routes(keys, max_n, cmap), start=1
-        )
-    ]
+            "direct": shown if direct_agrees else format_numerators(direct, denominator),
+            "recursion": shown,
+            "merge": shown if merge_agrees else format_numerators(merged, merge_denominator),
+            "equal": direct_agrees and merge_agrees,
+        })
+    return instances
 
 
 def run_oracle_triangle(
@@ -339,16 +349,18 @@ def run_oracle_triangle(
 
     Each route runs once per tuple, at max_n, and the instances for the
     smaller N are read off that run (``values.linear_value_routes``); they
-    are listed by tuple, then by N.
+    are listed by tuple, then by N.  One strict-sum table at max_n serves
+    every tuple's merge expansion, and values are divided only as rendered.
     """
     if max_n < 1:
         return _report("linear-oracles", [], ring="rational")
     cmap = coefficient_map_for("rational")
+    table = _StrictSums(max_n)
     instances = [
         instance
         for r in range(0, max_r + 1)
         for keys in product(weight_values, repeat=r)
-        for instance in _check_linear_oracles(keys, max_n, cmap)
+        for instance in _check_linear_oracles(keys, max_n, cmap, table)
     ]
     return _report("linear-oracles", instances, ring="rational")
 

@@ -12,8 +12,10 @@ Linear values have one evaluator, the prefix dynamic program of
 peeling recursion and the merge expansion are independent routes to the same
 values, kept as its oracles.  Each route's one body returns its values at
 every bound n = 1..N from one run at N; the single-N functions return the
-last of them, and ``linear_value_routes`` returns all of them, for all
-three routes, to the oracle sweep.
+last of them, divided by their denominator, and ``linear_value_routes``
+returns all of them, for all three routes, to the oracle sweep as integer
+numerators over their denominators, undivided: the sweep compares
+numerators and divides only in the text it reports.
 
 Over the rational map every term of a value carries one factor m^(-k) per
 label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
@@ -49,6 +51,7 @@ from .rings import (
     TPoly,
     _ZZ,
     _divide_integer_poly,
+    _trimmed,
     q_integer,
 )
 from .shapes import Partition, Tableau, _depth, _layers_from
@@ -594,7 +597,7 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     weak chains partition by their equality pattern, so this must agree with
     linear_value under the rational map.  The strict sums are taken times
     L^K, L = lcm(1..N-1) and K the sum of the positive keys (merging never
-    raises the sum of the positive parts), and divided out once; this
+    raises the sum of the positive parts), and divided out here, once; this
     arithmetic is the route's own, independent of the maps' integer form.
     One prefix pass over the entries m takes each strict sum at every bound
     n = 1..N (``_strict_sums``), and the value is the last of them.  A key
@@ -602,22 +605,31 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    sums, denominator = _merge_expansion(tuple(keys), N)
+    sums, denominator = _merge_expansion(tuple(keys), _StrictSums(N))
     return TPoly(QQ, [Fraction(a, denominator) for a in sums[-1]])
 
 
-def _merge_expansion(keys: tuple, N: int) -> tuple[list[list[int]], int]:
-    """The merge expansion at every bound n = 1..N, as integer coefficient
-    lists over their common denominator L^K."""
+class _StrictSums:
+    """The merge expansion's table at one bound N, shared by every key tuple
+    expanded at N: its own L = lcm(1..N-1), each exponent's factors by entry
+    m, and each merged composition's strict sums by bound (``_strict_sums``)."""
+
+    def __init__(self, N: int):
+        self.N, self.L = N, math.lcm(*range(1, N))
+        self.powers: dict[int, list] = {}
+        self.sums: dict[tuple[int, ...], list[int]] = {}
+
+
+def _merge_expansion(keys: tuple, table: _StrictSums) -> tuple[list[list[int]], int]:
+    """The merge expansion at every bound n = 1..table.N, as trimmed integer
+    coefficient lists over their common denominator L^K; no division."""
     for k in keys:
         if not _is_int(k):
             raise DomainError(f"merge expansion keys must be integers, got {k!r}")
-    r = len(keys)
+    r, N, L = len(keys), table.N, table.L
     if r == 0:
         return [[1]] * N, 1
-    L = math.lcm(*range(1, N))
     K = sum(k for k in keys if k > 0)
-    powers: dict[int, list[int]] = {}  # the strict sums' table, per call
     acc = [[0] * r for _ in range(N)]  # acc[n - 1][merges]
     for mask in range(1 << (r - 1)):
         merged = [keys[0]]
@@ -628,24 +640,26 @@ def _merge_expansion(keys: tuple, N: int) -> tuple[list[list[int]], int]:
                 merged.append(keys[gap + 1])
         scale = L ** (K - sum(c for c in merged if c > 0))
         merges = r - len(merged)
-        for coeffs, s in zip(acc, _strict_sums(merged, N, L, powers)):
+        for coeffs, s in zip(acc, _strict_sums(tuple(merged), table)):
             coeffs[merges] += s * scale
-    return acc, L**K
+    return [_trimmed(coeffs) for coeffs in acc], L**K
 
 
-def _strict_sums(
-    exponents: Sequence[int], N: int, L: int, powers: dict[int, list[int]]
-) -> list[int]:
+def _strict_sums(exponents: tuple[int, ...], table: _StrictSums) -> list[int]:
     """For every bound n = 1..N, L^(sum of the positive c_i) times the sum
     over strictly increasing chains 0 < m_1 < ... < m_s < n of the product
-    m_i^(-c_i); integers, since every m below N divides L.
+    m_i^(-c_i); integers, since every m below N divides L.  Read from the
+    table, or taken and stored there.
 
     One pass over m: after entry m, sums[j] holds the chains of the first j
     exponents with every entry at most m, and a chain of j exponents ending
-    at m extends one of j - 1 exponents ending below m.  powers[c][m] =
-    (L // m)^c for c >= 0 and m^(-c) otherwise, the factor of entry m under
-    exponent c; rows are filled in on first use.
+    at m extends one of j - 1 exponents ending below m.  The factor of
+    entry m under exponent c is (L // m)^c for c >= 0 and m^(-c) otherwise.
     """
+    by_bound = table.sums.get(exponents)
+    if by_bound is not None:
+        return by_bound
+    N, L, powers = table.N, table.L, table.powers
     rows = []
     for c in exponents:
         row = powers.get(c)
@@ -662,31 +676,39 @@ def _strict_sums(
         for j in range(min(m, s), 0, -1):
             sums[j] += sums[j - 1] * rows[j - 1][m]
         by_bound.append(sums[s])
+    table.sums[exponents] = by_bound
     return by_bound
 
 
 def linear_value_routes(
-    keys: Sequence[int], N: int, cmap: CoefficientMap
-) -> list[tuple[TPoly, TPoly, TPoly]]:
-    """(linear_value, linear_value_by_recursion, merge_expansion) of the
-    keys at every bound n = 1..N, under a rational map cmap.
+    keys: Sequence[int], N: int, cmap: CoefficientMap, table: _StrictSums | None = None
+) -> tuple[int, int, list[tuple[list[int], list[int], list[int]]]]:
+    """The routes linear_value, linear_value_by_recursion and merge_expansion
+    at every bound n = 1..N, under a rational map with an integer form, as
+    (D, D', by_bound): by_bound[n - 1] holds each route's trimmed integer
+    coefficients by ascending power of t, the first two over D, the third
+    over D'.
 
-    Each route runs once, at N, and yields its values at the smaller bounds
-    on the way: the prefix DP's last ``below`` lists, the recursion's memo
-    and the strict sums' prefix pass.  The prefix DP and the recursion run
-    over one integer form at L = lcm(1..N-1), the merge expansion over its
-    own table at the same L; each value is divided by L^K once.
+    Each route runs once, at N, and yields the smaller bounds on the way:
+    the prefix DP's last ``below`` lists, the recursion's memo and the
+    strict sums' prefix pass.  The prefix DP and the recursion run over one
+    integer form at L = lcm(1..N-1), so D = L^K; the merge expansion takes
+    its own L and K, over ``table`` (fresh when None), so D' is its L^K.
+    Nothing is divided: the caller compares numerators.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-
-    def body(c: CoefficientMap) -> list[TPoly]:
-        prefixes, below = _linear_value_prefixes(keys, N, c)
-        lists = [*below, prefixes[-1], *_linear_value_by_recursion(keys, N, c)]
-        return [TPoly(c.ring, value) for value in lists]
-
-    values = _evaluate_each(cmap, N - 1, keys, [keys] * (2 * N), body)
-    sums, denominator = _merge_expansion(keys, N)
-    merged = [TPoly(QQ, [Fraction(a, denominator) for a in coeffs]) for coeffs in sums]
-    return list(zip(values[:N], values[N:], merged))
+    table = _StrictSums(N) if table is None else table
+    if table.N != N:
+        raise ValueError(f"strict-sum table for N = {table.N} used at N = {N}")
+    merged, merge_denominator = _merge_expansion(keys, table)
+    form = _integer_form(cmap, N - 1, keys)
+    if form is None:
+        raise ValueError(f"linear_value_routes needs a map with an integer form, not {cmap.name}")
+    imap, L = form
+    prefixes, below = _linear_value_prefixes(keys, N, imap)
+    recursive = _linear_value_by_recursion(keys, N, imap)
+    direct = [*below, prefixes[-1]]
+    by_bound = [(_trimmed(a), _trimmed(b), c) for a, b, c in zip(direct, recursive, merged)]
+    return L ** _positive_sum(keys), merge_denominator, by_bound

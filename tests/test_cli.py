@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -244,7 +245,7 @@ def test_identity_mismatch_exits_1(capsys, monkeypatch):
 def test_internal_error_exits_4(capsys, monkeypatch):
     # A defect of the program, such as an exception no handler names, is
     # neither a mismatch (1) nor bad input (2): one line on stderr, code 4.
-    def broken_checker(keys, N, cmap):
+    def broken_checker(keys, N, cmap, table):
         raise RuntimeError("checker broke")
 
     monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
@@ -258,7 +259,7 @@ def test_internal_error_exits_4(capsys, monkeypatch):
 def test_internal_key_error_exits_4(capsys, monkeypatch):
     # No input path raises KeyError (DiagonalWeights turns its own into
     # ValueError), so one escaping a sweep is a defect, not bad input.
-    def broken_checker(keys, N, cmap):
+    def broken_checker(keys, N, cmap, table):
         return {}["missing"]
 
     monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
@@ -310,6 +311,52 @@ def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     assert not sweeps.run_path_linear_sweep(max_r=2, max_n=3)["pass"]
     code, payload, _ = run_json(["linear-verify", "--max-r", "2", "--N", "3"], capsys)
     assert code == 1 and payload["pass"] is False
+
+
+def _perturbed_merge_expansion(monkeypatch, change):
+    """Patch the merge route: change(keys, by_bound, denominator) gives the
+    value it reports instead."""
+    original = values._merge_expansion
+
+    def perturbed(keys, table):
+        by_bound, denominator = original(keys, table)
+        return change(keys, [list(coeffs) for coeffs in by_bound], denominator)
+
+    monkeypatch.setattr(values, "_merge_expansion", perturbed)
+
+
+def test_oracle_triangle_catches_a_perturbed_merge_expansion(capsys, monkeypatch):
+    # The integer verdict compares the merge route's own numbers: one
+    # numerator off fails exactly its instance, which shows that value.
+    def change(keys, by_bound, denominator):
+        if keys == (2, 1) and len(by_bound) >= 3:
+            by_bound[2][0] += 1  # t^0 of the value at N = 3
+        return by_bound, denominator
+
+    _perturbed_merge_expansion(monkeypatch, change)
+    report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
+    assert report["pass"] is False
+    [failure] = report["failures"]
+    assert (failure["keys"], failure["N"]) == ([2, 1], 3)
+    value = values.linear_value((2, 1), 3, values.rational_map())
+    assert failure["direct"] == failure["recursion"] == value.to_json()
+    # L = lcm(1, 2) = 2 and K = 3: the numerator moved by one over 2^3.
+    assert failure["merge"] == (value + TPoly(QQ, [Fraction(1, 8)])).to_json()
+    code, payload, _ = run_json(["linear-verify", "--max-r", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_oracle_triangle_compares_merge_numerators_over_another_denominator(monkeypatch):
+    # Numerators doubled over 2 L^K are the same values: the sides are
+    # cross-multiplied, never assumed to share a denominator.
+    expected = sweeps.run_oracle_triangle(max_r=3, max_n=4)
+    _perturbed_merge_expansion(
+        monkeypatch,
+        lambda keys, by_bound, d: ([[2 * c for c in coeffs] for coeffs in by_bound], 2 * d),
+    )
+    report = sweeps.run_oracle_triangle(max_r=3, max_n=4)
+    assert report["pass"] is True
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_lgv_sweep_catches_a_perturbed_path_matrix(capsys, monkeypatch):
@@ -417,6 +464,42 @@ def test_instance_flags_from_config_without_shape_are_refused(tmp_path, capsys):
     path.write_text(json.dumps({"diagonal": {"0": 2}, "max-cells": 2, "N": 2}))
     code, out, err = run(["jt-verify", "--config", str(path)], capsys)
     assert code == 2 and not out and "--diagonal needs --shape" in err
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linear-verify", "--N", HUGE, "--max-r", "0"],
+        ["jt-verify", "--shape", "[1]", "--N", HUGE, "--diagonal", '{"0":2}'],
+        ["all-verify", "--N", HUGE, "--max-cells", "0"],
+        ["layer-verify", "--shape", "[1]", "--b", "[0]", "--M", HUGE],
+        ["compute", "--shape", "[1]", "--entries", "[[2]]", "--N", HUGE],
+        ["jt-verify", "--seed", "-" + HUGE, "--max-cells", "1", "--N", "2"],
+        ["linear-verify", "--N", str(sys.maxsize + 1), "--max-r", "0"],
+    ],
+    ids=["linear-N", "jt-N", "all-N", "layer-M", "compute-N", "negative-seed", "maxsize+1"],
+)
+def test_int_flags_beyond_a_machine_word_exit_2(argv, capsys):
+    # Bad input, refused up front, not an internal OverflowError (exit 4).
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.splitlines() == [err.strip()] and err.startswith("invalid input: ")
+    assert f"exceeds {sys.maxsize}" in err
+
+
+def test_int_config_values_beyond_a_machine_word_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"max-r": 0, "N": 10**20}))
+    code, out, err = run(["linear-verify", "--config", str(path)], capsys)
+    assert code == 2 and not out
+    assert err == f"invalid input: --N {10**20} exceeds {sys.maxsize} in magnitude\n"
+    # sys.maxsize itself is a machine word.
+    path.write_text(json.dumps({"seed": sys.maxsize, "max-cells": 1, "N": 2}))
+    code, payload, _ = run_json(["jt-verify", "--config", str(path)], capsys)
+    assert code == 0 and payload["seed"] == sys.maxsize
 
 
 @pytest.mark.parametrize(

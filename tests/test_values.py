@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from schurzeta import values
 from schurzeta.errors import DomainError
 from schurzeta.rings import QQ, PolyRing, TPoly, ring_determinant
 from schurzeta.shapes import (
@@ -220,10 +221,26 @@ def test_linear_value_routes_give_each_route_at_every_bound(r):
         expected = [chain_sum_oracle(keys, n) for n in range(1, 8)]
         single = [[route(keys, n) for route in ROUTES] for n in range(1, 8)]
         for N in range(1, 8):
-            by_bound = linear_value_routes(keys, N, RAT)
+            denominator, merge_denominator, by_bound = linear_value_routes(keys, N, RAT)
             assert len(by_bound) == N
-            for n, values in enumerate(by_bound, start=1):
-                assert list(values) == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
+            for n, lists in enumerate(by_bound, start=1):
+                # Trimmed integer numerators, over D, D and the merge's D'.
+                assert all(not cs or cs[-1] for cs in lists), (keys, N, n)
+                values = [
+                    TPoly(QQ, [Fraction(c, d) for c in cs])
+                    for cs, d in zip(lists, (denominator, denominator, merge_denominator))
+                ]
+                assert values == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
+
+
+def test_linear_value_routes_needs_an_integer_form_and_a_table_at_its_bound():
+    # Its numerators are over the integer form's L^K; a map without one,
+    # or a strict-sum table made for another bound, is refused.
+    by_hand = CoefficientMap("by-hand", QQ, lambda k, m: Fraction(1, m**k))
+    with pytest.raises(ValueError, match="integer form"):
+        linear_value_routes((2, 1), 3, by_hand)
+    with pytest.raises(ValueError, match="strict-sum table"):
+        linear_value_routes((2, 1), 3, RAT, values._StrictSums(4))
 
 
 @pytest.mark.parametrize("label", [2.5, True, "2"])
