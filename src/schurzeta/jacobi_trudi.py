@@ -17,83 +17,111 @@ det E is that H determinant with t -> 1-t substituted once.  The entries
 of one H column are prefixes of a single run of offsets, so each column
 comes from one prefix DP (``linear_value_prefixes``) instead of one
 ``linear_value`` call per entry.
+
+Entries, determinants and the Schur value stay undivided
+(``rings.ScaledPoly``): over the rational map they are integer numerators,
+t -> 1-t is substituted on them, and the sides are compared so; the
+reports divide only when a ``TPoly`` field is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import PolyRing, TPoly, ring_determinant
+from .rings import ScaledPoly, TPoly, _scaled_determinant
 from .shapes import Partition
 from .values import (
     CoefficientMap,
     DiagonalWeights,
+    _scaled_linear_value_prefixes,
+    _scaled_schur_value,
     diagonal_tableau,
     linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
-    linear_value_prefixes,
     rational_map,
-    schur_value,
 )
 
 
 def _h_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
-) -> list[list[TPoly]]:
-    """The width x width row-reading matrix: entry (i, j) is the linear value
-    of the first conjugate_i + j - i offsets of the descending run a_(j-1),
-    a_(j-2), ...; one at length zero, zero below it.
+) -> list[list[ScaledPoly]]:
+    """The width x width row-reading matrix, undivided: entry (i, j) is the
+    linear value of the first conjugate_i + j - i offsets of the descending
+    run a_(j-1), a_(j-2), ...; one at length zero, zero below it.
 
-    Every entry of a column is a prefix of the same run, so one
-    linear_value_prefixes call gives the whole column.
+    Every entry of a column is a prefix of the same run, so one prefix DP
+    (``linear_value_prefixes``) gives the whole column.
     """
     conj = shape.conjugate().parts
     n = shape.width
-    zero = TPoly.zero(cmap.ring)
+    zero = ScaledPoly(TPoly.zero(cmap.ring))
     columns = []
     for j in range(1, n + 1):
         lengths = [conj[i - 1] + j - i for i in range(1, n + 1)]
         run = [weights[j - 1 - s] for s in range(max(lengths))]
-        prefixes = linear_value_prefixes(run, N, cmap)
+        prefixes = _scaled_linear_value_prefixes(run, N, cmap)
         columns.append([prefixes[r] if r >= 0 else zero for r in lengths])
     return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
 class JTReport:
-    """Direct Schur value and both determinants for one instance."""
+    """Direct Schur value and both determinants for one instance, kept
+    undivided; ``schur``, ``det_h`` and ``det_e`` divide on access."""
 
     shape: Partition
     N: int
-    schur: TPoly
-    det_h: TPoly
-    det_e: TPoly
+    schur_scaled: ScaledPoly
+    det_h_scaled: ScaledPoly
+    det_e_scaled: ScaledPoly
     equal: bool
+
+    @property
+    def schur(self) -> TPoly:
+        return self.schur_scaled.divided()
+
+    @property
+    def det_h(self) -> TPoly:
+        return self.det_h_scaled.divided()
+
+    @property
+    def det_e(self) -> TPoly:
+        return self.det_e_scaled.divided()
 
 
 def verify_jacobi_trudi(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> JTReport:
     """Compute the Schur value of the diagonal-constant tableau and both
-    determinants, and compare all three."""
-    poly_ring = PolyRing(cmap.ring)
-    schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
-    det_h = ring_determinant(_h_matrix(shape, N, cmap, weights), poly_ring)
+    determinants, and compare all three undivided."""
+    schur = _scaled_schur_value(diagonal_tableau(shape, weights), N, cmap)
+    det_h = _scaled_determinant(_h_matrix(shape, N, cmap, weights), cmap.ring)
     # E(shape, a) is H(shape', a reflected) entrywise at 1-t, and t -> 1-t is
     # a ring homomorphism, so one substitution of one determinant gives det E.
     reflected = DiagonalWeights({-d: k for d, k in weights.items()})
     e_at_t = _h_matrix(shape.conjugate(), N, cmap, reflected)
-    det_e = ring_determinant(e_at_t, poly_ring).subs_one_minus_t()
+    det_e = _scaled_determinant(e_at_t, cmap.ring).subs_one_minus_t()
     equal = schur == det_h and det_h == det_e
     return JTReport(shape, N, schur, det_h, det_e, equal)
 
 
 @dataclass(frozen=True)
 class PalindromeReport:
+    """The square-shape determinant and its image under t -> 1-t, kept
+    undivided; ``poly`` and ``flipped`` divide on access."""
+
     keys: tuple[int, ...]
     N: int
-    poly: TPoly
-    flipped: TPoly
+    poly_scaled: ScaledPoly
+    flipped_scaled: ScaledPoly
     equal: bool
+
+    @property
+    def poly(self) -> TPoly:
+        return self.poly_scaled.divided()
+
+    @property
+    def flipped(self) -> TPoly:
+        return self.flipped_scaled.divided()
 
 
 def palindrome_weights(keys) -> DiagonalWeights:
@@ -116,6 +144,6 @@ def verify_palindromic_matrix(
         cmap = rational_map()
     shape = Partition((r,) * r)
     matrix = _h_matrix(shape, N, cmap, palindrome_weights(keys))
-    poly = ring_determinant(matrix, PolyRing(cmap.ring))
+    poly = _scaled_determinant(matrix, cmap.ring)
     flipped = poly.subs_one_minus_t()
     return PalindromeReport(keys, N, poly, flipped, poly == flipped)

@@ -42,25 +42,27 @@ where it entered.
 
 The checks stay independent of the sweep: the determinant side is one
 forward path sum per source row (``path_matrix``, which gives a whole row
-of pairwise path sums at once, then ``ring_determinant``), and
+of pairwise path sums at once, then the determinant), and
 ``values.schur_value`` walks the row layers of sub-partitions.  Enumerating
 the systems one by one remains the test oracle.
 
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the
 rational map they share one denominator: both run over the map's integer
-form and divide once (see ``values``).
+form (see ``values``).  The checks compare the sides undivided, as
+``rings.ScaledPoly`` values, and the public functions divide them once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple, Sequence
 
-from .rings import Element, TPoly, ring_determinant, PolyRing
+from .rings import Element, ScaledPoly, TPoly, _scaled_determinant
 from .shapes import BitStats, BitTableau, Partition, bit_tableau_stats, build_bit_tableau
-from .values import CoefficientMap, DiagonalWeights, _evaluate, _evaluate_each
+from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_each
 
 
 class Vertex(NamedTuple):
@@ -193,9 +195,19 @@ def lgv_signed_sum(
     weights: DiagonalWeights,
 ) -> TPoly:
     """Sum of sign * weight over all vertex-disjoint path systems."""
+    return _scaled_lgv_signed_sum(sources, sinks, cmap, weights).divided()
+
+
+def _scaled_lgv_signed_sum(
+    sources: Sequence[Vertex],
+    sinks: Sequence[Vertex],
+    cmap: CoefficientMap,
+    weights: DiagonalWeights,
+) -> ScaledPoly:
+    """``lgv_signed_sum`` undivided."""
     top = max((v.y for v in sources), default=0)
     labels = _crossed_labels(sources, sinks, weights)
-    return _evaluate(cmap, top, labels, lambda c: _lgv_signed_sum(sources, sinks, c, weights))
+    return _undivided(cmap, top, labels, lambda c: _lgv_signed_sum(sources, sinks, c, weights))
 
 
 def _lgv_signed_sum(
@@ -331,12 +343,23 @@ def path_matrix(
     """The matrix of pairwise path-weight sums w(sources[i], sinks[j]), one
     forward path sum per source row; over the rational map each entry is
     divided by its own L^K."""
+    rows = _scaled_path_matrix(sources, sinks, cmap, weights)
+    return [[value.divided() for value in row] for row in rows]
+
+
+def _scaled_path_matrix(
+    sources: Sequence[Vertex],
+    sinks: Sequence[Vertex],
+    cmap: CoefficientMap,
+    weights: DiagonalWeights,
+) -> list[list[ScaledPoly]]:
+    """``path_matrix`` undivided, each entry over its own L^K."""
     rows = []
     for a in sources:
         parts = [_crossed_labels((a,), (b,), weights) for b in sinks]
         labels = [k for part in parts for k in part]
         rows.append(
-            _evaluate_each(cmap, a.y, labels, parts, lambda c: _path_row(a, sinks, c, weights))
+            _undivided_each(cmap, a.y, labels, parts, lambda c: _path_row(a, sinks, c, weights))
         )
     return rows
 
@@ -349,7 +372,8 @@ def lgv_determinant(
 ) -> TPoly:
     """det of the pairwise path-weight matrix; the other side of the
     signed-sum identity, computed by an independent route."""
-    return ring_determinant(path_matrix(sources, sinks, cmap, weights), PolyRing(cmap.ring))
+    matrix = _scaled_path_matrix(sources, sinks, cmap, weights)
+    return _scaled_determinant(matrix, cmap.ring).divided()
 
 
 def schur_path_endpoints(shape: Partition, N: int) -> tuple[list[Vertex], list[Vertex]]:
@@ -387,16 +411,25 @@ def layer_endpoints(
 
 @dataclass(frozen=True)
 class LayerReport:
-    """Both sides of the single-layer identity for one (shape, b, M)."""
+    """Both sides of the single-layer identity for one (shape, b, M), kept
+    undivided; ``predicted`` and ``signed_sum`` divide on access."""
 
     shape: Partition
     b: tuple[int, ...]
     M: int
     bit_tableau: BitTableau
     stats: BitStats
-    predicted: TPoly
-    signed_sum: TPoly
+    predicted_scaled: ScaledPoly
+    signed_sum_scaled: ScaledPoly
     equal: bool
+
+    @property
+    def predicted(self) -> TPoly:
+        return self.predicted_scaled.divided()
+
+    @property
+    def signed_sum(self) -> TPoly:
+        return self.signed_sum_scaled.divided()
 
 
 def layer_check(
@@ -411,29 +444,47 @@ def layer_check(
 
     The closed form is the product of f(a_(j-i), M) over the one-cells of
     the zero-one tableau, times t^v1 (1-t)^h1, when no two diagonal
-    neighbors are both one; otherwise zero.
+    neighbors are both one; otherwise zero.  Both sides are compared
+    undivided: over the rational map the closed form is an integer
+    binomial row over L^K, L = lcm(1..M), like the signed sum.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
     bt = build_bit_tableau(shape, b)
     stats = bit_tableau_stats(bt)
-    ring = cmap.ring
 
     if stats.one_ordered:
-        prod = ring.one
-        for i, row in enumerate(bt.rows, start=1):
-            for j, f in enumerate(row, start=1):
-                if f:
-                    prod = prod * cmap(weights[j - i], M)
-        one_minus_t = TPoly(ring, (ring.one, -ring.one))
-        predicted = TPoly.monomial(ring, prod, stats.v1) * one_minus_t**stats.h1
+        offsets = [j - i for i, row in enumerate(bt.rows, 1) for j, f in enumerate(row, 1) if f]
+        # An offset outside the window raises in the closed form, in cell order.
+        labels = [weights[d] for d in offsets if d in weights]
+        predicted = _undivided(
+            cmap, M, labels, lambda c: _layer_closed_form(offsets, stats, M, c, weights)
+        )
     else:
-        predicted = TPoly.zero(ring)
+        predicted = ScaledPoly(TPoly.zero(cmap.ring))
 
     if shape.width == 0:
-        signed = TPoly.one(ring)
+        signed = ScaledPoly(TPoly.one(cmap.ring))
     else:
         sources, sinks = layer_endpoints(shape, bt.b, M)
-        signed = lgv_signed_sum(sources, sinks, cmap, weights)
+        signed = _scaled_lgv_signed_sum(sources, sinks, cmap, weights)
 
     return LayerReport(shape, bt.b, M, bt, stats, predicted, signed, signed == predicted)
+
+
+def _layer_closed_form(
+    offsets: Sequence[int],
+    stats: BitStats,
+    M: int,
+    cmap: CoefficientMap,
+    weights: DiagonalWeights,
+) -> TPoly:
+    """t^v1 (1-t)^h1 times the product of f(a_d, M) over the offsets d, as
+    the binomial row (-1)^i C(h1, i) times the product at t^(v1 + i)."""
+    ring = cmap.ring
+    prod = ring.one
+    for d in offsets:
+        prod = prod * cmap(weights[d], M)
+    h1 = stats.h1
+    row = [prod * (-comb(h1, i) if i & 1 else comb(h1, i)) for i in range(h1 + 1)]
+    return TPoly(ring, [ring.zero] * stats.v1 + row)

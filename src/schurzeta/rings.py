@@ -28,13 +28,17 @@ themselves are plain Python values supporting ``+``, ``-``, ``*`` and
 
 Rationals are mostly not summed as ``Fraction``s: rational values are
 expanded over integer numerators, in a private ring of plain ``int``s, and
-divided by their common denominator once at the end, which keeps
-``Fraction`` normalization out of the inner loops.  Determinants of
-rational t-polynomial matrices likewise scale each row to integer
-coefficients and run fraction-free (Bareiss) elimination over Z[t], with
-exact polynomial division, in O(n^3) polynomial operations; every other
-ring goes through the division-free Laplace expansion, O(2^n * n), which is
-also the tests' oracle for the elimination.
+kept undivided over their common denominator as a ``ScaledPoly``.  Rational
+sides are compared undivided -- by their numerators when the denominators
+agree, by cross-multiplication otherwise -- and rendered from the
+numerators (``format_numerators``); only the public API divides, once, into
+a ``TPoly`` of ``Fraction``s.  Determinants of rational t-polynomial
+matrices have one route, ``_scaled_determinant``: each row is scaled to
+integer numerators over one denominator and fraction-free (Bareiss)
+elimination runs over Z[t], with exact polynomial division, in O(n^3)
+polynomial operations.  Every other ring goes through the division-free
+Laplace expansion, O(2^n * n), which is also the tests' oracle for the
+elimination.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
@@ -71,17 +75,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _trimmed(coeffs: list) -> list:
-    """coeffs without trailing zeros, as ``TPoly`` trims them; a copy only
-    when it has some."""
+def _trimmed(coeffs: Sequence) -> Sequence:
+    """coeffs without trailing zeros, as ``TPoly`` trims them; a list copy
+    only when it has some."""
     if coeffs and not coeffs[-1]:
-        coeffs = coeffs[:]
+        coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
     return coeffs
 
 
-def format_numerators(numerators: list[int], denominator: int) -> list[str]:
+def format_numerators(numerators: Sequence[int], denominator: int) -> list[str]:
     """The JSON of ``TPoly(QQ, [Fraction(c, denominator) for c in
     numerators])``, each c reduced by its gcd with the denominator (>= 1),
     trailing zeros trimmed, with no ``Fraction`` built."""
@@ -575,18 +579,6 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("TPoly exponent must be a nonnegative integer")
-        result = TPoly.one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def scale(self, value: Element) -> "TPoly":
         """Multiply every coefficient by a base-ring element."""
         return TPoly(self.ring, [c * value for c in self.coeffs])
@@ -638,14 +630,63 @@ def element_to_json(x: Element):
     return x.to_json()
 
 
+class ScaledPoly:
+    """A t-polynomial p / D kept undivided: p over the integers (``_ZZ``)
+    with D >= 1, the numerators of a rational value, or p over any other
+    ring with D = 1.
+
+    Two values compare as the rationals they stand for: by their
+    coefficients when D agrees, by cross-multiplication otherwise.
+    ``to_json`` renders the divided value exactly as ``TPoly.to_json``
+    does, with no ``Fraction`` built, and ``divided`` returns it as a
+    ``TPoly`` over the rationals (or p itself over another ring).
+    """
+
+    __slots__ = ("poly", "denominator")
+
+    def __init__(self, poly: TPoly, denominator: int = 1):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ScaledPoly values are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledPoly):
+            return NotImplemented
+        a, b = self.poly.coeffs, other.poly.coeffs
+        d, e = self.denominator, other.denominator
+        if d == e:
+            return a == b
+        return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
+
+    def subs_one_minus_t(self) -> "ScaledPoly":
+        """p(1-t) / D, substituted on the numerators."""
+        return ScaledPoly(self.poly.subs_one_minus_t(), self.denominator)
+
+    def divided(self) -> TPoly:
+        if self.poly.ring is _ZZ:
+            return TPoly(QQ, [Fraction(c, self.denominator) for c in self.poly.coeffs])
+        return self.poly
+
+    def to_json(self) -> list:
+        if self.poly.ring is _ZZ:
+            return format_numerators(self.poly.coeffs, self.denominator)
+        return self.poly.to_json()
+
+    def __repr__(self):
+        return f"ScaledPoly({self.poly!r}, {self.denominator})"
+
+
 def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:
     """Determinant of a square matrix over one of the package's rings.
 
-    Over t-polynomials with rational coefficients each row is first scaled
-    by the lcm of its coefficient denominators, the determinant of the
-    scaled matrix is taken over Z[t] by fraction-free elimination
-    (``_bareiss``: O(n^3) polynomial operations, each division exact), and
-    the result is divided once by the product of the row scales.  Every
+    Over t-polynomials with rational coefficients the matrix goes through
+    ``_scaled_determinant``, the one elimination route: each row is scaled
+    to integer numerators, the determinant is taken over Z[t] by
+    fraction-free elimination, and the result is divided once.  The
+    identity checks call that route on undivided entries and compare its
+    result undivided; only this adapter divides.  Every
     other ring -- truncated q-series are not an integral domain, and qsym
     would need multivariate exact division -- goes through the
     division-free Laplace expansion (``_laplace``: O(2^n * n) ring
@@ -658,18 +699,42 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
             raise ValueError("determinant requires a square matrix")
     if ring != PolyRing(QQ):
         return _laplace(matrix, ring)
-    scaled = []
+    return _scaled_determinant([[ScaledPoly(p) for p in row] for row in matrix], QQ).divided()
+
+
+def _scaled_determinant(matrix: Sequence[Sequence[ScaledPoly]], ring: Ring) -> ScaledPoly:
+    """The determinant, undivided, of a square matrix of undivided
+    t-polynomials whose values lie over ``ring``.
+
+    Over the rationals each entry is taken as integer numerators over its
+    D (a ``Fraction`` entry over the lcm of its coefficient denominators),
+    each row is scaled to the lcm of its entries' D, and the determinant of
+    the scaled rows is taken over Z[t] by fraction-free elimination
+    (``_bareiss``: O(n^3) polynomial operations, each division exact); its
+    D is the product of the row scales.  Over any other ring every D is
+    one and the entries go to the Laplace expansion over t-polynomials.
+    """
+    if ring != QQ:
+        return ScaledPoly(_laplace([[e.poly for e in row] for row in matrix], PolyRing(ring)))
+    rows = []
     denominator = 1
     for row in matrix:
-        scale = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        entries = [_integer_numerators(e) for e in row]
+        scale = math.lcm(*(d for _, d in entries))
         denominator *= scale
-        scaled.append([[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row])
-    return _divide_integer_poly(TPoly(_ZZ, _bareiss(scaled)), denominator)
+        rows.append([[c * (scale // d) for c in coeffs] for coeffs, d in entries])
+    return ScaledPoly(TPoly(_ZZ, _bareiss(rows)), denominator)
 
 
-def _divide_integer_poly(p: TPoly, denominator: int) -> TPoly:
-    """The rational t-polynomial p / denominator, for p over the integers."""
-    return TPoly(QQ, [Fraction(c, denominator) for c in p.coeffs])
+def _integer_numerators(value: ScaledPoly) -> tuple[Sequence[int], int]:
+    """A rational value's integer numerators and their denominator; a
+    ``TPoly`` over the rationals is scaled by the lcm of its coefficients'
+    denominators."""
+    poly = value.poly
+    if poly.ring is _ZZ:
+        return poly.coeffs, value.denominator
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in poly.coeffs], scale * value.denominator
 
 
 # Integer polynomials inside ``_bareiss`` are plain lists of ``int``

@@ -29,24 +29,23 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .jacobi_trudi import verify_jacobi_trudi, verify_palindromic_matrix
 from .lattice import (
+    _scaled_lgv_signed_sum,
+    _scaled_path_matrix,
     layer_check,
-    lgv_determinant,
-    path_weight_sum,
     schur_path_endpoints,
-    schur_scenario_sum,
     white,
 )
-from .rings import format_numerators
+from .rings import ScaledPoly, _scaled_determinant, format_numerators
 from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau, partitions_up_to
 from .values import (
     DiagonalWeights,
     _StrictSums,
+    _scaled_linear_value,
+    _scaled_schur_value,
     coefficient_map_for,
     diagonal_tableau,
-    linear_value,
     linear_value_routes,
     required_offsets,
-    schur_value,
 )
 
 
@@ -77,6 +76,14 @@ def _report(identity: str, instances: list[dict], **extra: Any) -> dict:
     return report
 
 
+def _rendered(equal: bool, *sides: ScaledPoly) -> list[list]:
+    """Each side's JSON, from its undivided value: one text for all when the
+    sides agree, else each side's own."""
+    if equal:
+        return [sides[0].to_json()] * len(sides)
+    return [side.to_json() for side in sides]
+
+
 def _instance_weights(flags, shape: Partition) -> DiagonalWeights:
     """The weights of a single instance: --diagonal, or drawn from --seed
     over the shape's offsets."""
@@ -91,13 +98,15 @@ def _instance_weights(flags, shape: Partition) -> DiagonalWeights:
 
 def _check_jt(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
     rep = verify_jacobi_trudi(shape, N, cmap, weights)
+    schur, det_h, det_e = _rendered(
+        rep.equal, rep.schur_scaled, rep.det_h_scaled, rep.det_e_scaled)
     return {
         "shape": list(shape.parts),
         "N": N,
         "diagonal": weights.to_json(),
-        "schur": rep.schur.to_json(),
-        "detH": rep.det_h.to_json(),
-        "detE": rep.det_e.to_json(),
+        "schur": schur,
+        "detH": det_h,
+        "detE": det_e,
         "equal": rep.equal,
     }
 
@@ -128,15 +137,17 @@ def run_jt_sweep(
 # Conjugation: the value at 1-t vs. the conjugate tableau's value at t.
 
 def _check_conjugation(tableau: Tableau, N: int, cmap) -> dict:
-    lhs = schur_value(tableau, N, cmap).subs_one_minus_t()
-    rhs = schur_value(tableau.conjugate(), N, cmap)
+    lhs = _scaled_schur_value(tableau, N, cmap).subs_one_minus_t()
+    rhs = _scaled_schur_value(tableau.conjugate(), N, cmap)
+    equal = lhs == rhs
+    lhs_json, rhs_json = _rendered(equal, lhs, rhs)
     return {
         "shape": list(tableau.shape.parts),
         "N": N,
         "rows": [list(r) for r in tableau.rows],
-        "lhs": lhs.to_json(),
-        "rhs": rhs.to_json(),
-        "equal": lhs == rhs,
+        "lhs": lhs_json,
+        "rhs": rhs_json,
+        "equal": equal,
     }
 
 
@@ -170,18 +181,20 @@ def run_conjugation_sweep(
 # LGV: signed path-system sum vs. path-matrix determinant vs. Schur value.
 
 def _check_lgv(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
-    signed = schur_scenario_sum(shape, N, cmap, weights)
     sources, sinks = schur_path_endpoints(shape, N)
-    det = lgv_determinant(sources, sinks, cmap, weights)
-    schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
+    signed = _scaled_lgv_signed_sum(sources, sinks, cmap, weights)
+    det = _scaled_determinant(_scaled_path_matrix(sources, sinks, cmap, weights), cmap.ring)
+    schur = _scaled_schur_value(diagonal_tableau(shape, weights), N, cmap)
+    equal = signed == det and det == schur
+    signed_json, det_json, schur_json = _rendered(equal, signed, det, schur)
     return {
         "shape": list(shape.parts),
         "N": N,
         "diagonal": weights.to_json(),
-        "signed_sum": signed.to_json(),
-        "determinant": det.to_json(),
-        "schur": schur.to_json(),
-        "equal": signed == det and det == schur,
+        "signed_sum": signed_json,
+        "determinant": det_json,
+        "schur": schur_json,
+        "equal": equal,
     }
 
 
@@ -218,6 +231,7 @@ def _check_layer(
     shape: Partition, b: Sequence[int], M: int, cmap, weights: DiagonalWeights
 ) -> dict:
     rep = layer_check(shape, b, M, cmap, weights)
+    predicted, signed = _rendered(rep.equal, rep.predicted_scaled, rep.signed_sum_scaled)
     return {
         "shape": list(shape.parts),
         "b": list(rep.b),
@@ -226,8 +240,8 @@ def _check_layer(
         "one_ordered": rep.stats.one_ordered,
         "v1": rep.stats.v1,
         "h1": rep.stats.h1,
-        "predicted": rep.predicted.to_json(),
-        "signed_sum": rep.signed_sum.to_json(),
+        "predicted": predicted,
+        "signed_sum": signed,
         "equal": rep.equal,
     }
 
@@ -272,16 +286,18 @@ def _single_layer(flags) -> dict:
 # Path-linear: single-path weight sums vs. direct linear values.
 
 def _check_path_linear(i: int, j: int, N: int, cmap, weights: DiagonalWeights) -> dict:
-    by_path = path_weight_sum(white(i, N - 1), white(j + 1, 0), cmap, weights)
-    direct = linear_value([weights[d] for d in range(j, i - 1, -1)], N, cmap)
+    [[by_path]] = _scaled_path_matrix((white(i, N - 1),), (white(j + 1, 0),), cmap, weights)
+    direct = _scaled_linear_value([weights[d] for d in range(j, i - 1, -1)], N, cmap)
+    equal = by_path == direct
+    path_json, linear_json = _rendered(equal, by_path, direct)
     return {
         "start_column": i,
         "end_column": j,
         "N": N,
         "diagonal": weights.to_json(),
-        "path_sum": by_path.to_json(),
-        "linear": direct.to_json(),
-        "equal": by_path == direct,
+        "path_sum": path_json,
+        "linear": linear_json,
+        "equal": equal,
     }
 
 
@@ -368,13 +384,14 @@ def run_oracle_triangle(
 # --------------------------------------------------------------------------
 # Palindrome: symmetric-window square determinants are fixed by t -> 1-t.
 
-def _check_palindrome(keys: Sequence[int], N: int) -> dict:
-    rep = verify_palindromic_matrix(keys, N)
+def _check_palindrome(keys: Sequence[int], N: int, cmap) -> dict:
+    rep = verify_palindromic_matrix(keys, N, cmap)
+    poly, flipped = _rendered(rep.equal, rep.poly_scaled, rep.flipped_scaled)
     return {
         "keys": list(keys),
         "N": N,
-        "poly": rep.poly.to_json(),
-        "flipped": rep.flipped.to_json(),
+        "poly": poly,
+        "flipped": flipped,
         "equal": rep.equal,
     }
 
@@ -385,8 +402,9 @@ def run_palindrome_sweep(
     key_values: Sequence[int] = (2, 3),
 ) -> dict:
     """Determinants of symmetric-window square shapes are fixed by t -> 1-t."""
+    cmap = coefficient_map_for("rational")
     instances = [
-        _check_palindrome(keys, N)
+        _check_palindrome(keys, N, cmap)
         for r in range(1, max_r + 1)
         for keys in product(key_values, repeat=r)
         for N in range(1, max_n + 1)
@@ -472,7 +490,7 @@ FAMILIES = (
         {"keys": None, "N": 4, "max_r": 3},
         sweep=lambda f: run_palindrome_sweep(max_r=f.max_r, max_n=f.N),
         all_verify=lambda f: run_palindrome_sweep(max_r=3, max_n=min(f.N, 4)),
-        single=lambda f: _check_palindrome(f.keys, f.N),
+        single=lambda f: _check_palindrome(f.keys, f.N, coefficient_map_for("rational")),
     ),
     Family(
         "linear-oracles", "linear-verify", "cross-check the three linear-value routes",

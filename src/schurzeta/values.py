@@ -21,9 +21,12 @@ Over the rational map every term of a value carries one factor m^(-k) per
 label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
 and K is the sum of the positive labels.  The map therefore carries an
 integer form, f(k, m) * L^max(k, 0); each evaluator runs its body once over
-that form and divides by L^K at the end, so no ``Fraction`` is normalized
-inside the sums.  Any other map, including a hand-built rational one, runs
-the same body over its own ring.
+that form, so no ``Fraction`` is normalized inside the sums.  Its undivided
+result (``_undivided``) is a ``rings.ScaledPoly``: the integer numerators
+over D = L^K, or, for any other map (a hand-built rational one included),
+the body's value over the map's own ring with D = 1.  The identity checks
+compare and render rational sides undivided; the public functions return
+the same values divided, as a ``TPoly``.
 
 Over an integer form the Schur walk also packs each t-polynomial into one
 ``int``, its value at t = 2^b (Kronecker substitution), so every step of
@@ -49,8 +52,8 @@ from .rings import (
     QsymRing,
     Ring,
     TPoly,
+    ScaledPoly,
     _ZZ,
-    _divide_integer_poly,
     _trimmed,
     q_integer,
 )
@@ -149,32 +152,31 @@ def _positive_sum(labels: Sequence[int]) -> int:
     return sum(k for k in labels if k > 0)
 
 
-def _evaluate(
+def _undivided(
     cmap: CoefficientMap, top: int, labels: Sequence[Any], body: Callable[[CoefficientMap], TPoly]
-) -> TPoly:
+) -> ScaledPoly:
     """body(cmap) for a value whose every term multiplies f(k, m) once per
-    label, with entries m in 1..top: run over cmap's integer form when it has
-    one, then divided once by L^K."""
-    return _evaluate_each(cmap, top, labels, [labels], lambda c: [body(c)])[0]
+    label, with entries m in 1..top, undivided: run over cmap's integer form
+    when it has one, as numerators over D = L^K, else over cmap with D = 1."""
+    return _undivided_each(cmap, top, labels, [labels], lambda c: [body(c)])[0]
 
 
-def _evaluate_each(
+def _undivided_each(
     cmap: CoefficientMap,
     top: int,
     labels: Sequence[Any],
     parts: Sequence[Sequence[Any]],
     body: Callable[[CoefficientMap], list[TPoly]],
-) -> list[TPoly]:
+) -> list[ScaledPoly]:
     """body(cmap) for a list of values, the i-th multiplying the labels
-    parts[i], all of them among ``labels``: as ``_evaluate``, with one body
-    run and each value divided by its own L^K."""
+    parts[i], all of them among ``labels``: as ``_undivided``, with one body
+    run and each value over its own L^K."""
     form = _integer_form(cmap, top, labels)
     if form is None:
-        return body(cmap)
+        return [ScaledPoly(value) for value in body(cmap)]
     imap, L = form
     return [
-        _divide_integer_poly(value, L ** _positive_sum(part))
-        for value, part in zip(body(imap), parts)
+        ScaledPoly(value, L ** _positive_sum(part)) for value, part in zip(body(imap), parts)
     ]
 
 
@@ -341,10 +343,15 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     result is still exactly the final value at 2^b, and only its decode
     needs the bound.
     """
+    return _scaled_schur_value(weights, N, cmap).divided()
+
+
+def _scaled_schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> ScaledPoly:
+    """``schur_value`` undivided."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     labels = [k for row in weights.rows for k in row]
-    return _evaluate(cmap, N - 1, labels, lambda c: _schur_value(weights, N, c))
+    return _undivided(cmap, N - 1, labels, lambda c: _schur_value(weights, N, c))
 
 
 def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
@@ -473,10 +480,15 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     the one evaluator behind every Jacobi-Trudi column; only that value is
     divided by L^K.
     """
+    return _scaled_linear_value(keys, N, cmap).divided()
+
+
+def _scaled_linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> ScaledPoly:
+    """``linear_value`` undivided."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _evaluate(
+    return _undivided(
         cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_prefixes(keys, N, c)[0][-1])
     )
 
@@ -493,11 +505,18 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
     O(len(keys)^2 * N) coefficient operations, where enumerating the chains
     of one prefix of length r takes about C(r+N-2, r) * r.
     """
+    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
+
+
+def _scaled_linear_value_prefixes(
+    keys: Sequence[Any], N: int, cmap: CoefficientMap
+) -> list[ScaledPoly]:
+    """``linear_value_prefixes`` undivided, each prefix over its own L^K."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
     prefixes = [keys[:p] for p in range(len(keys) + 1)]
-    return _evaluate_each(
+    return _undivided_each(
         cmap,
         N - 1,
         keys,
@@ -551,9 +570,9 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _evaluate(
+    return _undivided(
         cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_by_recursion(keys, N, c)[-1])
-    )
+    ).divided()
 
 
 def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> list[list]:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schurzeta import cli, lattice, sweeps, values
-from schurzeta.rings import QQ, TPoly
-from schurzeta.shapes import Tableau
+from schurzeta import cli, jacobi_trudi, lattice, sweeps, values
+from schurzeta.rings import QQ, ScaledPoly, TPoly
+from schurzeta.shapes import Partition, Tableau
 
 from filling_enumeration import filling_sum_oracle
 
@@ -360,20 +360,133 @@ def test_oracle_triangle_compares_merge_numerators_over_another_denominator(monk
 
 
 def test_lgv_sweep_catches_a_perturbed_path_matrix(capsys, monkeypatch):
-    original = lattice.path_matrix
+    # The determinant side reads the undivided path matrix.
+    original = sweeps._scaled_path_matrix
 
     def perturbed(sources, sinks, cmap, weights):
         matrix = original(sources, sinks, cmap, weights)
-        matrix[0][0] = matrix[0][0] + TPoly.one(cmap.ring)
+        matrix[0][0] = plus_one(matrix[0][0])
         return matrix
 
-    monkeypatch.setattr(lattice, "path_matrix", perturbed)
+    monkeypatch.setattr(sweeps, "_scaled_path_matrix", perturbed)
     report = sweeps.run_lgv_sweep(max_cells=2, max_n=2)
     assert report["pass"] is False
     # The one-cell shape's 1 x 1 matrix moves its determinant by one.
     assert any(f["shape"] == [1] for f in report["failures"])
     code, payload, _ = run_json(["lgv-verify", "--max-cells", "2", "--N", "2"], capsys)
     assert code == 1 and payload["pass"] is False
+
+
+def bump(poly, degree=0):
+    """poly + t^degree, over the ring poly lies in: over an integer form,
+    one numerator moved by one."""
+    return poly + TPoly.monomial(poly.ring, poly.ring.one, degree)
+
+
+def plus_one(value, degree=0):
+    """An undivided value plus t^degree, over its own denominator."""
+    poly, d = value.poly, value.denominator
+    return ScaledPoly(poly + TPoly.monomial(poly.ring, poly.ring.one * d, degree), d)
+
+
+# The checkers compare their sides undivided and render an agreed value
+# once.  A perturbed route must fail its instances, and every side of a
+# failing instance must then render as the public TPoly route to it does.
+
+RAT = values.rational_map()
+
+
+def failures_of(report):
+    assert report["pass"] is False and report["failures"]
+    for failure in report["failures"]:
+        assert failure["equal"] is False
+    return report["failures"]
+
+
+def test_jt_mismatch_renders_each_side(capsys, monkeypatch):
+    original = values._schur_value
+    monkeypatch.setattr(values, "_schur_value", lambda *args: bump(original(*args)))
+    for f in failures_of(sweeps.run_jt_sweep(max_cells=3, n_values=(2, 3), trials=1)):
+        shape, weights = Partition(f["shape"]), values.DiagonalWeights(f["diagonal"])
+        rep = jacobi_trudi.verify_jacobi_trudi(shape, f["N"], RAT, weights)
+        tableau = values.diagonal_tableau(shape, weights)
+        assert f["schur"] == values.schur_value(tableau, f["N"], RAT).to_json()
+        assert f["detH"] == rep.det_h.to_json() and f["detE"] == rep.det_e.to_json()
+        assert f["detH"] == f["detE"] != f["schur"]
+    code, payload, _ = run_json(["jt-verify", "--max-cells", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_conjugation_mismatch_renders_each_side(capsys, monkeypatch):
+    # t, not 1: a constant is fixed by t -> 1-t, so it would move both sides.
+    original = values._schur_value
+    monkeypatch.setattr(values, "_schur_value", lambda *args: bump(original(*args), 1))
+    report = sweeps.run_conjugation_sweep(max_cells=3, n_values=(1, 2, 3), trials=1)
+    for f in failures_of(report):
+        tableau = Tableau(Partition(f["shape"]), f["rows"])
+        assert f["lhs"] == values.schur_value(tableau, f["N"], RAT).subs_one_minus_t().to_json()
+        assert f["rhs"] == values.schur_value(tableau.conjugate(), f["N"], RAT).to_json()
+    code, payload, _ = run_json(["conjugation-verify", "--max-cells", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_lgv_mismatch_renders_each_side(capsys, monkeypatch):
+    original = lattice._lgv_signed_sum
+    monkeypatch.setattr(lattice, "_lgv_signed_sum", lambda *args: bump(original(*args)))
+    for f in failures_of(sweeps.run_lgv_sweep(max_cells=3, max_n=3)):
+        shape, weights = Partition(f["shape"]), values.DiagonalWeights(f["diagonal"])
+        sources, sinks = lattice.schur_path_endpoints(shape, f["N"])
+        tableau = values.diagonal_tableau(shape, weights)
+        assert f["signed_sum"] == lattice.schur_scenario_sum(shape, f["N"], RAT, weights).to_json()
+        assert f["determinant"] == lattice.lgv_determinant(sources, sinks, RAT, weights).to_json()
+        assert f["schur"] == values.schur_value(tableau, f["N"], RAT).to_json()
+        assert f["determinant"] == f["schur"] != f["signed_sum"]
+    code, payload, _ = run_json(["lgv-verify", "--max-cells", "2", "--N", "2"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_layer_mismatch_renders_each_side(capsys, monkeypatch):
+    original = lattice._layer_closed_form
+    monkeypatch.setattr(lattice, "_layer_closed_form", lambda *args: bump(original(*args)))
+    for f in failures_of(sweeps.run_layer_sweep(max_cells=3, max_m=3)):
+        shape, weights = Partition(f["shape"]), values.DiagonalWeights(f["diagonal"])
+        rep = lattice.layer_check(shape, f["b"], f["M"], RAT, weights)
+        sources, sinks = lattice.layer_endpoints(shape, f["b"], f["M"])
+        assert f["predicted"] == rep.predicted.to_json()
+        assert f["signed_sum"] == lattice.lgv_signed_sum(sources, sinks, RAT, weights).to_json()
+        assert f["one_ordered"] and f["predicted"] != f["signed_sum"]
+    code, payload, _ = run_json(["layer-verify", "--max-cells", "2", "--M", "2"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_palindrome_mismatch_renders_each_side(capsys, monkeypatch):
+    # t, not 1: a constant is fixed by t -> 1-t.
+    original = jacobi_trudi._scaled_determinant
+    monkeypatch.setattr(
+        jacobi_trudi, "_scaled_determinant", lambda *args: plus_one(original(*args), 1))
+    for f in failures_of(sweeps.run_palindrome_sweep(max_r=2, max_n=3)):
+        poly = jacobi_trudi.verify_palindromic_matrix(f["keys"], f["N"]).poly
+        assert f["poly"] == poly.to_json()
+        assert f["flipped"] == poly.subs_one_minus_t().to_json()
+        assert f["poly"] != f["flipped"]
+    code, payload, _ = run_json(["palindrome-verify", "--max-r", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_path_linear_mismatch_renders_each_side(capsys, monkeypatch):
+    original = lattice._path_row
+    monkeypatch.setattr(
+        lattice, "_path_row", lambda *args: [bump(p) for p in original(*args)])
+    for f in failures_of(sweeps.run_path_linear_sweep(max_r=2, max_n=3)):
+        i, j, N = f["start_column"], f["end_column"], f["N"]
+        weights = values.DiagonalWeights(f["diagonal"])
+        by_path = lattice.path_weight_sum(lattice.white(i, N - 1), lattice.white(j + 1, 0), RAT,
+                                          weights)
+        direct = values.linear_value([weights[d] for d in range(j, i - 1, -1)], N, RAT)
+        assert f["path_sum"] == by_path.to_json() and f["linear"] == direct.to_json()
+        assert f["path_sum"] != f["linear"]
+    code, payload, _ = run_json(["all-verify", "--max-cells", "2", "--N", "3"], capsys)
+    assert code == 1 and payload["summary"]["path_linear"]["pass"] is False
 
 
 def test_byte_identical_reruns(capsys):

@@ -38,6 +38,13 @@ EXTRA_COMMANDS = [
     "jt-verify --shape '[10,8,3]' --N 5 --ring qseries:8 --seed 1",
     "linear-verify --max-r 4 --N 6",
     "all-verify --N 6 --max-cells 3 --trials 1",
+    "jt-verify --max-cells 6 --N 5 --trials 1 --seed 11",
+    "conjugation-verify --max-cells 6 --N 5 --trials 1 --seed 2",
+    "lgv-verify --max-cells 5 --N 5 --seed 3",
+    "layer-verify --max-cells 5 --M 4 --seed 4",
+    "palindrome-verify --max-r 4 --N 5",
+    "lgv-verify --max-cells 4 --N 4 --ring qsym --seed 2",
+    "layer-verify --max-cells 4 --M 3 --ring qseries:8 --seed 2",
 ]
 
 

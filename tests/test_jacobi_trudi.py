@@ -47,9 +47,14 @@ def e_matrix(shape, N, cmap, weights):
     return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
+def h_matrix(shape, N, cmap, weights):
+    """The package's row-reading matrix, its undivided entries divided."""
+    return [[entry.divided() for entry in row] for row in _h_matrix(shape, N, cmap, weights)]
+
+
 def jt_matrix(shape, side, N, cmap, weights):
     """The row-reading ("H") or column-reading ("E") matrix of a shape."""
-    build = {"H": _h_matrix, "E": e_matrix}[side]
+    build = {"H": h_matrix, "E": e_matrix}[side]
     return build(Partition(shape), N, cmap, weights)
 
 

@@ -18,6 +18,7 @@ from schurzeta.rings import (
     QSeries,
     QSeriesRing,
     QsymRing,
+    ScaledPoly,
     TPoly,
     format_numerators,
     format_rational,
@@ -92,6 +93,51 @@ def test_numerators_render_as_their_fractions():
             assert format_numerators([c, 1], D)[0] == format_rational(Fraction(c, D))
     assert format_numerators([0, 0], 7) == [] and format_numerators([0, 3], 6) == ["0", "1/2"]
     assert format_numerators([-4, 6], 1) == ["-4", "6"]
+
+
+def random_scaled(rng):
+    """An undivided rational t-polynomial: integer numerators over D."""
+    D = rng.choice([1, rng.randint(1, 12), 6 ** rng.randint(0, 8)])
+    cs = [rng.choice([0, rng.randint(-30, 30), rng.randint(-10**20, 10**20)])
+          for _ in range(rng.randint(0, 4))]
+    return ScaledPoly(TPoly(rings._ZZ, cs), D)
+
+
+def test_scaled_values_compare_render_and_substitute_as_their_quotients():
+    rng = random.Random(23)
+    for _ in range(300):
+        a = random_scaled(rng)
+        k = rng.randint(1, 5)
+        same = ScaledPoly(TPoly(rings._ZZ, [c * k for c in a.poly.coeffs]), a.denominator * k)
+        b = rng.choice([same, random_scaled(rng)])
+        assert (a == b) == (a.divided() == b.divided())
+        assert a == same and a.divided() == same.divided()
+        divided = a.divided()
+        assert divided.ring == QQ and all(type(c) is Fraction for c in divided.coeffs)
+        assert a.to_json() == divided.to_json() == same.to_json()
+        assert a.subs_one_minus_t().divided() == divided.subs_one_minus_t()
+    # Over any other ring D is one and the value is its own TPoly.
+    q = TPoly(QSeriesRing(4), [QSeries(4, [1, 2])])
+    assert ScaledPoly(q).divided() is q and ScaledPoly(q).to_json() == q.to_json()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_scaled_determinant_is_the_determinant_of_the_quotients(n):
+    # Entries over their own denominators, Fraction entries among them: the
+    # rows are scaled to one denominator each and eliminated once.
+    rng = random.Random(31 + n)
+    for _ in range(20):
+        matrix = [[random_scaled(rng) if rng.random() < 0.8 else ScaledPoly(random_tpoly(rng))
+                   for _ in range(n)] for _ in range(n)]
+        divided = [[entry.divided() for entry in row] for row in matrix]
+        det = rings._scaled_determinant(matrix, QQ)
+        assert det.poly.ring is rings._ZZ
+        assert det.divided() == ring_determinant(divided, PolyRing(QQ))
+        assert det.divided() == laplace_determinant(divided)
+    ring = QSeriesRing(4)
+    q = [[ScaledPoly(TPoly(ring, [random_qseries(rng, 4)])) for _ in range(n)] for _ in range(n)]
+    plain = [[entry.poly for entry in row] for row in q]
+    assert rings._scaled_determinant(q, ring).divided() == ring_determinant(plain, PolyRing(ring))
 
 
 def test_rational_ring_is_normalized():
@@ -347,7 +393,8 @@ def test_bareiss_rank_deficient_with_every_entry_nonzero():
     rng = random.Random(17)
     for r in (9, 10, 11):
         keys = [rng.choice((2, 3)) for _ in range(r)]
-        matrix = _h_matrix(Partition((r,) * r), 4, rational_map(), palindrome_weights(keys))
+        undivided = _h_matrix(Partition((r,) * r), 4, rational_map(), palindrome_weights(keys))
+        matrix = [[entry.divided() for entry in row] for row in undivided]
         assert all(entry for row in matrix for entry in row)
         assert ring_determinant(matrix, PolyRing(QQ)) == TPoly.zero(QQ)
         assert laplace_determinant(matrix) == TPoly.zero(QQ)
