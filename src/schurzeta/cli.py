@@ -12,14 +12,16 @@ its type and the parser of its JSON value.
 Structured JSON goes to stdout (or --output), then a human summary, one
 line per command or family, to stderr; a run that exits 2, 3 or 4 writes
 only its one error line there.  Exit codes: 0 all checks pass, 1 an
-identity mismatch, 2 malformed input (including a config file with an
-unknown key or a value of the wrong type, a weight label that is not a JSON
-integer, a diagonal offset that is not a canonical decimal integer or is
-repeated, an integer flag above sys.maxsize in magnitude, a single-instance
-flag without --shape, --N below 2 for a verify command, and a sweep that
-would check no instance), 3 domain error (an integer weight outside the
-chosen ring's map), 4 internal error (any other exception, reported in one
-line on stderr).
+identity mismatch, 2 malformed input (including an argument the parser
+refuses, such as an unknown flag or subcommand, a missing subcommand or a
+flag value of the wrong type; a config file with an unknown key or a value
+of the wrong type, a weight label that is not a JSON integer, a diagonal
+offset that is not a canonical decimal integer or is repeated, an integer
+flag above sys.maxsize in magnitude, a single-instance flag without
+--shape, --N below 2 for a verify command, and a sweep that would check no
+instance), 3 domain error (an integer weight outside the chosen ring's
+map), 4 internal error (any other exception, reported in one line on
+stderr).
 """
 
 from __future__ import annotations
@@ -235,8 +237,17 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print its usage and exit, so
+    a refused argument is one error line and exit code 2, like other bad
+    input; its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurzeta",
         description="Exact interpolated Schur multiple zeta values and identity checks.",
     )
@@ -317,9 +328,9 @@ def _unchecked_families(payload: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
         _apply_config_and_defaults(args, command.flags)
         _check_instance_flags(args)
         _parse_json_flags(args, command.flags)

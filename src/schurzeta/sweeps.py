@@ -40,11 +40,11 @@ from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau,
 from .values import (
     DiagonalWeights,
     _StrictSums,
+    _route_walk,
     _scaled_linear_value,
     _scaled_schur_value,
     coefficient_map_for,
     diagonal_tableau,
-    linear_value_routes,
     required_offsets,
 )
 
@@ -329,13 +329,14 @@ def run_path_linear_sweep(
 # --------------------------------------------------------------------------
 # Linear oracles: three routes to one rational linear value.
 
-def _check_linear_oracles(keys: Sequence[int], max_n: int, cmap, table) -> list[dict]:
-    """The instances (keys, N) for N = 1..max_n, read off one run of each
-    route at max_n, over the sweep's strict-sum table.  The routes' integer
-    numerators are compared, the merge expansion's by cross-multiplication
-    when its denominator differs; a value the sides agree on is rendered
-    once, and a side that disagrees from its own numbers."""
-    denominator, merge_denominator, by_bound = linear_value_routes(keys, max_n, cmap, table)
+def _check_linear_oracles(
+    keys: tuple, denominator: int, merge_denominator: int, by_bound: list
+) -> list[dict]:
+    """The instances (keys, N) for N = 1..len(by_bound), from one walk node's
+    routes (``values._route_walk``).  The routes' integer numerators are
+    compared, the merge expansion's by cross-multiplication when its
+    denominator differs; a value the sides agree on is rendered once, and a
+    side that disagrees from its own numbers."""
     instances = []
     for N, (direct, recursive, merged) in enumerate(by_bound, start=1):
         shown = format_numerators(recursive, denominator)
@@ -363,22 +364,24 @@ def run_oracle_triangle(
     """linear_value == linear_value_by_recursion == merge_expansion on every
     rational tuple drawn from the given weight values, at every N = 1..max_n.
 
-    Each route runs once per tuple, at max_n, and the instances for the
-    smaller N are read off that run (``values.linear_value_routes``); they
-    are listed by tuple, then by N.  One strict-sum table at max_n serves
-    every tuple's merge expansion, and values are divided only as rendered.
+    One depth-first walk over the trie of key tuples (``values._route_walk``)
+    extends each route's state by one key per tuple, at max_n, and the
+    instances for the smaller N are read off that state.  Each tuple's
+    instances are compared and rendered as soon as the walk reaches it, and
+    listed by tuple length, then in product order, then by N.  One
+    strict-sum table at max_n serves every merge expansion, and values are
+    divided only as rendered.  A weight value that is not an ``int`` raises
+    DomainError before any route runs.
     """
-    if max_n < 1:
+    if max_n < 1 or max_r < 0:
         return _report("linear-oracles", [], ring="rational")
-    cmap = coefficient_map_for("rational")
-    table = _StrictSums(max_n)
-    instances = [
-        instance
-        for r in range(0, max_r + 1)
-        for keys in product(weight_values, repeat=r)
-        for instance in _check_linear_oracles(keys, max_n, cmap, table)
-    ]
-    return _report("linear-oracles", instances, ring="rational")
+    by_length: list[list[dict]] = [[] for _ in range(max_r + 1)]
+    walk = _route_walk([tuple(weight_values)] * max_r, max_n, coefficient_map_for("rational"),
+                       _StrictSums(max_n))
+    for keys, *routes in walk:
+        by_length[len(keys)] += _check_linear_oracles(keys, *routes)
+    return _report("linear-oracles", [inst for group in by_length for inst in group],
+                   ring="rational")
 
 
 # --------------------------------------------------------------------------

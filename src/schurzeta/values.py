@@ -10,12 +10,15 @@ q-analogues, or quasi-symmetric functions, all computed exactly.
 Linear values have one evaluator, the prefix dynamic program of
 ``linear_value_prefixes``; ``linear_value`` is its full-length value.  The
 peeling recursion and the merge expansion are independent routes to the same
-values, kept as its oracles.  Each route's one body returns its values at
-every bound n = 1..N from one run at N; the single-N functions return the
-last of them, divided by their denominator, and ``linear_value_routes``
-returns all of them, for all three routes, to the oracle sweep as integer
-numerators over their denominators, undivided: the sweep compares
-numerators and divides only in the text it reports.
+values, kept as its oracles.  Each route's one body extends the state of a
+key path by more keys, and the state holds the path's values at every bound
+n = 1..N.  The single-N functions run it from the empty path over all their
+keys and return the value at N, divided by its denominator.  The oracle
+sweep walks the trie of key tuples (``_route_walk``): each route extends
+its parent node's state by one key, so a prefix shared by many tuples is
+walked once, and every node's values reach the sweep as integer numerators
+over their denominators, undivided: the sweep compares numerators and
+divides only in the text it reports.
 
 Over the rational map every term of a value carries one factor m^(-k) per
 label, so all terms share the denominator L^K, where L = lcm(1, ..., N-1)
@@ -525,18 +528,24 @@ def _scaled_linear_value_prefixes(
     )
 
 
-def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> tuple[list, list]:
-    """The prefix values at N, and the full tuple's values at the bounds
-    1 .. N-1 (its chains that end below m are its chains bounded by m), as
-    coefficient lists by ascending power of t; the callers make a ``TPoly``
-    of only the values they return."""
+def _linear_value_prefixes(
+    keys: tuple, N: int, cmap: CoefficientMap, state: tuple | None = None
+) -> tuple[list, tuple[list, list]]:
+    """The value at N of the path after each key, and the end state.
+
+    The path is the one ``state`` ends (the empty path when None), extended
+    by keys, and its state is (last, below): coefficient lists by ascending
+    power of t, indexed by m - 1, of its chains ending at m (m < N) and of
+    those ending below m (m <= N), that is, its value at every bound
+    1 .. N.  values[0] is the start's value at N; the callers make a
+    ``TPoly`` of only the values they return."""
     ring = cmap.ring
     zero = ring.zero
-    values = [[ring.one]]
-    # Coefficient lists by ascending power of t, indexed by m - 1: the
-    # chains of the current prefix ending at m, and those ending below m.
-    last: list[list] = [[]] * (N - 1)
-    below: list[list] = [[ring.one]] * (N - 1)
+    if state is None:
+        last, below = [[]] * (N - 1), [[ring.one]] * N
+    else:
+        last, below = state
+    values = [below[-1]]
     for k in keys:
         new_last, new_below = [], []
         total: list = []
@@ -549,9 +558,10 @@ def _linear_value_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> tuple[l
             acc = [c * w for c in acc]
             new_last.append(acc)
             total = [a + b for a, b in zip(total, acc)] + acc[len(total):]
+        new_below.append(total)
         last, below = new_last, new_below
         values.append(total)
-    return values, below
+    return values, (last, below)
 
 
 def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
@@ -563,49 +573,49 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
         value(keys, n) = sum over g, m of
             t^g * f(keys[-1], m) * ... * f(keys[-1-g], m) * value(keys[:-g-1], m)
 
-    memoized on (prefix length, m) as coefficient lists, over a per-call
-    table of f(k_i, m).  The value is the last of the recursion's values
-    at every bound n = 1..N, read from one memo.
+    computed bottom-up by prefix length p, each prefix at every bound
+    n = 1..N, from the shorter prefixes' values and the rows f(k_i, m); the
+    value is the full tuple's at N.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
     return _undivided(
-        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_by_recursion(keys, N, c)[-1])
+        cmap, N - 1, keys,
+        lambda c: TPoly(c.ring, _linear_value_by_recursion(keys, N, c)[1][-1][-1]),
     ).divided()
 
 
-def _linear_value_by_recursion(keys: tuple, N: int, cmap: CoefficientMap) -> list[list]:
-    """value(keys, n) for n = 1..N, as coefficient lists."""
+def _linear_value_by_recursion(
+    keys: tuple, N: int, cmap: CoefficientMap, state: tuple | None = None
+) -> tuple[list, list]:
+    """The state (rows, by_depth) of the path that ``state`` ends (the
+    empty path when None), extended by keys: rows[i][m] = f(k_(i+1), m)
+    (index 0 unused), and by_depth[p][n - 1] = value(p, n) for the path's
+    prefix of length p, as coefficient lists.  A chain of p entries has at
+    most p - 1 equalities, so p coefficients hold value(p, n)."""
     ring = cmap.ring
     zero = ring.zero
-    # table[i][m] = f(keys[i], m), looked up once (index 0 unused).
-    table = [[None, *(cmap(k, m) for m in range(1, N))] for k in keys]
-    one = [ring.one]
-    # Coefficient lists by ascending power of t; a chain of p entries has
-    # at most p - 1 equalities, so p coefficients hold value(p, n).
-    memo: dict[tuple[int, int], list] = {}
-
-    def value(p: int, n: int) -> list:
-        if p == 0:
-            return one
-        if n <= 1:
-            return []
-        acc = memo.get((p, n))
-        if acc is not None:
-            return acc
-        acc = [zero] * p
-        for m in range(1, n):
+    if state is None:
+        rows, by_depth = [], [[[ring.one]] * N]
+    else:
+        rows, by_depth = list(state[0]), list(state[1])
+    for k in keys:
+        rows.append([None, *(cmap(k, m) for m in range(1, N))])
+        p = len(rows)
+        acc = [zero] * p  # value(p, n) sums the entries m below n
+        by_bound = [acc]
+        for m in range(1, N):
+            acc = acc[:]
             block = None
             for g in range(p):
-                f = table[p - 1 - g][m]
+                f = rows[p - 1 - g][m]
                 block = f if block is None else block * f
-                for i, c in enumerate(value(p - g - 1, m), g):
+                for i, c in enumerate(by_depth[p - 1 - g][m - 1], g):
                     acc[i] = acc[i] + c * block
-        memo[(p, n)] = acc
-        return acc
-
-    return [value(len(keys), n) for n in range(1, N + 1)]
+            by_bound.append(acc)
+        by_depth.append(by_bound)
+    return rows, by_depth
 
 
 def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
@@ -624,8 +634,26 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    sums, denominator = _merge_expansion(tuple(keys), _StrictSums(N))
+    sums, denominator = _merge_expansion(_merge_compositions(keys), _StrictSums(N))
     return TPoly(QQ, [Fraction(a, denominator) for a in sums[-1]])
+
+
+def _merge_compositions(keys: Sequence[Any], state: list | None = None) -> list:
+    """The merged compositions of the path that ``state`` ends (the empty
+    path when None), extended by keys, as (composition, merges) pairs, the
+    unmerged path first: each key starts a new part or is added to the last
+    part."""
+    compositions = [((), 0)] if state is None else state
+    for k in keys:
+        if not _is_int(k):
+            raise DomainError(f"merge expansion keys must be integers, got {k!r}")
+        extended = []
+        for merged, merges in compositions:
+            extended.append((merged + (k,), merges))
+            if merged:
+                extended.append((merged[:-1] + (merged[-1] + k,), merges + 1))
+        compositions = extended
+    return compositions
 
 
 class _StrictSums:
@@ -639,27 +667,17 @@ class _StrictSums:
         self.sums: dict[tuple[int, ...], list[int]] = {}
 
 
-def _merge_expansion(keys: tuple, table: _StrictSums) -> tuple[list[list[int]], int]:
-    """The merge expansion at every bound n = 1..table.N, as trimmed integer
-    coefficient lists over their common denominator L^K; no division."""
-    for k in keys:
-        if not _is_int(k):
-            raise DomainError(f"merge expansion keys must be integers, got {k!r}")
-    r, N, L = len(keys), table.N, table.L
-    if r == 0:
-        return [[1]] * N, 1
-    K = sum(k for k in keys if k > 0)
-    acc = [[0] * r for _ in range(N)]  # acc[n - 1][merges]
-    for mask in range(1 << (r - 1)):
-        merged = [keys[0]]
-        for gap in range(r - 1):
-            if mask >> gap & 1:
-                merged[-1] += keys[gap + 1]
-            else:
-                merged.append(keys[gap + 1])
-        scale = L ** (K - sum(c for c in merged if c > 0))
-        merges = r - len(merged)
-        for coeffs, s in zip(acc, _strict_sums(tuple(merged), table)):
+def _merge_expansion(compositions: list, table: _StrictSums) -> tuple[list[list[int]], int]:
+    """The merge expansion of a path's compositions at every bound
+    n = 1..table.N, as trimmed integer coefficient lists over their common
+    denominator L^K; no division."""
+    keys = compositions[0][0]
+    N, L = table.N, table.L
+    K = _positive_sum(keys)
+    acc = [[0] * (len(keys) + 1) for _ in range(N)]  # acc[n - 1][merges]
+    for merged, merges in compositions:
+        scale = L ** (K - _positive_sum(merged))
+        for coeffs, s in zip(acc, _strict_sums(merged, table)):
             coeffs[merges] += s * scale
     return [_trimmed(coeffs) for coeffs in acc], L**K
 
@@ -708,26 +726,56 @@ def linear_value_routes(
     coefficients by ascending power of t, the first two over D, the third
     over D'.
 
-    Each route runs once, at N, and yields the smaller bounds on the way:
-    the prefix DP's last ``below`` lists, the recursion's memo and the
-    strict sums' prefix pass.  The prefix DP and the recursion run over one
-    integer form at L = lcm(1..N-1), so D = L^K; the merge expansion takes
-    its own L and K, over ``table`` (fresh when None), so D' is its L^K.
-    Nothing is divided: the caller compares numerators.
+    This is ``_route_walk`` along the one path ``keys``, at N; each route's
+    state holds the smaller bounds.  The prefix DP and the recursion run
+    over one integer form at L = lcm(1..N-1), so D = L^K; the merge
+    expansion takes its own L and K, over ``table`` (fresh when None), so
+    D' is its L^K.  Nothing is divided: the caller compares numerators.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    keys = tuple(keys)
     table = _StrictSums(N) if table is None else table
     if table.N != N:
         raise ValueError(f"strict-sum table for N = {table.N} used at N = {N}")
-    merged, merge_denominator = _merge_expansion(keys, table)
-    form = _integer_form(cmap, N - 1, keys)
+    # The walk yields the path's prefixes first, the full path last.
+    *_, (_, denominator, merge_denominator, by_bound) = _route_walk(
+        [(k,) for k in keys], N, cmap, table)
+    return denominator, merge_denominator, by_bound
+
+
+def _route_walk(
+    levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, table: _StrictSums
+):
+    """Depth first over the trie of key tuples whose i-th key is drawn from
+    levels[i], each node before its children and the children in the
+    levels' order: yields (keys, D, D', by_bound) per node, as
+    ``linear_value_routes`` gives them.  Each route extends its parent
+    node's state by the node's one key, so every prefix is walked once, and
+    only the current path's states are held.  Every key is checked before
+    any route runs."""
+    for level in levels:
+        for k in level:
+            if not _is_int(k):
+                raise DomainError(f"linear-value keys must be integers, got {k!r}")
+    form = _integer_form(cmap, N - 1, [k for level in levels for k in level])
     if form is None:
         raise ValueError(f"linear_value_routes needs a map with an integer form, not {cmap.name}")
     imap, L = form
-    prefixes, below = _linear_value_prefixes(keys, N, imap)
-    recursive = _linear_value_by_recursion(keys, N, imap)
-    direct = [*below, prefixes[-1]]
-    by_bound = [(_trimmed(a), _trimmed(b), c) for a, b, c in zip(direct, recursive, merged)]
-    return L ** _positive_sum(keys), merge_denominator, by_bound
+
+    def visit(keys: tuple, parent: tuple):
+        new = keys[-1:]
+        dp, recursion, compositions = states = (
+            _linear_value_prefixes(new, N, imap, parent[0])[1],
+            _linear_value_by_recursion(new, N, imap, parent[1]),
+            _merge_compositions(new, parent[2]),
+        )
+        merged, merge_denominator = _merge_expansion(compositions, table)
+        by_bound = [
+            (_trimmed(a), _trimmed(b), c) for a, b, c in zip(dp[1], recursion[1][-1], merged)
+        ]
+        yield keys, L ** _positive_sum(keys), merge_denominator, by_bound
+        if len(keys) < len(levels):
+            for k in levels[len(keys)]:
+                yield from visit(keys + (k,), states)
+
+    yield from visit((), (None, None, None))

@@ -1,10 +1,12 @@
 """Command-line driver: outputs, exit codes, determinism, config files."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,27 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2  # missing shape
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["linear-verify", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    (["linear-verify", "--keys", "[2]"], "unrecognized arguments: --keys [2]"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_parser_refusals_exit_2_in_one_line(argv, message, capsys):
+    # The parser's refusals are malformed input like any other: main
+    # returns 2 (no SystemExit) and writes one line, no usage block.
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"invalid input: {message}") and err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["linear-verify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schurzeta linear-verify")
+
+
 def test_boolean_weights_exit_2(capsys):
     # JSON true is not the integer 1
     code, out, err = run(["palindrome-verify", "--keys", "[true, 2]", "--N", "3"], capsys)
@@ -245,7 +268,7 @@ def test_identity_mismatch_exits_1(capsys, monkeypatch):
 def test_internal_error_exits_4(capsys, monkeypatch):
     # A defect of the program, such as an exception no handler names, is
     # neither a mismatch (1) nor bad input (2): one line on stderr, code 4.
-    def broken_checker(keys, N, cmap, table):
+    def broken_checker(keys, denominator, merge_denominator, by_bound):
         raise RuntimeError("checker broke")
 
     monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
@@ -259,7 +282,7 @@ def test_internal_error_exits_4(capsys, monkeypatch):
 def test_internal_key_error_exits_4(capsys, monkeypatch):
     # No input path raises KeyError (DiagonalWeights turns its own into
     # ValueError), so one escaping a sweep is a defect, not bad input.
-    def broken_checker(keys, N, cmap, table):
+    def broken_checker(keys, denominator, merge_denominator, by_bound):
         return {}["missing"]
 
     monkeypatch.setattr(sweeps, "_check_linear_oracles", broken_checker)
@@ -269,20 +292,43 @@ def test_internal_key_error_exits_4(capsys, monkeypatch):
     assert err == "internal error: KeyError: 'missing'\n"
 
 
+def _patch_route(monkeypatch, name, change):
+    """Patch the route body values.<name> so that change(path, result) gives
+    what it returns instead.  path is the whole key tuple whose state the
+    result holds: the oracle walk calls a body with one key and its parent
+    tuple's state, so the path is the parent's path plus the keys."""
+    original = getattr(values, name)
+    signature = inspect.signature(original)
+    paths = {}  # id(state) -> (state, path); each state is held so no id is reused
+
+    def patched(*args):
+        arguments = signature.bind(*args).arguments
+        state = arguments.get("state")
+        path = (() if state is None else paths[id(state)][1]) + tuple(arguments["keys"])
+        result = change(path, original(*args))
+        end = result[1] if name == "_linear_value_prefixes" else result
+        paths[id(end)] = (end, path)
+        return result
+
+    monkeypatch.setattr(values, name, patched)
+
+
+def _bumped(by_bound, n):
+    """A route's values by bound with one added at t^0 of the value at n."""
+    first, *rest = by_bound[n - 1]
+    return [*by_bound[:n - 1], [first + 1, *rest], *by_bound[n:]]
+
+
 def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
     # The faster routes are compared, not bypassed: one wrong recursion
     # value fails its instance, the sweep and the command.
-    original = values._linear_value_by_recursion
+    def change(path, state):
+        rows, by_depth = state
+        if path == (2, 1) and len(by_depth[-1]) >= 3:
+            return rows, [*by_depth[:-1], _bumped(by_depth[-1], 3)]
+        return state
 
-    def perturbed(keys, N, cmap):
-        by_bound = original(keys, N, cmap)
-        if keys == (2, 1) and N >= 3:
-            # Coefficient lists for the bounds 1..N: add one at t^0 of N = 3.
-            first, *rest = by_bound[2]
-            by_bound[2] = [first + cmap.ring.one, *rest]
-        return by_bound
-
-    monkeypatch.setattr(values, "_linear_value_by_recursion", perturbed)
+    _patch_route(monkeypatch, "_linear_value_by_recursion", change)
     report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
     assert report["pass"] is False
     assert [(f["keys"], f["N"]) for f in report["failures"]] == [([2, 1], 3)]
@@ -293,18 +339,15 @@ def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
 def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     # linear_value is the prefix DP that builds every Jacobi-Trudi column,
     # so the oracle triangle and the path sums both check that evaluator.
-    original = values._linear_value_prefixes
+    def change(path, result):
+        values_at_n, (last, below) = result
+        if len(path) >= 2 and len(below) >= 3:
+            # Add one at t^0 of the full tuple's value at N, the last bound.
+            below = _bumped(below, len(below))
+            values_at_n = [*values_at_n[:-1], below[-1]]
+        return values_at_n, (last, below)
 
-    def perturbed(keys, N, cmap):
-        prefixes, below = original(keys, N, cmap)
-        if len(keys) >= 2 and N >= 3:
-            # The values are coefficient lists: add one at t^0 of the full
-            # tuple's value at N.
-            first, *rest = prefixes[-1]
-            prefixes[-1] = [first + cmap.ring.one, *rest]
-        return prefixes, below
-
-    monkeypatch.setattr(values, "_linear_value_prefixes", perturbed)
+    _patch_route(monkeypatch, "_linear_value_prefixes", change)
     report = sweeps.run_oracle_triangle(max_r=2, max_n=3)
     assert report["pass"] is False
     assert {(len(f["keys"]), f["N"]) for f in report["failures"]} == {(2, 3)}
@@ -313,13 +356,37 @@ def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     assert code == 1 and payload["pass"] is False
 
 
+@pytest.mark.parametrize("route, change", [
+    # (values at N, (last, below)): one more at bound 2
+    ("_linear_value_prefixes",
+     lambda result: (result[0], (result[1][0], _bumped(result[1][1], 2)))),
+    # (rows, by_depth): one more in value(1, 2)
+    ("_linear_value_by_recursion",
+     lambda result: (result[0], [*result[1][:-1], _bumped(result[1][-1], 2)])),
+    # every composition counted twice
+    ("_merge_compositions", lambda compositions: compositions * 2),
+])
+def test_a_perturbed_prefix_state_fails_exactly_the_tuples_under_it(monkeypatch, route, change):
+    # The walk extends the state each route reaches after the prefix (2,)
+    # to every tuple that starts with 2: a fault in that state spreads to
+    # all of them, and to no other tuple, so sharing never masks a fault.
+    _patch_route(
+        monkeypatch, route, lambda path, result: change(result) if path == (2,) else result)
+    report = sweeps.run_oracle_triangle(max_r=3, max_n=4)
+    failed = {tuple(f["keys"]) for f in report["failures"]}
+    expected = {keys for r in range(4) for keys in product((-1, 0, 1, 2, 3), repeat=r)
+                if keys[:1] == (2,)}
+    assert failed == expected and len(expected) == 31
+
+
 def _perturbed_merge_expansion(monkeypatch, change):
-    """Patch the merge route: change(keys, by_bound, denominator) gives the
-    value it reports instead."""
+    """Patch the merge route's sum over a tuple's compositions:
+    change(keys, by_bound, denominator) gives the value it reports instead."""
     original = values._merge_expansion
 
-    def perturbed(keys, table):
-        by_bound, denominator = original(keys, table)
+    def perturbed(compositions, table):
+        by_bound, denominator = original(compositions, table)
+        keys = compositions[0][0]  # the unmerged composition
         return change(keys, [list(coeffs) for coeffs in by_bound], denominator)
 
     monkeypatch.setattr(values, "_merge_expansion", perturbed)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from schurzeta import values
+from schurzeta import sweeps, values
 from schurzeta.errors import DomainError
 from schurzeta.rings import QQ, PolyRing, TPoly, ring_determinant
 from schurzeta.shapes import (
@@ -241,6 +241,85 @@ def test_linear_value_routes_needs_an_integer_form_and_a_table_at_its_bound():
         linear_value_routes((2, 1), 3, by_hand)
     with pytest.raises(ValueError, match="strict-sum table"):
         linear_value_routes((2, 1), 3, RAT, values._StrictSums(4))
+
+
+@pytest.mark.parametrize("max_r, N", [(4, 6), (4, 3), (3, 5), (2, 1), (1, 6), (0, 4)])
+def test_the_oracle_walk_matches_each_tuple_alone_and_the_chain_sums(max_r, N):
+    # Random weight sets with negatives, zero and repeats: at every node the
+    # walk's numerators are those of the tuple's own linear_value_routes,
+    # and each route's value at every bound is the chain sum.
+    rng = random.Random(70 * max_r + N)
+    weights = [rng.randint(-2, 3), 0, rng.choice([-1, -2])]
+    weights.append(rng.choice(weights))  # a repeated value
+    walked = list(values._route_walk([weights] * max_r, N, RAT, values._StrictSums(N)))
+    assert [keys for keys, *_ in walked] == list(_preorder(weights, max_r))
+    for keys, denominator, merge_denominator, by_bound in walked:
+        assert (denominator, merge_denominator, by_bound) == linear_value_routes(keys, N, RAT)
+        for n, lists in enumerate(by_bound, start=1):
+            expected = chain_sum_oracle(keys, n)
+            for cs, d in zip(lists, (denominator, denominator, merge_denominator)):
+                assert TPoly(QQ, [Fraction(c, d) for c in cs]) == expected, (keys, N, n)
+
+
+def _preorder(weights, max_r, keys=()):
+    """The key tuples of length <= max_r over weights, each before the
+    tuples it starts, in the weights' order."""
+    yield keys
+    if len(keys) < max_r:
+        for k in weights:
+            yield from _preorder(weights, max_r, keys + (k,))
+
+
+def test_the_oracle_walk_extends_each_prefix_once(monkeypatch):
+    # A route body runs once per tuple of the sweep, with the one key that
+    # tuple adds to its parent (none at the root): 780 key steps for the
+    # tuples of length 1..4 over five values, against sum r * 5^r = 2,930
+    # when every tuple is walked from the empty one.
+    steps = []
+    original = values._linear_value_by_recursion
+
+    def counted(keys, *args):
+        steps.append(len(keys))
+        return original(keys, *args)
+
+    monkeypatch.setattr(values, "_linear_value_by_recursion", counted)
+    weights = (-1, 0, 1, 2, 3)
+    sweeps.run_oracle_triangle(max_r=4, max_n=4, weight_values=weights)
+    assert steps == [0] + [1] * 780 and 780 == sum(5**r for r in range(1, 5))
+    steps.clear()
+    for r in range(5):
+        for keys in product(weights, repeat=r):
+            linear_value_routes(keys, 4, RAT)
+    assert sum(steps) == 2930
+
+
+@pytest.mark.parametrize("label", [2.5, True, "2"])
+def test_the_oracle_sweep_refuses_a_weight_that_is_not_an_int_before_any_route(
+    label, monkeypatch
+):
+    def no_route(*args):
+        raise AssertionError("a route ran")
+
+    for body in ("_linear_value_prefixes", "_linear_value_by_recursion", "_merge_compositions"):
+        monkeypatch.setattr(values, body, no_route)
+    with pytest.raises(DomainError):
+        sweeps.run_oracle_triangle(max_r=2, max_n=3, weight_values=(1, label))
+
+
+def test_the_oracle_sweep_over_no_weights_or_repeated_weights():
+    # No weight value: only the empty tuple.  A repeated value is kept, as
+    # itertools.product keeps it, and the instances stay by length, then in
+    # product order, then by N.
+    report = sweeps.run_oracle_triangle(max_r=3, max_n=2, weight_values=())
+    assert [(i["keys"], i["N"]) for i in report["instances"]] == [([], 1), ([], 2)]
+    report = sweeps.run_oracle_triangle(max_r=2, max_n=2, weight_values=(2, -1, 2))
+    assert report["pass"] is True
+    assert [(i["keys"], i["N"]) for i in report["instances"]] == [
+        (list(keys), N)
+        for r in range(3)
+        for keys in product((2, -1, 2), repeat=r)
+        for N in (1, 2)
+    ]
 
 
 @pytest.mark.parametrize("label", [2.5, True, "2"])
