@@ -490,6 +490,121 @@ class MonomialPolynomial:
         return "MonomialPolynomial(" + " + ".join(parts) + ")"
 
 
+class PackedTerms:
+    """A polynomial in t over monomial polynomials, for the Schur walk:
+    ``parts[i]`` is the coefficient of t^(low + i), a dict from packed
+    monomial keys to nonzero ``int`` coefficients, each key read plus
+    ``offset``.
+
+    Only the walk's arithmetic is defined.  * by a packed key and << n
+    (times t^n) return views that share the dicts; += and -= add into the
+    dicts in place, dropping cancelled terms, after copying them if a view
+    may share them.  ``weights`` decides whether a walk may use this form.
+    """
+
+    __slots__ = ("parts", "low", "offset", "shared")
+
+    def __init__(self, parts: list, low: int = 0, offset: int = 0, shared: bool = False):
+        self.parts, self.low, self.offset, self.shared = parts, low, offset, shared
+
+    @staticmethod
+    def weights(rows: Sequence[Sequence[Element]]) -> tuple[list[list[int]], int] | None:
+        """The packed keys of rows[j][i] = f(label_i, j + 1), and the
+        bound X on the exponents of every product that takes one entry
+        from each column, when there are entries, each is one monomial
+        with coefficient 1 and X <= 2^64 - 1; None otherwise.  X is the sum
+        over columns of each column's largest exponent bound, so no sum of
+        keys carries from one field into the next."""
+        if not rows or not rows[0]:
+            return None
+        column_max = [0] * len(rows[0])
+        keys = []
+        for row in rows:
+            key_row = []
+            for i, p in enumerate(row):
+                if type(p) is not MonomialPolynomial or len(p._terms) != 1:
+                    return None
+                ((key, c),) = p._terms.items()
+                if c != 1:
+                    return None
+                key_row.append(key)
+                if p._bound > column_max[i]:
+                    column_max[i] = p._bound
+            keys.append(key_row)
+        bound = sum(column_max)
+        return (keys, bound) if bound <= _EXPONENT_MAX else None
+
+    def __mul__(self, w: int) -> "PackedTerms":
+        self.shared = True
+        return PackedTerms(self.parts, self.low, self.offset + w, True)
+
+    def __lshift__(self, n: int) -> "PackedTerms":
+        self.shared = True
+        return PackedTerms(self.parts, self.low + n, self.offset, True)
+
+    def __ilshift__(self, n: int) -> "PackedTerms":
+        self.low += n
+        return self
+
+    def __iadd__(self, other: "PackedTerms") -> "PackedTerms":
+        d = other.offset - self.offset
+        parts = self._owned(other)
+        i = other.low - self.low
+        for theirs in other.parts:
+            terms = parts[i]
+            i += 1
+            get = terms.get
+            for key, c in theirs.items():
+                key += d
+                c += get(key, 0)
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return self
+
+    def __isub__(self, other: "PackedTerms") -> "PackedTerms":
+        d = other.offset - self.offset
+        parts = self._owned(other)
+        i = other.low - self.low
+        for theirs in other.parts:
+            terms = parts[i]
+            i += 1
+            get = terms.get
+            for key, c in theirs.items():
+                key += d
+                c = get(key, 0) - c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return self
+
+    def _owned(self, other: "PackedTerms") -> list:
+        """The dicts to add into: copied first if shared, and widened to
+        cover the powers of t that other has."""
+        parts = self.parts
+        if self.shared:
+            parts, self.shared = [dict(terms) for terms in parts], False
+        if other.low < self.low:
+            parts = [{} for _ in range(self.low - other.low)] + parts
+            self.low = other.low
+        extra = other.low + len(other.parts) - self.low - len(parts)
+        if extra > 0:
+            parts += [{} for _ in range(extra)]
+        self.parts = parts
+        return parts
+
+    def coefficients(self, bound: int) -> list["MonomialPolynomial"]:
+        """The coefficients by power of t, each with exponent bound
+        ``bound`` (the one ``weights`` gave)."""
+        d = self.offset
+        return [MonomialPolynomial._make({}, 0)] * self.low + [
+            MonomialPolynomial._make({k + d: c for k, c in terms.items()} if d else terms, bound)
+            for terms in self.parts
+        ]
+
+
 def QsymRing() -> Ring:
     """Integer combinations of monomials in x_1, x_2, ..."""
     return Ring("qsym", MonomialPolynomial(), MonomialPolynomial.constant(1))

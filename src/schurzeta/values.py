@@ -35,6 +35,10 @@ Over an integer form the Schur walk also packs each t-polynomial into one
 ``int``, its value at t = 2^b (Kronecker substitution), so every step of
 the walk is one big-integer operation; the slot width b comes from an
 a-priori bound on the value's coefficients, proved in ``schur_value``.
+When every f(k, m) is one monomial, as over the quasi-symmetric map, a
+state is one dict of packed monomial keys per power of t
+(``rings.PackedTerms``): a layer weight is a sum of keys, and sums add
+into their dicts in place.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
 from .rings import (
     MonomialPolynomial,
+    PackedTerms,
     QQ,
     QSeries,
     QSeriesRing,
@@ -345,6 +350,15 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     intermediate values may carry from one slot into the next: the packed
     result is still exactly the final value at 2^b, and only its decode
     needs the bound.
+
+    When every f(label, M) is one monomial with coefficient 1, p is a
+    ``rings.PackedTerms``: per power of t, a dict from packed monomials to
+    coefficients.  A layer weight is the sum of its cells' keys and * adds
+    it to every key.  Coefficients are separate ints, so no slot bound is
+    needed: only an exponent could carry, and each is at most X, the sum
+    over cells of the cell's largest exponent.  When X passes 2^64 - 1 the
+    walk takes the coefficient-list route, whose products refuse such
+    exponents.
     """
     return _scaled_schur_value(weights, N, cmap).divided()
 
@@ -364,20 +378,28 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     start = (0,) * len(parts)
     if _depth(parts, start) >= N:  # a diagonal longer than the N-1 values: no filling
         return TPoly.zero(ring)
-    # Each live sub-partition carries a t-polynomial that supports +, -,
-    # * by a ring element, and << b for * t.
+    # Each live sub-partition carries a t-polynomial that supports +=, -=,
+    # * by a layer weight, and << b for * t.  The walk owns every state and
+    # every sum: * and << make new values (a PackedTerms view shares its
+    # dicts until written), and += and -= may change their left side in
+    # place (an int rebinds, a PackedTerms adds into its dicts).
+    rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
+    packed = None if ring is _ZZ else PackedTerms.weights(rows)
+    b, combine = 1, mul  # combine makes a layer weight from its cells' f
     if ring is _ZZ:
         b = _slot_bits(parts, labels, N, cmap)
         by_state: dict[tuple[int, ...], Any] = {start: 1}
+    elif packed is not None:
+        (rows, bound), combine = packed, add
+        by_state = {start: PackedTerms([{0: 1}])}
     else:
-        b = 1
         by_state = {start: _Coefficients([ring.one], ring.zero)}
     for M in range(1, N):
         remaining = N - 1 - M  # values left after M: deeper states are dead
-        f = [cmap(label, M) for label in labels]
-        layer_weights: dict[tuple, Any] = {}  # cells -> product of f over them
+        f = rows[M - 1]
+        layer_weights: dict[tuple, Any] = {}  # cells -> layer weight
         # Per (target, v, h): the sum of the source states, each times its
-        # layer's product of f(label, M).
+        # layer's weight.
         sums: dict[tuple, Any] = {}
         for mu, poly in by_state.items():
             for key, depth, cells in _layers_from(parts, mu):
@@ -385,21 +407,33 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
                     continue
                 w = layer_weights.get(cells)
                 if w is None:
-                    w = layer_weights[cells] = reduce(mul, map(f.__getitem__, cells))
+                    w = layer_weights[cells] = reduce(combine, map(f.__getitem__, cells))
                 acc = sums.get(key)
-                sums[key] = poly * w if acc is None else acc + poly * w
+                if acc is None:
+                    sums[key] = poly * w
+                else:
+                    acc += poly * w
+                    sums[key] = acc
         new = {mu: p for mu, p in by_state.items() if _depth(parts, mu) <= remaining}
         for (nu, v, h), acc in sums.items():
             acc <<= b * v  # times t^v
             for _ in range(h):
                 acc -= acc << b  # times 1 - t
             old = new.get(nu)
-            new[nu] = acc if old is None else old + acc
+            if old is None:
+                new[nu] = acc
+            else:
+                old += acc
+                new[nu] = old
         by_state = new
     value = by_state.get(parts)
     if value is None:
         return TPoly.zero(ring)
-    return TPoly(ring, _signed_digits(value, b) if ring is _ZZ else value.coeffs)
+    if ring is _ZZ:
+        return TPoly(ring, _signed_digits(value, b))
+    if packed is not None:
+        return TPoly(ring, value.coefficients(bound))
+    return TPoly(ring, value.coeffs)
 
 
 def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:

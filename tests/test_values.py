@@ -8,7 +8,16 @@ import pytest
 
 from schurzeta import sweeps, values
 from schurzeta.errors import DomainError
-from schurzeta.rings import QQ, PolyRing, TPoly, ring_determinant
+from schurzeta.rings import (
+    QQ,
+    MonomialPolynomial,
+    PackedTerms,
+    PolyRing,
+    QsymRing,
+    TPoly,
+    _field_maxima,
+    ring_determinant,
+)
 from schurzeta.shapes import (
     Partition,
     Tableau,
@@ -510,6 +519,101 @@ def test_schur_value_matches_enumeration(cmap, weight_range):
             tab = Tableau(shape, rows)
             assert schur_value(tab, N, cmap) == filling_sum_oracle(tab, N, cmap), (
                 shape, N, rows)
+
+
+def _refuse(*_):
+    raise AssertionError("the walk took the other route")
+
+
+_x = MonomialPolynomial.variable_power
+
+
+def _random_tableau(rng, shape, lo, hi):
+    return Tableau(shape, [[rng.randint(lo, hi) for _ in range(p)] for p in shape.parts])
+
+
+def _assert_true_bounds(value):
+    for c in value.coeffs:
+        assert max(_field_maxima(c._terms), default=0) <= c._bound <= 2**64 - 1
+
+
+def test_packed_qsym_walk_matches_enumeration(monkeypatch):
+    """Tableaux that are not diagonal-constant, labels 1..3, N <= 5, with
+    the coefficient-list route refused."""
+    monkeypatch.setattr(values, "_Coefficients", _refuse)
+    cmap = quasisymmetric_map()
+    rng = random.Random(31)
+    for shape in partitions_up_to(5, include_empty=False):
+        for N in range(2, 6):
+            tab = _random_tableau(rng, shape, 1, 3)
+            value = schur_value(tab, N, cmap)
+            assert value == filling_sum_oracle(tab, N, cmap), (shape, N, tab.rows)
+            _assert_true_bounds(value)
+
+
+@pytest.mark.parametrize("parts, N", [((3, 3), 8), ((2, 2, 2, 2), 6)])
+def test_packed_qsym_walk_matches_the_coefficient_list_route(parts, N, monkeypatch):
+    cmap = quasisymmetric_map()
+    rng = random.Random(N)
+    tab = _random_tableau(rng, Partition(parts), 1, 3)
+    value = schur_value(tab, N, cmap)
+    _assert_true_bounds(value)
+    monkeypatch.setattr(PackedTerms, "weights", staticmethod(lambda rows: None))
+    assert value and value == schur_value(tab, N, quasisymmetric_map())
+
+
+@pytest.mark.parametrize(
+    "name, f",
+    [
+        ("two terms", lambda k, m: _x(m, k) + _x(m + 1, 1) * 2),
+        ("coefficient 2", lambda k, m: _x(m, k) * 2),
+    ],
+)
+def test_hand_built_qsym_map_with_no_single_key_takes_the_coefficient_list_route(
+    name, f, monkeypatch
+):
+    monkeypatch.setattr(PackedTerms, "__init__", _refuse)
+    cmap = CoefficientMap(name, QsymRing(), f)
+    rng = random.Random(32)
+    for shape in partitions_up_to(4, include_empty=False):
+        tab = _random_tableau(rng, shape, 1, 3)
+        assert schur_value(tab, 4, cmap) == filling_sum_oracle(tab, 4, cmap), shape
+
+
+def test_hand_built_single_monomial_map_takes_the_packed_route(monkeypatch):
+    """f(k, m) = x_1 x_m^(2k): one monomial, coefficient 1, exponents
+    bounded by 2k + 1 per cell."""
+    monkeypatch.setattr(values, "_Coefficients", _refuse)
+    cmap = CoefficientMap("x1 x_m^2k", QsymRing(), lambda k, m: _x(1, 1) * _x(m, 2 * k))
+    rng = random.Random(33)
+    for shape in partitions_up_to(4, include_empty=False):
+        tab = _random_tableau(rng, shape, 1, 3)
+        value = schur_value(tab, 4, cmap)
+        assert value == filling_sum_oracle(tab, 4, cmap), shape
+        _assert_true_bounds(value)
+
+
+def test_packed_qsym_walk_reaches_a_label_sum_of_the_field_limit(monkeypatch):
+    monkeypatch.setattr(values, "_Coefficients", _refuse)
+    cmap = quasisymmetric_map()
+    for rows in ([[2**63, 2**63 - 1]], [[2**63 - 1], [2**63]], [[2**62, 2**62], [2**63 - 1]]):
+        tab = Tableau.from_rows(rows)
+        value = schur_value(tab, 3, cmap)
+        assert value == filling_sum_oracle(tab, 3, cmap)
+        _assert_true_bounds(value)
+    top = schur_value(Tableau.from_rows([[2**63, 2**63 - 1]]), 2, cmap)
+    assert top.coeffs[0].terms == {((1, 2**64 - 1),): 1}
+
+
+def test_qsym_labels_past_the_field_limit_take_the_coefficient_list_route(monkeypatch):
+    monkeypatch.setattr(PackedTerms, "__init__", _refuse)
+    cmap = quasisymmetric_map()
+    for rows in ([[2**64]], [[2**63, 2**63]], [[2**63], [2**63]]):
+        with pytest.raises(DomainError, match="past the limit 2\\^64 - 1"):
+            schur_value(Tableau.from_rows(rows), 3, cmap)
+    # Distinct entries on a diagonal keep each exponent below the limit.
+    tab = Tableau.from_rows([[2**63, 1], [1, 2**63]])
+    assert schur_value(tab, 3, cmap) == filling_sum_oracle(tab, 3, cmap)
 
 
 def test_schur_value_edge_cases():
