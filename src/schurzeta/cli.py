@@ -154,16 +154,17 @@ def cmd_compute(args) -> tuple[dict, bool, list[str]]:
     else:
         raise ValueError("a nonempty shape needs --entries or --diagonal")
     value = schur_value(tableau, args.N, cmap)
+    coefficients = value.to_json()
     payload = {
         "command": "compute",
         "ring": args.ring,
         "N": args.N,
         "shape": list(shape.parts),
         "weights": tableau.to_json()["rows"],
-        "coefficients": value.to_json(),
+        "coefficients": coefficients,
         "degree": value.degree,
     }
-    summary = f"compute: shape={list(shape.parts)} N={args.N} ring={args.ring} -> {value.to_json()}"
+    summary = f"compute: shape={list(shape.parts)} N={args.N} ring={args.ring} -> {coefficients}"
     return payload, True, [summary]
 
 

@@ -55,6 +55,7 @@ form (see ``values``).  The checks compare the sides undivided, as
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -355,9 +356,13 @@ def _scaled_path_matrix(
 ) -> list[list[ScaledPoly]]:
     """``path_matrix`` undivided, each entry over its own L^K."""
     rows = []
+    right = max((b.x for b in sinks), default=0)
     for a in sources:
-        parts = [_crossed_labels((a,), (b,), weights) for b in sinks]
-        labels = [k for part in parts for k in part]
+        # A path a -> b crosses each window column a.x .. b.x - 1 once: its
+        # labels are a prefix of the row's, which skip the columns outside.
+        columns = [x for x in range(a.x, right) if x in weights]
+        labels = [weights[x] for x in columns]
+        parts = [labels[:bisect_left(columns, b.x)] for b in sinks]
         rows.append(
             _undivided_each(cmap, a.y, labels, parts, lambda c: _path_row(a, sinks, c, weights))
         )

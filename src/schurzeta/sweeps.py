@@ -39,7 +39,6 @@ from .rings import ScaledPoly, _scaled_determinant, format_numerators
 from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau, partitions_up_to
 from .values import (
     DiagonalWeights,
-    _StrictSums,
     _route_walk,
     _scaled_linear_value,
     _scaled_schur_value,
@@ -368,16 +367,14 @@ def run_oracle_triangle(
     extends each route's state by one key per tuple, at max_n, and the
     instances for the smaller N are read off that state.  Each tuple's
     instances are compared and rendered as soon as the walk reaches it, and
-    listed by tuple length, then in product order, then by N.  One
-    strict-sum table at max_n serves every merge expansion, and values are
+    listed by tuple length, then in product order, then by N.  Values are
     divided only as rendered.  A weight value that is not an ``int`` raises
     DomainError before any route runs.
     """
     if max_n < 1 or max_r < 0:
         return _report("linear-oracles", [], ring="rational")
     by_length: list[list[dict]] = [[] for _ in range(max_r + 1)]
-    walk = _route_walk([tuple(weight_values)] * max_r, max_n, coefficient_map_for("rational"),
-                       _StrictSums(max_n))
+    walk = _route_walk([tuple(weight_values)] * max_r, max_n, coefficient_map_for("rational"))
     for keys, *routes in walk:
         by_length[len(keys)] += _check_linear_oracles(keys, *routes)
     return _report("linear-oracles", [inst for group in by_length for inst in group],

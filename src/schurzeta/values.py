@@ -31,12 +31,13 @@ the body's value over the map's own ring with D = 1.  The identity checks
 compare and render rational sides undivided; the public functions return
 the same values divided, as a ``TPoly``.
 
-Over an integer form the Schur walk also packs each t-polynomial into one
-``int``, its value at t = 2^b (Kronecker substitution), so every step of
-the walk is one big-integer operation; the slot width b comes from an
-a-priori bound on the value's coefficients, proved in ``schur_value``.
+Over an integer form the Schur walk, the prefix DP and the recursion also
+pack each t-polynomial into one ``int``, its value at t = 2^b (Kronecker
+substitution), so every step is one big-integer operation; the slot width
+b comes from an a-priori bound on the coefficients, proved in
+``schur_value`` and ``_linear_bits``.  The merge expansion is not packed.
 When every f(k, m) is one monomial, as over the quasi-symmetric map, a
-state is one dict of packed monomial keys per power of t
+Schur walk state is one dict of packed monomial keys per power of t
 (``rings.PackedTerms``): a layer weight is a sum of keys, and sums add
 into their dicts in place.
 """
@@ -47,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import add, mul
 from typing import Any, Callable, Mapping, Sequence
 
@@ -76,10 +78,11 @@ class CoefficientMap:
     integers f(k, m) * L^max(k, 0), for every m dividing L; the evaluators
     then sum integers and divide once (see the module docstring).
 
-    Calling the map memoises ``fn`` per (k, m) for labels whose type is
-    exactly ``int``; any other label goes straight to ``fn``, which rejects
-    it, so ``True`` is never served the value of 1.  The constructors'
-    ``fn`` therefore check and compute, and keep no cache of their own.
+    Calling the map memoises ``fn`` per (k, m), and ``row`` the list of
+    f(k, m) for m < N per (k, N), for labels whose type is exactly ``int``;
+    any other label goes straight to ``fn``, which rejects it, so ``True``
+    is never served the value of 1.  The constructors' ``fn`` therefore
+    check and compute, and keep no cache of their own.
     """
 
     name: str
@@ -87,6 +90,7 @@ class CoefficientMap:
     fn: Callable[[Any, int], Any] = field(repr=False)
     integer_form: Callable[[int], "CoefficientMap"] | None = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, k: Any, m: int) -> Any:
         if type(k) is not int:
@@ -96,6 +100,16 @@ class CoefficientMap:
         except KeyError:
             value = self._memo[k, m] = self.fn(k, m)
             return value
+
+    def row(self, k: Any, N: int) -> list:
+        """[f(k, 1), ..., f(k, N - 1)]; callers must not change it."""
+        if type(k) is not int:
+            return [self.fn(k, m) for m in range(1, N)]
+        try:
+            return self._rows[k, N]
+        except KeyError:
+            row = self._rows[k, N] = [self(k, m) for m in range(1, N)]
+            return row
 
 
 def _is_int(k: Any) -> bool:
@@ -154,12 +168,6 @@ def _integer_form(
     return cmap.integer_form(L), L
 
 
-def _positive_sum(labels: Sequence[int]) -> int:
-    """K = sum of max(k, 0) over the labels: the power of L in the common
-    denominator of every term that multiplies them."""
-    return sum(k for k in labels if k > 0)
-
-
 def _undivided(
     cmap: CoefficientMap, top: int, labels: Sequence[Any], body: Callable[[CoefficientMap], TPoly]
 ) -> ScaledPoly:
@@ -184,7 +192,8 @@ def _undivided_each(
         return [ScaledPoly(value) for value in body(cmap)]
     imap, L = form
     return [
-        ScaledPoly(value, L ** _positive_sum(part)) for value, part in zip(body(imap), parts)
+        ScaledPoly(value, L ** sum(k for k in part if k > 0))  # L^K, K of the positive labels
+        for value, part in zip(body(imap), parts)
     ]
 
 
@@ -468,11 +477,11 @@ def _signed_digits(value: int, b: int) -> list[int]:
 
 class _Coefficients:
     """A t-polynomial over a ring with no integer form, as its coefficient
-    list by ascending power of t: the arithmetic the Schur walk does on a
-    packed ``int`` (+, -, * by a ring element, and << n for * t^n),
-    coefficient by coefficient.  The padding that << and a longer operand
-    bring in is the ring's zero object itself, and no sum or difference is
-    formed with it."""
+    list by ascending power of t: the arithmetic the Schur walk and the
+    linear routes do on a packed ``int`` (+, -, * by a ring element, and
+    << n for * t^n), coefficient by coefficient.  The padding that << and a
+    longer operand bring in is the ring's zero object itself, and no sum or
+    difference is formed with it."""
 
     __slots__ = ("coeffs", "zero")
 
@@ -507,6 +516,8 @@ class _Coefficients:
         return _Coefficients([self.zero] * n + self.coeffs, self.zero)
 
 
+
+
 def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     """Sum over weakly increasing chains 0 < m_1 <= ... <= m_r < N of
     t^(number of adjacent equalities) times the product of f(k_i, m_i).
@@ -515,7 +526,7 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     single-column Schur value with the first key in the top cell.  The value
     is the full-length prefix of ``linear_value_prefixes``' dynamic program,
     the one evaluator behind every Jacobi-Trudi column; only that value is
-    divided by L^K.
+    decoded and divided by L^K.
     """
     return _scaled_linear_value(keys, N, cmap).divided()
 
@@ -525,9 +536,7 @@ def _scaled_linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> S
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _undivided(
-        cmap, N - 1, keys, lambda c: TPoly(c.ring, _linear_value_prefixes(keys, N, c)[0][-1])
-    )
+    return _undivided(cmap, N - 1, keys, lambda c: _decoded_prefixes(keys, N, c, len(keys))[0])
 
 
 def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
@@ -539,8 +548,9 @@ def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> 
         last_p(m) = f(k_p, m) * (t * last_(p-1)(m) + sum over m' < m of last_(p-1)(m'))
 
     (the empty chain lies below every m), so all the prefixes together take
-    O(len(keys)^2 * N) coefficient operations, where enumerating the chains
-    of one prefix of length r takes about C(r+N-2, r) * r.
+    O(len(keys) * N) operations on packed t-polynomials
+    (``_linear_value_prefixes``), where enumerating the chains of one prefix
+    of length r takes about C(r+N-2, r) * r.
     """
     return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
 
@@ -553,46 +563,95 @@ def _scaled_linear_value_prefixes(
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
     prefixes = [keys[:p] for p in range(len(keys) + 1)]
-    return _undivided_each(
-        cmap,
-        N - 1,
-        keys,
-        prefixes,
-        lambda c: [TPoly(c.ring, value) for value in _linear_value_prefixes(keys, N, c)[0]],
-    )
+    return _undivided_each(cmap, N - 1, keys, prefixes, lambda c: _decoded_prefixes(keys, N, c))
+
+
+def _decoded_prefixes(keys: tuple, N: int, cmap: CoefficientMap, first: int = 0) -> list[TPoly]:
+    """The prefix DP from the empty path over keys: the values at N of
+    keys[:p] for p = first .. len(keys), decoded."""
+    b = _linear_bits([(k,) for k in keys], N, cmap)
+    values, _ = _linear_value_prefixes(keys, N, cmap, b)
+    return [TPoly(cmap.ring, coeffs) for coeffs in _decoded(values[first:], b)]
+
+
+def _linear_bits(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap) -> int:
+    """Bits b per power of t for the packed linear routes, whose i-th key
+    is drawn from levels[i]: over the integers the bit length of X, the
+    product over the levels of the largest S_k = f(k, 1) + ... + f(k, N-1)
+    of a label k there (1 when X is 0); over any other ring 1, for which
+    << 1 is * t on a ``_Coefficients``.
+
+    Proof that each coefficient c_j of a value the routes return is below
+    2^b.  Over the integers the map is an integer form, whose f(k, m) are
+    positive: (L // m)^k or m^(-k).  c_j of keys k_1 .. k_p at a bound n sums
+    the products of the f(k_i, m_i) over the weak chains below n with j
+    equalities, so c_j >= 0, and all c_j together are at most the sum over
+    all maps i -> m_i in 1..N-1, the product of the S_(k_i).  That is at
+    most X for every prefix of a path, since each S_k >= 1 when N >= 2 (at
+    N = 1 only the empty path's value, 1, is nonzero).  So the c_j are the
+    unsigned base-2^b digits of p(2^b) (``_decoded``); as the packing is a
+    ring map, only returned values need the bound.
+    """
+    if cmap.ring is not _ZZ:
+        return 1
+    bound = 1
+    for level in levels:
+        bound *= max((sum(cmap.row(k, N)) for k in level), default=1)
+    return max(bound, 1).bit_length()
+
+
+def _packed_constants(ring: Ring) -> tuple[Any, Any]:
+    """0 and 1 as the linear routes pack them (``_linear_value_prefixes``)."""
+    if ring is _ZZ:
+        return 0, 1
+    return _Coefficients([], ring.zero), _Coefficients([ring.one], ring.zero)
+
+
+def _decoded(values: list, b: int) -> list[list]:
+    """Packed t-polynomials' trimmed coefficients by ascending power of t:
+    an int's unsigned base-2^b digits (each coefficient is one digit, see
+    ``_linear_bits``), or a ``_Coefficients``' own list."""
+    if type(values[0]) is not int:
+        return [value.coeffs for value in values]
+    mask = (1 << b) - 1
+    decoded = []
+    for value in values:
+        coeffs = []
+        while value:
+            coeffs.append(value & mask)
+            value >>= b
+        decoded.append(coeffs)
+    return decoded
 
 
 def _linear_value_prefixes(
-    keys: tuple, N: int, cmap: CoefficientMap, state: tuple | None = None
+    keys: tuple, N: int, cmap: CoefficientMap, b: int, state: tuple | None = None
 ) -> tuple[list, tuple[list, list]]:
     """The value at N of the path after each key, and the end state.
 
     The path is the one ``state`` ends (the empty path when None), extended
-    by keys, and its state is (last, below): coefficient lists by ascending
-    power of t, indexed by m - 1, of its chains ending at m (m < N) and of
-    those ending below m (m <= N), that is, its value at every bound
-    1 .. N.  values[0] is the start's value at N; the callers make a
-    ``TPoly`` of only the values they return."""
-    ring = cmap.ring
-    zero = ring.zero
+    by keys, and its state is (last, below): the t-polynomials, indexed by
+    m - 1, of its chains ending at m (m < N) and of those ending below m
+    (m <= N), that is, its value at every bound 1 .. N.  Each is packed at
+    t = 2^b, with b from ``_linear_bits``: one ``int`` over the integers, a
+    ``_Coefficients`` over any other ring.  A key step is, per m, one
+    ((last << b) + below) * f(k, m) and one add, the same code on either.
+    values[0] is the start's value at N; the callers decode (``_decoded``)
+    only the values they return."""
+    zero, one = _packed_constants(cmap.ring)
     if state is None:
-        last, below = [[]] * (N - 1), [[ring.one]] * N
+        last, below = [zero] * (N - 1), [one] * N
     else:
         last, below = state
     values = [below[-1]]
     for k in keys:
-        new_last, new_below = [], []
-        total: list = []
-        for m in range(1, N):
-            new_below.append(total)
-            acc = [zero, *last[m - 1]]  # t * last_(p-1)(m)
-            for i, c in enumerate(below[m - 1]):
-                acc[i] = acc[i] + c
-            w = cmap(k, m)
-            acc = [c * w for c in acc]
+        total = zero
+        new_last, new_below = [], [zero]
+        for f, previous, under in zip(cmap.row(k, N), last, below):
+            acc = ((previous << b) + under) * f
             new_last.append(acc)
-            total = [a + b for a, b in zip(total, acc)] + acc[len(total):]
-        new_below.append(total)
+            total = total + acc
+            new_below.append(total)
         last, below = new_last, new_below
         values.append(total)
     return values, (last, below)
@@ -609,44 +668,44 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
 
     computed bottom-up by prefix length p, each prefix at every bound
     n = 1..N, from the shorter prefixes' values and the rows f(k_i, m); the
-    value is the full tuple's at N.
+    value is the full tuple's at N.  The values are packed as in the prefix
+    DP, so t^g is a shift by b * g.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    return _undivided(
-        cmap, N - 1, keys,
-        lambda c: TPoly(c.ring, _linear_value_by_recursion(keys, N, c)[1][-1][-1]),
-    ).divided()
+
+    def body(c: CoefficientMap) -> TPoly:
+        b = _linear_bits([(k,) for k in keys], N, c)
+        [value] = _decoded(_linear_value_by_recursion(keys, N, c, b)[1][-1][-1:], b)
+        return TPoly(c.ring, value)
+
+    return _undivided(cmap, N - 1, keys, body).divided()
 
 
 def _linear_value_by_recursion(
-    keys: tuple, N: int, cmap: CoefficientMap, state: tuple | None = None
+    keys: tuple, N: int, cmap: CoefficientMap, b: int, state: tuple | None = None
 ) -> tuple[list, list]:
     """The state (rows, by_depth) of the path that ``state`` ends (the
-    empty path when None), extended by keys: rows[i][m] = f(k_(i+1), m)
-    (index 0 unused), and by_depth[p][n - 1] = value(p, n) for the path's
-    prefix of length p, as coefficient lists.  A chain of p entries has at
-    most p - 1 equalities, so p coefficients hold value(p, n)."""
-    ring = cmap.ring
-    zero = ring.zero
+    empty path when None), extended by keys: rows[i][m - 1] = f(k_(i+1), m),
+    and by_depth[p][n - 1] = value(p, n) for the path's prefix of length p,
+    packed at t = 2^b as in ``_linear_value_prefixes``."""
+    zero, one = _packed_constants(cmap.ring)
     if state is None:
-        rows, by_depth = [], [[[ring.one]] * N]
+        rows, by_depth = [], [[one] * N]
     else:
         rows, by_depth = list(state[0]), list(state[1])
     for k in keys:
-        rows.append([None, *(cmap(k, m) for m in range(1, N))])
+        rows.append(cmap.row(k, N))
         p = len(rows)
-        acc = [zero] * p  # value(p, n) sums the entries m below n
+        acc = zero  # value(p, n) sums the entries m below n
         by_bound = [acc]
         for m in range(1, N):
-            acc = acc[:]
             block = None
             for g in range(p):
-                f = rows[p - 1 - g][m]
+                f = rows[p - 1 - g][m - 1]
                 block = f if block is None else block * f
-                for i, c in enumerate(by_depth[p - 1 - g][m - 1], g):
-                    acc[i] = acc[i] + c * block
+                acc = acc + ((by_depth[p - 1 - g][m - 1] * block) << (b * g))
             by_bound.append(acc)
         by_depth.append(by_bound)
     return rows, by_depth
@@ -661,98 +720,89 @@ def merge_expansion(keys: Sequence[int], N: int) -> TPoly:
     linear_value under the rational map.  The strict sums are taken times
     L^K, L = lcm(1..N-1) and K the sum of the positive keys (merging never
     raises the sum of the positive parts), and divided out here, once; this
-    arithmetic is the route's own, independent of the maps' integer form.
-    One prefix pass over the entries m takes each strict sum at every bound
-    n = 1..N (``_strict_sums``), and the value is the last of them.  A key
-    that is not an ``int``, or is a ``bool``, raises DomainError.
+    arithmetic is the route's own (``_PowerRows``), unpacked and independent
+    of the maps' integer form.  Each merged composition carries its strict
+    sums at every bound n = 1..N, and a part more is one pass over the
+    entries m (``_merge_compositions``); the value is the last of them.  A
+    key that is not an ``int``, or is a ``bool``, raises DomainError.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    sums, denominator = _merge_expansion(_merge_compositions(keys), _StrictSums(N))
+    rows = _PowerRows(N)
+    sums, denominator = _merge_expansion(_merge_compositions(keys, rows), rows.L)
     return TPoly(QQ, [Fraction(a, denominator) for a in sums[-1]])
 
 
-def _merge_compositions(keys: Sequence[Any], state: list | None = None) -> list:
+class _PowerRows(dict):
+    """The merge route's own arithmetic at one bound N: L = lcm(1..N-1),
+    and per (part c, scale e) with e >= max(c, 0), made on first use, the
+    factors L^e * m^(-c) of the entries m = 1..N-1 in a strict sum taken
+    times L^e, integers since every m divides L."""
+
+    def __init__(self, N: int):
+        super().__init__()
+        self.N, self.L = N, math.lcm(*range(1, N))
+
+    def __missing__(self, key: tuple[int, int]) -> list[int]:
+        c, e = key
+        scale = self.L**e
+        row = self[key] = [scale // m**c if c >= 0 else scale * m**-c for m in range(1, self.N)]
+        return row
+
+
+def _merge_compositions(keys: Sequence[Any], rows: _PowerRows, state: tuple | None = None) -> tuple:
     """The merged compositions of the path that ``state`` ends (the empty
-    path when None), extended by keys, as (composition, merges) pairs, the
-    unmerged path first: each key starts a new part or is added to the last
-    part."""
-    compositions = [((), 0)] if state is None else state
+    path when None), extended by keys: each key starts a new part or is
+    added to the last part.
+
+    The state is (K, groups): K sums the path's positive keys, and groups[j]
+    holds the compositions with j merges, each as (sums, before, last, e):
+    its strict sums at every bound, times L^K; those of its parts before
+    the last one (None for the empty composition), times L^(K - e); its last
+    part; and e, the sum of the positive keys added into that part, at
+    least max(last, 0).  A new part k extends the sums by the row
+    (k, max(k, 0)) of ``rows``, a merged last part c extends ``before`` by
+    the row (c, e): each composition costs one pass over the entries m
+    (``_strict_extension``), and none is summed again from the empty one."""
+    K, groups = (0, [[([1] * rows.N, None, 0, 0)]]) if state is None else state
     for k in keys:
         if not _is_int(k):
             raise DomainError(f"merge expansion keys must be integers, got {k!r}")
-        extended = []
-        for merged, merges in compositions:
-            extended.append((merged + (k,), merges))
-            if merged:
-                extended.append((merged[:-1] + (merged[-1] + k,), merges + 1))
-        compositions = extended
-    return compositions
+        positive = k if k > 0 else 0
+        row = rows[k, positive]
+        extended: list[list] = [[] for _ in range(len(groups) + 1)]
+        for new_part, merged, group in zip(extended, extended[1:], groups):
+            for sums, before, last, e in group:
+                new_part.append((_strict_extension(sums, row), sums, k, positive))
+                if before is not None:
+                    last, e = last + k, e + positive
+                    merged.append((_strict_extension(before, rows[last, e]), before, last, e))
+        if not extended[-1]:  # the empty path has nothing to merge into
+            extended.pop()
+        K, groups = K + positive, extended
+    return K, groups
 
 
-class _StrictSums:
-    """The merge expansion's table at one bound N, shared by every key tuple
-    expanded at N: its own L = lcm(1..N-1), each exponent's factors by entry
-    m, and each merged composition's strict sums by bound (``_strict_sums``)."""
-
-    def __init__(self, N: int):
-        self.N, self.L = N, math.lcm(*range(1, N))
-        self.powers: dict[int, list] = {}
-        self.sums: dict[tuple[int, ...], list[int]] = {}
+def _strict_extension(sums: list[int], row: list[int]) -> list[int]:
+    """The strict sums by bound n = 1..N of a composition extended by one
+    part, from the composition's own sums by bound and the part's row: a
+    chain below n that ends at m extends one of the composition's chains
+    below m, so the n-th sum is that of sums[m - 1] * row[m - 1] over m < n."""
+    return [0, *accumulate(map(mul, sums, row))]
 
 
-def _merge_expansion(compositions: list, table: _StrictSums) -> tuple[list[list[int]], int]:
-    """The merge expansion of a path's compositions at every bound
-    n = 1..table.N, as trimmed integer coefficient lists over their common
-    denominator L^K; no division."""
-    keys = compositions[0][0]
-    N, L = table.N, table.L
-    K = _positive_sum(keys)
-    acc = [[0] * (len(keys) + 1) for _ in range(N)]  # acc[n - 1][merges]
-    for merged, merges in compositions:
-        scale = L ** (K - _positive_sum(merged))
-        for coeffs, s in zip(acc, _strict_sums(merged, table)):
-            coeffs[merges] += s * scale
-    return [_trimmed(coeffs) for coeffs in acc], L**K
-
-
-def _strict_sums(exponents: tuple[int, ...], table: _StrictSums) -> list[int]:
-    """For every bound n = 1..N, L^(sum of the positive c_i) times the sum
-    over strictly increasing chains 0 < m_1 < ... < m_s < n of the product
-    m_i^(-c_i); integers, since every m below N divides L.  Read from the
-    table, or taken and stored there.
-
-    One pass over m: after entry m, sums[j] holds the chains of the first j
-    exponents with every entry at most m, and a chain of j exponents ending
-    at m extends one of j - 1 exponents ending below m.  The factor of
-    entry m under exponent c is (L // m)^c for c >= 0 and m^(-c) otherwise.
-    """
-    by_bound = table.sums.get(exponents)
-    if by_bound is not None:
-        return by_bound
-    N, L, powers = table.N, table.L, table.powers
-    rows = []
-    for c in exponents:
-        row = powers.get(c)
-        if row is None:
-            if c >= 0:
-                row = powers[c] = [None, *((L // m) ** c for m in range(1, N))]
-            else:
-                row = powers[c] = [None, *(m ** -c for m in range(1, N))]
-        rows.append(row)
-    s = len(rows)
-    sums = [1] + [0] * s
-    by_bound = [sums[s]]
-    for m in range(1, N):
-        for j in range(min(m, s), 0, -1):
-            sums[j] += sums[j - 1] * rows[j - 1][m]
-        by_bound.append(sums[s])
-    table.sums[exponents] = by_bound
-    return by_bound
+def _merge_expansion(state: tuple, L: int) -> tuple[list[list[int]], int]:
+    """The merge expansion at every bound n = 1..N of the compositions
+    (K, groups) of ``_merge_compositions``: per bound, each group's sum by
+    number of merges, as trimmed integer coefficient lists over their
+    common denominator L^K.  No division."""
+    K, groups = state
+    totals = [map(sum, zip(*[composition[0] for composition in group])) for group in groups]
+    return [_trimmed(list(coeffs)) for coeffs in zip(*totals)], L**K
 
 
 def linear_value_routes(
-    keys: Sequence[int], N: int, cmap: CoefficientMap, table: _StrictSums | None = None
+    keys: Sequence[int], N: int, cmap: CoefficientMap
 ) -> tuple[int, int, list[tuple[list[int], list[int], list[int]]]]:
     """The routes linear_value, linear_value_by_recursion and merge_expansion
     at every bound n = 1..N, under a rational map with an integer form, as
@@ -763,30 +813,29 @@ def linear_value_routes(
     This is ``_route_walk`` along the one path ``keys``, at N; each route's
     state holds the smaller bounds.  The prefix DP and the recursion run
     over one integer form at L = lcm(1..N-1), so D = L^K; the merge
-    expansion takes its own L and K, over ``table`` (fresh when None), so
-    D' is its L^K.  Nothing is divided: the caller compares numerators.
+    expansion takes its own L and K, so D' is its L^K.  Nothing is divided:
+    the caller compares numerators.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    table = _StrictSums(N) if table is None else table
-    if table.N != N:
-        raise ValueError(f"strict-sum table for N = {table.N} used at N = {N}")
     # The walk yields the path's prefixes first, the full path last.
-    *_, (_, denominator, merge_denominator, by_bound) = _route_walk(
-        [(k,) for k in keys], N, cmap, table)
+    *_, (_, denominator, merge_denominator, by_bound) = _route_walk([(k,) for k in keys], N, cmap)
     return denominator, merge_denominator, by_bound
 
 
-def _route_walk(
-    levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, table: _StrictSums
-):
+def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
     """Depth first over the trie of key tuples whose i-th key is drawn from
     levels[i], each node before its children and the children in the
     levels' order: yields (keys, D, D', by_bound) per node, as
     ``linear_value_routes`` gives them.  Each route extends its parent
     node's state by the node's one key, so every prefix is walked once, and
     only the current path's states are held.  Every key is checked before
-    any route runs."""
+    any route runs.
+
+    The prefix DP and the recursion pack their states at one slot width b
+    for the whole walk (``_linear_bits`` over the levels) and are decoded
+    before the sweep compares them with the merge route, which is not
+    packed: a slot too narrow cannot make them agree with it."""
     for level in levels:
         for k in level:
             if not _is_int(k):
@@ -795,21 +844,23 @@ def _route_walk(
     if form is None:
         raise ValueError(f"linear_value_routes needs a map with an integer form, not {cmap.name}")
     imap, L = form
+    b = _linear_bits(levels, N, imap)
+    rows = _PowerRows(N)
 
-    def visit(keys: tuple, parent: tuple):
+    depth = len(levels)
+    stack = [((), 0, (None, None, None))]  # (keys, K, the parent node's states)
+    while stack:
+        keys, K, parent = stack.pop()
         new = keys[-1:]
         dp, recursion, compositions = states = (
-            _linear_value_prefixes(new, N, imap, parent[0])[1],
-            _linear_value_by_recursion(new, N, imap, parent[1]),
-            _merge_compositions(new, parent[2]),
+            _linear_value_prefixes(new, N, imap, b, parent[0])[1],
+            _linear_value_by_recursion(new, N, imap, b, parent[1]),
+            _merge_compositions(new, rows, parent[2]),
         )
-        merged, merge_denominator = _merge_expansion(compositions, table)
-        by_bound = [
-            (_trimmed(a), _trimmed(b), c) for a, b, c in zip(dp[1], recursion[1][-1], merged)
-        ]
-        yield keys, L ** _positive_sum(keys), merge_denominator, by_bound
-        if len(keys) < len(levels):
-            for k in levels[len(keys)]:
-                yield from visit(keys + (k,), states)
-
-    yield from visit((), (None, None, None))
+        merged, merge_denominator = _merge_expansion(compositions, rows.L)
+        # Equal packed values decode to equal lists.
+        peeled = _decoded(recursion[1][-1], b)
+        direct = peeled if dp[1] == recursion[1][-1] else _decoded(dp[1], b)
+        yield keys, L**K, merge_denominator, list(zip(direct, peeled, merged))
+        if len(keys) < depth:
+            stack += [(keys + (k,), K + max(k, 0), states) for k in reversed(levels[len(keys)])]

@@ -314,9 +314,9 @@ def _patch_route(monkeypatch, name, change):
 
 
 def _bumped(by_bound, n):
-    """A route's values by bound with one added at t^0 of the value at n."""
-    first, *rest = by_bound[n - 1]
-    return [*by_bound[:n - 1], [first + 1, *rest], *by_bound[n:]]
+    """A route's packed values by bound with one added at t^0 of the value
+    at n: + 1 on the int that holds it at t = 2^b."""
+    return [*by_bound[:n - 1], by_bound[n - 1] + 1, *by_bound[n:]]
 
 
 def test_oracle_triangle_catches_a_perturbed_recursion(capsys, monkeypatch):
@@ -363,8 +363,9 @@ def test_linear_sweeps_catch_a_perturbed_prefix_dp(capsys, monkeypatch):
     # (rows, by_depth): one more in value(1, 2)
     ("_linear_value_by_recursion",
      lambda result: (result[0], [*result[1][:-1], _bumped(result[1][-1], 2)])),
-    # every composition counted twice
-    ("_merge_compositions", lambda compositions: compositions * 2),
+    # (K, groups by merges): every composition counted twice
+    ("_merge_compositions",
+     lambda result: (result[0], [group * 2 for group in result[1]])),
 ])
 def test_a_perturbed_prefix_state_fails_exactly_the_tuples_under_it(monkeypatch, route, change):
     # The walk extends the state each route reaches after the prefix (2,)
@@ -382,12 +383,18 @@ def test_a_perturbed_prefix_state_fails_exactly_the_tuples_under_it(monkeypatch,
 def _perturbed_merge_expansion(monkeypatch, change):
     """Patch the merge route's sum over a tuple's compositions:
     change(keys, by_bound, denominator) gives the value it reports instead."""
+    paths = {}  # id(compositions) -> key tuple, recorded as the route body makes them
+
+    def record(path, compositions):
+        paths[id(compositions)] = path
+        return compositions
+
+    _patch_route(monkeypatch, "_merge_compositions", record)
     original = values._merge_expansion
 
-    def perturbed(compositions, table):
-        by_bound, denominator = original(compositions, table)
-        keys = compositions[0][0]  # the unmerged composition
-        return change(keys, [list(coeffs) for coeffs in by_bound], denominator)
+    def perturbed(compositions, L):
+        by_bound, denominator = original(compositions, L)
+        return change(paths[id(compositions)], [list(coeffs) for coeffs in by_bound], denominator)
 
     monkeypatch.setattr(values, "_merge_expansion", perturbed)
 

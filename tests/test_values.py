@@ -1,5 +1,6 @@
 """Linear and Schur values: frozen examples, oracle cross-checks, symmetry."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -242,14 +243,12 @@ def test_linear_value_routes_give_each_route_at_every_bound(r):
                 assert values == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
 
 
-def test_linear_value_routes_needs_an_integer_form_and_a_table_at_its_bound():
-    # Its numerators are over the integer form's L^K; a map without one,
-    # or a strict-sum table made for another bound, is refused.
+def test_linear_value_routes_needs_an_integer_form():
+    # Its numerators are over the integer form's L^K; a map without one is
+    # refused.
     by_hand = CoefficientMap("by-hand", QQ, lambda k, m: Fraction(1, m**k))
     with pytest.raises(ValueError, match="integer form"):
         linear_value_routes((2, 1), 3, by_hand)
-    with pytest.raises(ValueError, match="strict-sum table"):
-        linear_value_routes((2, 1), 3, RAT, values._StrictSums(4))
 
 
 @pytest.mark.parametrize("max_r, N", [(4, 6), (4, 3), (3, 5), (2, 1), (1, 6), (0, 4)])
@@ -260,7 +259,7 @@ def test_the_oracle_walk_matches_each_tuple_alone_and_the_chain_sums(max_r, N):
     rng = random.Random(70 * max_r + N)
     weights = [rng.randint(-2, 3), 0, rng.choice([-1, -2])]
     weights.append(rng.choice(weights))  # a repeated value
-    walked = list(values._route_walk([weights] * max_r, N, RAT, values._StrictSums(N)))
+    walked = list(values._route_walk([weights] * max_r, N, RAT))
     assert [keys for keys, *_ in walked] == list(_preorder(weights, max_r))
     for keys, denominator, merge_denominator, by_bound in walked:
         assert (denominator, merge_denominator, by_bound) == linear_value_routes(keys, N, RAT)
@@ -300,6 +299,68 @@ def test_the_oracle_walk_extends_each_prefix_once(monkeypatch):
         for keys in product(weights, repeat=r):
             linear_value_routes(keys, 4, RAT)
     assert sum(steps) == 2930
+
+
+def test_the_merge_route_extends_each_composition_once_from_its_parent(monkeypatch):
+    # Each merged composition of a tuple costs one strict-sum extension, so
+    # the walk over the tuples of length 1..4 over five values makes
+    # sum 5^r * 2^(r-1) = 5,555 of them.  Each starts from a vector the
+    # parent tuple's state holds: a new part from a composition's sums, a
+    # merged part from the sums before its last part; so no composition is
+    # summed again from the empty one.
+    starts = []
+    extend = values._strict_extension
+
+    def counted(sums, row):
+        starts.append(sums)
+        return extend(sums, row)
+
+    merge_compositions = values._merge_compositions
+
+    def checked(keys, rows, state=None):
+        first = len(starts)
+        _, groups = result = merge_compositions(keys, rows, state)
+        parents = [c for group in state[1] for c in group] if state else []
+        held = {id(vector) for c in parents for vector in c[:2]}  # sums and before
+        assert all(id(sums) in held for sums in starts[first:])
+        assert len(starts) - first == (sum(map(len, groups)) if state else 0)
+        return result
+
+    monkeypatch.setattr(values, "_strict_extension", counted)
+    monkeypatch.setattr(values, "_merge_compositions", checked)
+    sweeps.run_oracle_triangle(max_r=4, max_n=4, weight_values=(-1, 0, 1, 2, 3))
+    assert len(starts) == 5555 == sum(5**r * 2 ** (r - 1) for r in range(1, 5))
+
+
+@pytest.mark.parametrize("N", [2, 8])
+def test_packed_routes_at_extreme_labels(N):
+    # Labels -2 and 6 in tuples of up to five keys.  At N = 8 the slots are
+    # 262 bits wide; at N = 2 every value is one chain of ones, t^(r-1),
+    # and the slot is one bit, the tightest the bound allows.  The packed
+    # routes, the walk and the merge expansion all match the chain sums and
+    # the routes over a hand-built map with no integer form.
+    labels = (-2, 6)
+    by_hand = CoefficientMap("by-hand", QQ, RAT.fn)
+    L = math.lcm(*range(1, N))
+    S = {k: int(sum(RAT(k, m) * L ** max(k, 0) for m in range(1, N))) for k in labels}
+    bits = (max(S.values()) ** 5).bit_length()
+    assert values._linear_bits([labels] * 5, N, RAT.integer_form(L)) == bits
+    walked = list(values._route_walk([labels] * 5, N, RAT))
+    assert len(walked) == 63
+    for keys, denominator, merge_denominator, by_bound in walked:
+        for n, lists in enumerate(by_bound, start=1):
+            expected = chain_sum_oracle(keys, n)
+            for cs, d in zip(lists, (denominator, denominator, merge_denominator)):
+                assert TPoly(QQ, [Fraction(c, d) for c in cs]) == expected, (keys, n)
+        assert (
+            linear_value_prefixes(keys, N, RAT) == linear_value_prefixes(keys, N, by_hand)
+            and linear_value_by_recursion(keys, N, RAT)
+            == linear_value_by_recursion(keys, N, by_hand)
+            == merge_expansion(keys, N)
+            == expected
+        ), keys
+    if N == 2:
+        assert all(by_bound[-1][0] == [0] * (len(keys) - 1) + [1] for keys, *_, by_bound in walked)
 
 
 @pytest.mark.parametrize("label", [2.5, True, "2"])
@@ -371,11 +432,14 @@ MEMO_MAPS = {
 @pytest.mark.parametrize("make", MEMO_MAPS.values(), ids=MEMO_MAPS.keys())
 def test_memo_never_serves_a_bool_label(make):
     # (True, 2) == (1, 2) as a dict key, so the memo must not answer True
-    # with the value it keeps for the label 1.
+    # with the value it keeps for the label 1; nor the row memo, keyed (k, N).
     cmap = make()
     cmap(1, 2)
     with pytest.raises(DomainError):
         cmap(True, 2)
+    assert cmap.row(1, 3) == [cmap(1, 1), cmap(1, 2)]
+    with pytest.raises(DomainError):
+        cmap.row(True, 3)
 
 
 @pytest.mark.parametrize("make", MEMO_MAPS.values(), ids=MEMO_MAPS.keys())
