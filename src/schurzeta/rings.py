@@ -491,34 +491,34 @@ class MonomialPolynomial:
 
 
 class PackedTerms:
-    """A polynomial in t over monomial polynomials, for the Schur walk:
-    ``parts[i]`` is the coefficient of t^(low + i), a dict from packed
-    monomial keys to nonzero ``int`` coefficients, each key read plus
-    ``offset``.
+    """The tagged form of the Schur walk over single-monomial maps.
 
-    Only the walk's arithmetic is defined.  * by a packed key and << n
-    (times t^n) return views that share the dicts; += and -= add into the
-    dicts in place, dropping cancelled terms, after copying them if a view
-    may share them.  ``weights`` decides whether a walk may use this form.
+    A walk state is one dict from tagged keys to positive ``int`` counts.
+    A tagged key is a packed monomial plus v in the 64-bit field at bit
+    ``shift`` and h in the field above it, and stands for t^v (1-t)^h times
+    the monomial; ``shift`` is 64 times the number of fields that any key
+    of ``keys`` uses.  ``keys[j][i]`` is the packed key of
+    f(label_i, j + 1), and ``bound`` the X that ``weights`` proves.
+    ``weights`` decides whether a walk may use this form.
     """
 
-    __slots__ = ("parts", "low", "offset", "shared")
+    __slots__ = ("keys", "bound", "shift")
 
-    def __init__(self, parts: list, low: int = 0, offset: int = 0, shared: bool = False):
-        self.parts, self.low, self.offset, self.shared = parts, low, offset, shared
+    def __init__(self, keys: list[list[int]], bound: int, shift: int):
+        self.keys, self.bound, self.shift = keys, bound, shift
 
     @staticmethod
-    def weights(rows: Sequence[Sequence[Element]]) -> tuple[list[list[int]], int] | None:
-        """The packed keys of rows[j][i] = f(label_i, j + 1), and the
-        bound X on the exponents of every product that takes one entry
-        from each column, when there are entries, each is one monomial
-        with coefficient 1 and X <= 2^64 - 1; None otherwise.  X is the sum
-        over columns of each column's largest exponent bound, so no sum of
-        keys carries from one field into the next."""
+    def weights(rows: Sequence[Sequence[Element]]) -> "PackedTerms | None":
+        """The tagged form of a walk over rows[j][i] = f(label_i, j + 1),
+        when there are entries, each is one monomial with coefficient 1 and
+        X <= 2^64 - 1; None otherwise.  X is the sum over columns of each
+        column's largest exponent bound, so no sum of keys carries from one
+        field into the next, nor into the tags."""
         if not rows or not rows[0]:
             return None
         column_max = [0] * len(rows[0])
         keys = []
+        top = 0
         for row in rows:
             key_row = []
             for i, p in enumerate(row):
@@ -528,81 +528,47 @@ class PackedTerms:
                 if c != 1:
                     return None
                 key_row.append(key)
+                top |= key
                 if p._bound > column_max[i]:
                     column_max[i] = p._bound
             keys.append(key_row)
         bound = sum(column_max)
-        return (keys, bound) if bound <= _EXPONENT_MAX else None
+        if bound > _EXPONENT_MAX:
+            return None
+        fields = -(-top.bit_length() // _FIELD_BITS)
+        return PackedTerms(keys, bound, _FIELD_BITS * fields)
 
-    def __mul__(self, w: int) -> "PackedTerms":
-        self.shared = True
-        return PackedTerms(self.parts, self.low, self.offset + w, True)
+    def tag(self, v: int, h: int) -> int:
+        """The key of t^v (1-t)^h: added to a key, it multiplies by that."""
+        return (v << self.shift) + (h << (self.shift + _FIELD_BITS))
 
-    def __lshift__(self, n: int) -> "PackedTerms":
-        self.shared = True
-        return PackedTerms(self.parts, self.low + n, self.offset, True)
-
-    def __ilshift__(self, n: int) -> "PackedTerms":
-        self.low += n
-        return self
-
-    def __iadd__(self, other: "PackedTerms") -> "PackedTerms":
-        d = other.offset - self.offset
-        parts = self._owned(other)
-        i = other.low - self.low
-        for theirs in other.parts:
-            terms = parts[i]
-            i += 1
-            get = terms.get
-            for key, c in theirs.items():
-                key += d
-                c += get(key, 0)
-                if c:
-                    terms[key] = c
+    def coefficients(self, terms: dict) -> list["MonomialPolynomial"]:
+        """The coefficients by power of t of a state, each with exponent
+        bound X: each key's t^v (1-t)^h is expanded into its terms, by a
+        plan of (coefficient dict, signed binomial) made once per (v, h),
+        and cancelled terms are dropped as they appear."""
+        shift = self.shift
+        mask = (1 << shift) - 1
+        powers: list[dict] = []
+        plans: dict[int, list] = {}
+        for key, c in terms.items():
+            tags = key >> shift
+            plan = plans.get(tags)
+            if plan is None:
+                v, h = tags & _EXPONENT_MAX, tags >> _FIELD_BITS
+                powers += [{} for _ in range(v + h + 1 - len(powers))]
+                plan = plans[tags] = [
+                    (powers[v + i], -math.comb(h, i) if i & 1 else math.comb(h, i))
+                    for i in range(h + 1)
+                ]
+            monomial = key & mask
+            for at, scale in plan:
+                total = at.get(monomial, 0) + c * scale
+                if total:
+                    at[monomial] = total
                 else:
-                    del terms[key]
-        return self
-
-    def __isub__(self, other: "PackedTerms") -> "PackedTerms":
-        d = other.offset - self.offset
-        parts = self._owned(other)
-        i = other.low - self.low
-        for theirs in other.parts:
-            terms = parts[i]
-            i += 1
-            get = terms.get
-            for key, c in theirs.items():
-                key += d
-                c = get(key, 0) - c
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        return self
-
-    def _owned(self, other: "PackedTerms") -> list:
-        """The dicts to add into: copied first if shared, and widened to
-        cover the powers of t that other has."""
-        parts = self.parts
-        if self.shared:
-            parts, self.shared = [dict(terms) for terms in parts], False
-        if other.low < self.low:
-            parts = [{} for _ in range(self.low - other.low)] + parts
-            self.low = other.low
-        extra = other.low + len(other.parts) - self.low - len(parts)
-        if extra > 0:
-            parts += [{} for _ in range(extra)]
-        self.parts = parts
-        return parts
-
-    def coefficients(self, bound: int) -> list["MonomialPolynomial"]:
-        """The coefficients by power of t, each with exponent bound
-        ``bound`` (the one ``weights`` gave)."""
-        d = self.offset
-        return [MonomialPolynomial._make({}, 0)] * self.low + [
-            MonomialPolynomial._make({k + d: c for k, c in terms.items()} if d else terms, bound)
-            for terms in self.parts
-        ]
+                    del at[monomial]
+        return [MonomialPolynomial._make(at, self.bound) for at in powers]
 
 
 def QsymRing() -> Ring:

@@ -37,9 +37,9 @@ substitution), so every step is one big-integer operation; the slot width
 b comes from an a-priori bound on the coefficients, proved in
 ``schur_value`` and ``_linear_bits``.  The merge expansion is not packed.
 When every f(k, m) is one monomial, as over the quasi-symmetric map, a
-Schur walk state is one dict of packed monomial keys per power of t
-(``rings.PackedTerms``): a layer weight is a sum of keys, and sums add
-into their dicts in place.
+Schur walk state is one dict of tagged keys (``rings.PackedTerms``): a
+packed monomial with t^v (1-t)^h in two fields above it, so a layer step
+adds one key to each key, and (1-t)^h is expanded once, at the decode.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
@@ -360,14 +360,19 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     result is still exactly the final value at 2^b, and only its decode
     needs the bound.
 
-    When every f(label, M) is one monomial with coefficient 1, p is a
-    ``rings.PackedTerms``: per power of t, a dict from packed monomials to
-    coefficients.  A layer weight is the sum of its cells' keys and * adds
-    it to every key.  Coefficients are separate ints, so no slot bound is
-    needed: only an exponent could carry, and each is at most X, the sum
-    over cells of the cell's largest exponent.  When X passes 2^64 - 1 the
-    walk takes the coefficient-list route, whose products refuse such
-    exponents.
+    When every f(label, M) is one monomial with coefficient 1, the walk
+    runs on tagged keys (``_tagged_walk``): a state is one dict from keys to
+    positive counts, each key a packed monomial plus v and h in two 64-bit
+    fields above every field a key of f uses, for t^v (1-t)^h times the
+    monomial.  A layer weight is one key, its cells' keys plus its v and h,
+    added to every key of the source; ``rings.PackedTerms`` expands
+    (1-t)^h once, at the decode.  No field carries: an exponent is at most
+    X, the sum over cells of the cell's largest exponent, and the walk
+    takes this route only when X <= 2^64 - 1; v counts the cells with an
+    equal neighbour above, so v <= C - width, and h those with one to the
+    left, so h <= C - height, and neither reaches 2^64.  When X passes
+    2^64 - 1 the walk takes the coefficient-list route, whose products
+    refuse such exponents.
     """
     return _scaled_schur_value(weights, N, cmap).divided()
 
@@ -387,21 +392,18 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     start = (0,) * len(parts)
     if _depth(parts, start) >= N:  # a diagonal longer than the N-1 values: no filling
         return TPoly.zero(ring)
-    # Each live sub-partition carries a t-polynomial that supports +=, -=,
-    # * by a layer weight, and << b for * t.  The walk owns every state and
-    # every sum: * and << make new values (a PackedTerms view shares its
-    # dicts until written), and += and -= may change their left side in
-    # place (an int rebinds, a PackedTerms adds into its dicts).
     rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
-    packed = None if ring is _ZZ else PackedTerms.weights(rows)
-    b, combine = 1, mul  # combine makes a layer weight from its cells' f
+    if ring is not _ZZ:
+        tagged = PackedTerms.weights(rows)
+        if tagged is not None:
+            return TPoly(ring, tagged.coefficients(_tagged_walk(parts, N, tagged)))
+    # Each live sub-partition carries a t-polynomial that supports +=, -=,
+    # * by a layer weight, and << b for * t.
     if ring is _ZZ:
         b = _slot_bits(parts, labels, N, cmap)
         by_state: dict[tuple[int, ...], Any] = {start: 1}
-    elif packed is not None:
-        (rows, bound), combine = packed, add
-        by_state = {start: PackedTerms([{0: 1}])}
     else:
+        b = 1
         by_state = {start: _Coefficients([ring.one], ring.zero)}
     for M in range(1, N):
         remaining = N - 1 - M  # values left after M: deeper states are dead
@@ -416,7 +418,7 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
                     continue
                 w = layer_weights.get(cells)
                 if w is None:
-                    w = layer_weights[cells] = reduce(combine, map(f.__getitem__, cells))
+                    w = layer_weights[cells] = reduce(mul, map(f.__getitem__, cells))
                 acc = sums.get(key)
                 if acc is None:
                     sums[key] = poly * w
@@ -440,9 +442,42 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
         return TPoly.zero(ring)
     if ring is _ZZ:
         return TPoly(ring, _signed_digits(value, b))
-    if packed is not None:
-        return TPoly(ring, value.coefficients(bound))
     return TPoly(ring, value.coeffs)
+
+
+def _tagged_walk(parts: tuple[int, ...], N: int, tagged: PackedTerms) -> dict:
+    """The Schur walk of ``_schur_value`` on ``rings.PackedTerms``' tagged
+    keys: the full shape's state, a dict from tagged keys to counts.
+
+    A layer's weight is one key, its cells' keys plus the tag of its
+    t^v (1-t)^h (v and h depend on the cells alone), and a step adds it to
+    every key of the source state, into the target's dict.  The sources go
+    largest first, so a state carried over unchanged (the same dict) has
+    been read before any step adds into it."""
+    by_state: dict[tuple[int, ...], dict] = {(0,) * len(parts): {0: 1}}
+    for M in range(1, N):
+        remaining = N - 1 - M
+        f = tagged.keys[M - 1]
+        layer_weights: dict[tuple, int] = {}
+        new = {mu: terms for mu, terms in by_state.items() if _depth(parts, mu) <= remaining}
+        for mu in sorted(by_state, key=sum, reverse=True):
+            terms = by_state[mu]
+            for (nu, v, h), depth, cells in _layers_from(parts, mu):
+                if depth > remaining:
+                    continue
+                w = layer_weights.get(cells)
+                if w is None:
+                    w = layer_weights[cells] = sum(map(f.__getitem__, cells)) + tagged.tag(v, h)
+                target = new.get(nu)
+                if target is None:
+                    new[nu] = {key + w: c for key, c in terms.items()}
+                    continue
+                get = target.get
+                for key, c in terms.items():
+                    key += w
+                    target[key] = get(key, 0) + c
+        by_state = new
+    return by_state.get(parts, {})
 
 
 def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:

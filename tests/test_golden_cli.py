@@ -47,6 +47,7 @@ EXTRA_COMMANDS = [
     "layer-verify --max-cells 4 --M 3 --ring qseries:8 --seed 2",
     "compute --shape '[3,3]' --N 8 --ring qsym --diagonal '{\"-1\":2,\"0\":1,\"1\":3,\"2\":2}'",
     "conjugation-verify --max-cells 4 --N 4 --ring qsym --seed 1",
+    "compute --shape '[6,2]' --N 4 --ring qsym --entries '[[1,2,1,2,1,2],[3,1]]'",
 ]
 
 

@@ -615,15 +615,46 @@ def test_packed_qsym_walk_matches_enumeration(monkeypatch):
             _assert_true_bounds(value)
 
 
+def _on_both_routes(tab, N, monkeypatch):
+    """The qsym value of tab at N from the tagged walk (the coefficient
+    list refused), and from the coefficient list (the tagged walk refused,
+    ``PackedTerms.weights`` patched to decline every map)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(values, "_Coefficients", _refuse)
+        tagged = schur_value(tab, N, quasisymmetric_map())
+    with monkeypatch.context() as patch:
+        patch.setattr(PackedTerms, "weights", staticmethod(lambda rows: None))
+        patch.setattr(values, "_tagged_walk", _refuse)
+        listed = schur_value(tab, N, quasisymmetric_map())
+    return tagged, listed
+
+
 @pytest.mark.parametrize("parts, N", [((3, 3), 8), ((2, 2, 2, 2), 6)])
 def test_packed_qsym_walk_matches_the_coefficient_list_route(parts, N, monkeypatch):
-    cmap = quasisymmetric_map()
     rng = random.Random(N)
     tab = _random_tableau(rng, Partition(parts), 1, 3)
-    value = schur_value(tab, N, cmap)
+    value, listed = _on_both_routes(tab, N, monkeypatch)
     _assert_true_bounds(value)
-    monkeypatch.setattr(PackedTerms, "weights", staticmethod(lambda rows: None))
-    assert value and value == schur_value(tab, N, quasisymmetric_map())
+    assert value and value == listed
+
+
+@pytest.mark.parametrize(
+    "parts, N", [((6, 2), 3), ((6, 2), 4), ((6, 2), 5), ((7,), 3), ((4, 4), 3)]
+)
+def test_tagged_decode_expands_long_runs_of_equal_neighbours(parts, N, monkeypatch):
+    """Fillings with h = C - height = 6, so the decode expands (1 - t)^6:
+    against the oracle and the coefficient-list route, with no zero
+    coefficient stored."""
+    tab = _random_tableau(random.Random(sum(parts) + N), Partition(parts), 1, 3)
+    cmap = quasisymmetric_map()
+    rows = [[cmap(k, M) for row in tab.rows for k in row] for M in range(1, N)]
+    tagged = PackedTerms.weights(rows)
+    state = values._tagged_walk(parts, N, tagged)
+    assert max(key >> (tagged.shift + 64) for key in state) == sum(parts) - len(parts)
+    value, listed = _on_both_routes(tab, N, monkeypatch)
+    assert value == filling_sum_oracle(tab, N, cmap) == listed
+    assert all(c for poly in value.coeffs for c in poly._terms.values())
+    _assert_true_bounds(value)
 
 
 @pytest.mark.parametrize(
@@ -655,6 +686,24 @@ def test_hand_built_single_monomial_map_takes_the_packed_route(monkeypatch):
         value = schur_value(tab, 4, cmap)
         assert value == filling_sum_oracle(tab, 4, cmap), shape
         _assert_true_bounds(value)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_tagged_walk_keeps_its_tags_above_every_variable_of_the_map(N, monkeypatch):
+    """Maps whose keys use x_N and past it, where the quasi-symmetric map
+    stops at x_(N-1): a tag field at x_N would overlap their exponents."""
+    monkeypatch.setattr(values, "_Coefficients", _refuse)
+    maps = [
+        CoefficientMap("x_(m+3)^k", QsymRing(), lambda k, m: _x(m + 3, k)),
+        CoefficientMap("x_1 x_(m+N)^k", QsymRing(), lambda k, m: _x(1, 1) * _x(m + N, k)),
+    ]
+    rng = random.Random(34 + N)
+    for cmap in maps:
+        for shape in partitions_up_to(4, include_empty=False):
+            tab = _random_tableau(rng, shape, 1, 3)
+            value = schur_value(tab, N, cmap)
+            assert value == filling_sum_oracle(tab, N, cmap), (cmap.name, shape)
+            _assert_true_bounds(value)
 
 
 def test_packed_qsym_walk_reaches_a_label_sum_of_the_field_limit(monkeypatch):
