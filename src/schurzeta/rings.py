@@ -88,9 +88,11 @@ def _trimmed(coeffs: Sequence) -> Sequence:
 def format_numerators(numerators: Sequence[int], denominator: int) -> list[str]:
     """The JSON of ``TPoly(QQ, [Fraction(c, denominator) for c in
     numerators])``, each c reduced by its gcd with the denominator (>= 1),
-    trailing zeros trimmed, with no ``Fraction`` built."""
+    with no ``Fraction`` built.  The numerators must already be trimmed
+    (no trailing zero), as every caller's are: ``TPoly`` coefficients, the
+    packed routes' decoded digits and the merge expansion's lists."""
     out = []
-    for c in _trimmed(numerators):
+    for c in numerators:
         g = math.gcd(c, denominator)
         out.append(str(c // g) if g == denominator else f"{c // g}/{denominator // g}")
     return out

@@ -6,15 +6,18 @@ increase weakly along rows and columns and strictly along diagonal steps
 (i, j) -> (i+1, j+1); their vertical/horizontal equality counts drive the
 t-interpolation weights downstream.  They are counted and summed one value
 at a time, over the layers out of each sub-partition a filling can reach
-(``_layers_from``); the filling-by-filling enumeration is the tests'
-independent oracle, in ``tests/filling_enumeration.py``.
+(the shape's ``LayerGraph``); the filling-by-filling enumeration is the
+tests' independent oracle, in ``tests/filling_enumeration.py``.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -128,20 +131,28 @@ class Tableau:
 
 def count_oyt(shape: Partition, N: int) -> int:
     """Number of ordered fillings with entries in 1..N-1: chains of N-1
-    layers from the empty sub-partition, every layer counting one."""
+    layers from the empty sub-partition, every layer counting one, walked
+    over the shape's ``LayerGraph`` as ``values.schur_value`` walks it."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    parts = shape.parts
-    counts = {(0,) * len(parts): 1}
+    graph = layer_graph(shape.parts)
+    depth, targets = graph.depth, graph.targets
+    if depth[graph.start] >= N:  # a diagonal longer than the N-1 values
+        return 0
+    counts = {graph.start: 1}
     for M in range(1, N):
         remaining = N - 1 - M  # values left after M: deeper states are dead
-        new = {mu: c for mu, c in counts.items() if _depth(parts, mu) <= remaining}
-        for mu, c in counts.items():
-            for (nu, _, _), depth, _ in _layers_from(parts, mu):
-                if depth <= remaining:
-                    new[nu] = new.get(nu, 0) + c
+        new = {s: c for s, c in counts.items() if depth[s] <= remaining}
+        for s, c in counts.items():
+            for g, d, _ in graph.transitions(s):
+                if d > remaining:
+                    break
+                t = targets[g]
+                if t is None:
+                    t = graph.reach(g)
+                new[t] = new.get(t, 0) + c
         counts = new
-    return counts.get(parts, 0)
+    return counts.get(graph.ids.get(shape.parts), 0)
 
 
 @dataclass(frozen=True)
@@ -230,11 +241,118 @@ def admissible_baselines(shape: Partition) -> Iterator[tuple[int, ...]]:
 # are layers is exactly one filling, and its equality counts are the sums
 # of the layers' vertical and horizontal pairs: the single-layer picture of
 # build_bit_tableau, one value at a time.  A sub-partition is its parts
-# padded with zeros to the shape's height; its transitions are built when
-# a walk first reaches it, and kept.
+# padded with zeros to the shape's height.  Each shape has one LayerGraph of
+# these steps (``layer_graph``); a state's transitions are built when a walk
+# first reaches it, and kept.
 
 
-@lru_cache(maxsize=1 << 16)
+class LayerGraph:
+    """The layers between one shape's sub-partitions, as integer ids.
+
+    ``states`` maps each state id to its sub-partition and ``ids`` back;
+    both hold only the states a walk has reached, starting with the empty
+    one, ``start``.  A state's id is its cell count times ``_stride`` plus
+    the order in which walks reached the states of that size, so a larger
+    id never has fewer cells, and no transition goes to a smaller id.
+    ``_stride`` = C(height + width, height) counts the sub-partitions of the
+    height x width box, so no cell count has more states than that.
+    ``depth[s]`` is ``_depth`` of state s.
+
+    ``transitions(s)`` are the layers out of state s, as (group, depth,
+    layer) triples sorted by depth: a walk with d values left stops at the
+    first depth above d.  A group g is one ``groups[g]`` = (nu, v, h), the
+    target with the layer's vertical and horizontal pairs; ``targets[g]``
+    is nu's state id once a walk has stepped into it (``reach``), else
+    None.  A layer l is its cells, ``layers[l]``, numbered as in
+    ``_layers_from``; equal cell sets out of different states share one id.
+
+    Walks in several threads may share a graph: it only grows, under one
+    lock, so no state gets two ids and no id is ever renumbered.
+    """
+
+    __slots__ = (
+        "parts", "start", "ids", "states", "depth", "groups", "targets", "layers",
+        "_stride", "_sized", "_seen", "_transitions", "_layer_ids", "_lock",
+    )
+
+    def __init__(self, parts: tuple[int, ...]):
+        self.parts = parts
+        self._stride = math.comb(len(parts) + (parts[0] if parts else 0), len(parts))
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.states: dict[int, tuple[int, ...]] = {}
+        self.depth: dict[int, int] = {}
+        self.groups: list[tuple] = []
+        self.targets: list[int | None] = []
+        self.layers: list[tuple[int, ...]] = []
+        self._sized = [0] * (sum(parts) + 1)  # states reached so far, by size
+        self._transitions: dict[int, tuple] = {}
+        self._layer_ids: dict[tuple[int, ...], int] = {}
+        self._lock = threading.Lock()
+        empty = (0,) * len(parts)
+        # The start and every target seen: (its depth, its group ids by (v, h)).
+        self._seen = {empty: (_depth(parts, empty), {})}
+        self.start = self._add(empty)
+
+    def _add(self, mu: tuple[int, ...]) -> int:
+        size = sum(mu)
+        s = size * self._stride + self._sized[size]
+        self._sized[size] += 1
+        self.ids[mu] = s
+        self.states[s] = mu
+        self.depth[s] = self._seen[mu][0]
+        return s
+
+    def reach(self, g: int) -> int:
+        """The state id of group g's target, given one if it has none."""
+        with self._lock:
+            s = self.targets[g]
+            if s is None:
+                nu = self.groups[g][0]
+                s = self.ids.get(nu)
+                if s is None:
+                    s = self._add(nu)
+                self.targets[g] = s
+        return s
+
+    def transitions(self, s: int) -> tuple:
+        """State s's (group, depth, layer) triples, by ascending depth."""
+        built = self._transitions.get(s)
+        if built is None:
+            with self._lock:
+                built = self._transitions.get(s)
+                if built is None:
+                    built = self._transitions[s] = self._build(s)
+        return built
+
+    def _build(self, s: int) -> tuple:
+        parts, seen, groups, targets = self.parts, self._seen, self.groups, self.targets
+        layer_ids, layers = self._layer_ids, self.layers
+        out = []
+        for nu, v, h, cells in _layers_from(parts, self.states[s]):
+            target = seen.get(nu)
+            if target is None:
+                target = seen[nu] = (_depth(parts, nu), {})
+            depth, group_ids = target
+            g = group_ids.get((v, h))
+            if g is None:
+                g = group_ids[v, h] = len(groups)
+                groups.append((nu, v, h))
+                targets.append(None)
+            layer = layer_ids.get(cells)
+            if layer is None:
+                layer = layer_ids[cells] = len(layers)
+                layers.append(cells)
+            out.append((g, depth, layer))
+        out.sort(key=itemgetter(1))
+        return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def layer_graph(parts: tuple[int, ...]) -> LayerGraph:
+    """The one ``LayerGraph`` of the shape with these parts."""
+    return LayerGraph(parts)
+
+
 def _depth(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """The fewest layers that complete the shape from mu: the most cells of
     shape/mu on one diagonal, which must all differ."""
@@ -242,35 +360,32 @@ def _depth(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return max(diagonals.values(), default=0)
 
 
-@lru_cache(maxsize=1 << 16)
-def _layers_from(parts: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
-    """Every nonempty layer nu/mu as ((nu, v, h), depth of nu, cells), with
-    v and h its vertical and horizontal pairs and its cells numbered 0, 1,
-    ... in row-major order over the shape.
+def _layers_from(parts: tuple[int, ...], mu: tuple[int, ...]) -> list:
+    """Every nonempty layer nu/mu as (nu, v, h, cells), with v and h its
+    vertical and horizontal pairs and its cells numbered 0, 1, ... in
+    row-major order over the shape.
 
-    Built row by row: a row below a nonempty layer row i may reach at most
-    one column past mu_i, or a cell of it would sit diagonally below one of
-    row i.  Row i's segment mu_i..x holds x - mu_i - 1 horizontal pairs, and
-    x - mu_(i-1) vertical ones with the segment above it."""
-    height = len(parts)
-    starts = [sum(parts[:i]) for i in range(height)]  # the number of cell (i, 0)
-    layers = []
-
-    def rec(i: int, cap: int, nu: tuple, v: int, h: int, cells: tuple) -> None:
-        if i == height:
-            if cells:
-                layers.append(((nu, v, h), _depth(parts, nu), cells))
-            return
-        m = mu[i]
-        for x in range(m, min(cap, parts[i]) + 1):
-            rec(
-                i + 1,
-                x if x == m else min(x, m + 1),
-                nu + (x,),
-                v + max(0, x - mu[i - 1]) if i else v,
-                h + max(0, x - m - 1),
-                cells + tuple(range(starts[i] + m, starts[i] + x)),
-            )
-
-    rec(0, parts[0] if parts else 0, (), 0, 0, ())
-    return tuple(layers)
+    Built row by row, over the partial layers of the rows so far: a row
+    below a nonempty layer row i may reach at most one column past mu_i, or
+    a cell of it would sit diagonally below one of row i.  Row i's segment
+    mu_i..x holds x - mu_i - 1 horizontal pairs, and x - mu_(i-1) vertical
+    ones with the segment above it."""
+    # (nu, v, h, cells, cap): cap is the last column the next row may reach.
+    partial = [((), 0, 0, (), parts[0] if parts else 0)]
+    start = 0  # the number of cell (i, 0)
+    for i, (m, p) in enumerate(zip(mu, parts)):
+        above = mu[i - 1] if i else p  # the first row has no pairs above it
+        grown = []
+        for nu, v, h, cells, cap in partial:
+            grown.append((nu + (m,), v, h, cells, m))
+            for x in range(m + 1, min(cap, p) + 1):
+                grown.append((
+                    nu + (x,),
+                    v + (x - above if x > above else 0),
+                    h + x - m - 1,
+                    cells + tuple(range(start + m, start + x)),
+                    m + 1,
+                ))
+        partial = grown
+        start += p
+    return [(nu, v, h, cells) for nu, v, h, cells, _ in partial if cells]

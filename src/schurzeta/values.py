@@ -67,7 +67,7 @@ from .rings import (
     _trimmed,
     q_integer,
 )
-from .shapes import Partition, Tableau, _depth, _layers_from
+from .shapes import Partition, Tableau, layer_graph
 
 
 @dataclass(frozen=True)
@@ -329,12 +329,18 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
 
     Computed one value at a time: after value M each sub-partition mu
     that a filling by 1..M can reach carries the sum over those fillings,
-    and value M+1 extends them by the layers nu/mu (``shapes._layers_from``),
-    each weighing t^v (1-t)^h times the product of f(label, M+1) over its
-    cells.  A target with a diagonal longer than the values left is
-    skipped, so only the states live at M are walked.  The cost is
-    polynomial in N and in the number of sub-partitions; the result has
-    degree at most (cell count - 1) in t.
+    and value M+1 extends them by the layers nu/mu, each weighing
+    t^v (1-t)^h times the product of f(label, M+1) over its cells.  The
+    walk steps over the shape's ``shapes.LayerGraph``, built as walks reach
+    it and kept: states, (nu, v, h) groups and layers are int ids, a
+    layer's weight is computed once per value into a list by layer id, and
+    the sources' products are summed per group before the group's
+    t^v (1-t)^h is applied once.  Each state's transitions are sorted by
+    the depth of their target (its longest remaining diagonal), so the walk
+    stops at the first target deeper than the values left, and only the
+    states live at M are walked.  The cost is polynomial in N and in the
+    number of sub-partitions; the result has degree at most
+    (cell count - 1) in t.
 
     Over a map's integer form each state's t-polynomial p is one ``int``,
     p(2^b): a layer step is one big-integer multiply-add, t^v is a shift
@@ -389,55 +395,65 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     ring = cmap.ring
     parts = weights.shape.parts
     labels = [k for row in weights.rows for k in row]  # by cell number
-    start = (0,) * len(parts)
-    if _depth(parts, start) >= N:  # a diagonal longer than the N-1 values: no filling
+    graph = layer_graph(parts)
+    if graph.depth[graph.start] >= N:  # a diagonal longer than the N-1 values: no filling
         return TPoly.zero(ring)
     rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
     if ring is not _ZZ:
         tagged = PackedTerms.weights(rows)
         if tagged is not None:
             return TPoly(ring, tagged.coefficients(_tagged_walk(parts, N, tagged)))
-    # Each live sub-partition carries a t-polynomial that supports +=, -=,
-    # * by a layer weight, and << b for * t.
+    # Each live state carries a t-polynomial that supports +=, -=, * by a
+    # layer weight, and << b for * t.
     if ring is _ZZ:
         b = _slot_bits(parts, labels, N, cmap)
-        by_state: dict[tuple[int, ...], Any] = {start: 1}
+        by_state: dict[int, Any] = {graph.start: 1}
     else:
         b = 1
-        by_state = {start: _Coefficients([ring.one], ring.zero)}
+        by_state = {graph.start: _Coefficients([ring.one], ring.zero)}
+    depth, groups, targets, layers = graph.depth, graph.groups, graph.targets, graph.layers
     for M in range(1, N):
         remaining = N - 1 - M  # values left after M: deeper states are dead
         f = rows[M - 1]
-        layer_weights: dict[tuple, Any] = {}  # cells -> layer weight
-        # Per (target, v, h): the sum of the source states, each times its
-        # layer's weight.
-        sums: dict[tuple, Any] = {}
-        for mu, poly in by_state.items():
-            for key, depth, cells in _layers_from(parts, mu):
-                if depth > remaining:
-                    continue
-                w = layer_weights.get(cells)
+        # The sources' transitions are built first, so that the lists by
+        # layer and by group id below cover every id they name.
+        steps = [(poly, graph.transitions(s)) for s, poly in by_state.items()]
+        layer_weights: list = [None] * len(layers)
+        # Per group (target, v, h): the sum of the source states, each
+        # times its layer's weight, for the groups in ``used``.
+        sums: list = [None] * len(groups)
+        used = []
+        for poly, transitions in steps:
+            for g, d, layer in transitions:
+                if d > remaining:
+                    break
+                w = layer_weights[layer]
                 if w is None:
-                    w = layer_weights[cells] = reduce(mul, map(f.__getitem__, cells))
-                acc = sums.get(key)
+                    w = layer_weights[layer] = reduce(mul, map(f.__getitem__, layers[layer]))
+                acc = sums[g]
                 if acc is None:
-                    sums[key] = poly * w
+                    sums[g] = poly * w
+                    used.append(g)
                 else:
-                    acc += poly * w
-                    sums[key] = acc
-        new = {mu: p for mu, p in by_state.items() if _depth(parts, mu) <= remaining}
-        for (nu, v, h), acc in sums.items():
+                    sums[g] = acc + poly * w
+        new = {s: p for s, p in by_state.items() if depth[s] <= remaining}
+        for g in used:
+            acc = sums[g]
+            _, v, h = groups[g]
             acc <<= b * v  # times t^v
             for _ in range(h):
                 acc -= acc << b  # times 1 - t
-            old = new.get(nu)
+            s = targets[g]
+            if s is None:
+                s = graph.reach(g)
+            old = new.get(s)
             if old is None:
-                new[nu] = acc
+                new[s] = acc
             else:
                 old += acc
-                new[nu] = old
+                new[s] = old
         by_state = new
-    value = by_state.get(parts)
+    value = by_state.get(graph.ids.get(parts))
     if value is None:
         return TPoly.zero(ring)
     if ring is _ZZ:
@@ -452,32 +468,40 @@ def _tagged_walk(parts: tuple[int, ...], N: int, tagged: PackedTerms) -> dict:
     A layer's weight is one key, its cells' keys plus the tag of its
     t^v (1-t)^h (v and h depend on the cells alone), and a step adds it to
     every key of the source state, into the target's dict.  The sources go
-    largest first, so a state carried over unchanged (the same dict) has
-    been read before any step adds into it."""
-    by_state: dict[tuple[int, ...], dict] = {(0,) * len(parts): {0: 1}}
+    by descending id, so largest first: a state carried over unchanged
+    (the same dict) has been read before any step adds into it."""
+    graph = layer_graph(parts)
+    by_state: dict[int, dict] = {graph.start: {0: 1}}
+    depth, groups, targets, layers = graph.depth, graph.groups, graph.targets, graph.layers
     for M in range(1, N):
         remaining = N - 1 - M
         f = tagged.keys[M - 1]
-        layer_weights: dict[tuple, int] = {}
-        new = {mu: terms for mu, terms in by_state.items() if _depth(parts, mu) <= remaining}
-        for mu in sorted(by_state, key=sum, reverse=True):
-            terms = by_state[mu]
-            for (nu, v, h), depth, cells in _layers_from(parts, mu):
-                if depth > remaining:
-                    continue
-                w = layer_weights.get(cells)
+        steps = [(by_state[s], graph.transitions(s)) for s in sorted(by_state, reverse=True)]
+        layer_weights: list = [None] * len(layers)
+        new = {s: terms for s, terms in by_state.items() if depth[s] <= remaining}
+        for terms, transitions in steps:
+            for g, d, layer in transitions:
+                if d > remaining:
+                    break
+                w = layer_weights[layer]
                 if w is None:
-                    w = layer_weights[cells] = sum(map(f.__getitem__, cells)) + tagged.tag(v, h)
-                target = new.get(nu)
+                    _, v, h = groups[g]
+                    w = layer_weights[layer] = (
+                        sum(map(f.__getitem__, layers[layer])) + tagged.tag(v, h)
+                    )
+                s = targets[g]
+                if s is None:
+                    s = graph.reach(g)
+                target = new.get(s)
                 if target is None:
-                    new[nu] = {key + w: c for key, c in terms.items()}
+                    new[s] = {key + w: c for key, c in terms.items()}
                     continue
                 get = target.get
                 for key, c in terms.items():
                     key += w
                     target[key] = get(key, 0) + c
         by_state = new
-    return by_state.get(parts, {})
+    return by_state.get(graph.ids.get(parts), {})
 
 
 def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:

@@ -48,6 +48,13 @@ EXTRA_COMMANDS = [
     "compute --shape '[3,3]' --N 8 --ring qsym --diagonal '{\"-1\":2,\"0\":1,\"1\":3,\"2\":2}'",
     "conjugation-verify --max-cells 4 --N 4 --ring qsym --seed 1",
     "compute --shape '[6,2]' --N 4 --ring qsym --entries '[[1,2,1,2,1,2],[3,1]]'",
+    # one per walk state form; the depth cut skips about a fifth of the
+    # transitions out of the states each walk meets
+    "compute --shape '[4,3,2,1]' --N 6 --diagonal"
+    " '{\"-3\":2,\"-2\":3,\"-1\":2,\"0\":3,\"1\":2,\"2\":3,\"3\":2}'",
+    "compute --shape '[3,2,1]' --N 5 --ring qseries:8 --diagonal"
+    " '{\"-2\":1,\"-1\":1,\"0\":2,\"1\":1,\"2\":1}'",
+    "oyt-count --shape '[5,4,3,2,1]' --N 6",
 ]
 
 

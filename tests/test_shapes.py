@@ -2,21 +2,27 @@
 
 import json
 import math
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from schurzeta import values
+from schurzeta.rings import QQ, TPoly
 from schurzeta.shapes import (
     Partition,
     Tableau,
     admissible_baselines,
     bit_tableau_stats,
     build_bit_tableau,
+    LayerGraph,
     _depth,
     _layers_from,
     count_oyt,
+    layer_graph,
     partitions_of,
     partitions_up_to,
 )
@@ -257,7 +263,7 @@ def sub_partitions(shape: Partition):
 
 def test_layers_from_matches_bit_tableaux():
     """Every layer out of every sub-partition lands on a sub-partition, with
-    the cells nu/mu and the depth of nu, and the layers that complete a shape are its one-ordered
+    the cells nu/mu, and the layers that complete a shape are its one-ordered
     zero-one tableaux: the baseline b is the conjugate of the state left
     below the layer, and the pair counts agree with bit_tableau_stats."""
     for shape in partitions_up_to(6, include_empty=False):
@@ -266,10 +272,9 @@ def test_layers_from_matches_bit_tableaux():
         completing = {}
         for mu in states:
             layers = _layers_from(parts, mu)
-            assert len({key for key, _, _ in layers}) == len(layers)
-            for (nu, v, h), depth, cells in layers:
+            assert len({(nu, v, h) for nu, v, h, _ in layers}) == len(layers)
+            for nu, v, h, cells in layers:
                 assert nu in states and nu != mu, (shape, mu, nu)
-                assert depth == _depth(parts, nu)
                 # cells are numbered row by row over the whole shape
                 assert cells == tuple(
                     sum(parts[:i]) + j for i in range(shape.height) for j in range(mu[i], nu[i])
@@ -298,7 +303,7 @@ def test_depth_is_fewest_values():
         states = list(sub_partitions(shape))
         into = {mu: [] for mu in states}
         for mu in states:
-            for (nu, _, _), _, _ in _layers_from(parts, mu):
+            for nu, _, _, _ in _layers_from(parts, mu):
                 into[nu].append(mu)
         fewest = {parts: 0}
         frontier = [parts]
@@ -315,11 +320,153 @@ def test_depth_is_fewest_values():
         assert count_oyt(shape, depth) == 0 < count_oyt(shape, depth + 1)
 
 
+def _walk_whole(graph):
+    """Build every transition of a graph, reaching every state."""
+    stack, seen = [graph.start], {graph.start}
+    while stack:
+        for g, _, _ in graph.transitions(stack.pop()):
+            t = graph.targets[g]
+            if t is None:
+                t = graph.reach(g)
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+
+
+def test_layer_graph_matches_layers_from():
+    """Built out to every state, each shape's graph holds every
+    sub-partition, each state's transitions are its _layers_from as a set,
+    with _depth of the target, sorted by depth, and no transition goes to
+    a smaller id; a larger id never has fewer cells."""
+    for shape in partitions_up_to(7):
+        parts = shape.parts
+        graph = LayerGraph(parts)
+        _walk_whole(graph)
+        assert set(graph.ids) == set(sub_partitions(shape)), shape
+        assert all(graph.ids[mu] == s for s, mu in graph.states.items())
+        by_id = sorted(graph.states)
+        assert by_id[0] == graph.start
+        sizes = [sum(graph.states[s]) for s in by_id]
+        assert sizes == sorted(sizes), shape
+        for s, mu in graph.states.items():
+            assert graph.depth[s] == _depth(parts, mu)
+            transitions = graph.transitions(s)
+            depths = [d for _, d, _ in transitions]
+            assert depths == sorted(depths), (shape, mu)
+            got = {(graph.groups[g], d, graph.layers[layer]) for g, d, layer in transitions}
+            assert len(got) == len(transitions)
+            assert got == {
+                ((nu, v, h), _depth(parts, nu), cells)
+                for nu, v, h, cells in _layers_from(parts, mu)
+            }, (shape, mu)
+            for g, _, _ in transitions:
+                assert graph.targets[g] > s
+                assert graph.states[graph.targets[g]] == graph.groups[g][0]
+
+
+def test_layer_graph_walks_every_filling():
+    """Each ordered filling's chain of sub-partitions, one per value, steps
+    along the graph's transitions (a value no cell holds stays put), and
+    its layers' pair counts add up to the filling's; with the counts equal
+    to the enumeration's, the graph's chains are exactly the fillings."""
+    for shape in partitions_up_to(6):
+        parts = shape.parts
+        graph = LayerGraph(parts)
+        _walk_whole(graph)
+        steps = {}
+        for s in graph.states:
+            for g, _, _ in graph.transitions(s):
+                steps[graph.states[s], graph.groups[g][0]] = graph.groups[g][1:]
+        for rows, v, h in iter_filling_rows(shape, 5):
+            chain = [tuple(sum(1 for x in row if x <= M) for row in rows) for M in range(5)]
+            total_v = total_h = 0
+            for mu, nu in zip(chain, chain[1:]):
+                if mu != nu:
+                    dv, dh = steps[mu, nu]
+                    total_v, total_h = total_v + dv, total_h + dh
+            assert (total_v, total_h) == (v, h), (shape, rows)
+        for N in range(1, 8):
+            assert count_oyt(shape, N) == sum(1 for _ in iter_filling_rows(shape, N)), (shape, N)
+
+
+def _reached(parts, N):
+    """The sub-partitions a walk with N - 1 values steps into: those that
+    the fewest layers to build them and the fewest to complete the shape
+    from them fit together."""
+    shape = Partition(parts)
+    return {
+        mu for mu in sub_partitions(shape)
+        if _depth(mu, (0,) * len(mu)) + _depth(parts, mu) <= N - 1
+    }
+
+
+def test_layer_graph_holds_only_what_walks_reach():
+    """A walk builds the states it steps into and no others: at (7^7)@3
+    the longest diagonal rules out every filling before any step, and at
+    (5^5)@6 and (32,32)@4 the graph holds exactly the states the depth cut
+    lets a walk reach."""
+    rational = values.rational_map()
+    layer_graph.cache_clear()
+    square = Partition((7,) * 7)
+    tab = values.diagonal_tableau(square, values.DiagonalWeights({d: 2 for d in range(-6, 7)}))
+    assert values.schur_value(tab, 3, rational) == TPoly.zero(QQ)
+    graph = layer_graph(square.parts)
+    assert list(graph.states) == [graph.start] and graph.groups == []
+    for parts, N in (((5,) * 5, 4), ((5,) * 5, 6), ((32, 32), 4)):
+        shape = Partition(parts)
+        labels = values.DiagonalWeights({d: 2 for d in values.required_offsets(shape)})
+        values.schur_value(values.diagonal_tableau(shape, labels), N, rational)
+        assert set(layer_graph(parts).ids) == _reached(parts, N) | {(0,) * len(parts)}, parts
+    layer_graph.cache_clear()
+    count_oyt(Partition((5,) * 5), 6)
+    assert set(layer_graph((5,) * 5).ids) == _reached((5,) * 5, 6)
+
+
 def test_wide_shape_walks_few_states():
     """(32,32) has 561 sub-partitions, but at N = 4 the walk reaches only
     those a diagonal of at most three values allows; only theirs are built."""
     shape = Partition((32, 32))
     assert len(list(sub_partitions(shape))) == 561
-    _layers_from.cache_clear()
+    layer_graph.cache_clear()
     assert count_oyt(shape, 4) > 0
-    assert _layers_from.cache_info().currsize < 561 // 4
+    assert len(layer_graph(shape.parts).states) < 561 // 4
+
+
+def test_layer_graph_shared_by_threads():
+    """Eight threads walk one fresh graph at once, each through the bounds
+    in its own order, with the interpreter switching threads every
+    microsecond: every count matches a lone walk's, and no sub-partition
+    got two ids.  Five rounds, each on a new graph."""
+    shape = Partition((4, 4, 3, 2))
+    bounds = list(range(2, 10))
+    expected = {N: count_oyt(shape, N) for N in bounds}
+
+    def work(k, results, errors):
+        try:
+            order = bounds[k % len(bounds):] + bounds[:k % len(bounds)]
+            results.extend((N, count_oyt(shape, N)) for N in order)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            layer_graph.cache_clear()
+            graph = layer_graph(shape.parts)
+            results, errors = [], []
+            threads = [
+                threading.Thread(target=work, args=(k, results, errors)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(results) == 8 * len(bounds)
+            assert all(count == expected[N] for N, count in results)
+            assert layer_graph(shape.parts) is graph
+            assert len(graph.ids) == len(graph.states) == len(set(graph.ids.values()))
+    finally:
+        sys.setswitchinterval(interval)

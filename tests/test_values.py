@@ -574,11 +574,12 @@ def test_specialization_at_zero_matches_strict_vertical_fillings():
     ids=["rational", "qseries8", "qsym"],
 )
 def test_schur_value_matches_enumeration(cmap, weight_range):
-    """Arbitrary tableaux, every shape with at most 6 cells, N = 1..5."""
+    """Arbitrary tableaux, every shape with at most 6 cells (the empty one
+    too), N = 1..7."""
     rng = random.Random(24)
     lo, hi = weight_range
     for shape in partitions_up_to(6):
-        for N in range(1, 6):
+        for N in range(1, 8):
             rows = [[rng.randint(lo, hi) for _ in range(p)] for p in shape.parts]
             tab = Tableau(shape, rows)
             assert schur_value(tab, N, cmap) == filling_sum_oracle(tab, N, cmap), (
