@@ -4,10 +4,11 @@ Cells are addressed 1-based as (row, column).  A partition's diagram
 contains (i, j) iff i <= height and j <= parts[i-1].  Ordered fillings
 increase weakly along rows and columns and strictly along diagonal steps
 (i, j) -> (i+1, j+1); their vertical/horizontal equality counts drive the
-t-interpolation weights downstream.  They are counted and summed one value
-at a time, over the layers out of each sub-partition a filling can reach
-(the shape's ``LayerGraph``); the filling-by-filling enumeration is the
-tests' independent oracle, in ``tests/filling_enumeration.py``.
+t-interpolation weights downstream.  One driver, ``walk``, counts and sums
+them one value at a time over the shape's ``LayerGraph``, the layers out
+of each sub-partition a filling can reach; its callers only say how a
+state takes a step.  The filling-by-filling enumeration is the tests'
+independent oracle, in ``tests/filling_enumeration.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -130,29 +131,34 @@ class Tableau:
 
 
 def count_oyt(shape: Partition, N: int) -> int:
-    """Number of ordered fillings with entries in 1..N-1: chains of N-1
-    layers from the empty sub-partition, every layer counting one, walked
-    over the shape's ``LayerGraph`` as ``values.schur_value`` walks it."""
+    """Number of ordered fillings with entries in 1..N-1: the sum over l of
+    s_l C(N-1, l), s_l the fillings that use exactly the values 1..l.
+
+    An order-preserving relabelling of the values keeps a filling ordered
+    and keeps its v and h, so each filling by l distinct values of 1..N-1
+    is one of C(N-1, l) relabellings of one by exactly 1..l.  No filling
+    uses more values than cells, so ``walk`` takes min(N-1, cells) steps,
+    none idle, and reads s_l off step l: the walk does not grow with N."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    graph = layer_graph(shape.parts)
-    depth, targets = graph.depth, graph.targets
-    if depth[graph.start] >= N:  # a diagonal longer than the N-1 values
-        return 0
-    counts = {graph.start: 1}
-    for M in range(1, N):
-        remaining = N - 1 - M  # values left after M: deeper states are dead
-        new = {s: c for s, c in counts.items() if depth[s] <= remaining}
-        for s, c in counts.items():
-            for g, d, _ in graph.transitions(s):
+    parts = shape.parts
+    graph = layer_graph(parts)
+    targets = graph.targets
+    exact = [int(not parts)]  # s_0, s_1, ...
+
+    def step(M, remaining, sources, new):
+        for _, c, transitions in sources:
+            for g, d, _ in transitions:
                 if d > remaining:
                     break
                 t = targets[g]
                 if t is None:
                     t = graph.reach(g)
                 new[t] = new.get(t, 0) + c
-        counts = new
-    return counts.get(graph.ids.get(shape.parts), 0)
+        exact.append(new.get(graph.ids.get(parts), 0))
+
+    walk(parts, min(N, shape.size + 1), 1, step, idle=False)
+    return sum(s * math.comb(N - 1, l) for l, s in enumerate(exact))
 
 
 @dataclass(frozen=True)
@@ -238,12 +244,11 @@ def admissible_baselines(shape: Partition) -> Iterator[tuple[int, ...]]:
 # cells holding entries <= M form a sub-partition mu_M of the shape, and
 # the cells equal to M form the layer mu_M / mu_(M-1), with no two cells
 # (i, j), (i+1, j+1).  Conversely every chain of sub-partitions whose steps
-# are layers is exactly one filling, and its equality counts are the sums
-# of the layers' vertical and horizontal pairs: the single-layer picture of
-# build_bit_tableau, one value at a time.  A sub-partition is its parts
-# padded with zeros to the shape's height.  Each shape has one LayerGraph of
-# these steps (``layer_graph``); a state's transitions are built when a walk
-# first reaches it, and kept.
+# are layers or idle (a value no cell holds) is exactly one filling, and its
+# equality counts are the sums of the layers' vertical and horizontal pairs:
+# the single-layer picture of build_bit_tableau, one value at a time.  A
+# sub-partition is its parts padded with zeros to the shape's height; each
+# shape's one LayerGraph holds these steps, and ``walk`` steps over it.
 
 
 class LayerGraph:
@@ -351,6 +356,32 @@ class LayerGraph:
 def layer_graph(parts: tuple[int, ...]) -> LayerGraph:
     """The one ``LayerGraph`` of the shape with these parts."""
     return LayerGraph(parts)
+
+
+def walk(parts: tuple[int, ...], N: int, one: Any, step: Callable, idle: bool = True) -> Any:
+    """The transfer walk of the fillings by 1..N-1 over the shape's
+    ``LayerGraph``, from ``one`` at the empty state: the full shape's state
+    after value N-1, or None if no chain reaches it.
+
+    For M = 1..N-1 it calls step(M, remaining, sources, new): ``remaining``
+    = N-1-M values are left; ``sources`` are the live (id, state,
+    transitions) as the walk reached them; the step adds their layers into
+    ``new`` (by state id), each source up to its first transition deeper
+    than ``remaining``.  With ``idle`` a state may skip M: ``new`` starts
+    with each live state, the same object, so a step that adds into states
+    in place reads the sources by descending id, which no transition lowers."""
+    graph = layer_graph(parts)
+    depth = graph.depth
+    if depth[graph.start] >= N:  # a diagonal longer than the N-1 values: no filling
+        return None
+    by_state = {graph.start: one}
+    for M in range(1, N):
+        remaining = N - 1 - M  # values left after M: deeper states are dead
+        sources = [(s, x, graph.transitions(s)) for s, x in by_state.items()]
+        new = {s: x for s, x in by_state.items() if depth[s] <= remaining} if idle else {}
+        step(M, remaining, sources, new)
+        by_state = new
+    return by_state.get(graph.ids.get(parts))
 
 
 def _depth(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:

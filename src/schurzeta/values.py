@@ -37,9 +37,7 @@ substitution), so every step is one big-integer operation; the slot width
 b comes from an a-priori bound on the coefficients, proved in
 ``schur_value`` and ``_linear_bits``.  The merge expansion is not packed.
 When every f(k, m) is one monomial, as over the quasi-symmetric map, a
-Schur walk state is one dict of tagged keys (``rings.PackedTerms``): a
-packed monomial with t^v (1-t)^h in two fields above it, so a layer step
-adds one key to each key, and (1-t)^h is expanded once, at the decode.
+Schur walk state is one dict of tagged keys (``rings.PackedTerms``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError
@@ -67,7 +65,7 @@ from .rings import (
     _trimmed,
     q_integer,
 )
-from .shapes import Partition, Tableau, layer_graph
+from .shapes import LayerGraph, Partition, Tableau, layer_graph, walk
 
 
 @dataclass(frozen=True)
@@ -327,20 +325,12 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     """Sum over all ordered fillings of the shape, each contributing
     t^v (1-t)^h times the product of f(label, entry) over the cells.
 
-    Computed one value at a time: after value M each sub-partition mu
-    that a filling by 1..M can reach carries the sum over those fillings,
-    and value M+1 extends them by the layers nu/mu, each weighing
-    t^v (1-t)^h times the product of f(label, M+1) over its cells.  The
-    walk steps over the shape's ``shapes.LayerGraph``, built as walks reach
-    it and kept: states, (nu, v, h) groups and layers are int ids, a
-    layer's weight is computed once per value into a list by layer id, and
-    the sources' products are summed per group before the group's
-    t^v (1-t)^h is applied once.  Each state's transitions are sorted by
-    the depth of their target (its longest remaining diagonal), so the walk
-    stops at the first target deeper than the values left, and only the
-    states live at M are walked.  The cost is polynomial in N and in the
-    number of sub-partitions; the result has degree at most
-    (cell count - 1) in t.
+    Computed one value at a time by ``shapes.walk``: after value M each
+    sub-partition mu that a filling by 1..M can reach carries the sum over
+    those fillings, and value M+1 extends them by the layers nu/mu, each
+    weighing t^v (1-t)^h times the product of f(label, M+1) over its cells
+    (``_group_step``).  The cost is polynomial in N and in the number of
+    sub-partitions; the result has degree at most (cell count - 1) in t.
 
     Over a map's integer form each state's t-polynomial p is one ``int``,
     p(2^b): a layer step is one big-integer multiply-add, t^v is a shift
@@ -367,11 +357,9 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     needs the bound.
 
     When every f(label, M) is one monomial with coefficient 1, the walk
-    runs on tagged keys (``_tagged_walk``): a state is one dict from keys to
-    positive counts, each key a packed monomial plus v and h in two 64-bit
-    fields above every field a key of f uses, for t^v (1-t)^h times the
-    monomial.  A layer weight is one key, its cells' keys plus its v and h,
-    added to every key of the source; ``rings.PackedTerms`` expands
+    runs on tagged keys (``_tagged_step``): a key is a packed monomial plus
+    v and h in two 64-bit fields above every field a key of f uses, for
+    t^v (1-t)^h times the monomial, and ``rings.PackedTerms`` expands
     (1-t)^h once, at the decode.  No field carries: an exponent is at most
     X, the sum over cells of the cell's largest exponent, and the walk
     takes this route only when X <= 2^64 - 1; v counts the cells with an
@@ -396,34 +384,34 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     parts = weights.shape.parts
     labels = [k for row in weights.rows for k in row]  # by cell number
     graph = layer_graph(parts)
-    if graph.depth[graph.start] >= N:  # a diagonal longer than the N-1 values: no filling
+    if graph.depth[graph.start] >= N:  # no filling: the rows below are not needed
         return TPoly.zero(ring)
     rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
-    if ring is not _ZZ:
-        tagged = PackedTerms.weights(rows)
-        if tagged is not None:
-            return TPoly(ring, tagged.coefficients(_tagged_walk(parts, N, tagged)))
-    # Each live state carries a t-polynomial that supports +=, -=, * by a
-    # layer weight, and << b for * t.
     if ring is _ZZ:
         b = _slot_bits(parts, labels, N, cmap)
-        by_state: dict[int, Any] = {graph.start: 1}
-    else:
-        b = 1
-        by_state = {graph.start: _Coefficients([ring.one], ring.zero)}
-    depth, groups, targets, layers = graph.depth, graph.groups, graph.targets, graph.layers
-    for M in range(1, N):
-        remaining = N - 1 - M  # values left after M: deeper states are dead
+        value = walk(parts, N, 1, _group_step(graph, rows, b))
+        return TPoly(ring, _signed_digits(value or 0, b))
+    tagged = PackedTerms.weights(rows)
+    if tagged is not None:
+        terms = walk(parts, N, {0: 1}, _tagged_step(graph, tagged))
+        return TPoly(ring, tagged.coefficients(terms or {}))
+    value = walk(parts, N, _Coefficients([ring.one], ring.zero), _group_step(graph, rows, 1))
+    return TPoly(ring, () if value is None else value.coeffs)
+
+
+def _group_step(graph: LayerGraph, rows: list, bits: int) -> Callable:
+    """The ``shapes.walk`` step on t-polynomials with +, -, * by a layer
+    weight and << bits for * t (packed ints or ``_Coefficients``).  Layer
+    weights are computed once per value, by layer id; the sources' products
+    are summed per group (target, v, h), and t^v (1-t)^h times each sum."""
+
+    def step(M, remaining, sources, new):
         f = rows[M - 1]
-        # The sources' transitions are built first, so that the lists by
-        # layer and by group id below cover every id they name.
-        steps = [(poly, graph.transitions(s)) for s, poly in by_state.items()]
-        layer_weights: list = [None] * len(layers)
-        # Per group (target, v, h): the sum of the source states, each
-        # times its layer's weight, for the groups in ``used``.
+        groups, targets, layers, b = graph.groups, graph.targets, graph.layers, bits
+        layer_weights: list = [None] * len(layers)  # the sources' ids are all built
         sums: list = [None] * len(groups)
         used = []
-        for poly, transitions in steps:
+        for _, poly, transitions in sources:
             for g, d, layer in transitions:
                 if d > remaining:
                     break
@@ -436,7 +424,6 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
                     used.append(g)
                 else:
                     sums[g] = acc + poly * w
-        new = {s: p for s, p in by_state.items() if depth[s] <= remaining}
         for g in used:
             acc = sums[g]
             _, v, h = groups[g]
@@ -447,48 +434,31 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
             if s is None:
                 s = graph.reach(g)
             old = new.get(s)
-            if old is None:
-                new[s] = acc
-            else:
-                old += acc
-                new[s] = old
-        by_state = new
-    value = by_state.get(graph.ids.get(parts))
-    if value is None:
-        return TPoly.zero(ring)
-    if ring is _ZZ:
-        return TPoly(ring, _signed_digits(value, b))
-    return TPoly(ring, value.coeffs)
+            new[s] = acc if old is None else old + acc
+
+    return step
 
 
-def _tagged_walk(parts: tuple[int, ...], N: int, tagged: PackedTerms) -> dict:
-    """The Schur walk of ``_schur_value`` on ``rings.PackedTerms``' tagged
-    keys: the full shape's state, a dict from tagged keys to counts.
+def _tagged_step(graph: LayerGraph, tagged: PackedTerms) -> Callable:
+    """The ``shapes.walk`` step on dicts from ``rings.PackedTerms``' tagged
+    keys to counts.  A layer's weight is one key, its cells' keys plus the
+    tag of its t^v (1-t)^h (v and h depend on the cells alone), added to
+    every key of the source straight into the target's dict, with no
+    per-group sum.  The sources go largest id first, so a dict the walk
+    carried over unchanged is read before any layer adds into it."""
 
-    A layer's weight is one key, its cells' keys plus the tag of its
-    t^v (1-t)^h (v and h depend on the cells alone), and a step adds it to
-    every key of the source state, into the target's dict.  The sources go
-    by descending id, so largest first: a state carried over unchanged
-    (the same dict) has been read before any step adds into it."""
-    graph = layer_graph(parts)
-    by_state: dict[int, dict] = {graph.start: {0: 1}}
-    depth, groups, targets, layers = graph.depth, graph.groups, graph.targets, graph.layers
-    for M in range(1, N):
-        remaining = N - 1 - M
+    def step(M, remaining, sources, new):
         f = tagged.keys[M - 1]
-        steps = [(by_state[s], graph.transitions(s)) for s in sorted(by_state, reverse=True)]
+        groups, targets, layers, tag = graph.groups, graph.targets, graph.layers, tagged.tag
         layer_weights: list = [None] * len(layers)
-        new = {s: terms for s, terms in by_state.items() if depth[s] <= remaining}
-        for terms, transitions in steps:
+        for _, terms, transitions in sorted(sources, key=itemgetter(0), reverse=True):
             for g, d, layer in transitions:
                 if d > remaining:
                     break
                 w = layer_weights[layer]
                 if w is None:
                     _, v, h = groups[g]
-                    w = layer_weights[layer] = (
-                        sum(map(f.__getitem__, layers[layer])) + tagged.tag(v, h)
-                    )
+                    w = layer_weights[layer] = sum(map(f.__getitem__, layers[layer])) + tag(v, h)
                 s = targets[g]
                 if s is None:
                     s = graph.reach(g)
@@ -500,8 +470,8 @@ def _tagged_walk(parts: tuple[int, ...], N: int, tagged: PackedTerms) -> dict:
                 for key, c in terms.items():
                     key += w
                     target[key] = get(key, 0) + c
-        by_state = new
-    return by_state.get(graph.ids.get(parts), {})
+
+    return step
 
 
 def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:
@@ -573,8 +543,6 @@ class _Coefficients:
 
     def __lshift__(self, n: int) -> "_Coefficients":
         return _Coefficients([self.zero] * n + self.coeffs, self.zero)
-
-
 
 
 def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:

@@ -117,6 +117,13 @@ def test_oyt_count(capsys):
     assert payload["count"] == 17
 
 
+def test_oyt_count_at_a_billion_is_answered(capsys):
+    code, payload, _ = run_json(["oyt-count", "--shape", "[2,1]", "--N", "1000000000"], capsys)
+    assert code == 0
+    n = 10**9 - 1
+    assert payload["count"] == n * (n + 1) * (2 * n + 1) // 6
+
+
 def test_jt_verify_single_instance(capsys):
     code, payload, _ = run_json(
         [

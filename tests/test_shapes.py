@@ -192,6 +192,25 @@ def test_oyt_counts_large_n_closed_forms():
         count_oyt(Partition((1,)), 0)
 
 
+def test_oyt_counts_past_the_cell_count():
+    """Past N - 1 = cells the count takes one step per cell and sums
+    binomials, where the walk by values took one step per value."""
+    for shape in partitions_up_to(6):
+        for N in range(1, shape.size + 3):
+            assert count_oyt(shape, N) == sum(1 for _ in iter_filling_rows(shape, N)), (shape, N)
+
+
+def test_oyt_counts_closed_forms_at_a_billion():
+    N = 10**9
+    assert count_oyt(Partition(()), N) == 1
+    for n in range(1, 7):
+        expected = math.comb(n + N - 2, n)
+        assert count_oyt(Partition((n,)), N) == expected
+        assert count_oyt(Partition((1,) * n), N) == expected
+    n = N - 1  # (2,1): a <= b and a <= c, over the choices of a
+    assert count_oyt(Partition((2, 1)), N) == n * (n + 1) * (2 * n + 1) // 6
+
+
 def test_oyt_transpose_swaps_counts():
     for shape in partitions_up_to(5, include_empty=False):
         for rows, v_count, h_count in iter_filling_rows(shape, 4):
@@ -400,11 +419,17 @@ def _reached(parts, N):
     }
 
 
-def test_layer_graph_holds_only_what_walks_reach():
+def _refuse(*_):
+    raise AssertionError("the walk took the other route")
+
+
+def test_layer_graph_holds_only_what_walks_reach(monkeypatch):
     """A walk builds the states it steps into and no others: at (7^7)@3
     the longest diagonal rules out every filling before any step, and at
     (5^5)@6 and (32,32)@4 the graph holds exactly the states the depth cut
-    lets a walk reach."""
+    lets a walk reach.  Every state form shares that one cut: the tagged
+    qsym step, the ``qseries:8`` coefficient lists and the N-free count
+    reach exactly the same states, where the cut leaves some out."""
     rational = values.rational_map()
     layer_graph.cache_clear()
     square = Partition((7,) * 7)
@@ -420,6 +445,22 @@ def test_layer_graph_holds_only_what_walks_reach():
     layer_graph.cache_clear()
     count_oyt(Partition((5,) * 5), 6)
     assert set(layer_graph((5,) * 5).ids) == _reached((5,) * 5, 6)
+    cut = (((4, 4, 4), 4), ((5, 5, 5), 5), ((6, 6), 4))
+    for parts, N in cut:
+        assert len(_reached(parts, N)) < len(list(sub_partitions(Partition(parts))))
+        layer_graph.cache_clear()
+        count_oyt(Partition(parts), N)
+        assert set(layer_graph(parts).ids) == _reached(parts, N), parts
+    for spec, refused in (("qsym", "_Coefficients"), ("qseries:8", "_tagged_step")):
+        cmap = values.coefficient_map_for(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(values, refused, _refuse)
+            for parts, N in cut:
+                shape = Partition(parts)
+                labels = values.DiagonalWeights({d: 2 for d in values.required_offsets(shape)})
+                layer_graph.cache_clear()
+                values.schur_value(values.diagonal_tableau(shape, labels), N, cmap)
+                assert set(layer_graph(parts).ids) == _reached(parts, N), (spec, parts)
 
 
 def test_wide_shape_walks_few_states():

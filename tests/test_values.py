@@ -22,7 +22,9 @@ from schurzeta.rings import (
 from schurzeta.shapes import (
     Partition,
     Tableau,
+    layer_graph,
     partitions_up_to,
+    walk,
 )
 from schurzeta.values import (
     CoefficientMap,
@@ -618,14 +620,14 @@ def test_packed_qsym_walk_matches_enumeration(monkeypatch):
 
 def _on_both_routes(tab, N, monkeypatch):
     """The qsym value of tab at N from the tagged walk (the coefficient
-    list refused), and from the coefficient list (the tagged walk refused,
+    list refused), and from the coefficient list (the tagged step refused,
     ``PackedTerms.weights`` patched to decline every map)."""
     with monkeypatch.context() as patch:
         patch.setattr(values, "_Coefficients", _refuse)
         tagged = schur_value(tab, N, quasisymmetric_map())
     with monkeypatch.context() as patch:
         patch.setattr(PackedTerms, "weights", staticmethod(lambda rows: None))
-        patch.setattr(values, "_tagged_walk", _refuse)
+        patch.setattr(values, "_tagged_step", _refuse)
         listed = schur_value(tab, N, quasisymmetric_map())
     return tagged, listed
 
@@ -650,7 +652,7 @@ def test_tagged_decode_expands_long_runs_of_equal_neighbours(parts, N, monkeypat
     cmap = quasisymmetric_map()
     rows = [[cmap(k, M) for row in tab.rows for k in row] for M in range(1, N)]
     tagged = PackedTerms.weights(rows)
-    state = values._tagged_walk(parts, N, tagged)
+    state = walk(parts, N, {0: 1}, values._tagged_step(layer_graph(parts), tagged))
     assert max(key >> (tagged.shift + 64) for key in state) == sum(parts) - len(parts)
     value, listed = _on_both_routes(tab, N, monkeypatch)
     assert value == filling_sum_oracle(tab, N, cmap) == listed
