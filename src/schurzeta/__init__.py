@@ -42,10 +42,8 @@ from .values import (
     schur_value,
 )
 from .lattice import (
-    LayerReport,
     Vertex,
     black,
-    layer_check,
     lgv_determinant,
     lgv_signed_sum,
     path_matrix,
@@ -54,11 +52,6 @@ from .lattice import (
     schur_scenario_sum,
     white,
 )
-from .jacobi_trudi import (
-    JTReport,
-    PalindromeReport,
-    verify_jacobi_trudi,
-    verify_palindromic_matrix,
-)
+from .jacobi_trudi import PalindromeReport, verify_palindromic_matrix
 
 __version__ = "0.1.0"

@@ -13,15 +13,15 @@ Entries with index length zero are one, with negative length zero.  Only
 the H side has a matrix builder.  The E matrix of a shape is, entry by
 entry, the H matrix of the conjugate shape on the reflected window
 (offset d carries a_(-d)) at 1-t; since t -> 1-t is a ring homomorphism,
-det E is that H determinant with t -> 1-t substituted once.  The entries
-of one H column are prefixes of a single run of offsets, so each column
-comes from one prefix DP (``linear_value_prefixes``) instead of one
-``linear_value`` call per entry.
+det E is that H determinant with t -> 1-t substituted once
+(``_determinants``).  The entries of one H column are prefixes of a single
+run of offsets, so each column comes from one prefix DP
+(``linear_value_prefixes``) instead of one ``linear_value`` call per entry.
 
-Entries, determinants and the Schur value stay undivided
-(``rings.ScaledPoly``): over the rational map they are integer numerators,
-t -> 1-t is substituted on them, and the sides are compared so; the
-reports divide only when a ``TPoly`` field is read.
+Entries and determinants stay undivided (``rings.ScaledPoly``): over the
+rational map they are integer numerators, t -> 1-t is substituted on them,
+and the checks in ``sweeps`` compare them so.  ``PalindromeReport``
+divides only when a ``TPoly`` field is read.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .values import (
     CoefficientMap,
     DiagonalWeights,
     _scaled_linear_value_prefixes,
-    _scaled_schur_value,
-    diagonal_tableau,
     linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
     rational_map,
 )
@@ -63,45 +61,17 @@ def _h_matrix(
     return [list(row) for row in zip(*columns)]
 
 
-@dataclass(frozen=True)
-class JTReport:
-    """Direct Schur value and both determinants for one instance, kept
-    undivided; ``schur``, ``det_h`` and ``det_e`` divide on access."""
-
-    shape: Partition
-    N: int
-    schur_scaled: ScaledPoly
-    det_h_scaled: ScaledPoly
-    det_e_scaled: ScaledPoly
-    equal: bool
-
-    @property
-    def schur(self) -> TPoly:
-        return self.schur_scaled.divided()
-
-    @property
-    def det_h(self) -> TPoly:
-        return self.det_h_scaled.divided()
-
-    @property
-    def det_e(self) -> TPoly:
-        return self.det_e_scaled.divided()
-
-
-def verify_jacobi_trudi(
+def _determinants(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
-) -> JTReport:
-    """Compute the Schur value of the diagonal-constant tableau and both
-    determinants, and compare all three undivided."""
-    schur = _scaled_schur_value(diagonal_tableau(shape, weights), N, cmap)
+) -> tuple[ScaledPoly, ScaledPoly]:
+    """(det H, det E) of the diagonal-constant tableau, undivided; no Schur
+    walk runs."""
     det_h = _scaled_determinant(_h_matrix(shape, N, cmap, weights), cmap.ring)
     # E(shape, a) is H(shape', a reflected) entrywise at 1-t, and t -> 1-t is
     # a ring homomorphism, so one substitution of one determinant gives det E.
     reflected = DiagonalWeights({-d: k for d, k in weights.items()})
     e_at_t = _h_matrix(shape.conjugate(), N, cmap, reflected)
-    det_e = _scaled_determinant(e_at_t, cmap.ring).subs_one_minus_t()
-    equal = schur == det_h and det_h == det_e
-    return JTReport(shape, N, schur, det_h, det_e, equal)
+    return det_h, _scaled_determinant(e_at_t, cmap.ring).subs_one_minus_t()
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
 from .rings import Element, ScaledPoly, TPoly, _scaled_determinant
-from .shapes import BitStats, BitTableau, Partition, bit_tableau_stats, build_bit_tableau
+from .shapes import BitStats, BitTableau, Partition
 from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_each
 
 
@@ -414,50 +413,20 @@ def layer_endpoints(
     return sources, sinks
 
 
-@dataclass(frozen=True)
-class LayerReport:
-    """Both sides of the single-layer identity for one (shape, b, M), kept
-    undivided; ``predicted`` and ``signed_sum`` divide on access."""
-
-    shape: Partition
-    b: tuple[int, ...]
-    M: int
-    bit_tableau: BitTableau
-    stats: BitStats
-    predicted_scaled: ScaledPoly
-    signed_sum_scaled: ScaledPoly
-    equal: bool
-
-    @property
-    def predicted(self) -> TPoly:
-        return self.predicted_scaled.divided()
-
-    @property
-    def signed_sum(self) -> TPoly:
-        return self.signed_sum_scaled.divided()
-
-
-def layer_check(
-    shape: Partition,
-    b: Sequence[int],
-    M: int,
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-) -> LayerReport:
-    """Check the one-layer step: the signed path-system sum from height M to
-    height M-1 against its closed form.
+def _layer_sides(
+    bt: BitTableau, stats: BitStats, M: int, cmap: CoefficientMap, weights: DiagonalWeights
+) -> tuple[ScaledPoly, ScaledPoly]:
+    """The two sides of the one-layer step for the zero-one tableau bt
+    (``shapes.build_bit_tableau``) with its stats, undivided: the closed
+    form, and the signed path-system sum from height M to height M-1.
 
     The closed form is the product of f(a_(j-i), M) over the one-cells of
     the zero-one tableau, times t^v1 (1-t)^h1, when no two diagonal
-    neighbors are both one; otherwise zero.  Both sides are compared
-    undivided: over the rational map the closed form is an integer
-    binomial row over L^K, L = lcm(1..M), like the signed sum.
+    neighbors are both one; otherwise zero.  Over the rational map it is an
+    integer binomial row over L^K, L = lcm(1..M), like the signed sum.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
-    bt = build_bit_tableau(shape, b)
-    stats = bit_tableau_stats(bt)
-
     if stats.one_ordered:
         offsets = [j - i for i, row in enumerate(bt.rows, 1) for j, f in enumerate(row, 1) if f]
         # An offset outside the window raises in the closed form, in cell order.
@@ -467,14 +436,8 @@ def layer_check(
         )
     else:
         predicted = ScaledPoly(TPoly.zero(cmap.ring))
-
-    if shape.width == 0:
-        signed = ScaledPoly(TPoly.one(cmap.ring))
-    else:
-        sources, sinks = layer_endpoints(shape, bt.b, M)
-        signed = _scaled_lgv_signed_sum(sources, sinks, cmap, weights)
-
-    return LayerReport(shape, bt.b, M, bt, stats, predicted, signed, signed == predicted)
+    sources, sinks = layer_endpoints(bt.shape, bt.b, M)
+    return predicted, _scaled_lgv_signed_sum(sources, sinks, cmap, weights)
 
 
 def _layer_closed_form(

@@ -27,20 +27,27 @@ from itertools import product
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
 
-from .jacobi_trudi import verify_jacobi_trudi, verify_palindromic_matrix
+from .jacobi_trudi import _determinants, verify_palindromic_matrix
 from .lattice import (
+    _layer_sides,
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
-    layer_check,
     schur_path_endpoints,
     white,
 )
 from .rings import ScaledPoly, _scaled_determinant, format_numerators
-from .shapes import Partition, Tableau, admissible_baselines, build_bit_tableau, partitions_up_to
+from .shapes import (
+    Partition,
+    Tableau,
+    admissible_baselines,
+    bit_tableau_stats,
+    build_bit_tableau,
+    partitions_up_to,
+)
 from .values import (
     DiagonalWeights,
     _route_walk,
-    _scaled_linear_value,
+    _scaled_linear_value_prefixes,
     _scaled_schur_value,
     coefficient_map_for,
     diagonal_tableau,
@@ -96,17 +103,18 @@ def _instance_weights(flags, shape: Partition) -> DiagonalWeights:
 # Jacobi-Trudi: Schur value vs. both determinants.
 
 def _check_jt(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
-    rep = verify_jacobi_trudi(shape, N, cmap, weights)
-    schur, det_h, det_e = _rendered(
-        rep.equal, rep.schur_scaled, rep.det_h_scaled, rep.det_e_scaled)
+    schur = _scaled_schur_value(diagonal_tableau(shape, weights), N, cmap)
+    det_h, det_e = _determinants(shape, N, cmap, weights)
+    equal = schur == det_h and det_h == det_e
+    schur_json, det_h_json, det_e_json = _rendered(equal, schur, det_h, det_e)
     return {
         "shape": list(shape.parts),
         "N": N,
         "diagonal": weights.to_json(),
-        "schur": schur,
-        "detH": det_h,
-        "detE": det_e,
-        "equal": rep.equal,
+        "schur": schur_json,
+        "detH": det_h_json,
+        "detE": det_e_json,
+        "equal": equal,
     }
 
 
@@ -229,19 +237,22 @@ def _single_lgv(flags) -> dict:
 def _check_layer(
     shape: Partition, b: Sequence[int], M: int, cmap, weights: DiagonalWeights
 ) -> dict:
-    rep = layer_check(shape, b, M, cmap, weights)
-    predicted, signed = _rendered(rep.equal, rep.predicted_scaled, rep.signed_sum_scaled)
+    bt = build_bit_tableau(shape, b)
+    stats = bit_tableau_stats(bt)
+    predicted, signed = _layer_sides(bt, stats, M, cmap, weights)
+    equal = signed == predicted
+    predicted_json, signed_json = _rendered(equal, predicted, signed)
     return {
         "shape": list(shape.parts),
-        "b": list(rep.b),
+        "b": list(bt.b),
         "M": M,
         "diagonal": weights.to_json(),
-        "one_ordered": rep.stats.one_ordered,
-        "v1": rep.stats.v1,
-        "h1": rep.stats.h1,
-        "predicted": predicted,
-        "signed_sum": signed,
-        "equal": rep.equal,
+        "one_ordered": stats.one_ordered,
+        "v1": stats.v1,
+        "h1": stats.h1,
+        "predicted": predicted_json,
+        "signed_sum": signed_json,
+        "equal": equal,
     }
 
 
@@ -286,7 +297,7 @@ def _single_layer(flags) -> dict:
 
 def _check_path_linear(i: int, j: int, N: int, cmap, weights: DiagonalWeights) -> dict:
     [[by_path]] = _scaled_path_matrix((white(i, N - 1),), (white(j + 1, 0),), cmap, weights)
-    direct = _scaled_linear_value([weights[d] for d in range(j, i - 1, -1)], N, cmap)
+    direct = _scaled_linear_value_prefixes([weights[d] for d in range(j, i - 1, -1)], N, cmap)[-1]
     equal = by_path == direct
     path_json, linear_json = _rendered(equal, by_path, direct)
     return {

@@ -337,7 +337,7 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     by b*v, and a factor 1 - t is p - (p << b).  Over any other ring p is
     a coefficient list with the same operations, and the walk is the same
     code.  The value is decoded once, into signed digits in base 2^b
-    (``_signed_digits``), which are its coefficients c_k when every
+    (``_decoded``), which are its coefficients c_k when every
     |c_k| < 2^(b-1).  ``_slot_bits`` takes b one bit longer than the bit
     length of the bound X below, so |c_k| <= X < 2^(b-1).
 
@@ -387,16 +387,13 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     if graph.depth[graph.start] >= N:  # no filling: the rows below are not needed
         return TPoly.zero(ring)
     rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
-    if ring is _ZZ:
-        b = _slot_bits(parts, labels, N, cmap)
-        value = walk(parts, N, 1, _group_step(graph, rows, b))
-        return TPoly(ring, _signed_digits(value or 0, b))
     tagged = PackedTerms.weights(rows)
     if tagged is not None:
         terms = walk(parts, N, {0: 1}, _tagged_step(graph, tagged))
         return TPoly(ring, tagged.coefficients(terms or {}))
-    value = walk(parts, N, _Coefficients([ring.one], ring.zero), _group_step(graph, rows, 1))
-    return TPoly(ring, () if value is None else value.coeffs)
+    b = _slot_bits(parts, labels, N, cmap)
+    value = walk(parts, N, _packed_constants(ring)[1], _group_step(graph, rows, b))
+    return TPoly(ring, () if value is None else _decoded(value, b))
 
 
 def _group_step(graph: LayerGraph, rows: list, bits: int) -> Callable:
@@ -477,7 +474,10 @@ def _tagged_step(graph: LayerGraph, tagged: PackedTerms) -> Callable:
 def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:
     """Bits b per power of t for an integer-form Schur value: one more
     than the bit length of the bound X on its coefficients proved in
-    ``schur_value``.  X >= 1, so b >= 2."""
+    ``schur_value``.  X >= 1, so b >= 2.  Over any other ring 1, for which
+    << 1 is * t on a ``_Coefficients``."""
+    if cmap.ring is not _ZZ:
+        return 1
     totals: dict[int, int] = {}
     bound = 1 << (len(labels) - len(parts))
     for k in labels:
@@ -486,22 +486,6 @@ def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: Coef
             total = totals[k] = sum(abs(cmap(k, m)) for m in range(1, N))
         bound *= total
     return bound.bit_length() + 1
-
-
-def _signed_digits(value: int, b: int) -> list[int]:
-    """The coefficients c_0, c_1, ... of the integer polynomial p with
-    p(2^b) = value, given |c_k| < 2^(b-1): the digits of value in base 2^b
-    taken from -2^(b-1) .. 2^(b-1) - 1, where they are unique."""
-    mask = (1 << b) - 1
-    half = 1 << (b - 1)
-    coeffs = []
-    while value:
-        c = value & mask
-        if c >= half:
-            c -= 1 << b
-        coeffs.append(c)
-        value = (value - c) >> b
-    return coeffs
 
 
 class _Coefficients:
@@ -553,17 +537,9 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     single-column Schur value with the first key in the top cell.  The value
     is the full-length prefix of ``linear_value_prefixes``' dynamic program,
     the one evaluator behind every Jacobi-Trudi column; only that value is
-    decoded and divided by L^K.
+    divided by L^K.
     """
-    return _scaled_linear_value(keys, N, cmap).divided()
-
-
-def _scaled_linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> ScaledPoly:
-    """``linear_value`` undivided."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    keys = tuple(keys)
-    return _undivided(cmap, N - 1, keys, lambda c: _decoded_prefixes(keys, N, c, len(keys))[0])
+    return _scaled_linear_value_prefixes(keys, N, cmap)[-1].divided()
 
 
 def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
@@ -593,62 +569,67 @@ def _scaled_linear_value_prefixes(
     return _undivided_each(cmap, N - 1, keys, prefixes, lambda c: _decoded_prefixes(keys, N, c))
 
 
-def _decoded_prefixes(keys: tuple, N: int, cmap: CoefficientMap, first: int = 0) -> list[TPoly]:
+def _decoded_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
     """The prefix DP from the empty path over keys: the values at N of
-    keys[:p] for p = first .. len(keys), decoded."""
+    keys[:p] for p = 0 .. len(keys), decoded."""
     b = _linear_bits([(k,) for k in keys], N, cmap)
     values, _ = _linear_value_prefixes(keys, N, cmap, b)
-    return [TPoly(cmap.ring, coeffs) for coeffs in _decoded(values[first:], b)]
+    return [TPoly(cmap.ring, _decoded(value, b)) for value in values]
 
 
 def _linear_bits(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap) -> int:
     """Bits b per power of t for the packed linear routes, whose i-th key
-    is drawn from levels[i]: over the integers the bit length of X, the
-    product over the levels of the largest S_k = f(k, 1) + ... + f(k, N-1)
-    of a label k there (1 when X is 0); over any other ring 1, for which
-    << 1 is * t on a ``_Coefficients``.
+    is drawn from levels[i]: over the integers one more than the bit length
+    of X, the product over the levels of the largest S_k = f(k, 1) + ... +
+    f(k, N-1) of a label k there (X taken as 1 when it is 0); over any
+    other ring 1, for which << 1 is * t on a ``_Coefficients``.
 
     Proof that each coefficient c_j of a value the routes return is below
-    2^b.  Over the integers the map is an integer form, whose f(k, m) are
+    2^(b-1).  Over the integers the map is an integer form, whose f(k, m) are
     positive: (L // m)^k or m^(-k).  c_j of keys k_1 .. k_p at a bound n sums
     the products of the f(k_i, m_i) over the weak chains below n with j
     equalities, so c_j >= 0, and all c_j together are at most the sum over
     all maps i -> m_i in 1..N-1, the product of the S_(k_i).  That is at
     most X for every prefix of a path, since each S_k >= 1 when N >= 2 (at
-    N = 1 only the empty path's value, 1, is nonzero).  So the c_j are the
-    unsigned base-2^b digits of p(2^b) (``_decoded``); as the packing is a
-    ring map, only returned values need the bound.
+    N = 1 only the empty path's value, 1, is nonzero).  So 0 <= c_j <
+    2^(b-1), and the c_j are the signed base-2^b digits of p(2^b)
+    (``_decoded``), the bit above each one reading 0 as its sign; as the
+    packing is a ring map, only returned values need the bound.
     """
     if cmap.ring is not _ZZ:
         return 1
     bound = 1
     for level in levels:
         bound *= max((sum(cmap.row(k, N)) for k in level), default=1)
-    return max(bound, 1).bit_length()
+    return max(bound, 1).bit_length() + 1
 
 
 def _packed_constants(ring: Ring) -> tuple[Any, Any]:
-    """0 and 1 as the linear routes pack them (``_linear_value_prefixes``)."""
+    """0 and 1 as the packed routes hold them: ints over the integers, else
+    ``_Coefficients``."""
     if ring is _ZZ:
         return 0, 1
     return _Coefficients([], ring.zero), _Coefficients([ring.one], ring.zero)
 
 
-def _decoded(values: list, b: int) -> list[list]:
-    """Packed t-polynomials' trimmed coefficients by ascending power of t:
-    an int's unsigned base-2^b digits (each coefficient is one digit, see
-    ``_linear_bits``), or a ``_Coefficients``' own list."""
-    if type(values[0]) is not int:
-        return [value.coeffs for value in values]
+def _decoded(value: Any, b: int) -> list:
+    """A packed t-polynomial's coefficients by ascending power of t, given
+    every |c_k| < 2^(b-1) (``_slot_bits``, ``_linear_bits``): an int
+    p(2^b)'s digits in base 2^b taken from -2^(b-1) .. 2^(b-1) - 1, where
+    they are unique, so trimmed; a ``_Coefficients``' own list."""
+    if type(value) is not int:
+        return value.coeffs
     mask = (1 << b) - 1
-    decoded = []
-    for value in values:
-        coeffs = []
-        while value:
-            coeffs.append(value & mask)
-            value >>= b
-        decoded.append(coeffs)
-    return decoded
+    half = 1 << (b - 1)
+    coeffs = []
+    while value:
+        c = value & mask
+        value >>= b
+        if c >= half:  # a negative digit borrows one from the rest
+            c -= 1 << b
+            value += 1
+        coeffs.append(c)
+    return coeffs
 
 
 def _linear_value_prefixes(
@@ -704,8 +685,7 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
 
     def body(c: CoefficientMap) -> TPoly:
         b = _linear_bits([(k,) for k in keys], N, c)
-        [value] = _decoded(_linear_value_by_recursion(keys, N, c, b)[1][-1][-1:], b)
-        return TPoly(c.ring, value)
+        return TPoly(c.ring, _decoded(_linear_value_by_recursion(keys, N, c, b)[1][-1][-1], b))
 
     return _undivided(cmap, N - 1, keys, body).divided()
 
@@ -828,36 +808,20 @@ def _merge_expansion(state: tuple, L: int) -> tuple[list[list[int]], int]:
     return [_trimmed(list(coeffs)) for coeffs in zip(*totals)], L**K
 
 
-def linear_value_routes(
-    keys: Sequence[int], N: int, cmap: CoefficientMap
-) -> tuple[int, int, list[tuple[list[int], list[int], list[int]]]]:
-    """The routes linear_value, linear_value_by_recursion and merge_expansion
-    at every bound n = 1..N, under a rational map with an integer form, as
-    (D, D', by_bound): by_bound[n - 1] holds each route's trimmed integer
-    coefficients by ascending power of t, the first two over D, the third
-    over D'.
-
-    This is ``_route_walk`` along the one path ``keys``, at N; each route's
-    state holds the smaller bounds.  The prefix DP and the recursion run
-    over one integer form at L = lcm(1..N-1), so D = L^K; the merge
-    expansion takes its own L and K, so D' is its L^K.  Nothing is divided:
-    the caller compares numerators.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    # The walk yields the path's prefixes first, the full path last.
-    *_, (_, denominator, merge_denominator, by_bound) = _route_walk([(k,) for k in keys], N, cmap)
-    return denominator, merge_denominator, by_bound
-
-
 def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
     """Depth first over the trie of key tuples whose i-th key is drawn from
     levels[i], each node before its children and the children in the
-    levels' order: yields (keys, D, D', by_bound) per node, as
-    ``linear_value_routes`` gives them.  Each route extends its parent
-    node's state by the node's one key, so every prefix is walked once, and
-    only the current path's states are held.  Every key is checked before
-    any route runs.
+    levels' order: yields (keys, D, D', by_bound) per node.  by_bound[n - 1]
+    holds the routes linear_value, linear_value_by_recursion and
+    merge_expansion at the bound n = 1..N, each as trimmed integer
+    coefficients by ascending power of t, the first two over D, the third
+    over D'.  The prefix DP and the recursion run over one integer form at
+    L = lcm(1..N-1), so D = L^K; the merge expansion takes its own L and K,
+    so D' is its L^K.  Nothing is divided: the caller compares numerators.
+
+    Each route extends its parent node's state by the node's one key, so
+    every prefix is walked once, and only the current path's states are
+    held.  Every key is checked before any route runs.
 
     The prefix DP and the recursion pack their states at one slot width b
     for the whole walk (``_linear_bits`` over the levels) and are decoded
@@ -869,7 +833,7 @@ def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
                 raise DomainError(f"linear-value keys must be integers, got {k!r}")
     form = _integer_form(cmap, N - 1, [k for level in levels for k in level])
     if form is None:
-        raise ValueError(f"linear_value_routes needs a map with an integer form, not {cmap.name}")
+        raise ValueError(f"the route walk needs a map with an integer form, not {cmap.name}")
     imap, L = form
     b = _linear_bits(levels, N, imap)
     rows = _PowerRows(N)
@@ -886,8 +850,8 @@ def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
         )
         merged, merge_denominator = _merge_expansion(compositions, rows.L)
         # Equal packed values decode to equal lists.
-        peeled = _decoded(recursion[1][-1], b)
-        direct = peeled if dp[1] == recursion[1][-1] else _decoded(dp[1], b)
+        peeled = [_decoded(value, b) for value in recursion[1][-1]]
+        direct = peeled if dp[1] == recursion[1][-1] else [_decoded(value, b) for value in dp[1]]
         yield keys, L**K, merge_denominator, list(zip(direct, peeled, merged))
         if len(keys) < depth:
             stack += [(keys + (k,), K + max(k, 0), states) for k in reversed(levels[len(keys)])]

@@ -55,6 +55,10 @@ EXTRA_COMMANDS = [
     "compute --shape '[3,2,1]' --N 5 --ring qseries:8 --diagonal"
     " '{\"-2\":1,\"-1\":1,\"0\":2,\"1\":1,\"2\":1}'",
     "oyt-count --shape '[5,4,3,2,1]' --N 6",
+    # the empty shape: no path, no cell, both sides one
+    "layer-verify --shape '[]' --b '[]' --M 2",
+    "layer-verify --shape '[]' --b '[]' --M 2 --ring qsym",
+    "jt-verify --shape '[]' --N 3",
 ]
 
 

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from schurzeta import rings
+from schurzeta import rings, values
 from schurzeta.rings import PolyRing, QQ, TPoly, ring_determinant
 from schurzeta.shapes import Partition, partitions_up_to
 from schurzeta.jacobi_trudi import (
+    _determinants,
     _h_matrix,
     palindrome_weights,
-    verify_jacobi_trudi,
     verify_palindromic_matrix,
 )
 from schurzeta.values import (
@@ -50,6 +50,13 @@ def e_matrix(shape, N, cmap, weights):
 def h_matrix(shape, N, cmap, weights):
     """The package's row-reading matrix, its undivided entries divided."""
     return [[entry.divided() for entry in row] for row in _h_matrix(shape, N, cmap, weights)]
+
+
+def jt_sides(shape, N, cmap, weights):
+    """The Schur value by the layer walk and both determinants, divided."""
+    det_h, det_e = _determinants(shape, N, cmap, weights)
+    schur = schur_value(diagonal_tableau(shape, weights), N, cmap)
+    return schur, det_h.divided(), det_e.divided()
 
 
 def jt_matrix(shape, side, N, cmap, weights):
@@ -105,32 +112,51 @@ def test_jt_matrix_needs_full_window():
 
 def test_verify_single_column_trivial():
     dw = DiagonalWeights({d: 2 for d in range(-3, 1)})
-    rep = verify_jacobi_trudi(Partition((1, 1, 1)), 4, RAT, dw)
-    assert rep.equal
-    assert rep.det_h == rep.schur
+    schur, det_h, det_e = jt_sides(Partition((1, 1, 1)), 4, RAT, dw)
+    assert schur == det_h == det_e
 
 
 def test_verify_hook_all_twos():
     dw = DiagonalWeights({-1: 2, 0: 2, 1: 2})
-    rep = verify_jacobi_trudi(Partition((2, 1)), 4, RAT, dw)
-    assert rep.equal
+    schur, det_h, det_e = jt_sides(Partition((2, 1)), 4, RAT, dw)
+    assert schur == det_h == det_e
 
 
 def test_verify_q_ring_square():
     dw = DiagonalWeights({-1: 2, 0: 1, 1: 2})
-    rep = verify_jacobi_trudi(Partition((2, 2)), 4, q_analogue_map(8), dw)
-    assert rep.equal
+    schur, det_h, det_e = jt_sides(Partition((2, 2)), 4, q_analogue_map(8), dw)
+    assert schur == det_h == det_e
 
 
 def test_verify_qsym_ring():
     dw = DiagonalWeights({-1: 1, 0: 2, 1: 1})
-    rep = verify_jacobi_trudi(Partition((2, 2)), 4, quasisymmetric_map(), dw)
-    assert rep.equal
+    schur, det_h, det_e = jt_sides(Partition((2, 2)), 4, quasisymmetric_map(), dw)
+    assert schur == det_h == det_e
 
 
 def test_verify_empty_shape():
-    rep = verify_jacobi_trudi(Partition(()), 3, RAT, DiagonalWeights({}))
-    assert rep.equal and rep.schur == TPoly.one(QQ)
+    schur, det_h, det_e = jt_sides(Partition(()), 3, RAT, DiagonalWeights({}))
+    assert schur == det_h == det_e == TPoly.one(QQ)
+
+
+@pytest.mark.parametrize(
+    "parts,N,cmap", [((16, 16), 4, RAT), ((4, 4, 4), 5, quasisymmetric_map())],
+    ids=["16,16@4-rational", "4,4,4@5-qsym"],
+)
+def test_determinants_run_no_walk(parts, N, cmap, monkeypatch):
+    # Both determinants come from linear values alone: with the Schur walk
+    # made to raise, they still equal the value it gave before.
+    shape = Partition(parts)
+    rng = random.Random(N)
+    dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
+    schur = schur_value(diagonal_tableau(shape, dw), N, cmap)
+
+    def no_walk(*args):
+        raise AssertionError("the Schur walk ran")
+
+    monkeypatch.setattr(values, "_schur_value", no_walk)
+    det_h, det_e = _determinants(shape, N, cmap, dw)
+    assert det_h.divided() == det_e.divided() == schur != TPoly.zero(cmap.ring)
 
 
 def test_conjugation_coherence_between_sides():
@@ -186,9 +212,9 @@ def test_det_e_matches_entrywise_e_matrix(cmap):
     poly_ring = PolyRing(cmap.ring)
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
-        rep = verify_jacobi_trudi(shape, 4, cmap, dw)
-        assert rep.det_e == ring_determinant(e_matrix(shape, 4, cmap, dw), poly_ring)
-        assert rep.equal
+        schur, det_h, det_e = jt_sides(shape, 4, cmap, dw)
+        assert det_e == ring_determinant(e_matrix(shape, 4, cmap, dw), poly_ring)
+        assert schur == det_h == det_e
 
 
 @pytest.mark.parametrize(
@@ -199,9 +225,9 @@ def test_verify_wide_rational_shapes(parts, degree):
     shape = Partition(parts)
     rng = random.Random(sum(parts))
     dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
-    rep = verify_jacobi_trudi(shape, 5, RAT, dw)
-    assert rep.schur == rep.det_h == rep.det_e
-    assert rep.det_h.degree == degree
+    schur, det_h, det_e = jt_sides(shape, 5, RAT, dw)
+    assert schur == det_h == det_e
+    assert det_h.degree == degree
 
 
 @pytest.mark.parametrize("n,degree", [(16, 30), (20, 38)])
@@ -221,15 +247,15 @@ def test_verify_wide_qseries_shape():
     # multiplies such series at every step.
     shape = Partition((10, 8, 3))
     dw = DiagonalWeights({d: 2 if d == 0 else 1 for d in required_offsets(shape)})
-    rep = verify_jacobi_trudi(shape, 5, q_analogue_map(8), dw)
-    assert rep.schur == rep.det_h == rep.det_e
-    assert rep.det_h.degree == 12
+    schur, det_h, det_e = jt_sides(shape, 5, q_analogue_map(8), dw)
+    assert schur == det_h == det_e
+    assert det_h.degree == 12
 
 
 def test_negative_weights_allowed():
     dw = DiagonalWeights({-2: -2, -1: 0, 0: -1, 1: 3, 2: 1})
-    rep = verify_jacobi_trudi(Partition((3, 2, 1)), 4, RAT, dw)
-    assert rep.equal
+    schur, det_h, det_e = jt_sides(Partition((3, 2, 1)), 4, RAT, dw)
+    assert schur == det_h == det_e
 
 
 # ---------------------------------------------------------------------------

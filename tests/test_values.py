@@ -34,7 +34,6 @@ from schurzeta.values import (
     linear_value,
     linear_value_by_recursion,
     linear_value_prefixes,
-    linear_value_routes,
     merge_expansion,
     q_analogue_map,
     quasisymmetric_map,
@@ -222,8 +221,9 @@ ROUTES = (
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_linear_value_routes_give_each_route_at_every_bound(r):
-    # The values each route reads off its one run at N are, bound by bound,
-    # that route's own single-N value and the chain sum.
+    # The values each route reads off its one run at N, at the route walk's
+    # last node along the one path keys, are, bound by bound, that route's
+    # own single-N value and the chain sum.
     rng = random.Random(20 + r)
     if r <= 2:
         tuples = list(product(range(-2, 4), repeat=r))
@@ -233,38 +233,40 @@ def test_linear_value_routes_give_each_route_at_every_bound(r):
         expected = [chain_sum_oracle(keys, n) for n in range(1, 8)]
         single = [[route(keys, n) for route in ROUTES] for n in range(1, 8)]
         for N in range(1, 8):
-            denominator, merge_denominator, by_bound = linear_value_routes(keys, N, RAT)
+            _, denominator, merge_denominator, by_bound = list(
+                values._route_walk([(k,) for k in keys], N, RAT))[-1]
             assert len(by_bound) == N
             for n, lists in enumerate(by_bound, start=1):
                 # Trimmed integer numerators, over D, D and the merge's D'.
                 assert all(not cs or cs[-1] for cs in lists), (keys, N, n)
-                values = [
+                divided = [
                     TPoly(QQ, [Fraction(c, d) for c in cs])
                     for cs, d in zip(lists, (denominator, denominator, merge_denominator))
                 ]
-                assert values == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
+                assert divided == single[n - 1] == [expected[n - 1]] * 3, (keys, N, n)
 
 
 def test_linear_value_routes_needs_an_integer_form():
-    # Its numerators are over the integer form's L^K; a map without one is
-    # refused.
+    # The route walk's numerators are over the integer form's L^K; a map
+    # without one is refused.
     by_hand = CoefficientMap("by-hand", QQ, lambda k, m: Fraction(1, m**k))
     with pytest.raises(ValueError, match="integer form"):
-        linear_value_routes((2, 1), 3, by_hand)
+        list(values._route_walk([(2,), (1,)], 3, by_hand))
 
 
 @pytest.mark.parametrize("max_r, N", [(4, 6), (4, 3), (3, 5), (2, 1), (1, 6), (0, 4)])
 def test_the_oracle_walk_matches_each_tuple_alone_and_the_chain_sums(max_r, N):
     # Random weight sets with negatives, zero and repeats: at every node the
-    # walk's numerators are those of the tuple's own linear_value_routes,
-    # and each route's value at every bound is the chain sum.
+    # walk's numerators are those of the tuple's own walk along its one
+    # path, and each route's value at every bound is the chain sum.
     rng = random.Random(70 * max_r + N)
     weights = [rng.randint(-2, 3), 0, rng.choice([-1, -2])]
     weights.append(rng.choice(weights))  # a repeated value
     walked = list(values._route_walk([weights] * max_r, N, RAT))
     assert [keys for keys, *_ in walked] == list(_preorder(weights, max_r))
     for keys, denominator, merge_denominator, by_bound in walked:
-        assert (denominator, merge_denominator, by_bound) == linear_value_routes(keys, N, RAT)
+        alone = list(values._route_walk([(k,) for k in keys], N, RAT))[-1]
+        assert (keys, denominator, merge_denominator, by_bound) == alone
         for n, lists in enumerate(by_bound, start=1):
             expected = chain_sum_oracle(keys, n)
             for cs, d in zip(lists, (denominator, denominator, merge_denominator)):
@@ -299,7 +301,7 @@ def test_the_oracle_walk_extends_each_prefix_once(monkeypatch):
     steps.clear()
     for r in range(5):
         for keys in product(weights, repeat=r):
-            linear_value_routes(keys, 4, RAT)
+            list(values._route_walk([(k,) for k in keys], 4, RAT))
     assert sum(steps) == 2930
 
 
@@ -337,15 +339,16 @@ def test_the_merge_route_extends_each_composition_once_from_its_parent(monkeypat
 @pytest.mark.parametrize("N", [2, 8])
 def test_packed_routes_at_extreme_labels(N):
     # Labels -2 and 6 in tuples of up to five keys.  At N = 8 the slots are
-    # 262 bits wide; at N = 2 every value is one chain of ones, t^(r-1),
-    # and the slot is one bit, the tightest the bound allows.  The packed
+    # 263 bits wide; at N = 2 every value is one chain of ones, t^(r-1),
+    # and the slot is two bits: the one bit the bound allows and a sign bit,
+    # which the signed decode reads as 0.  The packed
     # routes, the walk and the merge expansion all match the chain sums and
     # the routes over a hand-built map with no integer form.
     labels = (-2, 6)
     by_hand = CoefficientMap("by-hand", QQ, RAT.fn)
     L = math.lcm(*range(1, N))
     S = {k: int(sum(RAT(k, m) * L ** max(k, 0) for m in range(1, N))) for k in labels}
-    bits = (max(S.values()) ** 5).bit_length()
+    bits = (max(S.values()) ** 5).bit_length() + 1
     assert values._linear_bits([labels] * 5, N, RAT.integer_form(L)) == bits
     walked = list(values._route_walk([labels] * 5, N, RAT))
     assert len(walked) == 63
@@ -396,7 +399,7 @@ def test_the_oracle_sweep_over_no_weights_or_repeated_weights():
 
 @pytest.mark.parametrize("label", [2.5, True, "2"])
 def test_every_linear_route_rejects_a_key_that_is_not_an_int(label):
-    for call in (*ROUTES, lambda keys, N: linear_value_routes(keys, N, RAT)):
+    for call in (*ROUTES, lambda keys, N: list(values._route_walk([(k,) for k in keys], N, RAT))):
         for keys in ([label], [2, label]):
             with pytest.raises(DomainError):
                 call(keys, 3)
