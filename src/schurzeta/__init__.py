@@ -41,17 +41,7 @@ from .values import (
     required_offsets,
     schur_value,
 )
-from .lattice import (
-    Vertex,
-    black,
-    lgv_determinant,
-    lgv_signed_sum,
-    path_matrix,
-    path_weight_sum,
-    schur_path_endpoints,
-    schur_scenario_sum,
-    white,
-)
+from .lattice import Vertex, black, schur_path_endpoints, white
 from .jacobi_trudi import PalindromeReport, verify_palindromic_matrix
 
 __version__ = "0.1.0"

@@ -128,14 +128,13 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _sweep_n(args) -> int:
-    """--N of every verify subcommand that takes it and of all-verify,
-    refused up front below 2: no entry lies below N = 1, so every value
+def _sweep_n(args) -> None:
+    """Refuse --N below 2 up front, for every verify subcommand that takes
+    it and for all-verify: no entry lies below N = 1, so every value
     compared is zero (all-verify would check no Jacobi-Trudi or conjugation
     instance)."""
     if args.N < 2:
         raise ValueError(f"{args.command} needs --N >= 2, got {args.N}")
-    return args.N
 
 
 def cmd_compute(args) -> tuple[dict, bool, list[str]]:
@@ -198,13 +197,8 @@ def cmd_verify(family: sweeps.Family, args) -> tuple[dict, bool, list[str]]:
 
 
 def cmd_all_verify(args) -> tuple[dict, bool, list[str]]:
-    payload = sweeps.run_all(
-        max_cells=args.max_cells,
-        max_n=_sweep_n(args),
-        trials=args.trials,
-        seed=args.seed,
-        ring_spec=args.ring,
-    )
+    _sweep_n(args)
+    payload = sweeps.run_all(args)
     payload["command"] = "all-verify"
     summary = [
         f"all-verify/{name}: {'pass' if info['pass'] else 'FAIL'} ({info['checked']} instance(s))"

@@ -16,12 +16,13 @@ entry, the H matrix of the conjugate shape on the reflected window
 det E is that H determinant with t -> 1-t substituted once
 (``_determinants``).  The entries of one H column are prefixes of a single
 run of offsets, so each column comes from one prefix DP
-(``linear_value_prefixes``) instead of one ``linear_value`` call per entry.
+(``values._scaled_linear_value_prefixes``) instead of one ``linear_value``
+call per entry.
 
 Entries and determinants stay undivided (``rings.ScaledPoly``): over the
 rational map they are integer numerators, t -> 1-t is substituted on them,
-and the checks in ``sweeps`` compare them so.  ``PalindromeReport``
-divides only when a ``TPoly`` field is read.
+and the checks in ``sweeps`` compare them so.  ``PalindromeReport`` holds
+them undivided too.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _h_matrix(
     run a_(j-1), a_(j-2), ...; one at length zero, zero below it.
 
     Every entry of a column is a prefix of the same run, so one prefix DP
-    (``linear_value_prefixes``) gives the whole column.
+    (``_scaled_linear_value_prefixes``) gives the whole column.
     """
     conj = shape.conjugate().parts
     n = shape.width
@@ -77,21 +78,13 @@ def _determinants(
 @dataclass(frozen=True)
 class PalindromeReport:
     """The square-shape determinant and its image under t -> 1-t, kept
-    undivided; ``poly`` and ``flipped`` divide on access."""
+    undivided."""
 
     keys: tuple[int, ...]
     N: int
     poly_scaled: ScaledPoly
     flipped_scaled: ScaledPoly
     equal: bool
-
-    @property
-    def poly(self) -> TPoly:
-        return self.poly_scaled.divided()
-
-    @property
-    def flipped(self) -> TPoly:
-        return self.flipped_scaled.divided()
 
 
 def palindrome_weights(keys) -> DiagonalWeights:

@@ -41,16 +41,18 @@ where it entered.
 * Sign: read off the permutation of sinks in the final state.
 
 The checks stay independent of the sweep: the determinant side is one
-forward path sum per source row (``path_matrix``, which gives a whole row
-of pairwise path sums at once, then the determinant), and
+forward path sum per source row (``_scaled_path_matrix``, which gives a
+whole row of pairwise path sums at once, then the determinant), and
 ``values.schur_value`` walks the row layers of sub-partitions.  Enumerating
 the systems one by one remains the test oracle.
 
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the
 rational map they share one denominator: both run over the map's integer
-form (see ``values``).  The checks compare the sides undivided, as
-``rings.ScaledPoly`` values, and the public functions divide them once.
+form (see ``values``).  Each quantity has one evaluator,
+``_scaled_lgv_signed_sum`` and ``_scaled_path_matrix``, which return the
+values undivided, as ``rings.ScaledPoly``; the checks in ``sweeps``
+compare them so and divide only in the text they report.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .rings import Element, ScaledPoly, TPoly, _scaled_determinant
+from .rings import Element, ScaledPoly, TPoly
 from .shapes import BitStats, BitTableau, Partition
 from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_each
 
@@ -81,16 +83,6 @@ def white(x: int, y: int) -> Vertex:
 
 def black(x: int, y: int) -> Vertex:
     return Vertex(x, y, True)
-
-
-def path_weight_sum(
-    A: Vertex, B: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
-) -> TPoly:
-    """Sum of weights of all paths A -> B: the one-entry ``path_matrix``.
-
-    Unreachable targets give the zero polynomial, not an error.
-    """
-    return path_matrix((A,), (B,), cmap, weights)[0][0]
 
 
 def _path_row(
@@ -188,23 +180,13 @@ def _permutation_sign(sigma: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def lgv_signed_sum(
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-) -> TPoly:
-    """Sum of sign * weight over all vertex-disjoint path systems."""
-    return _scaled_lgv_signed_sum(sources, sinks, cmap, weights).divided()
-
-
 def _scaled_lgv_signed_sum(
     sources: Sequence[Vertex],
     sinks: Sequence[Vertex],
     cmap: CoefficientMap,
     weights: DiagonalWeights,
 ) -> ScaledPoly:
-    """``lgv_signed_sum`` undivided."""
+    """Sum of sign * weight over all vertex-disjoint path systems, undivided."""
     top = max((v.y for v in sources), default=0)
     labels = _crossed_labels(sources, sinks, weights)
     return _undivided(cmap, top, labels, lambda c: _lgv_signed_sum(sources, sinks, c, weights))
@@ -334,26 +316,15 @@ def _add_scaled(target: dict[int, Element], coeffs: dict[int, Element], w, d: in
         target[deg] = c if prev is None else prev + c
 
 
-def path_matrix(
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-) -> list[list[TPoly]]:
-    """The matrix of pairwise path-weight sums w(sources[i], sinks[j]), one
-    forward path sum per source row; over the rational map each entry is
-    divided by its own L^K."""
-    rows = _scaled_path_matrix(sources, sinks, cmap, weights)
-    return [[value.divided() for value in row] for row in rows]
-
-
 def _scaled_path_matrix(
     sources: Sequence[Vertex],
     sinks: Sequence[Vertex],
     cmap: CoefficientMap,
     weights: DiagonalWeights,
 ) -> list[list[ScaledPoly]]:
-    """``path_matrix`` undivided, each entry over its own L^K."""
+    """The matrix of pairwise path-weight sums w(sources[i], sinks[j]), one
+    forward path sum per source row, undivided: each entry over its own L^K.
+    Unreachable sinks give zero, not an error."""
     rows = []
     right = max((b.x for b in sinks), default=0)
     for a in sources:
@@ -368,38 +339,14 @@ def _scaled_path_matrix(
     return rows
 
 
-def lgv_determinant(
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
-) -> TPoly:
-    """det of the pairwise path-weight matrix; the other side of the
-    signed-sum identity, computed by an independent route."""
-    matrix = _scaled_path_matrix(sources, sinks, cmap, weights)
-    return _scaled_determinant(matrix, cmap.ring).divided()
-
-
 def schur_path_endpoints(shape: Partition, N: int) -> tuple[list[Vertex], list[Vertex]]:
     """Sources at height N-1 offset left by the conjugate parts; sinks at
-    height 0 in columns 1..width."""
+    height 0 in columns 1..width.  The signed path-system sum between them
+    equals the Schur value of the diagonal-constant tableau."""
     conj = shape.conjugate().parts
     sources = [white(j - conj[j - 1], N - 1) for j in range(1, shape.width + 1)]
     sinks = [white(j, 0) for j in range(1, shape.width + 1)]
     return sources, sinks
-
-
-def schur_scenario_sum(
-    shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
-) -> TPoly:
-    """Signed path-system sum for the endpoints encoding a shape; equals the
-    Schur value of the diagonal-constant tableau."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if shape.width == 0:
-        return TPoly.one(cmap.ring)
-    sources, sinks = schur_path_endpoints(shape, N)
-    return lgv_signed_sum(sources, sinks, cmap, weights)
 
 
 def layer_endpoints(

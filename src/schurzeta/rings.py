@@ -737,11 +737,7 @@ class ScaledPoly:
     def __eq__(self, other):
         if not isinstance(other, ScaledPoly):
             return NotImplemented
-        a, b = self.poly.coeffs, other.poly.coeffs
-        d, e = self.denominator, other.denominator
-        if d == e:
-            return a == b
-        return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
+        return _same_value(self.poly.coeffs, self.denominator, other.poly.coeffs, other.denominator)
 
     def subs_one_minus_t(self) -> "ScaledPoly":
         """p(1-t) / D, substituted on the numerators."""
@@ -759,6 +755,15 @@ class ScaledPoly:
 
     def __repr__(self):
         return f"ScaledPoly({self.poly!r}, {self.denominator})"
+
+
+def _same_value(a: Sequence, d: int, b: Sequence, e: int) -> bool:
+    """Whether the (numerators, denominator) pairs (a, d) and (b, e), trimmed
+    coefficient lists, stand for the same t-polynomial: equal lists when
+    the denominators agree, else equal cross-products a * e == b * d."""
+    if d == e:
+        return a == b
+    return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
 
 
 def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
 
 from .jacobi_trudi import _determinants, verify_palindromic_matrix
@@ -35,7 +34,7 @@ from .lattice import (
     schur_path_endpoints,
     white,
 )
-from .rings import ScaledPoly, _scaled_determinant, format_numerators
+from .rings import ScaledPoly, _same_value, _scaled_determinant, format_numerators
 from .shapes import (
     Partition,
     Tableau,
@@ -345,16 +344,13 @@ def _check_linear_oracles(
     """The instances (keys, N) for N = 1..len(by_bound), from one walk node's
     routes (``values._route_walk``).  The routes' integer numerators are
     compared, the merge expansion's by cross-multiplication when its
-    denominator differs; a value the sides agree on is rendered once, and a
-    side that disagrees from its own numbers."""
+    denominator differs (``rings._same_value``); a value the sides agree
+    on is rendered once, and a side that disagrees from its own numbers."""
     instances = []
     for N, (direct, recursive, merged) in enumerate(by_bound, start=1):
         shown = format_numerators(recursive, denominator)
         direct_agrees = direct == recursive
-        merge_agrees = merged == recursive if merge_denominator == denominator else (
-            len(merged) == len(recursive)
-            and all(a * denominator == b * merge_denominator for a, b in zip(merged, recursive))
-        )
+        merge_agrees = _same_value(merged, merge_denominator, recursive, denominator)
         instances.append({
             "keys": list(keys),
             "N": N,
@@ -516,15 +512,9 @@ FAMILIES = (
 )
 
 
-def run_all(
-    max_cells: int = 4,
-    max_n: int = 4,
-    trials: int = 2,
-    seed: int = 0,
-    ring_spec: str = "rational",
-) -> dict:
-    """Bounded pass over every identity family; the CLI's all-verify."""
-    flags = SimpleNamespace(max_cells=max_cells, N=max_n, trials=trials, seed=seed, ring=ring_spec)
+def run_all(flags) -> dict:
+    """Bounded pass over every identity family; the CLI's all-verify, on
+    its parsed flags (``N``, ``max_cells``, ``trials``, ``seed``, ``ring``)."""
     families = {
         family.key: (family.all_verify or family.sweep)(flags) for family in FAMILIES
     }

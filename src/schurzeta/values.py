@@ -8,7 +8,7 @@ different coefficient maps f yields the classical rational values, their
 q-analogues, or quasi-symmetric functions, all computed exactly.
 
 Linear values have one evaluator, the prefix dynamic program of
-``linear_value_prefixes``; ``linear_value`` is its full-length value.  The
+``_linear_value_prefixes``; ``linear_value`` is its full-length value.  The
 peeling recursion and the merge expansion are independent routes to the same
 values, kept as its oracles.  Each route's one body extends the state of a
 key path by more keys, and the state holds the path's values at every bound
@@ -28,14 +28,16 @@ that form, so no ``Fraction`` is normalized inside the sums.  Its undivided
 result (``_undivided``) is a ``rings.ScaledPoly``: the integer numerators
 over D = L^K, or, for any other map (a hand-built rational one included),
 the body's value over the map's own ring with D = 1.  The identity checks
-compare and render rational sides undivided; the public functions return
-the same values divided, as a ``TPoly``.
+compare and render rational sides undivided; the entry points
+``schur_value`` and ``linear_value`` and the reference routes return the
+same values divided, as a ``TPoly``.
 
 Over an integer form the Schur walk, the prefix DP and the recursion also
 pack each t-polynomial into one ``int``, its value at t = 2^b (Kronecker
 substitution), so every step is one big-integer operation; the slot width
-b comes from an a-priori bound on the coefficients, proved in
-``schur_value`` and ``_linear_bits``.  The merge expansion is not packed.
+b comes from an a-priori bound on the coefficients (``_slot_bits``), proved
+in ``schur_value`` and ``_linear_value_prefixes``.  The merge expansion is
+not packed.
 When every f(k, m) is one monomial, as over the quasi-symmetric map, a
 Schur walk state is one dict of tagged keys (``rings.PackedTerms``).
 """
@@ -391,7 +393,7 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     if tagged is not None:
         terms = walk(parts, N, {0: 1}, _tagged_step(graph, tagged))
         return TPoly(ring, tagged.coefficients(terms or {}))
-    b = _slot_bits(parts, labels, N, cmap)
+    b = _slot_bits([(k,) for k in labels], N, cmap, len(labels) - len(parts))
     value = walk(parts, N, _packed_constants(ring)[1], _group_step(graph, rows, b))
     return TPoly(ring, () if value is None else _decoded(value, b))
 
@@ -471,23 +473,6 @@ def _tagged_step(graph: LayerGraph, tagged: PackedTerms) -> Callable:
     return step
 
 
-def _slot_bits(parts: tuple[int, ...], labels: Sequence[int], N: int, cmap: CoefficientMap) -> int:
-    """Bits b per power of t for an integer-form Schur value: one more
-    than the bit length of the bound X on its coefficients proved in
-    ``schur_value``.  X >= 1, so b >= 2.  Over any other ring 1, for which
-    << 1 is * t on a ``_Coefficients``."""
-    if cmap.ring is not _ZZ:
-        return 1
-    totals: dict[int, int] = {}
-    bound = 1 << (len(labels) - len(parts))
-    for k in labels:
-        total = totals.get(k)
-        if total is None:
-            total = totals[k] = sum(abs(cmap(k, m)) for m in range(1, N))
-        bound *= total
-    return bound.bit_length() + 1
-
-
 class _Coefficients:
     """A t-polynomial over a ring with no integer form, as its coefficient
     list by ascending power of t: the arithmetic the Schur walk and the
@@ -535,33 +520,19 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
 
     The first key attaches to the smallest chain entry; this matches the
     single-column Schur value with the first key in the top cell.  The value
-    is the full-length prefix of ``linear_value_prefixes``' dynamic program,
-    the one evaluator behind every Jacobi-Trudi column; only that value is
-    divided by L^K.
+    is the full-length prefix of ``_linear_value_prefixes``' dynamic
+    program, the one evaluator behind every Jacobi-Trudi column; only that
+    value is divided by L^K.
     """
     return _scaled_linear_value_prefixes(keys, N, cmap)[-1].divided()
-
-
-def linear_value_prefixes(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> list[TPoly]:
-    """The linear value of keys[:p] for every p = 0 .. len(keys), from one
-    pass over the keys.
-
-    The chains of keys[:p] ending exactly at m sum to
-
-        last_p(m) = f(k_p, m) * (t * last_(p-1)(m) + sum over m' < m of last_(p-1)(m'))
-
-    (the empty chain lies below every m), so all the prefixes together take
-    O(len(keys) * N) operations on packed t-polynomials
-    (``_linear_value_prefixes``), where enumerating the chains of one prefix
-    of length r takes about C(r+N-2, r) * r.
-    """
-    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
 
 
 def _scaled_linear_value_prefixes(
     keys: Sequence[Any], N: int, cmap: CoefficientMap
 ) -> list[ScaledPoly]:
-    """``linear_value_prefixes`` undivided, each prefix over its own L^K."""
+    """The linear value of keys[:p] for every p = 0 .. len(keys), from one
+    pass over the keys (``_linear_value_prefixes``), undivided: each prefix
+    over its own L^K."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
@@ -572,35 +543,31 @@ def _scaled_linear_value_prefixes(
 def _decoded_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
     """The prefix DP from the empty path over keys: the values at N of
     keys[:p] for p = 0 .. len(keys), decoded."""
-    b = _linear_bits([(k,) for k in keys], N, cmap)
+    b = _slot_bits([(k,) for k in keys], N, cmap)
     values, _ = _linear_value_prefixes(keys, N, cmap, b)
     return [TPoly(cmap.ring, _decoded(value, b)) for value in values]
 
 
-def _linear_bits(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap) -> int:
-    """Bits b per power of t for the packed linear routes, whose i-th key
-    is drawn from levels[i]: over the integers one more than the bit length
-    of X, the product over the levels of the largest S_k = f(k, 1) + ... +
-    f(k, N-1) of a label k there (X taken as 1 when it is 0); over any
-    other ring 1, for which << 1 is * t on a ``_Coefficients``.
+def _slot_bits(
+    levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, pairs: int = 0
+) -> int:
+    """Bits b per power of t for a packed value whose i-th label is drawn
+    from levels[i]: over the integers one more than the bit length of
 
-    Proof that each coefficient c_j of a value the routes return is below
-    2^(b-1).  Over the integers the map is an integer form, whose f(k, m) are
-    positive: (L // m)^k or m^(-k).  c_j of keys k_1 .. k_p at a bound n sums
-    the products of the f(k_i, m_i) over the weak chains below n with j
-    equalities, so c_j >= 0, and all c_j together are at most the sum over
-    all maps i -> m_i in 1..N-1, the product of the S_(k_i).  That is at
-    most X for every prefix of a path, since each S_k >= 1 when N >= 2 (at
-    N = 1 only the empty path's value, 1, is nonzero).  So 0 <= c_j <
-    2^(b-1), and the c_j are the signed base-2^b digits of p(2^b)
-    (``_decoded``), the bit above each one reading 0 as its sign; as the
-    packing is a ring map, only returned values need the bound.
-    """
+        X = 2^pairs * product over the levels of the largest S(k) there,
+        S(k) = |f(k, 1)| + ... + |f(k, N-1)|,
+
+    X taken as 1 when it is 0; over any other ring 1, for which << 1 is * t
+    on a ``_Coefficients``.  Every coefficient of the value is at most X:
+    the Schur walk passes one level per cell and pairs = C - height
+    (proved in ``schur_value``), the linear routes their levels and no
+    pairs (proved in ``_linear_value_prefixes``)."""
     if cmap.ring is not _ZZ:
         return 1
-    bound = 1
+    totals = {k: sum(map(abs, cmap.row(k, N))) for k in set().union(*levels)}
+    bound = 1 << pairs
     for level in levels:
-        bound *= max((sum(cmap.row(k, N)) for k in level), default=1)
+        bound *= max(map(totals.__getitem__, level), default=1)
     return max(bound, 1).bit_length() + 1
 
 
@@ -614,7 +581,7 @@ def _packed_constants(ring: Ring) -> tuple[Any, Any]:
 
 def _decoded(value: Any, b: int) -> list:
     """A packed t-polynomial's coefficients by ascending power of t, given
-    every |c_k| < 2^(b-1) (``_slot_bits``, ``_linear_bits``): an int
+    every |c_k| < 2^(b-1) (``_slot_bits``): an int
     p(2^b)'s digits in base 2^b taken from -2^(b-1) .. 2^(b-1) - 1, where
     they are unique, so trimmed; a ``_Coefficients``' own list."""
     if type(value) is not int:
@@ -640,12 +607,34 @@ def _linear_value_prefixes(
     The path is the one ``state`` ends (the empty path when None), extended
     by keys, and its state is (last, below): the t-polynomials, indexed by
     m - 1, of its chains ending at m (m < N) and of those ending below m
-    (m <= N), that is, its value at every bound 1 .. N.  Each is packed at
-    t = 2^b, with b from ``_linear_bits``: one ``int`` over the integers, a
-    ``_Coefficients`` over any other ring.  A key step is, per m, one
-    ((last << b) + below) * f(k, m) and one add, the same code on either.
-    values[0] is the start's value at N; the callers decode (``_decoded``)
-    only the values they return."""
+    (m <= N), that is, its value at every bound 1 .. N.  The chains of
+    keys[:p] ending exactly at m sum to
+
+        last_p(m) = f(k_p, m) * (t * last_(p-1)(m) + sum over m' < m of last_(p-1)(m'))
+
+    (the empty chain lies below every m), so all the prefixes together take
+    O(len(keys) * N) operations, where enumerating the chains of one prefix
+    of length r takes about C(r+N-2, r) * r.
+
+    Each t-polynomial is packed at t = 2^b, with b from ``_slot_bits``:
+    one ``int`` over the integers, a ``_Coefficients`` over any other ring.
+    A key step is, per m, one ((last << b) + below) * f(k, m) and one add,
+    the same code on either.  values[0] is the start's value at N; the
+    callers decode (``_decoded``) only the values they return.
+
+    Proof that each coefficient c_j of a value the linear routes return is
+    below 2^(b-1).  Over the integers the map is an integer form, whose
+    f(k, m) are positive: (L // m)^k or m^(-k).  c_j of keys k_1 .. k_p at
+    a bound n sums the products of the f(k_i, m_i) over the weak chains
+    below n with j equalities, so c_j >= 0, and all c_j together are at
+    most the sum over all maps i -> m_i in 1..N-1, the product of the
+    S(k_i).  That is at most X (``_slot_bits``, with no pairs) for every
+    prefix of a path, since each
+    S(k) >= 1 when N >= 2 (at N = 1 only the empty path's value, 1, is
+    nonzero).  So 0 <= c_j < 2^(b-1), and the c_j are the signed base-2^b
+    digits of p(2^b) (``_decoded``), the bit above each one reading 0 as
+    its sign; as the packing is a ring map, only returned values need the
+    bound."""
     zero, one = _packed_constants(cmap.ring)
     if state is None:
         last, below = [zero] * (N - 1), [one] * N
@@ -684,7 +673,7 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
     keys = tuple(keys)
 
     def body(c: CoefficientMap) -> TPoly:
-        b = _linear_bits([(k,) for k in keys], N, c)
+        b = _slot_bits([(k,) for k in keys], N, c)
         return TPoly(c.ring, _decoded(_linear_value_by_recursion(keys, N, c, b)[1][-1][-1], b))
 
     return _undivided(cmap, N - 1, keys, body).divided()
@@ -824,7 +813,7 @@ def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
     held.  Every key is checked before any route runs.
 
     The prefix DP and the recursion pack their states at one slot width b
-    for the whole walk (``_linear_bits`` over the levels) and are decoded
+    for the whole walk (``_slot_bits`` over the levels) and are decoded
     before the sweep compares them with the merge route, which is not
     packed: a slot too narrow cannot make them agree with it."""
     for level in levels:
@@ -835,7 +824,7 @@ def _route_walk(levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap):
     if form is None:
         raise ValueError(f"the route walk needs a map with an integer form, not {cmap.name}")
     imap, L = form
-    b = _linear_bits(levels, N, imap)
+    b = _slot_bits(levels, N, imap)
     rows = _PowerRows(N)
 
     depth = len(levels)

@@ -1,8 +1,8 @@
 """Exhaustive enumeration of weakly increasing chains.
 
 The test-side oracle for the linear-value dynamic program
-(``values.linear_value_prefixes`` and ``values.linear_value``) and for the
-values every route reads off one run at each bound: it visits
+(``values._scaled_linear_value_prefixes`` and ``values.linear_value``) and
+for the values every route reads off one run at each bound: it visits
 every chain 0 < m_1 <= ... <= m_r < N, straight from the definition in the
 ``values.linear_value`` docstring, and shares no code with the program it
 checks but the map's values f(k, m).

@@ -1,9 +1,10 @@
 """Exhaustive enumeration of lattice paths and vertex-disjoint path systems.
 
-The test-side oracle for ``lattice.lgv_signed_sum``: it builds every path
-edge by edge and every system over every permutation, straight from the
-edge list in the ``lattice`` module docstring, and shares no code with the
-column sweep it checks.
+The test-side oracle for ``lattice._scaled_lgv_signed_sum`` and
+``lattice._scaled_path_matrix``: it builds every path edge by edge and
+every system over every permutation, straight from the edge list in the
+``lattice`` module docstring, and shares no code with the column sweep or
+the path sums it checks.
 """
 
 from __future__ import annotations

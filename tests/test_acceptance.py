@@ -66,8 +66,8 @@ def test_acceptance_lgv_cross_check():
 
 
 def test_acceptance_path_weight_sums():
-    """Single-path weight sums equal linear values for lengths up to 4 and
-    N up to 6."""
+    """Single-path weight sums, one-entry path-sum matrices, equal linear
+    values for lengths up to 4 and N up to 6."""
     report = run_path_linear_sweep(max_r=4, max_n=6, seed=14)
     _announce("path-linear", report)
     assert report["pass"], _first_failures(report)

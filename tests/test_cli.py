@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schurzeta import cli, jacobi_trudi, lattice, sweeps, values
-from schurzeta.rings import QQ, ScaledPoly, TPoly
+from schurzeta.rings import QQ, ScaledPoly, TPoly, _scaled_determinant
 from schurzeta.shapes import Partition, Tableau, bit_tableau_stats, build_bit_tableau
 
 from filling_enumeration import filling_sum_oracle
@@ -472,7 +472,7 @@ def plus_one(value, degree=0):
 
 # The checkers compare their sides undivided and render an agreed value
 # once.  A perturbed route must fail its instances, and every side of a
-# failing instance must then render as the public TPoly route to it does.
+# failing instance must then render as its evaluator's value does, divided.
 
 RAT = values.rational_map()
 
@@ -518,8 +518,10 @@ def test_lgv_mismatch_renders_each_side(capsys, monkeypatch):
         shape, weights = Partition(f["shape"]), values.DiagonalWeights(f["diagonal"])
         sources, sinks = lattice.schur_path_endpoints(shape, f["N"])
         tableau = values.diagonal_tableau(shape, weights)
-        assert f["signed_sum"] == lattice.schur_scenario_sum(shape, f["N"], RAT, weights).to_json()
-        assert f["determinant"] == lattice.lgv_determinant(sources, sinks, RAT, weights).to_json()
+        signed = lattice._scaled_lgv_signed_sum(sources, sinks, RAT, weights)
+        matrix = lattice._scaled_path_matrix(sources, sinks, RAT, weights)
+        assert f["signed_sum"] == signed.divided().to_json()
+        assert f["determinant"] == _scaled_determinant(matrix, QQ).divided().to_json()
         assert f["schur"] == values.schur_value(tableau, f["N"], RAT).to_json()
         assert f["determinant"] == f["schur"] != f["signed_sum"]
     code, payload, _ = run_json(["lgv-verify", "--max-cells", "2", "--N", "2"], capsys)
@@ -535,7 +537,8 @@ def test_layer_mismatch_renders_each_side(capsys, monkeypatch):
         predicted, _ = lattice._layer_sides(bt, bit_tableau_stats(bt), f["M"], RAT, weights)
         sources, sinks = lattice.layer_endpoints(shape, f["b"], f["M"])
         assert f["predicted"] == predicted.divided().to_json()
-        assert f["signed_sum"] == lattice.lgv_signed_sum(sources, sinks, RAT, weights).to_json()
+        signed = lattice._scaled_lgv_signed_sum(sources, sinks, RAT, weights)
+        assert f["signed_sum"] == signed.divided().to_json()
         assert f["one_ordered"] and f["predicted"] != f["signed_sum"]
     code, payload, _ = run_json(["layer-verify", "--max-cells", "2", "--M", "2"], capsys)
     assert code == 1 and payload["pass"] is False
@@ -547,7 +550,7 @@ def test_palindrome_mismatch_renders_each_side(capsys, monkeypatch):
     monkeypatch.setattr(
         jacobi_trudi, "_scaled_determinant", lambda *args: plus_one(original(*args), 1))
     for f in failures_of(sweeps.run_palindrome_sweep(max_r=2, max_n=3)):
-        poly = jacobi_trudi.verify_palindromic_matrix(f["keys"], f["N"]).poly
+        poly = jacobi_trudi.verify_palindromic_matrix(f["keys"], f["N"]).poly_scaled.divided()
         assert f["poly"] == poly.to_json()
         assert f["flipped"] == poly.subs_one_minus_t().to_json()
         assert f["poly"] != f["flipped"]
@@ -562,10 +565,10 @@ def test_path_linear_mismatch_renders_each_side(capsys, monkeypatch):
     for f in failures_of(sweeps.run_path_linear_sweep(max_r=2, max_n=3)):
         i, j, N = f["start_column"], f["end_column"], f["N"]
         weights = values.DiagonalWeights(f["diagonal"])
-        by_path = lattice.path_weight_sum(lattice.white(i, N - 1), lattice.white(j + 1, 0), RAT,
-                                          weights)
+        [[by_path]] = lattice._scaled_path_matrix(
+            [lattice.white(i, N - 1)], [lattice.white(j + 1, 0)], RAT, weights)
         direct = values.linear_value([weights[d] for d in range(j, i - 1, -1)], N, RAT)
-        assert f["path_sum"] == by_path.to_json() and f["linear"] == direct.to_json()
+        assert f["path_sum"] == by_path.divided().to_json() and f["linear"] == direct.to_json()
         assert f["path_sum"] != f["linear"]
     code, payload, _ = run_json(["all-verify", "--max-cells", "2", "--N", "3"], capsys)
     assert code == 1 and payload["summary"]["path_linear"]["pass"] is False

@@ -17,10 +17,10 @@ from schurzeta import lattice, values
 from schurzeta.errors import DomainError
 from schurzeta.jacobi_trudi import _determinants
 from schurzeta.lattice import (
+    _scaled_lgv_signed_sum,
+    _scaled_path_matrix,
     black,
     layer_endpoints,
-    lgv_signed_sum,
-    path_weight_sum,
     schur_path_endpoints,
     white,
 )
@@ -29,10 +29,10 @@ from schurzeta.shapes import Partition, Tableau, admissible_baselines, partition
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
+    _scaled_linear_value_prefixes,
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
-    linear_value_prefixes,
     merge_expansion,
     q_analogue_map,
     rational_map,
@@ -58,6 +58,22 @@ def same(fast, slow):
     assert fast == slow
 
 
+def prefixes_of(keys, N, cmap):
+    """The prefix DP's value of every prefix of keys, divided."""
+    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
+
+
+def path_sum(A, B, cmap, dw):
+    """The one-entry path matrix A -> B, divided."""
+    [[value]] = _scaled_path_matrix([A], [B], cmap, dw)
+    return value.divided()
+
+
+def signed_sum(sources, sinks, cmap, dw):
+    """The column sweep's signed path-system sum, divided."""
+    return _scaled_lgv_signed_sum(sources, sinks, cmap, dw).divided()
+
+
 def test_integer_form_values_and_cache():
     form = RAT.integer_form(12)
     assert form is RAT.integer_form(12)  # cached per L
@@ -79,8 +95,8 @@ def test_linear_routes_match_fraction_route(r):
             same(linear_value(keys, N, RAT), slow)
             same(linear_value_by_recursion(keys, N, RAT), slow)
             same(merge_expansion(keys, N), slow)
-            fast_prefixes = linear_value_prefixes(keys, N, RAT)
-            slow_prefixes = linear_value_prefixes(keys, N, FRACTIONS)
+            fast_prefixes = prefixes_of(keys, N, RAT)
+            slow_prefixes = prefixes_of(keys, N, FRACTIONS)
             assert len(fast_prefixes) == len(slow_prefixes) == r + 1
             for fast, prefix in zip(fast_prefixes, slow_prefixes):
                 same(fast, prefix)
@@ -94,7 +110,7 @@ def test_long_keys_match_fraction_route():
             slow = linear_value_by_recursion(keys, N, FRACTIONS)
             same(linear_value_by_recursion(keys, N, RAT), slow)
             same(merge_expansion(keys, N), slow)
-            same(linear_value_prefixes(keys, N, RAT)[-1], slow)
+            same(prefixes_of(keys, N, RAT)[-1], slow)
 
 
 def test_schur_values_match_fraction_route():
@@ -183,7 +199,7 @@ def test_path_sums_match_fraction_route():
     for (x0, y0), (x1, y1) in product(product(range(-3, 3), range(0, 6)), repeat=2):
         for B in (white(x1, y1), black(x1, y1)):
             A = white(x0, y0)
-            same(path_weight_sum(A, B, RAT, dw), path_weight_sum(A, B, FRACTIONS, dw))
+            same(path_sum(A, B, RAT, dw), path_sum(A, B, FRACTIONS, dw))
 
 
 def test_signed_sums_match_fraction_route():
@@ -193,15 +209,15 @@ def test_signed_sums_match_fraction_route():
         for N in N_VALUES:
             sources, sinks = schur_path_endpoints(shape, N)
             same(
-                lgv_signed_sum(sources, sinks, RAT, dw),
-                lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+                signed_sum(sources, sinks, RAT, dw),
+                signed_sum(sources, sinks, FRACTIONS, dw),
             )
         for b in admissible_baselines(shape):
             for M in range(1, 4):
                 sources, sinks = layer_endpoints(shape, b, M)
                 same(
-                    lgv_signed_sum(sources, sinks, RAT, dw),
-                    lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+                    signed_sum(sources, sinks, RAT, dw),
+                    signed_sum(sources, sinks, FRACTIONS, dw),
                 )
 
 
@@ -214,8 +230,8 @@ def test_signed_sums_with_mixed_heights_match_fraction_route():
         sources = [white(rng.randint(-3, 0), rng.randint(0, 5)) for _ in range(n)]
         sinks = [white(rng.randint(-1, 3), rng.randint(0, 2)) for _ in range(n)]
         same(
-            lgv_signed_sum(sources, sinks, RAT, dw),
-            lgv_signed_sum(sources, sinks, FRACTIONS, dw),
+            signed_sum(sources, sinks, RAT, dw),
+            signed_sum(sources, sinks, FRACTIONS, dw),
         )
 
 
@@ -227,8 +243,8 @@ def test_signed_sum_without_identity_pairing(M):
     sources, sinks = layer_endpoints(shape, (-1, 2), M)
     assert sinks[1].x < sources[1].x
     dw = DiagonalWeights({-1: 3, 0: -2, 1: 2})
-    fast = lgv_signed_sum(sources, sinks, RAT, dw)
-    same(fast, lgv_signed_sum(sources, sinks, FRACTIONS, dw))
+    fast = signed_sum(sources, sinks, RAT, dw)
+    same(fast, signed_sum(sources, sinks, FRACTIONS, dw))
     assert fast == TPoly(QQ, [-Fraction(1, M**5)])
 
 
@@ -238,12 +254,12 @@ def test_labels_outside_the_map_still_raise_where_used():
     with pytest.raises(DomainError):
         schur_value(Tableau(Partition((1,)), [["x"]]), 2, RAT)
     with pytest.raises(DomainError):
-        path_weight_sum(white(0, 2), white(1, 0), RAT, DiagonalWeights({0: 1.5}))
+        path_sum(white(0, 2), white(1, 0), RAT, DiagonalWeights({0: 1.5}))
     # No chain below N = 1, so the label is never used.
     assert linear_value(["x"], 1, RAT) == TPoly.zero(QQ)
     # A column outside the window fails on its own lookup, as before.
     with pytest.raises(ValueError):
-        path_weight_sum(white(0, 2), white(2, 0), RAT, DiagonalWeights({0: 1}))
+        path_sum(white(0, 2), white(2, 0), RAT, DiagonalWeights({0: 1}))
 
 
 ROUTES_WITH_LABEL = {
@@ -251,7 +267,7 @@ ROUTES_WITH_LABEL = {
     "linear_value_by_recursion":
         lambda label, N, cmap: linear_value_by_recursion([label, 2], N, cmap),
     # N - 1 is the source height, so N = 1 leaves no edge to take.
-    "path_matrix": lambda label, N, cmap: lattice.path_matrix(
+    "path_matrix": lambda label, N, cmap: _scaled_path_matrix(
         [white(0, N - 1), white(1, N - 1)], [white(1, 0), black(2, 0)], cmap,
         DiagonalWeights({0: 2, 1: label})),
 }
@@ -266,25 +282,31 @@ def test_rewritten_routes_raise_on_labels_they_meet(route, label, cmap):
         call(label, 3, cmap)
     # No entry below N = 1: the label is never met.
     result = call(label, 1, cmap)
-    for value in result[0] if route == "path_matrix" else [result]:
+    for value in [v.divided() for v in result[0]] if route == "path_matrix" else [result]:
         assert value == TPoly.zero(cmap.ring)
 
 
+# (test id, module, evaluator, call returning the divided value or values)
 EVALUATORS = [
-    (values, "linear_value", lambda f: f((2, -1, 3), 5, RAT)),
-    (values, "linear_value_by_recursion", lambda f: f((2, -1, 3), 5, RAT)),
-    (values, "linear_value_prefixes", lambda f: f((2, -1, 3), 5, RAT)),
-    (values, "schur_value",
+    ("linear_value", values, "linear_value", lambda f: f((2, -1, 3), 5, RAT)),
+    ("linear_value_by_recursion", values, "linear_value_by_recursion",
+     lambda f: f((2, -1, 3), 5, RAT)),
+    ("linear_value_prefixes", values, "_scaled_linear_value_prefixes",
+     lambda f: [value.divided() for value in f((2, -1, 3), 5, RAT)]),
+    ("schur_value", values, "schur_value",
      lambda f: f(Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, RAT)),
-    (lattice, "path_weight_sum",
-     lambda f: f(white(0, 4), white(3, 0), RAT, DiagonalWeights({0: 2, 1: -1, 2: 3}))),
-    (lattice, "lgv_signed_sum",
+    ("path_weight_sum", lattice, "_scaled_path_matrix",
+     lambda f: f([white(0, 4)], [white(3, 0)], RAT,
+                 DiagonalWeights({0: 2, 1: -1, 2: 3}))[0][0].divided()),
+    ("lgv_signed_sum", lattice, "_scaled_lgv_signed_sum",
      lambda f: f(*schur_path_endpoints(Partition((2, 2)), 4), RAT,
-                 DiagonalWeights({-1: 2, 0: 1, 1: 3}))),
+                 DiagonalWeights({-1: 2, 0: 1, 1: 3})).divided()),
 ]
 
 
-@pytest.mark.parametrize("module, name, call", EVALUATORS, ids=[e[1] for e in EVALUATORS])
+@pytest.mark.parametrize(
+    "module, name, call", [e[1:] for e in EVALUATORS], ids=[e[0] for e in EVALUATORS]
+)
 def test_evaluator_runs_once_per_call(monkeypatch, module, name, call):
     original = getattr(module, name)
     calls = []

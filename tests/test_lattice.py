@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from schurzeta.errors import DomainError
-from schurzeta.rings import QQ, TPoly
+from schurzeta.rings import QQ, TPoly, _scaled_determinant
 from schurzeta.shapes import (
     Partition,
     admissible_baselines,
@@ -17,14 +17,11 @@ from schurzeta.shapes import (
 )
 from schurzeta.lattice import (
     _layer_sides,
+    _scaled_lgv_signed_sum,
+    _scaled_path_matrix,
     black,
     layer_endpoints,
-    lgv_determinant,
-    lgv_signed_sum,
-    path_matrix,
-    path_weight_sum,
     schur_path_endpoints,
-    schur_scenario_sum,
     white,
 )
 from schurzeta.values import (
@@ -53,20 +50,38 @@ def frac_pow(m, k):
     return Fraction(1, m**k) if k >= 0 else Fraction(m**-k)
 
 
+def signed_sum(sources, sinks, cmap, dw):
+    """The column sweep's signed path-system sum, divided."""
+    return _scaled_lgv_signed_sum(sources, sinks, cmap, dw).divided()
+
+
+def path_sum(A, B, cmap, dw):
+    """The one-entry path matrix A -> B, divided."""
+    [[value]] = _scaled_path_matrix([A], [B], cmap, dw)
+    return value.divided()
+
+
+def lgv_sides(sources, sinks, dw):
+    """The signed sum and the path-matrix determinant, undivided, over the
+    rational map: the two sides the LGV sweep compares."""
+    matrix = _scaled_path_matrix(sources, sinks, RAT, dw)
+    return _scaled_lgv_signed_sum(sources, sinks, RAT, dw), _scaled_determinant(matrix, QQ)
+
+
 # ---------------------------------------------------------------------------
 # single paths
 
 
 def test_same_column_path_sum_is_one():
     dw = DiagonalWeights({0: 2})
-    assert path_weight_sum(white(0, 3), white(0, 0), RAT, dw) == TPoly.one(QQ)
+    assert path_sum(white(0, 3), white(0, 0), RAT, dw) == TPoly.one(QQ)
 
 
 def test_unreachable_targets_give_zero():
     dw = DiagonalWeights({-1: 2, 0: 2})
-    assert path_weight_sum(white(1, 3), white(0, 0), RAT, dw) == TPoly.zero(QQ)
+    assert path_sum(white(1, 3), white(0, 0), RAT, dw) == TPoly.zero(QQ)
     # same column but wrong color
-    assert path_weight_sum(white(0, 3), black(0, 0), RAT, dw) == TPoly.zero(QQ)
+    assert path_sum(white(0, 3), black(0, 0), RAT, dw) == TPoly.zero(QQ)
 
 
 def test_worked_single_path_weight():
@@ -106,7 +121,7 @@ def test_path_sum_equals_linear_value():
             i = rng.randint(-2, 1)
             j = i + r - 1
             dw = DiagonalWeights({d: rng.randint(-2, 3) for d in range(i, j + 1)})
-            by_path = path_weight_sum(white(i, N - 1), white(j + 1, 0), RAT, dw)
+            by_path = path_sum(white(i, N - 1), white(j + 1, 0), RAT, dw)
             keys = [dw[j - s] for s in range(r)]
             assert by_path == linear_value(keys, N, RAT)
 
@@ -123,7 +138,7 @@ def test_single_pair_systems_match_path_sum():
     total = TPoly.zero(QQ)
     for s in systems:
         total = total + s.weight
-    assert total == path_weight_sum(A, B, RAT, dw)
+    assert total == path_sum(A, B, RAT, dw)
 
 
 def test_system_weights_recompute_from_edges():
@@ -166,14 +181,14 @@ def test_disjointness_uses_colors():
 def test_signed_sum_matches_determinant_2x2():
     dw = DiagonalWeights({-1: 2, 0: 2, 1: 1})
     sources, sinks = schur_path_endpoints(Partition((2, 2)), 3)
-    signed = lgv_signed_sum(sources, sinks, RAT, dw)
-    assert signed == lgv_determinant(sources, sinks, RAT, dw)
+    signed, det = lgv_sides(sources, sinks, dw)
+    assert signed == det
 
 
 def test_signed_sum_impossible_geometry_is_zero():
     dw = DiagonalWeights({0: 2, 1: 2, 2: 2})
     # both sinks strictly left of both sources
-    assert lgv_signed_sum(
+    assert signed_sum(
         [white(2, 3), white(3, 3)], [white(0, 0), white(1, 0)], RAT, dw
     ) == TPoly.zero(QQ)
 
@@ -186,9 +201,8 @@ def test_lgv_identity_random_scenarios():
                 {d: rng.randint(-2, 3) for d in required_offsets(shape)}
             )
             sources, sinks = schur_path_endpoints(shape, N)
-            assert lgv_signed_sum(sources, sinks, RAT, dw) == lgv_determinant(
-                sources, sinks, RAT, dw
-            )
+            signed, det = lgv_sides(sources, sinks, dw)
+            assert signed == det
 
 
 def test_scenario_sum_matches_schur_value():
@@ -198,15 +212,17 @@ def test_scenario_sum_matches_schur_value():
             dw = DiagonalWeights(
                 {d: rng.randint(-2, 3) for d in required_offsets(shape)}
             )
-            assert schur_scenario_sum(shape, N, RAT, dw) == schur_value(
+            sources, sinks = schur_path_endpoints(shape, N)
+            assert signed_sum(sources, sinks, RAT, dw) == schur_value(
                 diagonal_tableau(shape, dw), N, RAT
             )
-    assert schur_scenario_sum(Partition(()), 4, RAT, DiagonalWeights({})) == TPoly.one(QQ)
+    empty = schur_path_endpoints(Partition(()), 4)
+    assert signed_sum(*empty, RAT, DiagonalWeights({})) == TPoly.one(QQ)
 
 
 def test_single_cell_scenario():
     dw = DiagonalWeights({0: 3})
-    value = schur_scenario_sum(Partition((1,)), 5, RAT, dw)
+    value = signed_sum(*schur_path_endpoints(Partition((1,)), 5), RAT, dw)
     assert value == TPoly(QQ, [sum(Fraction(1, m**3) for m in range(1, 5))])
 
 
@@ -369,7 +385,7 @@ def test_sweep_matches_enumeration_on_schur_endpoints(spec):
         for N in range(1, 6):
             dw = random_window(rng, spec, required_offsets(shape))
             sources, sinks = schur_path_endpoints(shape, N)
-            swept = lgv_signed_sum(sources, sinks, cmap, dw)
+            swept = signed_sum(sources, sinks, cmap, dw)
             assert swept == enumerated_signed_sum(sources, sinks, cmap, dw), (shape, N)
             nonzero += bool(swept)
     assert nonzero > 50
@@ -390,7 +406,7 @@ def test_sweep_matches_enumeration_on_layer_endpoints(spec):
         for M in range(1, 5):
             dw = random_window(rng, spec, required_offsets(shape))
             sources, sinks = layer_endpoints(shape, b, M)
-            assert lgv_signed_sum(sources, sinks, cmap, dw) == enumerated_signed_sum(
+            assert signed_sum(sources, sinks, cmap, dw) == enumerated_signed_sum(
                 sources, sinks, cmap, dw
             ), (shape, b, M)
             odd_systems += any(
@@ -431,7 +447,7 @@ def test_sweep_matches_enumeration_on_hand_built_endpoints(name, spec):
     cmap = coefficient_map_for(spec)
     dw = DiagonalWeights({-2: 1, -1: 2, 0: 1, 1: 2, 2: 1, 3: 1})
     sources, sinks = HAND_BUILT[name]
-    swept = lgv_signed_sum(sources, sinks, cmap, dw)
+    swept = signed_sum(sources, sinks, cmap, dw)
     assert swept == enumerated_signed_sum(sources, sinks, cmap, dw)
     assert bool(swept) == (name not in ZERO_CASES)
 
@@ -458,15 +474,16 @@ def test_path_matrix_matches_enumerated_paths(name, spec):
     cmap = coefficient_map_for(spec)
     dw = random_window(random.Random(63), spec, range(-2, 5))
     sources, sinks = PATH_MATRIX_LAYOUT if name == "layout" else HAND_BUILT[name]
-    matrix = path_matrix(sources, sinks, cmap, dw)
+    matrix = _scaled_path_matrix(sources, sinks, cmap, dw)
     assert len(matrix) == len(sources)
     for A, row in zip(sources, matrix):
         assert len(row) == len(sinks)
-        for B, entry in zip(sinks, row):
+        for B, scaled in zip(sinks, row):
+            entry = scaled.divided()
             assert entry == enumerated_path_sum(A, B, cmap, dw), (A, B)
-            assert entry == path_weight_sum(A, B, cmap, dw)
+            assert entry == path_sum(A, B, cmap, dw)
     if name == "layout":
-        entries = [entry for row in matrix for entry in row]
+        entries = [entry.divided() for row in matrix for entry in row]
         assert sum(bool(e) for e in entries) > 10 and not all(entries)
 
 
@@ -475,13 +492,13 @@ def test_path_matrix_reads_only_the_columns_a_path_leaves():
     # source never entered.
     sources, sinks = [white(0, 3), white(1, 2)], [white(1, 0), black(2, 1)]
     needed = {0: 2, 1: -1}
-    expected = path_matrix(sources, sinks, RAT, DiagonalWeights(needed))
-    assert all(expected[0])
-    assert path_matrix(
+    expected = _scaled_path_matrix(sources, sinks, RAT, DiagonalWeights(needed))
+    assert all(entry.divided() for entry in expected[0])
+    assert _scaled_path_matrix(
         sources, sinks, RAT, DiagonalWeights({-1: "x", **needed, 2: "x"})
     ) == expected
     with pytest.raises(ValueError):
-        path_matrix(sources, sinks, RAT, DiagonalWeights({0: 2}))
+        _scaled_path_matrix(sources, sinks, RAT, DiagonalWeights({0: 2}))
 
 
 @pytest.mark.parametrize("spec", RING_SPECS)
@@ -489,10 +506,10 @@ def test_sweep_endpoint_counts(spec):
     cmap = coefficient_map_for(spec)
     dw = DiagonalWeights({0: 2, 1: 2})
     with pytest.raises(ValueError):
-        lgv_signed_sum([white(0, 2)], [], cmap, dw)
+        signed_sum([white(0, 2)], [], cmap, dw)
     with pytest.raises(ValueError):
-        lgv_signed_sum([white(0, 2)], [white(1, 0), white(2, 0)], cmap, dw)
-    assert lgv_signed_sum([], [], cmap, dw) == TPoly.one(cmap.ring)
+        signed_sum([white(0, 2)], [white(1, 0), white(2, 0)], cmap, dw)
+    assert signed_sum([], [], cmap, dw) == TPoly.one(cmap.ring)
 
 
 def test_sweep_reads_only_the_labels_a_path_needs():
@@ -500,17 +517,17 @@ def test_sweep_reads_only_the_labels_a_path_needs():
     # so every system leaves columns -1, 0 and 1, and none leaves column 2.
     sources, sinks = schur_path_endpoints(Partition((2, 2)), 3)
     with pytest.raises(ValueError):
-        lgv_signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 1: 2}))
+        signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 1: 2}))
     with pytest.raises(DomainError):
-        lgv_signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 0: "x", 1: 2}))
+        signed_sum(sources, sinks, RAT, DiagonalWeights({-1: 2, 0: "x", 1: 2}))
     with pytest.raises(DomainError):
-        lgv_signed_sum(
+        signed_sum(
             sources, sinks, coefficient_map_for("qsym"), DiagonalWeights({-1: 2, 0: 0, 1: 2})
         )
     needed = {-1: 2, 0: 1, 1: 3}
-    assert lgv_signed_sum(
+    assert signed_sum(
         sources, sinks, RAT, DiagonalWeights({**needed, 2: "x"})
-    ) == lgv_signed_sum(sources, sinks, RAT, DiagonalWeights(needed))
+    ) == signed_sum(sources, sinks, RAT, DiagonalWeights(needed))
 
 
 def test_large_scenario_sum_matches_determinant_and_schur_value():
@@ -518,8 +535,8 @@ def test_large_scenario_sum_matches_determinant_and_schur_value():
     shape, N = Partition((4, 4, 4)), 6
     rng = random.Random(444)
     dw = DiagonalWeights({d: rng.randint(-2, 3) for d in required_offsets(shape)})
-    signed = schur_scenario_sum(shape, N, RAT, dw)
     sources, sinks = schur_path_endpoints(shape, N)
-    assert signed
-    assert signed == lgv_determinant(sources, sinks, RAT, dw)
-    assert signed == schur_value(diagonal_tableau(shape, dw), N, RAT)
+    signed, det = lgv_sides(sources, sinks, dw)
+    assert signed.divided()
+    assert signed == det
+    assert signed.divided() == schur_value(diagonal_tableau(shape, dw), N, RAT)

@@ -29,11 +29,11 @@ from schurzeta.shapes import (
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
+    _scaled_linear_value_prefixes,
     coefficient_map_for,
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
-    linear_value_prefixes,
     merge_expansion,
     q_analogue_map,
     quasisymmetric_map,
@@ -50,6 +50,11 @@ RAT = rational_map()
 
 def poly(*coeffs):
     return TPoly(QQ, [Fraction(c) for c in coeffs])
+
+
+def prefixes_of(keys, N, cmap):
+    """The prefix DP's value of every prefix of keys, divided."""
+    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
 
 
 def jt_row_determinant(shape, N, cmap, weights):
@@ -137,7 +142,7 @@ def test_linear_value_prefixes_match_chain_sums(cmap, lo, hi):
         for r in range(7):
             cases.append((tuple(rng.randint(lo, hi) for _ in range(r)), N))
     for keys, N in cases:
-        prefixes = linear_value_prefixes(keys, N, cmap)
+        prefixes = prefixes_of(keys, N, cmap)
         assert len(prefixes) == len(keys) + 1
         for p, value in enumerate(prefixes):
             assert value == chain_sum_oracle(keys[:p], N, cmap), (keys, N, p)
@@ -145,11 +150,11 @@ def test_linear_value_prefixes_match_chain_sums(cmap, lo, hi):
 
 
 def test_linear_value_prefixes_edge_cases():
-    assert linear_value_prefixes((), 1, RAT) == [TPoly.one(QQ)]
-    assert linear_value_prefixes((2, 3), 1, RAT) == [poly(1), poly(), poly()]
-    assert linear_value_prefixes((2, 2), 3, RAT) == [poly(1), poly("5/4"), poly("1/4", "17/16")]
+    assert prefixes_of((), 1, RAT) == [TPoly.one(QQ)]
+    assert prefixes_of((2, 3), 1, RAT) == [poly(1), poly(), poly()]
+    assert prefixes_of((2, 2), 3, RAT) == [poly(1), poly("5/4"), poly("1/4", "17/16")]
     with pytest.raises(ValueError):
-        linear_value_prefixes((2,), 0, RAT)
+        _scaled_linear_value_prefixes((2,), 0, RAT)
 
 
 def test_top_coefficient_is_single_power_sum():
@@ -349,7 +354,7 @@ def test_packed_routes_at_extreme_labels(N):
     L = math.lcm(*range(1, N))
     S = {k: int(sum(RAT(k, m) * L ** max(k, 0) for m in range(1, N))) for k in labels}
     bits = (max(S.values()) ** 5).bit_length() + 1
-    assert values._linear_bits([labels] * 5, N, RAT.integer_form(L)) == bits
+    assert values._slot_bits([labels] * 5, N, RAT.integer_form(L)) == bits
     walked = list(values._route_walk([labels] * 5, N, RAT))
     assert len(walked) == 63
     for keys, denominator, merge_denominator, by_bound in walked:
@@ -358,7 +363,7 @@ def test_packed_routes_at_extreme_labels(N):
             for cs, d in zip(lists, (denominator, denominator, merge_denominator)):
                 assert TPoly(QQ, [Fraction(c, d) for c in cs]) == expected, (keys, n)
         assert (
-            linear_value_prefixes(keys, N, RAT) == linear_value_prefixes(keys, N, by_hand)
+            prefixes_of(keys, N, RAT) == prefixes_of(keys, N, by_hand)
             and linear_value_by_recursion(keys, N, RAT)
             == linear_value_by_recursion(keys, N, by_hand)
             == merge_expansion(keys, N)
