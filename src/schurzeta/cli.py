@@ -119,8 +119,45 @@ FLAGS: dict[str, tuple[Callable[[Any], Any], str]] = {
 _INSTANCE_FLAGS = ("entries", "diagonal", "b")
 
 
+# The JSON of each scalar type a report holds, by exact type.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, for a value
+    that starts on a line indented as ``newline`` is.
+
+    ``json.dumps`` falls back to its pure-Python encoder when asked to
+    indent, which made it the largest single cost of a default all-verify.
+    This walks the types reports hold -- dicts with ``str`` keys, lists,
+    ``str``, ``int``, ``bool`` and None -- itself, and hands any other
+    value (a tuple, a float, a dict with other keys, a subclass) to
+    ``json.dumps``, re-indented, so it writes what ``json.dumps`` writes."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        string = _SCALARS[str]
+        items = [string(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

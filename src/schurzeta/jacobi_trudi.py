@@ -14,27 +14,34 @@ the H side has a matrix builder.  The E matrix of a shape is, entry by
 entry, the H matrix of the conjugate shape on the reflected window
 (offset d carries a_(-d)) at 1-t; since t -> 1-t is a ring homomorphism,
 det E is that H determinant with t -> 1-t substituted once
-(``_determinants``).  The entries of one H column are prefixes of a single
-run of offsets, so each column comes from one prefix DP
-(``values._scaled_linear_value_prefixes``) instead of one ``linear_value``
-call per entry.
+(``_determinants``).
 
-Entries and determinants stay undivided (``rings.ScaledPoly``): over the
-rational map they are integer numerators, t -> 1-t is substituted on them,
-and the checks in ``sweeps`` compare them so.  ``PalindromeReport`` holds
-them undivided too.
+Both determinants take the one matrix format of ``rings``, (rows, D): over
+the rational map's integer form, rows of integer coefficient lists, each
+row over one denominator, and D the product of the row denominators; over
+any other map, rows of ``TPoly``s with D = 1.  ``_h_matrix`` writes it from
+one evaluator run per matrix.  The entries of one H column are prefixes of
+a single run of offsets, so each column comes from one prefix-DP pass
+(``values._linear_value_prefixes``), all packed at one slot width, and
+only the entries the matrix uses are decoded.  The determinants stay
+undivided (``rings.ScaledPoly``): t -> 1-t is substituted on the
+numerators, and the checks in ``sweeps`` compare them so.
+``PalindromeReport`` holds them undivided too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import ScaledPoly, TPoly, _scaled_determinant
+from .rings import ScaledPoly, _scaled_determinant
 from .shapes import Partition
 from .values import (
     CoefficientMap,
     DiagonalWeights,
-    _scaled_linear_value_prefixes,
+    _decoded,
+    _linear_value_prefixes,
+    _slot_bits,
+    _undivided_rows,
     linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
     rational_map,
 )
@@ -42,24 +49,37 @@ from .values import (
 
 def _h_matrix(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
-) -> list[list[ScaledPoly]]:
-    """The width x width row-reading matrix, undivided: entry (i, j) is the
-    linear value of the first conjugate_i + j - i offsets of the descending
-    run a_(j-1), a_(j-2), ...; one at length zero, zero below it.
+) -> tuple[list[list], int]:
+    """The width x width row-reading matrix as (rows, D): entry (i, j) is
+    the linear value of the first conjugate_i + j - i offsets of the
+    descending run a_(j-1), a_(j-2), ...; one at length zero, zero below it.
 
-    Every entry of a column is a prefix of the same run, so one prefix DP
-    (``_scaled_linear_value_prefixes``) gives the whole column.
+    Every entry of a column is a prefix of the same run, so one prefix-DP
+    pass gives the whole column.  All columns run over one integer form
+    (``values._undivided_rows``) at one slot width: position s of every run
+    holds a label of levels[s], so each entry's coefficients are within the
+    bound ``_slot_bits`` takes over the levels.
     """
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     conj = shape.conjugate().parts
     n = shape.width
-    zero = ScaledPoly(TPoly.zero(cmap.ring))
-    columns = []
-    for j in range(1, n + 1):
-        lengths = [conj[i - 1] + j - i for i in range(1, n + 1)]
-        run = [weights[j - 1 - s] for s in range(max(lengths))]
-        prefixes = _scaled_linear_value_prefixes(run, N, cmap)
-        columns.append([prefixes[r] if r >= 0 else zero for r in lengths])
-    return [list(row) for row in zip(*columns)]
+    # Column j + 1 reads a_j, a_(j-1), ...; row 1 takes its longest prefix.
+    runs = [[weights[j - s] for s in range(conj[0] + j)] for j in range(n)]
+    lengths = [[conj[i] + j - i for j in range(n)] for i in range(n)]
+
+    def body(c: CoefficientMap) -> list[list]:
+        longest = len(runs[-1]) if runs else 0
+        levels = [{run[s] for run in runs if s < len(run)} for s in range(longest)]
+        b = _slot_bits(levels, N, c)
+        columns = [_linear_value_prefixes(run, N, c, b)[0] for run in runs]
+        return [
+            [_decoded(columns[j][r], b) if r >= 0 else [] for j, r in enumerate(row)]
+            for row in lengths
+        ]
+
+    prefixes = [[(j, max(r, 0)) for j, r in enumerate(row)] for row in lengths]
+    return _undivided_rows(cmap, N - 1, runs, prefixes, body)
 
 
 def _determinants(

@@ -49,10 +49,14 @@ the systems one by one remains the test oracle.
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the
 rational map they share one denominator: both run over the map's integer
-form (see ``values``).  Each quantity has one evaluator,
-``_scaled_lgv_signed_sum`` and ``_scaled_path_matrix``, which return the
-values undivided, as ``rings.ScaledPoly``; the checks in ``sweeps``
-compare them so and divide only in the text they report.
+form (see ``values``).  Each quantity has one evaluator, and none
+divides.  ``_scaled_lgv_signed_sum`` and ``_scaled_path_sum`` return a
+``rings.ScaledPoly``; ``_scaled_path_matrix`` returns the path matrix in
+the one matrix format of ``rings``, (rows, D): over the integer form, rows
+of integer coefficient lists, each row over one denominator, and D the
+product of the row denominators; over any other map, rows of ``TPoly``s
+with D = 1.  The checks in ``sweeps`` compare undivided values and divide
+only in the text they report.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .rings import Element, ScaledPoly, TPoly
+from .rings import Element, ScaledPoly, TPoly, _trimmed
 from .shapes import BitStats, BitTableau, Partition
-from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_each
+from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_rows
 
 
 class Vertex(NamedTuple):
@@ -87,9 +91,10 @@ def black(x: int, y: int) -> Vertex:
 
 def _path_row(
     A: Vertex, sinks: Sequence[Vertex], cmap: CoefficientMap, weights: DiagonalWeights
-) -> list[TPoly]:
+) -> list[Sequence]:
     """The path sums A -> B for every sink B, from one forward dynamic
-    program over the columns A.x .. (rightmost sink).
+    program over the columns A.x .. (rightmost sink), as trimmed
+    t-coefficient lists.
 
     Column x is swept from the top down: white(x, y) sums its entries from
     column x - 1 and white(x, y + 1) above it, and black(x, y) its entries
@@ -137,7 +142,7 @@ def _path_row(
                     next_whites[y - 1] = _sum_lists(next_whites.get(y - 1), out)
                 next_blacks[y] = [zero, *out[:-1]]  # times t
             whites, blacks = next_whites, next_blacks
-    return [TPoly(ring, found.get(B) or ()) for B in sinks]
+    return [_trimmed(found.get(B) or []) for B in sinks]
 
 
 def _sum_lists(a: list | None, b: list | None) -> list | None:
@@ -321,22 +326,32 @@ def _scaled_path_matrix(
     sinks: Sequence[Vertex],
     cmap: CoefficientMap,
     weights: DiagonalWeights,
-) -> list[list[ScaledPoly]]:
+) -> tuple[list[list], int]:
     """The matrix of pairwise path-weight sums w(sources[i], sinks[j]), one
-    forward path sum per source row, undivided: each entry over its own L^K.
-    Unreachable sinks give zero, not an error."""
-    rows = []
+    forward path sum per source row (``_path_row``), as (rows, D) from one
+    integer form for the whole matrix.  Unreachable sinks give zero, not an
+    error."""
     right = max((b.x for b in sinks), default=0)
-    for a in sources:
+    runs, prefixes = [], []
+    for i, a in enumerate(sources):
         # A path a -> b crosses each window column a.x .. b.x - 1 once: its
         # labels are a prefix of the row's, which skip the columns outside.
         columns = [x for x in range(a.x, right) if x in weights]
-        labels = [weights[x] for x in columns]
-        parts = [labels[:bisect_left(columns, b.x)] for b in sinks]
-        rows.append(
-            _undivided_each(cmap, a.y, labels, parts, lambda c: _path_row(a, sinks, c, weights))
-        )
-    return rows
+        runs.append([weights[x] for x in columns])
+        prefixes.append([(i, bisect_left(columns, b.x)) for b in sinks])
+    top = max((a.y for a in sources), default=0)
+    return _undivided_rows(
+        cmap, top, runs, prefixes, lambda c: [_path_row(a, sinks, c, weights) for a in sources])
+
+
+def _scaled_path_sum(
+    A: Vertex, B: Vertex, cmap: CoefficientMap, weights: DiagonalWeights
+) -> ScaledPoly:
+    """The path-weight sum w(A, B), undivided: ``_path_row`` for the one
+    sink, over its own L^K."""
+    labels = [weights[x] for x in range(A.x, B.x) if x in weights]
+    return _undivided(
+        cmap, A.y, labels, lambda c: TPoly(c.ring, _path_row(A, (B,), c, weights)[0]))
 
 
 def schur_path_endpoints(shape: Partition, N: int) -> tuple[list[Vertex], list[Vertex]]:

@@ -32,13 +32,22 @@ kept undivided over their common denominator as a ``ScaledPoly``.  Rational
 sides are compared undivided -- by their numerators when the denominators
 agree, by cross-multiplication otherwise -- and rendered from the
 numerators (``format_numerators``); only the public API divides, once, into
-a ``TPoly`` of ``Fraction``s.  Determinants of rational t-polynomial
-matrices have one route, ``_scaled_determinant``: each row is scaled to
-integer numerators over one denominator and fraction-free (Bareiss)
-elimination runs over Z[t], with exact polynomial division, in O(n^3)
-polynomial operations.  Every other ring goes through the division-free
-Laplace expansion, O(2^n * n), which is also the tests' oracle for the
-elimination.
+a ``TPoly`` of ``Fraction``s.
+
+Every determinant the package takes goes through ``_scaled_determinant``,
+and every matrix it takes has one format, (rows, D).  Over the rationals a
+row is a list of integer coefficient lists (ascending powers of t, trimmed),
+all over one denominator, and D is the product of the row denominators:
+fraction-free (Bareiss) elimination runs on the rows over Z[t], with exact
+polynomial division, in O(n^3) polynomial operations, and the determinant
+is the result over D.  Over any other ring the rows hold ``TPoly``s, D is
+1, and the division-free Laplace expansion, O(2^n * n), takes them; it is
+also the tests' oracle for the elimination.  The matrix builders
+(``jacobi_trudi._h_matrix``, ``lattice._scaled_path_matrix``) write this
+format straight from one evaluator run over the rational map's integer
+form.  Rational coefficient lists are converted into it by
+``_integer_numerators`` only in the public ``ring_determinant`` and for a
+rational map with no integer form.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
@@ -769,12 +778,12 @@ def _same_value(a: Sequence, d: int, b: Sequence, e: int) -> bool:
 def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:
     """Determinant of a square matrix over one of the package's rings.
 
-    Over t-polynomials with rational coefficients the matrix goes through
-    ``_scaled_determinant``, the one elimination route: each row is scaled
-    to integer numerators, the determinant is taken over Z[t] by
-    fraction-free elimination, and the result is divided once.  The
-    identity checks call that route on undivided entries and compare its
-    result undivided; only this adapter divides.  Every
+    Over t-polynomials with rational coefficients each row is scaled to
+    integer numerators over one denominator (``_integer_numerators``), the
+    determinant is taken by ``_scaled_determinant``'s fraction-free
+    elimination over Z[t], and the result is divided once.  The identity
+    checks build their matrices in that row format directly and compare the
+    result undivided; only this adapter converts entries and divides.  Every
     other ring -- truncated q-series are not an integral domain, and qsym
     would need multivariate exact division -- goes through the
     division-free Laplace expansion (``_laplace``: O(2^n * n) ring
@@ -787,42 +796,36 @@ def ring_determinant(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element
             raise ValueError("determinant requires a square matrix")
     if ring != PolyRing(QQ):
         return _laplace(matrix, ring)
-    return _scaled_determinant([[ScaledPoly(p) for p in row] for row in matrix], QQ).divided()
+    rows = _integer_numerators([[p.coeffs for p in row] for row in matrix])
+    return _scaled_determinant(rows, QQ).divided()
 
 
-def _scaled_determinant(matrix: Sequence[Sequence[ScaledPoly]], ring: Ring) -> ScaledPoly:
-    """The determinant, undivided, of a square matrix of undivided
-    t-polynomials whose values lie over ``ring``.
+def _scaled_determinant(matrix: tuple[list, int], ring: Ring) -> ScaledPoly:
+    """The determinant, undivided, of a square matrix (rows, D) whose values
+    lie over ``ring``, in the format of the module docstring.
 
-    Over the rationals each entry is taken as integer numerators over its
-    D (a ``Fraction`` entry over the lcm of its coefficient denominators),
-    each row is scaled to the lcm of its entries' D, and the determinant of
-    the scaled rows is taken over Z[t] by fraction-free elimination
-    (``_bareiss``: O(n^3) polynomial operations, each division exact); its
-    D is the product of the row scales.  Over any other ring every D is
-    one and the entries go to the Laplace expansion over t-polynomials.
+    Over the rationals the rows of integer coefficient lists go to
+    fraction-free elimination (``_bareiss``), which consumes them, and the
+    determinant is the result over D.  Over any other ring D is 1 and the
+    rows of ``TPoly``s go to the Laplace expansion over t-polynomials.
     """
+    rows, denominator = matrix
     if ring != QQ:
-        return ScaledPoly(_laplace([[e.poly for e in row] for row in matrix], PolyRing(ring)))
-    rows = []
-    denominator = 1
-    for row in matrix:
-        entries = [_integer_numerators(e) for e in row]
-        scale = math.lcm(*(d for _, d in entries))
-        denominator *= scale
-        rows.append([[c * (scale // d) for c in coeffs] for coeffs, d in entries])
+        return ScaledPoly(_laplace(rows, PolyRing(ring)))
     return ScaledPoly(TPoly(_ZZ, _bareiss(rows)), denominator)
 
 
-def _integer_numerators(value: ScaledPoly) -> tuple[Sequence[int], int]:
-    """A rational value's integer numerators and their denominator; a
-    ``TPoly`` over the rationals is scaled by the lcm of its coefficients'
-    denominators."""
-    poly = value.poly
-    if poly.ring is _ZZ:
-        return poly.coeffs, value.denominator
-    scale = math.lcm(*(c.denominator for c in poly.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in poly.coeffs], scale * value.denominator
+def _integer_numerators(matrix: Sequence[Sequence[Sequence]]) -> tuple[list, int]:
+    """A matrix of trimmed rational coefficient lists (``Fraction`` or
+    ``int``) in the determinant format: each row times the lcm of its
+    coefficients' denominators, and D the product of those lcms."""
+    rows = []
+    denominator = 1
+    for row in matrix:
+        scale = math.lcm(*(c.denominator for coeffs in row for c in coeffs))
+        denominator *= scale
+        rows.append([[c.numerator * (scale // c.denominator) for c in coeffs] for coeffs in row])
+    return rows, denominator
 
 
 # Integer polynomials inside ``_bareiss`` are plain lists of ``int``
@@ -907,6 +910,7 @@ def _bareiss(a: list) -> list:
             factor = -factor
         pivot_row = a[k]
         p = pivot_row[k]
+        divide = previous != [1]  # as at the first step
         for i in range(k + 1, n):
             row = a[i]
             lead = row[k]
@@ -914,7 +918,7 @@ def _bareiss(a: list) -> list:
                 entry = _poly_mul(p, row[j]) if row[j] else []
                 if lead and pivot_row[j]:
                     entry = _poly_sub(entry, _poly_mul(lead, pivot_row[j]))
-                row[j] = _exact_quotient(entry, previous)
+                row[j] = _exact_quotient(entry, previous) if divide else entry
         previous = p
     return [c * factor for c in a[n - 1][n - 1]] if n else [1]
 

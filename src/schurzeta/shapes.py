@@ -54,9 +54,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: part j counts rows of length >= j."""
-        return Partition(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.width + 1)
-        )
+        return _conjugate(self.parts)
 
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.height and 1 <= j <= self.parts[i - 1]
@@ -69,6 +67,14 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
+
+
+@lru_cache(maxsize=1024)
+def _conjugate(parts: tuple[int, ...]) -> Partition:
+    """The conjugate partition of parts, made once per parts: partitions are
+    immutable, so callers share it."""
+    width = parts[0] if parts else 0
+    return Partition(sum(1 for p in parts if p >= j) for j in range(1, width + 1))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -31,6 +31,7 @@ from .lattice import (
     _layer_sides,
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
+    _scaled_path_sum,
     schur_path_endpoints,
     white,
 )
@@ -295,7 +296,7 @@ def _single_layer(flags) -> dict:
 # Path-linear: single-path weight sums vs. direct linear values.
 
 def _check_path_linear(i: int, j: int, N: int, cmap, weights: DiagonalWeights) -> dict:
-    [[by_path]] = _scaled_path_matrix((white(i, N - 1),), (white(j + 1, 0),), cmap, weights)
+    by_path = _scaled_path_sum(white(i, N - 1), white(j + 1, 0), cmap, weights)
     direct = _scaled_linear_value_prefixes([weights[d] for d in range(j, i - 1, -1)], N, cmap)[-1]
     equal = by_path == direct
     path_json, linear_json = _rendered(equal, by_path, direct)

@@ -27,8 +27,11 @@ integer form, f(k, m) * L^max(k, 0); each evaluator runs its body once over
 that form, so no ``Fraction`` is normalized inside the sums.  Its undivided
 result (``_undivided``) is a ``rings.ScaledPoly``: the integer numerators
 over D = L^K, or, for any other map (a hand-built rational one included),
-the body's value over the map's own ring with D = 1.  The identity checks
-compare and render rational sides undivided; the entry points
+the body's value over the map's own ring with D = 1.  A matrix builder
+takes ``_undivided_rows`` instead, which writes its whole matrix from one
+body run in the determinant format (rows, D) of ``rings``: over the integer
+form each row is scaled to one denominator, so no entry is wrapped.  The
+identity checks compare and render rational sides undivided; the entry points
 ``schur_value`` and ``linear_value`` and the reference routes return the
 same values divided, as a ``TPoly``.
 
@@ -64,6 +67,7 @@ from .rings import (
     TPoly,
     ScaledPoly,
     _ZZ,
+    _integer_numerators,
     _trimmed,
     q_integer,
 )
@@ -195,6 +199,46 @@ def _undivided_each(
         ScaledPoly(value, L ** sum(k for k in part if k > 0))  # L^K, K of the positive labels
         for value, part in zip(body(imap), parts)
     ]
+
+
+def _undivided_rows(
+    cmap: CoefficientMap,
+    top: int,
+    runs: Sequence[Sequence[Any]],
+    prefixes: Sequence[Sequence[tuple[int, int]]],
+    body: Callable[[CoefficientMap], list[list[Sequence]]],
+) -> tuple[list[list], int]:
+    """The matrix of coefficient lists body(cmap) returns, from one body
+    run, in the determinant format (rows, D) of ``rings._scaled_determinant``.
+    Entry (i, j) multiplies f(k, m) once per label k of runs[r][:p], for
+    (r, p) = prefixes[i][j] (p = 0 for a zero entry), with entries m in
+    1..top.
+
+    Over cmap's integer form each entry is its integer numerators over its
+    own L^K, K the sum of its positive labels, kept as running sums along
+    each run; a row is scaled to its largest L^K and D is the product of
+    those.  A map with no integer form gives its values as ``TPoly``s with
+    D = 1, or, over the rationals, as integer rows
+    (``rings._integer_numerators``)."""
+    form = _integer_form(cmap, top, [k for run in runs for k in run])
+    if form is None:
+        matrix = body(cmap)
+        if cmap.ring == QQ:
+            return _integer_numerators([[_trimmed(v) for v in row] for row in matrix])
+        return [[TPoly(cmap.ring, v) for v in row] for row in matrix], 1
+    imap, L = form
+    sums = [list(accumulate([k if k > 0 else 0 for k in run], initial=0)) for run in runs]
+    rows = []
+    denominator = 1
+    for values, row in zip(body(imap), prefixes):
+        exponents = [sums[r][p] for r, p in row]
+        K = max(exponents, default=0)
+        denominator *= L**K
+        rows.append([
+            value if k == K else [c * L ** (K - k) for c in value]
+            for value, k in zip(values, exponents)
+        ])
+    return rows, denominator
 
 
 def q_analogue_map(order: int = 16) -> CoefficientMap:

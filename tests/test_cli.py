@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schurzeta import cli, jacobi_trudi, lattice, sweeps, values
-from schurzeta.rings import QQ, ScaledPoly, TPoly, _scaled_determinant
+from schurzeta.rings import QQ, ScaledPoly, TPoly, _scaled_determinant, _trimmed
 from schurzeta.shapes import Partition, Tableau, bit_tableau_stats, build_bit_tableau
 
 from filling_enumeration import filling_sum_oracle
@@ -441,21 +442,28 @@ def test_oracle_triangle_compares_merge_numerators_over_another_denominator(monk
 
 
 def test_lgv_sweep_catches_a_perturbed_path_matrix(capsys, monkeypatch):
-    # The determinant side reads the undivided path matrix.
+    # The determinant side reads the path matrix as (rows, D): its first
+    # entry gains D t^(degree + 1) in the numerators of its row.
     original = sweeps._scaled_path_matrix
 
     def perturbed(sources, sinks, cmap, weights):
-        matrix = original(sources, sinks, cmap, weights)
-        matrix[0][0] = plus_one(matrix[0][0])
-        return matrix
+        rows, denominator = original(sources, sinks, cmap, weights)
+        rows[0][0] = [*rows[0][0], denominator]
+        return rows, denominator
 
     monkeypatch.setattr(sweeps, "_scaled_path_matrix", perturbed)
     report = sweeps.run_lgv_sweep(max_cells=2, max_n=2)
     assert report["pass"] is False
-    # The one-cell shape's 1 x 1 matrix moves its determinant by one.
+    # The one-cell shape's 1 x 1 matrix, whose row is over D itself, moves
+    # its determinant by a power of t.
     assert any(f["shape"] == [1] for f in report["failures"])
     code, payload, _ = run_json(["lgv-verify", "--max-cells", "2", "--N", "2"], capsys)
     assert code == 1 and payload["pass"] is False
+
+
+def bump_coefficients(coeffs):
+    """A trimmed coefficient list over an integer form, plus one."""
+    return _trimmed([coeffs[0] + 1, *coeffs[1:]] if coeffs else [1])
 
 
 def bump(poly, degree=0):
@@ -561,17 +569,55 @@ def test_palindrome_mismatch_renders_each_side(capsys, monkeypatch):
 def test_path_linear_mismatch_renders_each_side(capsys, monkeypatch):
     original = lattice._path_row
     monkeypatch.setattr(
-        lattice, "_path_row", lambda *args: [bump(p) for p in original(*args)])
+        lattice, "_path_row", lambda *args: [bump_coefficients(p) for p in original(*args)])
     for f in failures_of(sweeps.run_path_linear_sweep(max_r=2, max_n=3)):
         i, j, N = f["start_column"], f["end_column"], f["N"]
         weights = values.DiagonalWeights(f["diagonal"])
-        [[by_path]] = lattice._scaled_path_matrix(
-            [lattice.white(i, N - 1)], [lattice.white(j + 1, 0)], RAT, weights)
+        by_path = lattice._scaled_path_sum(
+            lattice.white(i, N - 1), lattice.white(j + 1, 0), RAT, weights).divided()
         direct = values.linear_value([weights[d] for d in range(j, i - 1, -1)], N, RAT)
-        assert f["path_sum"] == by_path.divided().to_json() and f["linear"] == direct.to_json()
+        assert f["path_sum"] == by_path.to_json() and f["linear"] == direct.to_json()
         assert f["path_sum"] != f["linear"]
     code, payload, _ = run_json(["all-verify", "--max-cells", "2", "--N", "3"], capsys)
     assert code == 1 and payload["summary"]["path_linear"]["pass"] is False
+
+
+def random_payload(rng, depth=0):
+    """A nested value: str-keyed dicts, lists, strings with escapes and
+    non-ASCII text, ints of every size, bools, None and empty containers,
+    and the values the writer hands to json.dumps: tuples, floats (inf and
+    nan among them) and dicts with int keys."""
+    scalars = [
+        lambda: rng.choice(["", "a", 'q"uote', "back\\slash", "line\nbreak", "\t\x00",
+                            "caf\u00e9", "\U0001f600", "1/2", "-3"]),
+        lambda: rng.choice([0, -1, 7, 2**70, -(10**30), rng.randint(-999, 999)]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([0.5, -2.0, 1e300, float("inf"), float("nan")]),
+    ]
+    if depth >= 4 or rng.random() < 0.3:
+        return rng.choice(scalars)()
+    size = rng.randint(0, 4)
+    kind = rng.randrange(4)
+    items = [random_payload(rng, depth + 1) for _ in range(size)]
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    if kind == 2:
+        return {rng.choice(["b", "a", "A", "\u00e9", "key", "_", "10", "9"]) + str(i): item
+                for i, item in enumerate(items)}
+    return {rng.randint(-5, 5): item for item in items}
+
+
+def test_report_writer_matches_json_dumps():
+    # cli._json_text writes reports; it must give json.dumps' exact bytes
+    # for any payload, including the values it hands to json.dumps.
+    rng = random.Random(18)
+    for _ in range(500):
+        payload = {"report": random_payload(rng), "extra": random_payload(rng)}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert cli._json_text(payload["report"]) == json.dumps(
+            payload["report"], indent=2, sort_keys=True)
 
 
 def test_byte_identical_reruns(capsys):

@@ -76,7 +76,16 @@ def readme_commands() -> list[str]:
     return commands
 
 
-def run_command(command: str, capsys) -> dict:
+def run_command(command: str, capsys, monkeypatch) -> dict:
+    # Every payload the command writes is also checked against json.dumps,
+    # which the report writer (cli._json_text) must match byte for byte.
+    emit = cli._emit
+
+    def checked_emit(payload, args):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        emit(payload, args)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
     code = cli.main(shlex.split(command))
     captured = capsys.readouterr()
     return {
@@ -95,5 +104,5 @@ def test_every_command_is_recorded():
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_output_matches_golden(command, capsys):
-    assert run_command(command, capsys) == RECORDED[command]
+def test_cli_output_matches_golden(command, capsys, monkeypatch):
+    assert run_command(command, capsys, monkeypatch) == RECORDED[command]

@@ -13,9 +13,9 @@ from itertools import product
 
 import pytest
 
-from schurzeta import lattice, values
+from schurzeta import jacobi_trudi, lattice, values
 from schurzeta.errors import DomainError
-from schurzeta.jacobi_trudi import _determinants
+from schurzeta.jacobi_trudi import _determinants, _h_matrix
 from schurzeta.lattice import (
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
@@ -41,6 +41,7 @@ from schurzeta.values import (
 )
 
 from filling_enumeration import filling_sum_oracle
+from row_matrices import single_row
 
 RAT = rational_map()
 FRACTIONS = CoefficientMap("rational", QQ, RAT.fn)
@@ -65,8 +66,8 @@ def prefixes_of(keys, N, cmap):
 
 def path_sum(A, B, cmap, dw):
     """The one-entry path matrix A -> B, divided."""
-    [[value]] = _scaled_path_matrix([A], [B], cmap, dw)
-    return value.divided()
+    [value] = single_row(_scaled_path_matrix([A], [B], cmap, dw), cmap.ring)
+    return value
 
 
 def signed_sum(sources, sinks, cmap, dw):
@@ -282,41 +283,69 @@ def test_rewritten_routes_raise_on_labels_they_meet(route, label, cmap):
         call(label, 3, cmap)
     # No entry below N = 1: the label is never met.
     result = call(label, 1, cmap)
-    for value in [v.divided() for v in result[0]] if route == "path_matrix" else [result]:
-        assert value == TPoly.zero(cmap.ring)
+    if route == "path_matrix":
+        rows, denominator = result
+        assert not any(rows[0]) and denominator == 1  # row 1 holds a trivial path
+    else:
+        assert result == TPoly.zero(cmap.ring)
 
 
-# (test id, module, evaluator, call returning the divided value or values)
+# Each evaluator runs its body once per value, and each matrix builder once
+# per matrix: (test id, the call, the module attribute of each body it runs
+# and how many runs to expect).  A body is counted wherever it is looked up,
+# so a second run by any caller shows.
 EVALUATORS = [
-    ("linear_value", values, "linear_value", lambda f: f((2, -1, 3), 5, RAT)),
-    ("linear_value_by_recursion", values, "linear_value_by_recursion",
-     lambda f: f((2, -1, 3), 5, RAT)),
-    ("linear_value_prefixes", values, "_scaled_linear_value_prefixes",
-     lambda f: [value.divided() for value in f((2, -1, 3), 5, RAT)]),
-    ("schur_value", values, "schur_value",
-     lambda f: f(Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, RAT)),
-    ("path_weight_sum", lattice, "_scaled_path_matrix",
-     lambda f: f([white(0, 4)], [white(3, 0)], RAT,
-                 DiagonalWeights({0: 2, 1: -1, 2: 3}))[0][0].divided()),
-    ("lgv_signed_sum", lattice, "_scaled_lgv_signed_sum",
-     lambda f: f(*schur_path_endpoints(Partition((2, 2)), 4), RAT,
-                 DiagonalWeights({-1: 2, 0: 1, 1: 3})).divided()),
+    ("linear_value", lambda: linear_value((2, -1, 3), 5, RAT),
+     {"_linear_value_prefixes": 1}),
+    ("linear_value_by_recursion", lambda: linear_value_by_recursion((2, -1, 3), 5, RAT),
+     {"_linear_value_by_recursion": 1}),
+    ("linear_value_prefixes",
+     lambda: [value.divided() for value in _scaled_linear_value_prefixes((2, -1, 3), 5, RAT)],
+     {"_linear_value_prefixes": 1}),
+    ("schur_value", lambda: schur_value(Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, RAT),
+     {"_schur_value": 1}),
+    ("path_weight_sum", lambda: single_row(_scaled_path_matrix(
+        [white(0, 4)], [white(3, 0), black(2, 1)], RAT,
+        DiagonalWeights({0: 2, 1: -1, 2: 3})), QQ),
+     {"_path_row": 1, "_integer_form": 1}),
+    ("path_sum", lambda: lattice._scaled_path_sum(
+        white(0, 4), white(3, 0), RAT, DiagonalWeights({0: 2, 1: -1, 2: 3})).divided(),
+     {"_path_row": 1, "_integer_form": 1}),
+    ("lgv_signed_sum", lambda: _scaled_lgv_signed_sum(
+        *schur_path_endpoints(Partition((2, 2)), 4), RAT,
+        DiagonalWeights({-1: 2, 0: 1, 1: 3})).divided(),
+     {"_lgv_signed_sum": 1}),
+    # One integer form per matrix, and one prefix pass per column.
+    ("h_matrix", lambda: _h_matrix(
+        Partition((3, 2, 2)), 5, RAT, DiagonalWeights({-2: 2, -1: -1, 0: 3, 1: 1, 2: 2})),
+     {"_integer_form": 1, "_linear_value_prefixes": 3}),
+    ("determinants", lambda: [value.divided() for value in _determinants(
+        Partition((3, 2, 2)), 5, RAT, DiagonalWeights({-2: 2, -1: -1, 0: 3, 1: 1, 2: 2}))],
+     {"_integer_form": 2, "_linear_value_prefixes": 3 + 3}),
 ]
 
 
 @pytest.mark.parametrize(
-    "module, name, call", [e[1:] for e in EVALUATORS], ids=[e[0] for e in EVALUATORS]
+    "call, expected", [e[1:] for e in EVALUATORS], ids=[e[0] for e in EVALUATORS]
 )
-def test_evaluator_runs_once_per_call(monkeypatch, module, name, call):
-    original = getattr(module, name)
-    calls = []
+def test_evaluator_runs_once_per_call(monkeypatch, call, expected):
+    runs = dict.fromkeys(expected, 0)
+    for name in expected:
+        original = getattr(values, name, None) or getattr(lattice, name)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+        def counting(*args, _name=name, _original=original):
+            runs[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(module, name, counting)
-    result = call(getattr(module, name))
-    assert len(calls) == 1
+        for module in (values, lattice, jacobi_trudi):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    result = call()
+    assert runs == expected
+    if isinstance(result, tuple):  # a matrix: one row per source or row index
+        rows, denominator = result
+        assert all(type(c) is int for row in rows for entry in row for c in entry)
+        assert type(denominator) is int and denominator >= 1
+        return
     for value in result if isinstance(result, list) else [result]:
         assert_rational(value)

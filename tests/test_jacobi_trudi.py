@@ -1,11 +1,12 @@
 """Determinant matrices, the determinant identities, and palindromy."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from schurzeta import rings, values
-from schurzeta.rings import PolyRing, QQ, TPoly, ring_determinant
+from schurzeta.rings import PolyRing, QQ, TPoly, _scaled_determinant, ring_determinant
 from schurzeta.shapes import Partition, partitions_up_to
 from schurzeta.jacobi_trudi import (
     _determinants,
@@ -16,6 +17,7 @@ from schurzeta.jacobi_trudi import (
 from schurzeta.values import (
     DiagonalWeights,
     diagonal_tableau,
+    linear_value,
     q_analogue_map,
     quasisymmetric_map,
     rational_map,
@@ -24,6 +26,7 @@ from schurzeta.values import (
 )
 
 from chain_enumeration import chain_sum_oracle
+from row_matrices import as_tpolys, assert_stands_for
 
 RAT = rational_map()
 
@@ -47,9 +50,27 @@ def e_matrix(shape, N, cmap, weights):
     return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def h_matrix(shape, N, cmap, weights):
-    """The package's row-reading matrix, its undivided entries divided."""
-    return [[entry.divided() for entry in row] for row in _h_matrix(shape, N, cmap, weights)]
+def h_matrix(shape, N, cmap, weights, value=chain_sum_oracle):
+    """The row-reading ("H") matrix of a shape, entry by entry: (i, j) is
+    value(keys, N, cmap) for the descending offsets a_(j-1), a_(j-2), ... of
+    length conjugate_i + j - i; one at length zero, zero below it.  The
+    oracle for the package's ``_h_matrix``, which writes the determinant
+    format straight from prefix-DP columns."""
+    conj = shape.conjugate().parts
+
+    def entry(i, j):
+        length = conj[i - 1] + j - i
+        if length < 0:
+            return TPoly.zero(cmap.ring)
+        return value([weights[j - 1 - s] for s in range(length)], N, cmap)
+
+    n = shape.width
+    return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def det_h(shape, N, cmap, weights):
+    """The package's H determinant, from its (rows, D) matrix, divided."""
+    return _scaled_determinant(_h_matrix(shape, N, cmap, weights), cmap.ring).divided()
 
 
 def jt_sides(shape, N, cmap, weights):
@@ -67,18 +88,20 @@ def jt_matrix(shape, side, N, cmap, weights):
 
 def test_h_matrix_single_column_shape():
     dw = DiagonalWeights({-1: 3, 0: 2})
-    matrix = jt_matrix((1, 1), "H", 4, RAT, dw)
-    assert len(matrix) == 1
-    assert matrix[0][0] == chain_sum_oracle([dw[0], dw[-1]], 4, RAT)
+    matrix = _h_matrix(Partition((1, 1)), 4, RAT, dw)
+    assert_stands_for(matrix, [[chain_sum_oracle([dw[0], dw[-1]], 4, RAT)]], QQ)
+    # A one-row matrix is over D itself: L^K, L = lcm(1, 2, 3), K = 3 + 2.
+    assert matrix[1] == 6**5
 
 
 def test_h_matrix_hook_structure():
     dw = DiagonalWeights({-1: 3, 0: 2, 1: 2})
-    matrix = jt_matrix((2, 1), "H", 4, RAT, dw)
-    assert matrix[0][0] == chain_sum_oracle([dw[0], dw[-1]], 4, RAT)
-    assert matrix[0][1] == chain_sum_oracle([dw[1], dw[0], dw[-1]], 4, RAT)
-    assert matrix[1][0] == TPoly.one(QQ)  # index length zero
-    assert matrix[1][1] == chain_sum_oracle([dw[1]], 4, RAT)
+    expected = [
+        [chain_sum_oracle([dw[0], dw[-1]], 4, RAT),
+         chain_sum_oracle([dw[1], dw[0], dw[-1]], 4, RAT)],
+        [TPoly.one(QQ), chain_sum_oracle([dw[1]], 4, RAT)],  # index length zero
+    ]
+    assert_stands_for(_h_matrix(Partition((2, 1)), 4, RAT, dw), expected, QQ)
 
 
 def test_h_matrix_row_shape_is_almost_triangular():
@@ -87,6 +110,7 @@ def test_h_matrix_row_shape_is_almost_triangular():
     keys = (2, 3, 2, 3)
     r = len(keys)
     dw = DiagonalWeights({d: keys[d] for d in range(r)})
+    shape = Partition((r,))
     for N in range(1, 6):
         matrix = jt_matrix((r,), "H", N, RAT, dw)
         for i in range(r):
@@ -100,14 +124,15 @@ def test_h_matrix_row_shape_is_almost_triangular():
                         [keys[j - s] for s in range(j - i + 1)], N, RAT
                     )
                     assert matrix[i][j] == expected
-        det = ring_determinant(matrix, PolyRing(QQ))
+        assert_stands_for(_h_matrix(shape, N, RAT, dw), matrix, QQ)
         flipped_column = chain_sum_oracle(keys, N, RAT).subs_one_minus_t()
-        assert det == flipped_column
+        assert ring_determinant(matrix, PolyRing(QQ)) == flipped_column
+        assert det_h(shape, N, RAT, dw) == flipped_column
 
 
 def test_jt_matrix_needs_full_window():
     with pytest.raises(ValueError):
-        jt_matrix((2, 1), "H", 3, RAT, DiagonalWeights({0: 2}))
+        _h_matrix(Partition((2, 1)), 3, RAT, DiagonalWeights({0: 2}))
 
 
 def test_verify_single_column_trivial():
@@ -167,12 +192,11 @@ def test_conjugation_coherence_between_sides():
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(-2, 3) for d in required_offsets(shape)})
         reflected = DiagonalWeights({-d: k for d, k in dw.items()})
-        det_h = ring_determinant(jt_matrix(shape.parts, "H", 4, RAT, dw), poly_ring)
         det_e_conj = ring_determinant(
             jt_matrix(shape.conjugate().parts, "E", 4, RAT, reflected),
             poly_ring,
         )
-        assert det_h == det_e_conj.subs_one_minus_t()
+        assert det_h(shape, 4, RAT, dw) == det_e_conj.subs_one_minus_t()
 
 
 CMAPS = [RAT, q_analogue_map(8), quasisymmetric_map()]
@@ -187,20 +211,14 @@ def test_matrix_entries_are_linear_values(cmap):
     rng = random.Random(61)
     for shape in partitions_up_to(5, include_empty=False):
         dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
-        conj = shape.conjugate().parts
-        h = jt_matrix(shape.parts, "H", 4, cmap, dw)
-        for i in range(1, shape.width + 1):
-            for j in range(1, shape.width + 1):
-                length = conj[i - 1] + j - i
-                keys = [dw[j - 1 - s] for s in range(length)]
-                expected = (
-                    chain_sum_oracle(keys, 4, cmap) if length >= 0 else TPoly.zero(cmap.ring)
-                )
-                assert h[i - 1][j - 1] == expected
+        assert_stands_for(_h_matrix(shape, 4, cmap, dw), h_matrix(shape, 4, cmap, dw), cmap.ring)
         reflected = DiagonalWeights({-d: k for d, k in dw.items()})
-        h_conj = jt_matrix(shape.conjugate().parts, "H", 4, cmap, reflected)
         e = jt_matrix(shape.parts, "E", 4, cmap, dw)
-        assert e == [[x.subs_one_minus_t() for x in row] for row in h_conj]
+        assert_stands_for(
+            _h_matrix(shape.conjugate(), 4, cmap, reflected),
+            [[x.subs_one_minus_t() for x in row] for row in e],
+            cmap.ring,
+        )
 
 
 @pytest.mark.parametrize("cmap", CMAPS, ids=CMAP_IDS)
@@ -237,9 +255,9 @@ def test_wide_two_row_h_determinant_is_schur_value(n, degree):
     shape = Partition((n, n))
     rng = random.Random(n)
     dw = DiagonalWeights({d: rng.randint(1, 3) for d in required_offsets(shape)})
-    det_h = ring_determinant(jt_matrix(shape.parts, "H", 4, RAT, dw), PolyRing(QQ))
-    assert det_h == schur_value(diagonal_tableau(shape, dw), 4, RAT)
-    assert det_h.degree == degree
+    det = det_h(shape, 4, RAT, dw)
+    assert det == schur_value(diagonal_tableau(shape, dw), 4, RAT)
+    assert det.degree == degree
 
 
 def test_verify_wide_qseries_shape():
@@ -296,12 +314,17 @@ def test_palindrome_is_square_schur_value(keys, degree):
 def test_full_rank_palindrome_matches_laplace():
     # At N > r the square-shape determinant does not vanish; the Laplace
     # expansion is the oracle for the elimination.
+    # The Laplace expansion runs on the same integer rows, divided by D
+    # after, and their entries are read against per-entry linear values.
     keys = (2, 3, 2, 3, 3, 2, 3, 2)
     rep = verify_palindromic_matrix(keys, 9)
     value = rep.poly_scaled.divided()
     assert rep.equal and value.degree == 56
-    matrix = jt_matrix((8,) * 8, "H", 9, RAT, palindrome_weights(keys))
-    assert value == rings._laplace(matrix, PolyRing(QQ))
+    shape, dw = Partition((8,) * 8), palindrome_weights(keys)
+    rows, denominator = matrix = _h_matrix(shape, 9, RAT, dw)
+    assert_stands_for(matrix, h_matrix(shape, 9, RAT, dw, value=linear_value), QQ)
+    laplace = rings._laplace(as_tpolys(rows), PolyRing(QQ))
+    assert value == laplace.scale(Fraction(1, denominator))
 
 
 def test_palindrome_rejects_empty():

@@ -42,6 +42,7 @@ from path_enumeration import (
     iter_paths,
     path_from_edge_kinds,
 )
+from row_matrices import assert_stands_for, single_row
 
 RAT = rational_map()
 
@@ -57,8 +58,8 @@ def signed_sum(sources, sinks, cmap, dw):
 
 def path_sum(A, B, cmap, dw):
     """The one-entry path matrix A -> B, divided."""
-    [[value]] = _scaled_path_matrix([A], [B], cmap, dw)
-    return value.divided()
+    [value] = single_row(_scaled_path_matrix([A], [B], cmap, dw), cmap.ring)
+    return value
 
 
 def lgv_sides(sources, sinks, dw):
@@ -474,16 +475,12 @@ def test_path_matrix_matches_enumerated_paths(name, spec):
     cmap = coefficient_map_for(spec)
     dw = random_window(random.Random(63), spec, range(-2, 5))
     sources, sinks = PATH_MATRIX_LAYOUT if name == "layout" else HAND_BUILT[name]
-    matrix = _scaled_path_matrix(sources, sinks, cmap, dw)
-    assert len(matrix) == len(sources)
-    for A, row in zip(sources, matrix):
-        assert len(row) == len(sinks)
-        for B, scaled in zip(sinks, row):
-            entry = scaled.divided()
-            assert entry == enumerated_path_sum(A, B, cmap, dw), (A, B)
-            assert entry == path_sum(A, B, cmap, dw)
+    expected = [[enumerated_path_sum(A, B, cmap, dw) for B in sinks] for A in sources]
+    assert_stands_for(_scaled_path_matrix(sources, sinks, cmap, dw), expected, cmap.ring)
+    for A, row in zip(sources, expected):
+        assert row == [path_sum(A, B, cmap, dw) for B in sinks], A
     if name == "layout":
-        entries = [entry.divided() for row in matrix for entry in row]
+        entries = [entry for row in expected for entry in row]
         assert sum(bool(e) for e in entries) > 10 and not all(entries)
 
 
@@ -493,7 +490,7 @@ def test_path_matrix_reads_only_the_columns_a_path_leaves():
     sources, sinks = [white(0, 3), white(1, 2)], [white(1, 0), black(2, 1)]
     needed = {0: 2, 1: -1}
     expected = _scaled_path_matrix(sources, sinks, RAT, DiagonalWeights(needed))
-    assert all(entry.divided() for entry in expected[0])
+    assert all(expected[0][0])
     assert _scaled_path_matrix(
         sources, sinks, RAT, DiagonalWeights({-1: "x", **needed, 2: "x"})
     ) == expected

@@ -1,5 +1,6 @@
 """Ring arithmetic: exactness, axioms, determinants, substitution."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -27,6 +28,7 @@ from schurzeta.rings import (
 )
 
 from monomial_reference import merge_keys, reference_product, reference_sum
+from row_matrices import as_tpolys, assert_stands_for
 
 
 def permutation_determinant(matrix, ring):
@@ -124,21 +126,38 @@ def test_scaled_values_compare_render_and_substitute_as_their_quotients():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_scaled_determinant_is_the_determinant_of_the_quotients(n):
-    # Entries over their own denominators, Fraction entries among them: the
-    # rows are scaled to one denominator each and eliminated once.
+    # Rows of integer coefficient lists, each row over its own denominator
+    # and D their product: the determinant over D is the determinant of the
+    # quotients.
     rng = random.Random(31 + n)
     for _ in range(20):
-        matrix = [[random_scaled(rng) if rng.random() < 0.8 else ScaledPoly(random_tpoly(rng))
-                   for _ in range(n)] for _ in range(n)]
-        divided = [[entry.divided() for entry in row] for row in matrix]
-        det = rings._scaled_determinant(matrix, QQ)
-        assert det.poly.ring is rings._ZZ
+        scales = [random_scaled(rng).denominator for _ in range(n)]
+        rows = [[list(random_scaled(rng).poly.coeffs) for _ in range(n)] for _ in range(n)]
+        divided = [
+            [TPoly(QQ, [Fraction(c, d) for c in coeffs]) for coeffs in row]
+            for row, d in zip(rows, scales)
+        ]
+        det = rings._scaled_determinant((rows, math.prod(scales)), QQ)
+        assert det.poly.ring is rings._ZZ and det.denominator == math.prod(scales)
         assert det.divided() == ring_determinant(divided, PolyRing(QQ))
         assert det.divided() == laplace_determinant(divided)
     ring = QSeriesRing(4)
-    q = [[ScaledPoly(TPoly(ring, [random_qseries(rng, 4)])) for _ in range(n)] for _ in range(n)]
-    plain = [[entry.poly for entry in row] for row in q]
-    assert rings._scaled_determinant(q, ring).divided() == ring_determinant(plain, PolyRing(ring))
+    q = [[TPoly(ring, [random_qseries(rng, 4)]) for _ in range(n)] for _ in range(n)]
+    det = rings._scaled_determinant(([list(row) for row in q], 1), ring)
+    assert det.divided() == ring_determinant(q, PolyRing(ring))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_integer_numerators_scale_each_row_to_one_denominator(n):
+    # ring_determinant's conversion: Fraction and int coefficients, each row
+    # times the lcm of its denominators.
+    rng = random.Random(41 + n)
+    for _ in range(20):
+        matrix = [[random_tpoly(rng) for _ in range(n)] for _ in range(n)]
+        converted = rings._integer_numerators([[p.coeffs for p in row] for row in matrix])
+        assert_stands_for(converted, matrix, QQ)
+        scales = [math.lcm(*(c.denominator for p in row for c in p.coeffs)) for row in matrix]
+        assert converted[1] == math.prod(scales)
 
 
 def test_rational_ring_is_normalized():
@@ -390,15 +409,19 @@ def test_bareiss_matches_oracles_on_wide_fractions(n):
 
 def test_bareiss_rank_deficient_with_every_entry_nonzero():
     # The square-shape palindromic windows at N = 4: every entry is a
-    # nonzero polynomial, yet r >= N makes the determinant vanish.
+    # nonzero polynomial, yet r >= N makes the determinant vanish.  Each
+    # row is over its own denominator, which leaves the rank as it is.
     rng = random.Random(17)
     for r in (9, 10, 11):
         keys = [rng.choice((2, 3)) for _ in range(r)]
-        undivided = _h_matrix(Partition((r,) * r), 4, rational_map(), palindrome_weights(keys))
-        matrix = [[entry.divided() for entry in row] for row in undivided]
+        shape, window = Partition((r,) * r), palindrome_weights(keys)
+        rows, _ = _h_matrix(shape, 4, rational_map(), window)
+        matrix = as_tpolys(rows)
         assert all(entry for row in matrix for entry in row)
         assert ring_determinant(matrix, PolyRing(QQ)) == TPoly.zero(QQ)
         assert laplace_determinant(matrix) == TPoly.zero(QQ)
+        det = rings._scaled_determinant(_h_matrix(shape, 4, rational_map(), window), QQ)
+        assert det.divided() == TPoly.zero(QQ)
     # A rank-one matrix of nonzero entries, and the sum of two such.
     u = [TPoly(QQ, [1, 2]), TPoly(QQ, [Fraction(1, 3)]), TPoly(QQ, [0, 0, 5])]
     v = [TPoly(QQ, [2]), TPoly(QQ, [-1, 1]), TPoly(QQ, [3, 0, 1])]
