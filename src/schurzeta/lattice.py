@@ -27,8 +27,7 @@ a path is one black vertex, or a run of white vertices going down from
 where it entered.
 
 * State, at the boundary left of column x: per source, not yet started,
-  the vertex where its path enters column x, or the sink j it ended at;
-  with a {t-degree: coefficient} sum per state.
+  the vertex where its path enters column x, or the sink j it ended at.
 * Transitions: each path in column x picks where its white run stops, then
   exits from that height h >= 1 to white(x+1, h-1) (weight f(a_x, h)) or to
   black(x+1, h) (weight t * f(a_x, h)), or ends at a sink of column x.
@@ -39,6 +38,55 @@ where it entered.
   column x, and an exit from height h needs a sink further right at height
   h or below (h-1 or below for the white exit).
 * Sign: read off the permutation of sinks in the final state.
+
+None of this depends on the labels, the ring or N, so the sweep is split
+in two.  ``_compiled_sweep`` builds the states and transitions once per
+endpoint geometry, as a ``_SweepPlan`` of flat integer lists: per column,
+each transition's source and target state ids and its pair, the column's
+distinct (exit heights, t-degree) pairs, and at the end the final states'
+signs.  ``_run_sweep`` evaluates a plan: per column it takes f(a_x, h) once
+per height it needs and each pair's weight once, then makes one pass of
+multiply-adds over the transitions, on packed ints over the integer form
+(t = 2^b, as in ``values``) or on ``values._Coefficients`` over any other
+ring, and decodes the signed total once.  Plans are cached by the
+endpoints moved to a normal position (``_sweep_plan``), in a
+``shapes._SizedCache`` bounded by the transitions it holds.
+
+Translation.  Move the endpoints left by x0, the leftmost endpoint's
+column, and down by dy = l - 1 when the lowest endpoint height l is at
+least 1 (else dy = 0).  The sweep of the moved endpoints makes the same
+states and transitions, with the columns and heights renamed, and column c
+of it reads a_(c + x0) at height h + dy.  Columns enter the sweep only
+through their differences.  Heights enter it only by comparing two
+positions, each an endpoint height moved by whole steps (a run reaching a
+sink, an exit against the lowest sink further right), and by the stop at
+height < 1; both are unchanged when dy = 0.  When l >= 1 every vertex a
+move holds is at height l or above: a run ends at the first sink it
+reaches, and an exit from height h needs a sink at height h or below
+further right, with h - 1 at or above it for the white exit.  Those
+vertices are at height 1 or above both before and after the move down by
+dy, so the stop compares them the same way.  A run that goes below l
+passes no sink and makes no move before it stops, at whatever height, and
+its vertices below l are in no state or transition.
+
+Slot width.  A column x is left by #{sources in columns <= x} - #{sinks in
+columns <= x} paths, whatever the pairing, so every system leaves the same
+columns, the plan's ``crossed``, and its weight multiplies f(a_x, h) once
+per crossed column x (with multiplicity), at an exit height h in 1..top,
+top the highest source.  A path is fixed by its exits: in each column it
+leaves, a height h and whether it goes down or across, f(a_x, h) either
+way.  So, over the integer form, whose f(k, m) are positive, the systems
+pairing the sources with the sinks by one permutation weigh at most the
+product of 2 S(a_x) over the crossed columns, S(k) = f(k, 1) + ... +
+f(k, top), disjoint or not, and over all n! permutations every
+coefficient c_k of the signed sum has
+
+    |c_k| <= n! * prod over crossed x of 2 S(a_x) <= 2^pairs * prod S(a_x),
+
+pairs = #crossed + ceil(log2 n!): the bound of ``values._slot_bits``.  A
+crossed column outside the weight window has no label; a system that
+leaves it raises on its lookup, so the bound holds for every value
+returned.
 
 The checks stay independent of the sweep: the determinant side is one
 forward path sum per source row (``_scaled_path_matrix``, which gives a
@@ -62,13 +110,23 @@ only in the text they report.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from math import comb
+from dataclasses import dataclass
+from functools import reduce
+from math import comb, factorial
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .rings import Element, ScaledPoly, TPoly, _trimmed
-from .shapes import BitStats, BitTableau, Partition
-from .values import CoefficientMap, DiagonalWeights, _undivided, _undivided_rows
+from .rings import ScaledPoly, TPoly, _trimmed
+from .shapes import BitStats, BitTableau, Partition, _SizedCache
+from .values import (
+    CoefficientMap,
+    DiagonalWeights,
+    _decoded,
+    _packed_constants,
+    _slot_bits,
+    _undivided,
+    _undivided_rows,
+)
 
 
 class Vertex(NamedTuple):
@@ -154,24 +212,6 @@ def _sum_lists(a: list | None, b: list | None) -> list | None:
     return [x + y for x, y in zip(a, b)]
 
 
-def _crossed_labels(
-    sources: Sequence[Vertex], sinks: Sequence[Vertex], weights: DiagonalWeights
-) -> list:
-    """The labels every path system sources -> sinks multiplies: column x is
-    left by #{sources with x-coordinate <= x} - #{sinks with x-coordinate
-    <= x} paths, whatever the pairing.  Columns outside the window are
-    skipped; a path that needs one fails on its own lookup."""
-    delta = Counter(v.x for v in sources)
-    delta.subtract(v.x for v in sinks)
-    labels = []
-    crossing = 0
-    for x in range(min(delta, default=0), max(delta, default=0)):
-        crossing += delta[x]
-        if crossing > 0 and x in weights:
-            labels += [weights[x]] * crossing
-    return labels
-
-
 _NOT_STARTED = -1
 
 
@@ -191,31 +231,139 @@ def _scaled_lgv_signed_sum(
     cmap: CoefficientMap,
     weights: DiagonalWeights,
 ) -> ScaledPoly:
-    """Sum of sign * weight over all vertex-disjoint path systems, undivided."""
+    """Sum of sign * weight over all vertex-disjoint path systems, undivided:
+    one ``_run_sweep`` over the endpoints' compiled plan, at the slot width
+    of the module docstring, over the labels of the plan's crossed columns
+    in the window."""
+    plan, x0, dy = _sweep_plan(sources, sinks)
+    labels = [weights[x] for x in (x0 + c for c in plan.crossed) if x in weights]
     top = max((v.y for v in sources), default=0)
-    labels = _crossed_labels(sources, sinks, weights)
-    return _undivided(cmap, top, labels, lambda c: _lgv_signed_sum(sources, sinks, c, weights))
+    pairs = len(labels) + (factorial(len(sources)) - 1).bit_length()
+
+    def body(c: CoefficientMap) -> TPoly:
+        b = _slot_bits([(k,) for k in labels], top + 1, c, pairs)
+        return _run_sweep(plan, x0, dy, c, weights, b)
+
+    return _undivided(cmap, top, labels, body)
 
 
-def _lgv_signed_sum(
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cmap: CoefficientMap,
-    weights: DiagonalWeights,
+def _run_sweep(
+    plan: _SweepPlan, x0: int, dy: int, cmap: CoefficientMap, weights: DiagonalWeights, b: int
 ) -> TPoly:
-    """The column sweep of the module docstring.  A vertex of a column is
-    the bit 2 * (y - lo) + black, lo the lowest endpoint height or 0; a
-    state entry is that bit for a path entering the next column,
-    _NOT_STARTED, or ~(j + 1) for a path that ended at sink j."""
+    """The signed sum of the plan at the endpoints it was compiled from,
+    moved right by x0 and up by dy: one pass over its transitions.
+
+    Per column x, f(a_x, h + dy) is taken once for each height h the
+    column looks up, each distinct exit tuple's product once, and each
+    pair's weight, that product times t^degree, once; then every transition
+    adds its source's value times its pair's weight into its target.
+    Values are packed at t = 2^b (``values._packed_constants``): an
+    ``int``, on which * t^d is << b*d, over the integer form; a
+    ``_Coefficients`` over any other ring.  The final states' values are
+    summed with their signs and decoded once."""
+    zero, one = _packed_constants(cmap.ring)
+    packed = type(zero) is int
+    current = [one]
+    for x, (heights, pairs, flat, width) in enumerate(plan.columns, x0):
+        pair_weights = {}
+        if heights:
+            label = weights[x]
+            f = [cmap(label, h + dy) for h in heights]
+            products = {}
+            for pair, (e, d) in pairs.items():
+                w = products.get(e)
+                if w is None:
+                    w = products[e] = reduce(mul, map(f.__getitem__, e))
+                pair_weights[pair] = (w << b * d) if packed else (w, b * d)
+        new = [zero] * width
+        it = iter(flat)
+        if packed:
+            for s, t, k in zip(it, it, it):
+                new[t] += current[s] * pair_weights[k] if k else current[s]
+        else:
+            for s, t, k in zip(it, it, it):
+                if k:
+                    w, shift = pair_weights[k]
+                    v = current[s] * w
+                    new[t] += v << shift if shift else v
+                else:
+                    new[t] += current[s]
+        current = new
+    total = zero
+    for v, sign in zip(current, plan.signs):
+        total = total + v if sign > 0 else total - v
+    return TPoly(cmap.ring, _decoded(total, b))
+
+
+@dataclass(frozen=True)
+class _SweepPlan:
+    """The column sweep of the module docstring for one normalised endpoint
+    geometry, compiled: no labels, ring or coefficients.
+
+    ``columns`` holds, per column from column 0 on, the tuple (heights,
+    pairs, flat, width):
+
+    * heights: every height at which the sweep looks up f(a_x, h), sorted,
+      including those of moves that lead nowhere, so that the lookup raises
+      for a column outside the window, or a label the map rejects, in the
+      same column as a sweep that looks up as it goes;
+    * pairs: {pair: (exit tuple, t-degree)} for each distinct pair of the
+      column's transitions that has an exit, the exit heights as positions
+      in heights (one twice when two paths exit from it); pair 0 has no
+      exit and weighs one;
+    * flat: source id, target id and pair of each transition, in one list;
+    * width: the number of states at the right boundary.
+
+    States are numbered per boundary in the order the sweep reaches them;
+    the start is state 0.  ``signs`` are the final states' permutation signs
+    by id, an empty list when no system exists; ``crossed`` lists the
+    columns every system leaves, once per path that leaves it; ``size``
+    counts the transitions, the measure of the plan cache.
+    """
+
+    columns: tuple
+    signs: list[int]
+    crossed: list[int]
+    size: int
+
+
+def _sweep_plan(sources: Sequence[Vertex], sinks: Sequence[Vertex]) -> tuple[_SweepPlan, int, int]:
+    """The plan of these endpoints, with the translation (x0, dy) of the
+    module docstring: compiled once per normalised geometry, the endpoints
+    moved left by x0 and down by dy, and kept in ``_PLANS``."""
     n = len(sources)
     if n != len(sinks):
         raise ValueError("need equally many sources and sinks")
-    ring = cmap.ring
     if not n:
-        return TPoly.one(ring)
-    if len(set(sources)) < n or len(set(sinks)) < n:
-        return TPoly.zero(ring)  # two paths would share an endpoint
-    lo = min(0, *[v.y for v in sources], *[v.y for v in sinks])
+        return _PLANS(((), ())), 0, 0
+    x0 = min(v.x for v in (*sources, *sinks))
+    low = min(v.y for v in (*sources, *sinks))
+    dy = low - 1 if low > 1 else 0
+    key = (
+        tuple((x - x0, y - dy, is_black) for x, y, is_black in sources),
+        tuple((x - x0, y - dy, is_black) for x, y, is_black in sinks),
+    )
+    return _PLANS(key), x0, dy
+
+
+def _compiled_sweep(key: tuple[tuple, tuple]) -> _SweepPlan:
+    """The forward column sweep of the module docstring on normalised
+    endpoints, (x, y, black) triples, recording transitions in place of
+    weights.  A vertex of a column is the bit 2 * (y - lo) + black, lo the
+    lowest endpoint height or 0; a state entry is that bit for a path
+    entering the next column, _NOT_STARTED, or ~(j + 1) for a path that
+    ended at sink j.  One mask holds the vertices the paths take in the
+    column and, W bits up, those they enter in the next.  A transition's
+    pair is one int: the t-degree d < 2^S, plus 1 << (2h + S) per exit from
+    height h, so the exit heights as a multiset (at most two paths, one from
+    each vertex, exit from one height)."""
+    sources, sinks = key
+    n = len(sources)
+    if not n:
+        return _SweepPlan((), [1], [], 0)
+    lo = min(0, *[v[1] for v in sources], *[v[1] for v in sinks])
+    W = 2 * (max(v[1] for v in (*sources, *sinks)) - lo + 1)
+    S = n.bit_length()
     starts: dict[int, list[tuple[int, int]]] = {}
     ends: dict[int, dict[int, int]] = {}
     lowest: dict[int, int] = {}
@@ -224,26 +372,42 @@ def _lgv_signed_sum(
     for j, (x, y, is_black) in enumerate(sinks):
         ends.setdefault(x, {})[2 * (y - lo) + is_black] = ~(j + 1)
         lowest[x] = min(y, lowest.get(x, y))
-    first, last = min(min(starts), min(ends)), max(max(starts), max(ends))
-    # floors[x - first]: the lowest sink right of column x, None if none.
+    last = max(max(starts), max(ends))
+    # Column x is left by #{sources with x-coordinate <= x} - #{sinks with
+    # x-coordinate <= x} paths, whatever the pairing.
+    delta = [0] * (last + 1)
+    for v in sources:
+        delta[v[0]] += 1
+    for v in sinks:
+        delta[v[0]] -= 1
+    crossed = []
+    crossing = 0
+    for x in range(last):
+        crossing += delta[x]
+        crossed += [x] * crossing
+    if len(set(sources)) < n or len(set(sinks)) < n:
+        return _SweepPlan((), [], crossed, 0)  # two paths would share an endpoint
+    # floors[x]: the lowest sink right of column x, None if none.
     floors: list[int | None] = []
     floor = None
-    for x in range(last, first - 1, -1):
+    for x in range(last, -1, -1):
         floors.append(floor)
         if x in lowest and (floor is None or lowest[x] < floor):
             floor = lowest[x]
     floors.reverse()
 
-    # {t-degree: coefficient} per state at the boundary left of column x.
-    states: dict[tuple[int, ...], dict[int, Element]] = {(_NOT_STARTED,) * n: {0: ring.one}}
-    for x in range(first, last + 1):
+    columns = []
+    states: dict[tuple[int, ...], int] = {(_NOT_STARTED,) * n: 0}
+    for x in range(last + 1):
         claims = ends.get(x, {})
-        floor = floors[x - first]
-        moves: dict[int, list[tuple[int, int, int, Element | None, int]]] = {}
+        claimed = sum(1 << vertex for vertex in claims) if claims else 0
+        floor = floors[x]
+        moves: dict[int, list[tuple[int, int, int]]] = {}
+        looked: set[int] = set()
 
-        def moves_from(entry: int) -> list[tuple[int, int, int, Element | None, int]]:
-            """(occupied bits, new entry, exit bit, weight or None, t-degree),
-            one per way a path entering column x at this vertex goes on."""
+        def moves_from(entry: int) -> list[tuple[int, int, int]]:
+            """(mask bits, new entry, pair), one per way a path entering
+            column x at this vertex goes on."""
             out = moves.get(entry)
             if out is not None:
                 return out
@@ -255,16 +419,18 @@ def _lgv_signed_sum(
                 occupied |= 1 << vertex
                 end = claims.get(vertex)
                 if end is not None:  # a sink ends every path that reaches it
-                    out.append((occupied, end, 0, None, 0))
+                    out.append((occupied, end, 0))
                     break
                 if y < 1:
                     break
                 if floor is not None and y >= floor:
-                    f = cmap(weights[x], y)
+                    looked.add(y)
                     down = 2 * (y - 1 - lo)  # white(x + 1, y - 1)
+                    exit_code = 1 << (2 * y + S)
                     if y > floor:
-                        out.append((occupied, down, 1 << down, f, 0))
-                    out.append((occupied, down + 3, 1 << (down + 3), f, 1))  # black(x + 1, y)
+                        out.append((occupied | 1 << (down + W), down, exit_code))
+                    # black(x + 1, y), times t
+                    out.append((occupied | 1 << (down + 3 + W), down + 3, exit_code + 1))
                 if vertex & 1:  # black: one vertex per column
                     break
                 y -= 1
@@ -272,53 +438,61 @@ def _lgv_signed_sum(
             return out
 
         begin = [(i, moves_from(entry)) for i, entry in starts.get(x, ())]
-        new_states: dict[tuple[int, ...], dict[int, Element]] = {}
-        for state, coeffs in states.items():
+        new_states: dict[tuple[int, ...], int] = {}
+        flat: list[int] = []  # source, target, pair, per transition
+        for state, s in states.items():
             paths = [(i, moves_from(e)) for i, e in enumerate(state) if e >= 0] + begin
             if not paths:
                 if not claims:
-                    _add_scaled(new_states.setdefault(state, {}), coeffs, None, 0)
+                    flat.extend((s, new_states.setdefault(state, len(new_states)), 0))
                 continue
             new = list(state)
+            j, last_options = paths.pop()
 
-            def place(k: int, occupied: int, exits: int, claimed: int, w, d: int) -> None:
-                """Go on with paths[k:], given the choices of paths[:k]."""
-                i, options = paths[k]
-                for occ, entry, exit_bit, f, dt in options:
-                    if occ & occupied or exit_bit & exits:
-                        continue
-                    new[i] = entry
-                    wf = f if w is None else w if f is None else w * f
-                    if k + 1 < len(paths):
-                        place(k + 1, occupied | occ, exits | exit_bit,
-                              claimed + (entry < 0), wf, d + dt)
-                    elif claimed + (entry < 0) == len(claims):
-                        _add_scaled(new_states.setdefault(tuple(new), {}), coeffs, wf, d + dt)
+            def place(k: int, mask: int, pair: int) -> None:
+                """Go on with paths[k:] and the last path, given the choices
+                of paths[:k]."""
+                if k < len(paths):
+                    i, options = paths[k]
+                    for bits, entry, p in options:
+                        if not bits & mask:
+                            new[i] = entry
+                            place(k + 1, mask | bits, pair + p)
+                    return
+                for bits, entry, p in last_options:
+                    # and every sink of column x claimed
+                    if not bits & mask and (mask | bits) & claimed == claimed:
+                        new[j] = entry
+                        flat.extend((s, new_states.setdefault(tuple(new), len(new_states)), pair + p))
 
-            place(0, 0, 0, 0, None, 0)
+            place(0, 0, 0)
+        columns.append((looked, flat, len(new_states)))
         states = new_states
         if not states:
-            return TPoly.zero(ring)
+            break
 
     # Every source has started by the last column and no path can leave it,
     # so each surviving state has ended every path at a sink.
-    total: dict[int, Element] = {}
-    for state, coeffs in states.items():
-        if _permutation_sign([~e - 1 for e in state]) < 0:
-            coeffs = {deg: -c for deg, c in coeffs.items()}
-        _add_scaled(total, coeffs, None, 0)
-    return TPoly(ring, [total.get(deg, ring.zero) for deg in range(max(total) + 1)])
+    signs = [_permutation_sign([~e - 1 for e in state]) for state in states]
+    return _SweepPlan(
+        tuple(_column(looked, flat, width, S) for looked, flat, width in columns), signs, crossed,
+        sum(len(flat) for _, flat, _ in columns) // 3)
 
 
-def _add_scaled(target: dict[int, Element], coeffs: dict[int, Element], w, d: int) -> None:
-    """target += coeffs * w * t^d, both as {t-degree: coefficient}; None for
-    w stands for one."""
-    for deg, c in coeffs.items():
-        if w is not None:
-            c = c * w
-        deg += d
-        prev = target.get(deg)
-        target[deg] = c if prev is None else prev + c
+def _column(looked: set[int], flat: list[int], width: int, S: int) -> tuple:
+    """A column of the plan from the forward sweep's: its looked-up heights
+    sorted, and each distinct pair of its transitions as (exit tuple,
+    t-degree), the tuple as positions in the heights."""
+    heights = tuple(sorted(looked))
+    pairs = {}
+    for pair in set(flat[2::3]) - {0}:  # 0: no exit, weight one
+        code = pair >> S
+        pairs[pair] = (tuple(i for i, h in enumerate(heights) for _ in range(code >> 2 * h & 3)),
+                       pair & ((1 << S) - 1))
+    return heights, pairs, flat, width
+
+
+_PLANS = _SizedCache(_compiled_sweep, lambda plan: plan.size)
 
 
 def _scaled_path_matrix(

@@ -277,12 +277,15 @@ class LayerGraph:
     None.  A layer l is its cells, ``layers[l]``, numbered as in
     ``_layers_from``; equal cell sets out of different states share one id.
 
+    ``size`` counts the transitions built so far, the measure by which
+    ``layer_graph``'s cache is bounded.
+
     Walks in several threads may share a graph: it only grows, under one
     lock, so no state gets two ids and no id is ever renumbered.
     """
 
     __slots__ = (
-        "parts", "start", "ids", "states", "depth", "groups", "targets", "layers",
+        "parts", "start", "ids", "states", "depth", "groups", "targets", "layers", "size",
         "_stride", "_sized", "_seen", "_transitions", "_layer_ids", "_lock",
     )
 
@@ -295,6 +298,7 @@ class LayerGraph:
         self.groups: list[tuple] = []
         self.targets: list[int | None] = []
         self.layers: list[tuple[int, ...]] = []
+        self.size = 0
         self._sized = [0] * (sum(parts) + 1)  # states reached so far, by size
         self._transitions: dict[int, tuple] = {}
         self._layer_ids: dict[tuple[int, ...], int] = {}
@@ -333,6 +337,7 @@ class LayerGraph:
                 built = self._transitions.get(s)
                 if built is None:
                     built = self._transitions[s] = self._build(s)
+                    self.size += len(built)
         return built
 
     def _build(self, s: int) -> tuple:
@@ -358,10 +363,64 @@ class LayerGraph:
         return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def layer_graph(parts: tuple[int, ...]) -> LayerGraph:
-    """The one ``LayerGraph`` of the shape with these parts."""
-    return LayerGraph(parts)
+# The transitions one ``_SizedCache`` may hold in all.
+_CACHE_TRANSITIONS = 1 << 18
+
+
+class _SizedCache:
+    """Values built from their keys, kept while the transitions they hold,
+    ``size(value)``, sum to at most ``bound`` (``_CACHE_TRANSITIONS``): past
+    it, the least recently used values are dropped, and built again on their
+    next lookup.  A value may still grow after it is returned (a
+    ``LayerGraph`` does, as walks reach its states), so each lookup measures
+    again the value it returns and the one the lookup before it returned;
+    the value it returns is kept even when it alone passes the bound."""
+
+    def __init__(self, build: Callable[[Any], Any], size: Callable[[Any], int]):
+        self.bound = _CACHE_TRANSITIONS
+        self._build, self._size = build, size
+        self._entries: dict[Any, list] = {}  # key -> [value, its size when last measured]
+        self._total = 0
+        self._last = None
+        self._lock = threading.Lock()
+
+    def __call__(self, key: Any) -> Any:
+        with self._lock:
+            entries = self._entries
+            last = entries.get(self._last)
+            if last is not None:
+                self._measure(last)
+            entry = entries.pop(key, None)  # put back at the end, the most recent
+            if entry is None:
+                entry = [self._build(key), 0]
+            entries[key] = entry
+            self._measure(entry)
+            while self._total > self.bound and len(entries) > 1:
+                self._total -= entries.pop(next(iter(entries)))[1]
+            self._last = key
+            return entry[0]
+
+    def _measure(self, entry: list) -> None:
+        size = self._size(entry[0])
+        self._total += size - entry[1]
+        entry[1] = size
+
+    def cache_clear(self) -> None:
+        """Drop every value, as ``functools.lru_cache`` does."""
+        with self._lock:
+            self._entries.clear()
+            self._total = 0
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._entries
+
+    def held(self) -> int:
+        """The transitions the values held now have, measured afresh."""
+        return sum(self._size(value) for value, _ in self._entries.values())
+
+
+# The one ``LayerGraph`` of the shape with these parts.
+layer_graph = _SizedCache(LayerGraph, lambda graph: graph.size)
 
 
 def walk(parts: tuple[int, ...], N: int, one: Any, step: Callable, idle: bool = True) -> Any:

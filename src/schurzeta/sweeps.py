@@ -47,7 +47,7 @@ from .shapes import (
 from .values import (
     DiagonalWeights,
     _route_walk,
-    _scaled_linear_value_prefixes,
+    _scaled_linear_value,
     _scaled_schur_value,
     coefficient_map_for,
     diagonal_tableau,
@@ -297,7 +297,7 @@ def _single_layer(flags) -> dict:
 
 def _check_path_linear(i: int, j: int, N: int, cmap, weights: DiagonalWeights) -> dict:
     by_path = _scaled_path_sum(white(i, N - 1), white(j + 1, 0), cmap, weights)
-    direct = _scaled_linear_value_prefixes([weights[d] for d in range(j, i - 1, -1)], N, cmap)[-1]
+    direct = _scaled_linear_value([weights[d] for d in range(j, i - 1, -1)], N, cmap)
     equal = by_path == direct
     path_json, linear_json = _rendered(equal, by_path, direct)
     return {

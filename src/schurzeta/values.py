@@ -176,29 +176,14 @@ def _undivided(
     cmap: CoefficientMap, top: int, labels: Sequence[Any], body: Callable[[CoefficientMap], TPoly]
 ) -> ScaledPoly:
     """body(cmap) for a value whose every term multiplies f(k, m) once per
-    label, with entries m in 1..top, undivided: run over cmap's integer form
-    when it has one, as numerators over D = L^K, else over cmap with D = 1."""
-    return _undivided_each(cmap, top, labels, [labels], lambda c: [body(c)])[0]
-
-
-def _undivided_each(
-    cmap: CoefficientMap,
-    top: int,
-    labels: Sequence[Any],
-    parts: Sequence[Sequence[Any]],
-    body: Callable[[CoefficientMap], list[TPoly]],
-) -> list[ScaledPoly]:
-    """body(cmap) for a list of values, the i-th multiplying the labels
-    parts[i], all of them among ``labels``: as ``_undivided``, with one body
-    run and each value over its own L^K."""
+    label, with entries m in 1..top, undivided: one body run over cmap's
+    integer form when it has one, as numerators over D = L^K, K the sum of
+    the positive labels, else over cmap with D = 1."""
     form = _integer_form(cmap, top, labels)
     if form is None:
-        return [ScaledPoly(value) for value in body(cmap)]
+        return ScaledPoly(body(cmap))
     imap, L = form
-    return [
-        ScaledPoly(value, L ** sum(k for k in part if k > 0))  # L^K, K of the positive labels
-        for value, part in zip(body(imap), parts)
-    ]
+    return ScaledPoly(body(imap), L ** sum(k for k in labels if k > 0))
 
 
 def _undivided_rows(
@@ -565,31 +550,25 @@ def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     The first key attaches to the smallest chain entry; this matches the
     single-column Schur value with the first key in the top cell.  The value
     is the full-length prefix of ``_linear_value_prefixes``' dynamic
-    program, the one evaluator behind every Jacobi-Trudi column; only that
-    value is divided by L^K.
+    program, the one evaluator behind every Jacobi-Trudi column, decoded
+    and divided by L^K once.
     """
-    return _scaled_linear_value_prefixes(keys, N, cmap)[-1].divided()
+    return _scaled_linear_value(keys, N, cmap).divided()
 
 
-def _scaled_linear_value_prefixes(
-    keys: Sequence[Any], N: int, cmap: CoefficientMap
-) -> list[ScaledPoly]:
-    """The linear value of keys[:p] for every p = 0 .. len(keys), from one
-    pass over the keys (``_linear_value_prefixes``), undivided: each prefix
-    over its own L^K."""
+def _scaled_linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> ScaledPoly:
+    """``linear_value`` undivided: one pass of the prefix DP over the keys,
+    and only its last value decoded."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     keys = tuple(keys)
-    prefixes = [keys[:p] for p in range(len(keys) + 1)]
-    return _undivided_each(cmap, N - 1, keys, prefixes, lambda c: _decoded_prefixes(keys, N, c))
 
+    def body(c: CoefficientMap) -> TPoly:
+        b = _slot_bits([(k,) for k in keys], N, c)
+        values, _ = _linear_value_prefixes(keys, N, c, b)
+        return TPoly(c.ring, _decoded(values[-1], b))
 
-def _decoded_prefixes(keys: tuple, N: int, cmap: CoefficientMap) -> list[TPoly]:
-    """The prefix DP from the empty path over keys: the values at N of
-    keys[:p] for p = 0 .. len(keys), decoded."""
-    b = _slot_bits([(k,) for k in keys], N, cmap)
-    values, _ = _linear_value_prefixes(keys, N, cmap, b)
-    return [TPoly(cmap.ring, _decoded(value, b)) for value in values]
+    return _undivided(cmap, N - 1, keys, body)
 
 
 def _slot_bits(

@@ -1,7 +1,7 @@
 """Exhaustive enumeration of weakly increasing chains.
 
 The test-side oracle for the linear-value dynamic program
-(``values._scaled_linear_value_prefixes`` and ``values.linear_value``) and
+(``values._scaled_linear_value`` and ``values.linear_value``) and
 for the values every route reads off one run at each bound: it visits
 every chain 0 < m_1 <= ... <= m_r < N, straight from the definition in the
 ``values.linear_value`` docstring, and shares no code with the program it

@@ -520,8 +520,8 @@ def test_conjugation_mismatch_renders_each_side(capsys, monkeypatch):
 
 
 def test_lgv_mismatch_renders_each_side(capsys, monkeypatch):
-    original = lattice._lgv_signed_sum
-    monkeypatch.setattr(lattice, "_lgv_signed_sum", lambda *args: bump(original(*args)))
+    original = lattice._run_sweep
+    monkeypatch.setattr(lattice, "_run_sweep", lambda *args: bump(original(*args)))
     for f in failures_of(sweeps.run_lgv_sweep(max_cells=3, max_n=3)):
         shape, weights = Partition(f["shape"]), values.DiagonalWeights(f["diagonal"])
         sources, sinks = lattice.schur_path_endpoints(shape, f["N"])

@@ -29,7 +29,7 @@ from schurzeta.shapes import Partition, Tableau, admissible_baselines, partition
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
-    _scaled_linear_value_prefixes,
+    _scaled_linear_value,
     diagonal_tableau,
     linear_value,
     linear_value_by_recursion,
@@ -60,8 +60,10 @@ def same(fast, slow):
 
 
 def prefixes_of(keys, N, cmap):
-    """The prefix DP's value of every prefix of keys, divided."""
-    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
+    """The prefix DP's value of every prefix of keys, divided: one
+    single-value call per prefix."""
+    keys = tuple(keys)
+    return [_scaled_linear_value(keys[:p], N, cmap).divided() for p in range(len(keys) + 1)]
 
 
 def path_sum(A, B, cmap, dw):
@@ -291,17 +293,18 @@ def test_rewritten_routes_raise_on_labels_they_meet(route, label, cmap):
 
 
 # Each evaluator runs its body once per value, and each matrix builder once
-# per matrix: (test id, the call, the module attribute of each body it runs
-# and how many runs to expect).  A body is counted wherever it is looked up,
-# so a second run by any caller shows.
+# per matrix: (test id, the call, the module attribute of each body it runs,
+# or of the decoder where one decode per value is expected, and how many
+# runs to expect).  A body is counted wherever it is looked up, so a second
+# run by any caller shows.
 EVALUATORS = [
     ("linear_value", lambda: linear_value((2, -1, 3), 5, RAT),
-     {"_linear_value_prefixes": 1}),
+     {"_linear_value_prefixes": 1, "_decoded": 1}),
     ("linear_value_by_recursion", lambda: linear_value_by_recursion((2, -1, 3), 5, RAT),
      {"_linear_value_by_recursion": 1}),
     ("linear_value_prefixes",
-     lambda: [value.divided() for value in _scaled_linear_value_prefixes((2, -1, 3), 5, RAT)],
-     {"_linear_value_prefixes": 1}),
+     lambda: [_scaled_linear_value((2, -1, 3)[:p], 5, RAT).divided() for p in range(4)],
+     {"_linear_value_prefixes": 4}),
     ("schur_value", lambda: schur_value(Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, RAT),
      {"_schur_value": 1}),
     ("path_weight_sum", lambda: single_row(_scaled_path_matrix(
@@ -314,7 +317,7 @@ EVALUATORS = [
     ("lgv_signed_sum", lambda: _scaled_lgv_signed_sum(
         *schur_path_endpoints(Partition((2, 2)), 4), RAT,
         DiagonalWeights({-1: 2, 0: 1, 1: 3})).divided(),
-     {"_lgv_signed_sum": 1}),
+     {"_run_sweep": 1, "_decoded": 1}),
     # One integer form per matrix, and one prefix pass per column.
     ("h_matrix", lambda: _h_matrix(
         Partition((3, 2, 2)), 5, RAT, DiagonalWeights({-2: 2, -1: -1, 0: 3, 1: 1, 2: 2})),

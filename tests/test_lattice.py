@@ -15,10 +15,12 @@ from schurzeta.shapes import (
     build_bit_tableau,
     partitions_up_to,
 )
+from schurzeta import lattice
 from schurzeta.lattice import (
     _layer_sides,
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
+    _sweep_plan,
     black,
     layer_endpoints,
     schur_path_endpoints,
@@ -537,3 +539,152 @@ def test_large_scenario_sum_matches_determinant_and_schur_value():
     assert signed.divided()
     assert signed == det
     assert signed.divided() == schur_value(diagonal_tableau(shape, dw), N, RAT)
+
+
+# ---------------------------------------------------------------------------
+# the compiled sweep: one plan per geometry moved to its normal position
+
+# (sources, sinks), each named for what it covers; every one is moved below
+# by the translations that keep its plan.
+TRANSLATED = {
+    "black-endpoints": ([black(0, 3), black(1, 2)], [black(2, 3), black(3, 1)]),
+    "negative-x": ([white(-4, 3), white(-3, 3)], [white(-2, 1), white(-1, 0)]),
+    "lowest-at-0": ([white(0, 3), black(1, 2), white(1, 4)],
+                    [white(2, 0), white(3, 1), black(3, 2)]),
+    "lowest-at-1": ([white(0, 4), white(1, 3)], [white(2, 1), white(3, 2)]),
+    "lowest-at-2": ([white(0, 5), black(1, 4), white(2, 5)],
+                    [white(2, 2), black(3, 3), white(4, 2)]),
+    "swapped-pairing": ([white(-1, 3), white(1, 3)], [white(2, 2), white(0, 2)]),
+}
+
+
+def moved(vertices, dx, dy):
+    return [lattice.Vertex(v.x + dx, v.y + dy, v.black) for v in vertices]
+
+
+def translations(sources, sinks):
+    """Moves that keep the plan: any column shift, and height shifts that
+    keep the lowest endpoint at height 1 or above when it is there."""
+    low = min(v.y for v in (*sources, *sinks))
+    heights = (0, 1, 3) if low >= 1 else (0,)
+    return [(dx, dy) for dx in (-3, 0, 2) for dy in heights if low + dy >= 1 or dy == 0]
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("name", list(TRANSLATED))
+def test_translated_geometries_share_one_plan(name, spec):
+    cmap = coefficient_map_for(spec)
+    rng = random.Random(71)
+    sources, sinks = TRANSLATED[name]
+    plan = _sweep_plan(sources, sinks)[0]
+    values = set()
+    for dx, dy in translations(sources, sinks):
+        a, b = moved(sources, dx, dy), moved(sinks, dx, dy)
+        assert _sweep_plan(a, b)[0] is plan, (dx, dy)
+        dw = random_window(rng, spec, range(-8, 8))
+        swept = signed_sum(a, b, cmap, dw)
+        assert swept == enumerated_signed_sum(a, b, cmap, dw), (dx, dy)
+        values.add(str(swept.to_json()))
+    assert len(values) > 1  # one plan, weights that differ
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_lowest_endpoint_at_zero_keeps_its_own_plan(spec):
+    # At height 0 no edge leaves a vertex; moved up to height 1 the same
+    # endpoints are a different geometry, with a different plan and value.
+    cmap = coefficient_map_for(spec)
+    dw = random_window(random.Random(72), spec, range(-1, 5))
+    sources, sinks = [white(0, 2), white(1, 2)], [white(1, 0), white(3, 0)]
+    up, up_sinks = moved(sources, 0, 1), moved(sinks, 0, 1)
+    assert _sweep_plan(sources, sinks)[0] is not _sweep_plan(up, up_sinks)[0]
+    for a, b in ((sources, sinks), (up, up_sinks)):
+        assert signed_sum(a, b, cmap, dw) == enumerated_signed_sum(a, b, cmap, dw)
+    assert signed_sum(sources, sinks, cmap, dw) != signed_sum(up, up_sinks, cmap, dw)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_empty_unequal_and_repeated_endpoints(spec):
+    cmap = coefficient_map_for(spec)
+    dw = DiagonalWeights({d: 2 for d in range(-2, 5)})
+    assert signed_sum([], [], cmap, dw) == TPoly.one(cmap.ring)
+    assert _sweep_plan([], [])[0].signs == [1]
+    with pytest.raises(ValueError, match="^need equally many sources and sinks$"):
+        signed_sum([white(0, 2), white(1, 2)], [white(2, 0)], cmap, dw)
+    for sources, sinks in (
+        ([white(0, 2), white(0, 2)], [white(1, 0), white(2, 0)]),
+        ([white(0, 2), white(1, 2)], [white(2, 0), white(2, 0)]),
+    ):
+        assert _sweep_plan(sources, sinks)[0].signs == []
+        assert signed_sum(sources, sinks, cmap, dw) == TPoly.zero(cmap.ring)
+        assert signed_sum(sources, sinks, cmap, dw) == enumerated_signed_sum(
+            sources, sinks, cmap, dw)
+    # The repeated case is still over the L^K of the columns its paths
+    # would leave: two paths leave columns 0 and 1, each label 2, so K = 8.
+    zero = _scaled_lgv_signed_sum(
+        [white(0, 3), white(0, 3)], [white(2, 0), white(2, 1)], RAT, dw)
+    assert zero.denominator == 6**8 and not zero.poly
+
+
+# A window missing a crossed column, or holding a label the map rejects:
+# the sweep raises what, and where, a sweep that looks up f(a_x, h) as it
+# reaches each move would, the leftmost column looked up first, even where
+# no system exists.
+SQUARE = schur_path_endpoints(Partition((2, 2)), 3)  # columns -1, 0 and 1 are left
+RAISES = [
+    (SQUARE, {-1: 2, 1: 2}, "rational", ValueError,
+     "diagonal weight window has no offset 0"),
+    (SQUARE, {-1: 2}, "rational", ValueError, "diagonal weight window has no offset 0"),
+    (SQUARE, {0: 1}, "rational", ValueError, "diagonal weight window has no offset -1"),
+    (SQUARE, {-1: 2, 0: "x", 1: 2}, "rational", DomainError,
+     "rational weights must be integers, got 'x'"),
+    (SQUARE, {-1: "x", 0: 1}, "rational", DomainError,
+     "rational weights must be integers, got 'x'"),
+    (SQUARE, {-1: 2, 0: 0, 1: 2}, "qsym", DomainError,
+     "quasi-symmetric weights must be integers >= 1, got 0"),
+    (SQUARE, {-1: 2, 0: 0, 1: 2}, "qseries:8", DomainError,
+     "q-analogue weights must be integers >= 1, got 0"),
+    # The same plan moved right by 3 and up by 2.
+    (tuple(moved(side, 3, 2) for side in SQUARE), {2: 2, 4: 2}, "rational", ValueError,
+     "diagonal weight window has no offset 3"),
+    (tuple(moved(side, 3, 2) for side in SQUARE), {2: 2, 3: 1}, "rational", ValueError,
+     "diagonal weight window has no offset 4"),
+    # A sink above a source: no system, but column 1 is looked up.
+    (([white(0, 2), white(1, 3)], [white(2, 0), white(3, 4)]), {0: 1}, "rational",
+     ValueError, "diagonal weight window has no offset 1"),
+    (([white(0, 1)], [white(2, 3)]), {}, "rational", None, None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RAISES)))
+def test_missing_columns_and_bad_labels_raise_where_they_are_looked_up(case):
+    (sources, sinks), window, spec, error, message = RAISES[case]
+    dw, cmap = DiagonalWeights(window), coefficient_map_for(spec)
+    if error is None:  # nothing to look up: a source below its sink
+        assert signed_sum(sources, sinks, cmap, dw) == TPoly.zero(cmap.ring)
+        return
+    with pytest.raises(error) as raised:
+        signed_sum(sources, sinks, cmap, dw)
+    assert str(raised.value) == message
+
+
+def test_plan_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(lattice._PLANS, "bound", 60)
+    lattice._PLANS.cache_clear()
+    first = layer_endpoints(Partition((2, 1)), (0, 0), 2)
+    plan = _sweep_plan(*first)[0]
+    built = 0
+    for shape in partitions_up_to(5, include_empty=False):
+        for b in admissible_baselines(shape):
+            for M in (1, 2):
+                found = _sweep_plan(*layer_endpoints(shape, b, M))[0]
+                held = lattice._PLANS.held()
+                assert held <= 60 or held == found.size
+                built += 1
+    assert built > 50
+    # Moved right by 1: the leftmost endpoint to column 0, the lowest at height 1.
+    assert first == ([white(-1, 2), white(1, 2)], [white(1, 1), white(2, 1)])
+    assert (((0, 2, False), (2, 2, False)), ((2, 1, False), (3, 1, False))) not in lattice._PLANS
+    rebuilt, x0, dy = _sweep_plan(*first)
+    assert (x0, dy) == (-1, 0)
+    assert rebuilt is not plan and rebuilt == plan
+    lattice._PLANS.cache_clear()

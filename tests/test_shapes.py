@@ -19,6 +19,7 @@ from schurzeta.shapes import (
     bit_tableau_stats,
     build_bit_tableau,
     LayerGraph,
+    _CACHE_TRANSITIONS,
     _depth,
     _layers_from,
     count_oyt,
@@ -421,6 +422,38 @@ def _reached(parts, N):
 
 def _refuse(*_):
     raise AssertionError("the walk took the other route")
+
+
+def _diagonal_schur_value(parts, N):
+    shape = Partition(parts)
+    labels = values.DiagonalWeights({d: 2 for d in values.required_offsets(shape)})
+    return values.schur_value(values.diagonal_tableau(shape, labels), N, values.rational_map())
+
+
+def test_layer_graph_cache_stays_within_its_bound(monkeypatch):
+    """The graphs the cache holds have at most ``bound`` transitions in all,
+    as measured at each lookup, when no one graph passes it alone; a graph
+    it dropped is built again, equal, on its next lookup."""
+    assert layer_graph.bound == _CACHE_TRANSITIONS
+    monkeypatch.setattr(layer_graph, "bound", 300)
+    layer_graph.cache_clear()
+    first = _diagonal_schur_value((4, 2, 1), 6)
+    graph = layer_graph((4, 2, 1))
+    assert 0 < graph.size <= 300
+    looked_up = 0
+    for shape in partitions_up_to(6, include_empty=False):
+        _diagonal_schur_value(shape.parts, 5)
+        grown = layer_graph(shape.parts)  # measures what the walk built
+        held = layer_graph.held()
+        assert held <= 300 or held == grown.size, shape
+        looked_up += 1
+    assert looked_up > 20 and (4, 2, 1) not in layer_graph
+    assert _diagonal_schur_value((4, 2, 1), 6) == first
+    rebuilt = layer_graph((4, 2, 1))
+    assert rebuilt is not graph
+    assert (rebuilt.states, rebuilt.groups, rebuilt.layers, rebuilt.size) == (
+        graph.states, graph.groups, graph.layers, graph.size)
+    layer_graph.cache_clear()
 
 
 def test_layer_graph_holds_only_what_walks_reach(monkeypatch):

@@ -29,7 +29,7 @@ from schurzeta.shapes import (
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
-    _scaled_linear_value_prefixes,
+    _scaled_linear_value,
     coefficient_map_for,
     diagonal_tableau,
     linear_value,
@@ -53,8 +53,10 @@ def poly(*coeffs):
 
 
 def prefixes_of(keys, N, cmap):
-    """The prefix DP's value of every prefix of keys, divided."""
-    return [value.divided() for value in _scaled_linear_value_prefixes(keys, N, cmap)]
+    """The prefix DP's value of every prefix of keys, divided: one
+    single-value call per prefix."""
+    keys = tuple(keys)
+    return [_scaled_linear_value(keys[:p], N, cmap).divided() for p in range(len(keys) + 1)]
 
 
 def jt_row_determinant(shape, N, cmap, weights):
@@ -154,7 +156,7 @@ def test_linear_value_prefixes_edge_cases():
     assert prefixes_of((2, 3), 1, RAT) == [poly(1), poly(), poly()]
     assert prefixes_of((2, 2), 3, RAT) == [poly(1), poly("5/4"), poly("1/4", "17/16")]
     with pytest.raises(ValueError):
-        _scaled_linear_value_prefixes((2,), 0, RAT)
+        _scaled_linear_value((2,), 0, RAT)
 
 
 def test_top_coefficient_is_single_power_sum():
