@@ -19,8 +19,12 @@ det E is that H determinant with t -> 1-t substituted once
 Both determinants take the one matrix format of ``rings``, (rows, D): over
 the rational map's integer form, rows of integer coefficient lists, each
 row over one denominator, and D the product of the row denominators; over
-any other map, rows of ``TPoly``s with D = 1.  ``_h_matrix`` writes it from
-one evaluator run per matrix.  The entries of one H column are prefixes of
+the q-analogue map's packed form, at a width bounding the determinant
+(``_determinant_bits``), rows of coefficient lists of packed residues with
+D = 1, which go to the same elimination and are decoded once; over any
+other map (qsym, or a q-series map built by hand), rows of ``TPoly``s with
+D = 1, for the Laplace expansion.  ``_h_matrix`` writes it from one
+evaluator run per matrix.  The entries of one H column are prefixes of
 a single run of offsets, so each column comes from one prefix-DP pass
 (``values._linear_value_prefixes``), all packed at one slot width, and
 only the entries the matrix uses are decoded.  The determinants stay
@@ -32,16 +36,19 @@ numerators, and the checks in ``sweeps`` compare them so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .rings import ScaledPoly, _scaled_determinant
 from .shapes import Partition
 from .values import (
     CoefficientMap,
     DiagonalWeights,
-    _decoded,
     _linear_value_prefixes,
-    _slot_bits,
+    _packed_route,
+    _series_norm,
     _undivided_rows,
+    _unpacked,
     linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
     rational_map,
 )
@@ -56,25 +63,40 @@ def _h_matrix(
 
     Every entry of a column is a prefix of the same run, so one prefix-DP
     pass gives the whole column.  All columns run over one integer form
-    (``values._undivided_rows``) at one slot width: position s of every run
-    holds a label of levels[s], so each entry's coefficients are within the
-    bound ``_slot_bits`` takes over the levels.
+    (``values._undivided_rows``), or one packed form, at one slot width:
+    position s of every run holds a label of levels[s], so each entry's
+    coefficients are within the bound ``values._packed_route`` takes over
+    the levels.  Over a map's packed form itself (``_h_determinant``) the
+    rows are coefficient lists of packed residues, D = 1, and no entry is
+    decoded.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
+    return _h_rows(*_h_runs(shape, weights), N, cmap)
+
+
+def _h_runs(shape: Partition, weights: DiagonalWeights) -> tuple[list[list], list[list[int]]]:
+    """The H matrix's runs of labels, one per column, and its entries'
+    prefix lengths: entry (i, j) reads the first lengths[i][j] labels of
+    runs[j], and is zero when that is negative."""
     conj = shape.conjugate().parts
     n = shape.width
     # Column j + 1 reads a_j, a_(j-1), ...; row 1 takes its longest prefix.
     runs = [[weights[j - s] for s in range(conj[0] + j)] for j in range(n)]
-    lengths = [[conj[i] + j - i for j in range(n)] for i in range(n)]
+    return runs, [[conj[i] + j - i for j in range(n)] for i in range(n)]
+
+
+def _h_rows(runs: list[list], lengths: list[list[int]], N: int, cmap: CoefficientMap) -> tuple:
+    """``_h_matrix`` from its runs and prefix lengths (``_h_runs``), N >= 1."""
 
     def body(c: CoefficientMap) -> list[list]:
         longest = len(runs[-1]) if runs else 0
         levels = [{run[s] for run in runs if s < len(run)} for s in range(longest)]
-        b = _slot_bits(levels, N, c)
-        columns = [_linear_value_prefixes(run, N, c, b)[0] for run in runs]
+        packed, b = _packed_route(levels, N, c)
+        columns = [_linear_value_prefixes(run, N, packed, b)[0] for run in runs]
         return [
-            [_decoded(columns[j][r], b) if r >= 0 else [] for j, r in enumerate(row)]
+            [_unpacked(columns[j][r], b, packed, c.ring) if r >= 0 else []
+             for j, r in enumerate(row)]
             for row in lengths
         ]
 
@@ -82,17 +104,66 @@ def _h_matrix(
     return _undivided_rows(cmap, N - 1, runs, prefixes, body)
 
 
+def _h_determinant(
+    shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
+) -> ScaledPoly:
+    """det H, undivided.  Over a map with a packed form the matrix is
+    written over that form at the slot width of ``_determinant_bits``, as
+    rows of packed residues, and ``rings._scaled_determinant`` eliminates
+    them over Z[t] and decodes the result; any other map writes its own
+    rows."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    runs, lengths = _h_runs(shape, weights)
+    if cmap.packed_form is not None:
+        cmap = cmap.packed_form(_determinant_bits(runs, lengths, N, cmap))
+    return _scaled_determinant(_h_rows(runs, lengths, N, cmap), cmap.ring)
+
+
+def _determinant_bits(
+    runs: list[list], lengths: list[list[int]], N: int, cmap: CoefficientMap
+) -> int:
+    """Bits per q-slot for det H over cmap's packed form: one more than the
+    bit length of
+
+        X = product over the rows i of the sum over j of X_ij,
+        X_ij = product over the labels k of entry (i, j) of S(k),
+
+    S(k) = ||f(k, 1)||_1 + ... + ||f(k, N-1)||_1 (X_ij = 0 for a zero
+    entry, 1 for a length-0 one), X at least 1: a bound taken from the
+    entries alone.
+
+    Proof.  Let ||p|| be the l1 norm of a polynomial in t and q: the sum of
+    its coefficients' absolute values.  It is subadditive, and
+    submultiplicative also after truncation at q^Q, which only drops
+    terms.  An entry sums t^e times a product of f(k, m) over the chains
+    below N of its labels, so ||entry|| is at most the sum over all maps
+    from its labels to 1..N-1 of the products of their norms, X_ij.  The
+    determinant sums, over the permutations s, +-prod_i entry(i, s(i)), so
+    ||det H|| <= sum over s of prod_i X_(i, s(i)) <= prod_i sum_j X_ij = X,
+    the last sum running over all maps i -> j.  So every q-coefficient of
+    det H is at most X < 2^(bits - 1), in the digit range of the packed
+    ring, and the decode after elimination is exact."""
+    products = [
+        list(accumulate([cmap.total(k, N, _series_norm) for k in run], mul, initial=1))
+        for run in runs
+    ]
+    bound = 1
+    for row in lengths:
+        bound *= sum(p[r] for p, r in zip(products, row) if r >= 0)
+    return max(bound, 1).bit_length() + 1
+
+
 def _determinants(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> tuple[ScaledPoly, ScaledPoly]:
     """(det H, det E) of the diagonal-constant tableau, undivided; no Schur
     walk runs."""
-    det_h = _scaled_determinant(_h_matrix(shape, N, cmap, weights), cmap.ring)
+    det_h = _h_determinant(shape, N, cmap, weights)
     # E(shape, a) is H(shape', a reflected) entrywise at 1-t, and t -> 1-t is
     # a ring homomorphism, so one substitution of one determinant gives det E.
     reflected = DiagonalWeights({-d: k for d, k in weights.items()})
-    e_at_t = _h_matrix(shape.conjugate(), N, cmap, reflected)
-    return det_h, _scaled_determinant(e_at_t, cmap.ring).subs_one_minus_t()
+    return det_h, _h_determinant(shape.conjugate(), N, cmap, reflected).subs_one_minus_t()
 
 
 @dataclass(frozen=True)
@@ -126,7 +197,6 @@ def verify_palindromic_matrix(
     if cmap is None:
         cmap = rational_map()
     shape = Partition((r,) * r)
-    matrix = _h_matrix(shape, N, cmap, palindrome_weights(keys))
-    poly = _scaled_determinant(matrix, cmap.ring)
+    poly = _h_determinant(shape, N, cmap, palindrome_weights(keys))
     flipped = poly.subs_one_minus_t()
     return PalindromeReport(keys, N, poly, flipped, poly == flipped)

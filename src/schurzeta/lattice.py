@@ -47,8 +47,10 @@ distinct (exit heights, t-degree) pairs, and at the end the final states'
 signs.  ``_run_sweep`` evaluates a plan: per column it takes f(a_x, h) once
 per height it needs and each pair's weight once, then makes one pass of
 multiply-adds over the transitions, on packed ints over the integer form
-(t = 2^b, as in ``values``) or on ``values._Coefficients`` over any other
-ring, and decodes the signed total once.  Plans are cached by the
+(t = 2^b, as in ``values``), on lists of packed q-series over the
+q-analogue map's packed form (q = 2^b', modulo 2^(b'Q)), or on
+``values._Coefficients`` over any other ring, and decodes the signed total
+once.  Plans are cached by the
 endpoints moved to a normal position (``_sweep_plan``), in a
 ``shapes._SizedCache`` bounded by the transitions it holds.
 
@@ -86,7 +88,11 @@ coefficient c_k of the signed sum has
 pairs = #crossed + ceil(log2 n!): the bound of ``values._slot_bits``.  A
 crossed column outside the weight window has no label; a system that
 leaves it raises on its lookup, so the bound holds for every value
-returned.
+returned.  Over the q-analogue map's packed form the same count bounds
+every q-coefficient, with S(k) the sum of the l1 norms ||f(k, m)||_1 and
+the triangle inequality in place of positivity: the norm of a product of
+truncated series is at most the product of the norms
+(``values._packed_route``).
 
 The checks stay independent of the sweep: the determinant side is one
 forward path sum per source row (``_scaled_path_matrix``, which gives a
@@ -123,7 +129,7 @@ from .values import (
     DiagonalWeights,
     _decoded,
     _packed_constants,
-    _slot_bits,
+    _packed_route,
     _undivided,
     _undivided_rows,
 )
@@ -241,8 +247,11 @@ def _scaled_lgv_signed_sum(
     pairs = len(labels) + (factorial(len(sources)) - 1).bit_length()
 
     def body(c: CoefficientMap) -> TPoly:
-        b = _slot_bits([(k,) for k in labels], top + 1, c, pairs)
-        return _run_sweep(plan, x0, dy, c, weights, b)
+        packed, b = _packed_route([(k,) for k in labels], top + 1, c, pairs)
+        value = _run_sweep(plan, x0, dy, packed, weights, b)
+        if packed is c:
+            return value
+        return TPoly(c.ring, list(map(packed.ring.decode, value.coeffs)))
 
     return _undivided(cmap, top, labels, body)
 
@@ -259,8 +268,10 @@ def _run_sweep(
     adds its source's value times its pair's weight into its target.
     Values are packed at t = 2^b (``values._packed_constants``): an
     ``int``, on which * t^d is << b*d, over the integer form; a
+    ``_Residues`` of packed q-series over a q-series map's packed form; a
     ``_Coefficients`` over any other ring.  The final states' values are
-    summed with their signs and decoded once."""
+    summed with their signs and decoded once, into the coefficients over
+    cmap's ring."""
     zero, one = _packed_constants(cmap.ring)
     packed = type(zero) is int
     current = [one]

@@ -40,14 +40,18 @@ row is a list of integer coefficient lists (ascending powers of t, trimmed),
 all over one denominator, and D is the product of the row denominators:
 fraction-free (Bareiss) elimination runs on the rows over Z[t], with exact
 polynomial division, in O(n^3) polynomial operations, and the determinant
-is the result over D.  Over any other ring the rows hold ``TPoly``s, D is
-1, and the division-free Laplace expansion, O(2^n * n), takes them; it is
-also the tests' oracle for the elimination.  The matrix builders
-(``jacobi_trudi._h_matrix``, ``lattice._scaled_path_matrix``) write this
-format straight from one evaluator run over the rational map's integer
-form.  Rational coefficient lists are converted into it by
-``_integer_numerators`` only in the public ``ring_determinant`` and for a
-rational map with no integer form.
+is the result over D.  Over a ``PackedSeriesRing``, integer q-series at
+q = 2^b modulo 2^(bQ), a row is a list of coefficient lists of packed
+residues and D is 1: the same elimination runs on them, and each
+coefficient of the result is decoded into a q-series.  Over any other ring
+the rows hold ``TPoly``s, D is 1, and the division-free Laplace expansion,
+O(2^n * n), takes them; it is also the tests' oracle for the elimination.
+The matrix builders (``jacobi_trudi._h_matrix``,
+``lattice._scaled_path_matrix``) write this format straight from one
+evaluator run over the rational map's integer form, and the H matrix also
+over the q-analogue map's packed form.  Rational coefficient lists are
+converted into it by ``_integer_numerators`` only in the public
+``ring_determinant`` and for a rational map with no integer form.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
@@ -275,6 +279,69 @@ def q_integer(m: int, order: int) -> QSeries:
 def QSeriesRing(order: int = 16) -> Ring:
     """Truncated rational power series in q at a fixed order."""
     return Ring(f"qseries:{order}", QSeries(order), QSeries.constant(order, 1))
+
+
+@dataclass(frozen=True)
+class PackedSeriesRing(Ring):
+    """Integer series modulo q^order packed at q = 2^bits: an element is an
+    ``int`` read modulo 2^(bits * order), the series' value at 2^bits.
+
+    Z[q]/(q^order) -> Z/2^(bits * order), q -> 2^bits, is a ring map, since
+    q^order goes to 2^(bits * order).  So a sum or product of packed series
+    is the packed sum or product, each reduced by ``mask`` when wanted, and
+    the reduction is the truncation.  ``encode`` packs a series of
+    ``series`` with integer coefficients; ``decode`` reads a residue back
+    into the one series whose coefficients all lie in -2^(bits-1) ..
+    2^(bits-1) - 1 and whose packing it is.  ``offset`` holds 2^(bits-1)
+    in every digit.
+    """
+
+    series: Ring = field(compare=False)
+    order: int = field(compare=False)
+    bits: int = field(compare=False)
+    mask: int = field(compare=False)
+    offset: int = field(compare=False)
+
+    @staticmethod
+    def of(series: Ring, bits: int) -> "PackedSeriesRing":
+        """The packing of the q-series ring ``series`` at q = 2^bits."""
+        order = series.zero.order
+        mask = (1 << bits * order) - 1
+        offset = mask // ((1 << bits) - 1) << (bits - 1)
+        return PackedSeriesRing(f"{series.name}@2^{bits}", 0, 1, series, order, bits, mask, offset)
+
+    def encode(self, value: QSeries) -> int:
+        """The sum of c_j 2^(bits * j) over the (integer) coefficients c_j,
+        reduced by the mask."""
+        packed = 0
+        for c in reversed(value.coeffs):
+            packed = (packed << self.bits) + c
+        return packed & self.mask
+
+    def decode(self, residue: int) -> QSeries:
+        """The series whose packing is residue, given every coefficient in
+        -2^(bits-1) .. 2^(bits-1) - 1: the ``order`` signed digits of
+        residue modulo 2^(bits * order) in base 2^bits, from the lowest.
+
+        Those digits are unique: the order-tuples of digits in that range
+        and the residues modulo 2^(bits * order) are equally many, and each
+        tuple packs to its own residue.  Adding ``offset`` moves every digit
+        d into 0 .. 2^bits - 1 with no carry, so each digit is one field of
+        residue + offset modulo 2^(bits * order), less 2^(bits-1): the
+        mask drops what carries out of the top field, like any multiple of
+        2^(bits * order), and the top digit is all that is left above the
+        others."""
+        bits = self.bits
+        slot = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        top = bits * (self.order - 1)
+        shifted = (residue + self.offset) & self.mask
+        digits = [(shifted >> shift & slot) - half for shift in range(0, top, bits)]
+        digits.append((shifted >> top) - half)
+        series = object.__new__(QSeries)  # int digits: already in stored form
+        object.__setattr__(series, "order", self.order)
+        object.__setattr__(series, "coeffs", tuple(digits))
+        return series
 
 
 # Packed monomials: the exponent of x_v fills bits 64*(v-1) .. 64*v - 1.
@@ -677,17 +744,15 @@ class TPoly:
 
     def subs_one_minus_t(self) -> "TPoly":
         """The polynomial p(1-t); an involution."""
-        coeffs = self.coeffs
-        n = len(coeffs)
-        out = []
-        for k in range(n):
-            s = self.ring.zero
-            for m in range(k, n):
-                c = coeffs[m]
+        out = list(self.coeffs)
+        n = len(out)
+        # p(1 + t) by repeated synthetic division by t - 1, then t -> -t.
+        for k in range(n - 1):
+            for j in range(n - 2, k - 1, -1):
+                c = out[j + 1]
                 if c:
-                    s = s + c * math.comb(m, k)
-            out.append(s if k % 2 == 0 else -s)
-        return TPoly(self.ring, out)
+                    out[j] = out[j] + c
+        return TPoly(self.ring, [c if k % 2 == 0 or not c else -c for k, c in enumerate(out)])
 
     def __eq__(self, other):
         if not isinstance(other, TPoly):
@@ -806,13 +871,24 @@ def _scaled_determinant(matrix: tuple[list, int], ring: Ring) -> ScaledPoly:
 
     Over the rationals the rows of integer coefficient lists go to
     fraction-free elimination (``_bareiss``), which consumes them, and the
-    determinant is the result over D.  Over any other ring D is 1 and the
-    rows of ``TPoly``s go to the Laplace expansion over t-polynomials.
+    determinant is the result over D.  Over a ``PackedSeriesRing`` D is 1
+    and the rows hold coefficient lists of packed residues, any integers
+    standing for them: the same elimination takes them as rows over Z[t],
+    and each coefficient of the result is decoded into a q-series.  That
+    is exact when every coefficient of the determinant lies within the
+    ring's digit range: the determinant of integer representatives is
+    congruent modulo 2^(bits * order), coefficient by coefficient, to the
+    packing of the determinant of the truncated entries, since packing
+    and truncation are ring maps and congruence is kept by sums and
+    products.  Over any other ring D is 1 and the rows of ``TPoly``s go to
+    the Laplace expansion over t-polynomials.
     """
     rows, denominator = matrix
-    if ring != QQ:
-        return ScaledPoly(_laplace(rows, PolyRing(ring)))
-    return ScaledPoly(TPoly(_ZZ, _bareiss(rows)), denominator)
+    if ring == QQ:
+        return ScaledPoly(TPoly(_ZZ, _bareiss(rows)), denominator)
+    if isinstance(ring, PackedSeriesRing):
+        return ScaledPoly(TPoly(ring.series, [ring.decode(c) for c in _bareiss(rows)]))
+    return ScaledPoly(_laplace(rows, PolyRing(ring)))
 
 
 def _integer_numerators(matrix: Sequence[Sequence[Sequence]]) -> tuple[list, int]:

@@ -163,7 +163,7 @@ def count_oyt(shape: Partition, N: int) -> int:
                 new[t] = new.get(t, 0) + c
         exact.append(new.get(graph.ids.get(parts), 0))
 
-    walk(parts, min(N, shape.size + 1), 1, step, idle=False)
+    walk(graph, min(N, shape.size + 1), 1, step, idle=False)
     return sum(s * math.comb(N - 1, l) for l, s in enumerate(exact))
 
 
@@ -423,10 +423,11 @@ class _SizedCache:
 layer_graph = _SizedCache(LayerGraph, lambda graph: graph.size)
 
 
-def walk(parts: tuple[int, ...], N: int, one: Any, step: Callable, idle: bool = True) -> Any:
-    """The transfer walk of the fillings by 1..N-1 over the shape's
-    ``LayerGraph``, from ``one`` at the empty state: the full shape's state
-    after value N-1, or None if no chain reaches it.
+def walk(graph: LayerGraph, N: int, one: Any, step: Callable, idle: bool = True) -> Any:
+    """The transfer walk of the fillings by 1..N-1 over a shape's
+    ``LayerGraph`` (the caller's ``layer_graph`` lookup, so the walk makes
+    none of its own), from ``one`` at the empty state: the full shape's
+    state after value N-1, or None if no chain reaches it.
 
     For M = 1..N-1 it calls step(M, remaining, sources, new): ``remaining``
     = N-1-M values are left; ``sources`` are the live (id, state,
@@ -435,7 +436,6 @@ def walk(parts: tuple[int, ...], N: int, one: Any, step: Callable, idle: bool = 
     than ``remaining``.  With ``idle`` a state may skip M: ``new`` starts
     with each live state, the same object, so a step that adds into states
     in place reads the sources by descending id, which no transition lowers."""
-    graph = layer_graph(parts)
     depth = graph.depth
     if depth[graph.start] >= N:  # a diagonal longer than the N-1 values: no filling
         return None
@@ -446,7 +446,7 @@ def walk(parts: tuple[int, ...], N: int, one: Any, step: Callable, idle: bool = 
         new = {s: x for s, x in by_state.items() if depth[s] <= remaining} if idle else {}
         step(M, remaining, sources, new)
         by_state = new
-    return by_state.get(graph.ids.get(parts))
+    return by_state.get(graph.ids.get(graph.parts))
 
 
 def _depth(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:

@@ -41,6 +41,14 @@ substitution), so every step is one big-integer operation; the slot width
 b comes from an a-priori bound on the coefficients (``_slot_bits``), proved
 in ``schur_value`` and ``_linear_value_prefixes``.  The merge expansion is
 not packed.
+The q-analogue map has a packed form instead (``_series_map``): each
+q-series is one ``int``, its value at q = 2^b reduced modulo 2^(bQ), so a
+product of series is one big-integer multiply and a mask.  The same three
+bodies run over it with t kept as a list of such ints (``_Residues``), at
+a q-slot width b proved from the l1 norms of the q-coefficients
+(``_packed_route``); a value's coefficients are decoded into Q signed
+digits each, once (``_unpacked``).  A q-series map with no packed form
+runs them over lists of ``QSeries`` (``_Coefficients``), the tests' oracle.
 When every f(k, m) is one monomial, as over the quasi-symmetric map, a
 Schur walk state is one dict of tagged keys (``rings.PackedTerms``).
 """
@@ -58,6 +66,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .errors import DomainError
 from .rings import (
     MonomialPolynomial,
+    PackedSeriesRing,
     PackedTerms,
     QQ,
     QSeries,
@@ -81,9 +90,13 @@ class CoefficientMap:
     ``integer_form``, when set, takes L and returns the map over the
     integers f(k, m) * L^max(k, 0), for every m dividing L; the evaluators
     then sum integers and divide once (see the module docstring).
+    ``packed_form``, when set, takes b and returns the map over the
+    ``rings.PackedSeriesRing`` at q = 2^b: f(k, m) packed into one ``int``
+    (``_packed_route``).
 
-    Calling the map memoises ``fn`` per (k, m), and ``row`` the list of
-    f(k, m) for m < N per (k, N), for labels whose type is exactly ``int``;
+    Calling the map memoises ``fn`` per (k, m), ``row`` the list of
+    f(k, m) for m < N per (k, N), and ``total`` its sum of norms per
+    (k, N, norm), for labels whose type is exactly ``int``;
     any other label goes straight to ``fn``, which rejects it, so ``True``
     is never served the value of 1.  The constructors' ``fn`` therefore
     check and compute, and keep no cache of their own.
@@ -93,8 +106,10 @@ class CoefficientMap:
     ring: Ring
     fn: Callable[[Any, int], Any] = field(repr=False)
     integer_form: Callable[[int], "CoefficientMap"] | None = field(default=None, repr=False)
+    packed_form: Callable[[int], "CoefficientMap"] | None = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _totals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, k: Any, m: int) -> Any:
         if type(k) is not int:
@@ -114,6 +129,16 @@ class CoefficientMap:
         except KeyError:
             row = self._rows[k, N] = [self(k, m) for m in range(1, N)]
             return row
+
+    def total(self, k: Any, N: int, norm: Callable[[Any], int]) -> int:
+        """norm(f(k, 1)) + ... + norm(f(k, N - 1)): S(k) of the slot bounds."""
+        if type(k) is not int:
+            return sum(map(norm, self.row(k, N)))
+        try:
+            return self._totals[k, N, norm]
+        except KeyError:
+            total = self._totals[k, N, norm] = sum(map(norm, self.row(k, N)))
+            return total
 
 
 def _is_int(k: Any) -> bool:
@@ -203,13 +228,17 @@ def _undivided_rows(
     own L^K, K the sum of its positive labels, kept as running sums along
     each run; a row is scaled to its largest L^K and D is the product of
     those.  A map with no integer form gives its values as ``TPoly``s with
-    D = 1, or, over the rationals, as integer rows
-    (``rings._integer_numerators``)."""
+    D = 1; over the rationals as integer rows
+    (``rings._integer_numerators``), and over a ``rings.PackedSeriesRing``
+    (a q-series map's packed form) as the coefficient lists of packed
+    residues that the body returns, with D = 1."""
     form = _integer_form(cmap, top, [k for run in runs for k in run])
     if form is None:
         matrix = body(cmap)
         if cmap.ring == QQ:
             return _integer_numerators([[_trimmed(v) for v in row] for row in matrix])
+        if isinstance(cmap.ring, PackedSeriesRing):
+            return matrix, 1
         return [[TPoly(cmap.ring, v) for v in row] for row in matrix], 1
     imap, L = form
     sums = [list(accumulate([k if k > 0 else 0 for k in run], initial=0)) for run in runs]
@@ -230,6 +259,8 @@ def q_analogue_map(order: int = 16) -> CoefficientMap:
     """f(k, m) = q^(m(k-1)) / [m]_q^k modulo q^order; requires k >= 1.
 
     Weights below 1 would need negative powers of q and are rejected.
+    Every f(k, m) has integer coefficients, since [m]_q has constant term
+    1, so the map has a packed form (``_series_map``).
     """
     ring = QSeriesRing(order)
     inverses: dict[int, QSeries] = {}
@@ -244,7 +275,26 @@ def q_analogue_map(order: int = 16) -> CoefficientMap:
             inverses[m] = q_integer(m, order).inverse()
         return QSeries(order, [0] * exponent + [1]) * inverses[m] ** k
 
-    return CoefficientMap(f"qseries:{order}", ring, fn)
+    return _series_map(f"qseries:{order}", ring, fn)
+
+
+def _series_map(name: str, ring: Ring, fn: Callable[[Any, int], QSeries]) -> CoefficientMap:
+    """The map fn over a q-series ring, every value of which has integer
+    coefficients, with its packed form: at each slot width b, f(k, m) at
+    q = 2^b modulo 2^(b * order) (``rings.PackedSeriesRing``), made once
+    per b and memoised as any map is."""
+    forms: dict[int, CoefficientMap] = {}
+
+    def packed_form(b: int) -> CoefficientMap:
+        form = forms.get(b)
+        if form is None:
+            packed = PackedSeriesRing.of(ring, b)
+            encode = packed.encode
+            form = forms[b] = CoefficientMap(packed.name, packed, lambda k, m: encode(cmap(k, m)))
+        return form
+
+    cmap = CoefficientMap(name, ring, fn, packed_form=packed_form)
+    return cmap
 
 
 def quasisymmetric_map() -> CoefficientMap:
@@ -387,6 +437,15 @@ def schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     result is still exactly the final value at 2^b, and only its decode
     needs the bound.
 
+    Over the q-analogue map the walk runs over its packed form
+    (``_packed_route``): t stays a list, and each coefficient is one int,
+    a q-series at q = 2^b' modulo 2^(b'Q).  The same sum bounds every
+    q-coefficient of c_k, with S_c = sum over m of ||f(label_c, m)||_1:
+    the l1 norm of a product of series is at most the product of their
+    norms, truncation only drops terms, and the signed binomials are
+    bounded as above.  So each q-coefficient is at most X < 2^(b'-1), and
+    its signed digit is read back exactly.
+
     When every f(label, M) is one monomial with coefficient 1, the walk
     runs on tagged keys (``_tagged_step``): a key is a packed monomial plus
     v and h in two 64-bit fields above every field a key of f uses, for
@@ -417,14 +476,14 @@ def _schur_value(weights: Tableau, N: int, cmap: CoefficientMap) -> TPoly:
     graph = layer_graph(parts)
     if graph.depth[graph.start] >= N:  # no filling: the rows below are not needed
         return TPoly.zero(ring)
-    rows = [[cmap(label, M) for label in labels] for M in range(1, N)]
+    c, b = _packed_route([(k,) for k in labels], N, cmap, len(labels) - len(parts))
+    rows = [[c(label, M) for label in labels] for M in range(1, N)]
     tagged = PackedTerms.weights(rows)
     if tagged is not None:
-        terms = walk(parts, N, {0: 1}, _tagged_step(graph, tagged))
+        terms = walk(graph, N, {0: 1}, _tagged_step(graph, tagged))
         return TPoly(ring, tagged.coefficients(terms or {}))
-    b = _slot_bits([(k,) for k in labels], N, cmap, len(labels) - len(parts))
-    value = walk(parts, N, _packed_constants(ring)[1], _group_step(graph, rows, b))
-    return TPoly(ring, () if value is None else _decoded(value, b))
+    value = walk(graph, N, _packed_constants(c.ring)[1], _group_step(graph, rows, b))
+    return TPoly(ring, () if value is None else _unpacked(value, b, c, ring))
 
 
 def _group_step(graph: LayerGraph, rows: list, bits: int) -> Callable:
@@ -543,6 +602,45 @@ class _Coefficients:
         return _Coefficients([self.zero] * n + self.coeffs, self.zero)
 
 
+class _Residues:
+    """A t-polynomial over a ``rings.PackedSeriesRing``, as its coefficient
+    list by ascending power of t: ints standing for their residues modulo
+    2^(bQ), the ring's ``mask`` + 1.  The arithmetic of ``_Coefficients``
+    (+, -, * by a packed series, << n for * t^n) on those ints: a product
+    is reduced by the mask, which is the truncation at q^Q, and sums and
+    differences are left as they are, congruent to the residues they stand
+    for.  ``_decoded`` reduces every coefficient once."""
+
+    __slots__ = ("coeffs", "mask")
+
+    def __init__(self, coeffs: list, mask: int):
+        self.coeffs = coeffs
+        self.mask = mask
+
+    def __add__(self, other: "_Residues") -> "_Residues":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = a[:]
+        for i, c in enumerate(b):
+            out[i] += c
+        return _Residues(out, self.mask)
+
+    def __sub__(self, other: "_Residues") -> "_Residues":
+        out = self.coeffs + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return _Residues(out, self.mask)
+
+    def __mul__(self, w: int) -> "_Residues":
+        mask = self.mask
+        w &= mask
+        return _Residues([c * w & mask for c in self.coeffs], mask)
+
+    def __lshift__(self, n: int) -> "_Residues":
+        return _Residues([0] * n + self.coeffs, self.mask)
+
+
 def linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> TPoly:
     """Sum over weakly increasing chains 0 < m_1 <= ... <= m_r < N of
     t^(number of adjacent equalities) times the product of f(k_i, m_i).
@@ -564,9 +662,9 @@ def _scaled_linear_value(keys: Sequence[Any], N: int, cmap: CoefficientMap) -> S
     keys = tuple(keys)
 
     def body(c: CoefficientMap) -> TPoly:
-        b = _slot_bits([(k,) for k in keys], N, c)
-        values, _ = _linear_value_prefixes(keys, N, c, b)
-        return TPoly(c.ring, _decoded(values[-1], b))
+        packed, b = _packed_route([(k,) for k in keys], N, c)
+        values, _ = _linear_value_prefixes(keys, N, packed, b)
+        return TPoly(c.ring, _unpacked(values[-1], b, packed, c.ring))
 
     return _undivided(cmap, N - 1, keys, body)
 
@@ -575,39 +673,98 @@ def _slot_bits(
     levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, pairs: int = 0
 ) -> int:
     """Bits b per power of t for a packed value whose i-th label is drawn
-    from levels[i]: over the integers one more than the bit length of
-
-        X = 2^pairs * product over the levels of the largest S(k) there,
-        S(k) = |f(k, 1)| + ... + |f(k, N-1)|,
-
-    X taken as 1 when it is 0; over any other ring 1, for which << 1 is * t
-    on a ``_Coefficients``.  Every coefficient of the value is at most X:
-    the Schur walk passes one level per cell and pairs = C - height
-    (proved in ``schur_value``), the linear routes their levels and no
-    pairs (proved in ``_linear_value_prefixes``)."""
+    from levels[i]: over the integers ``_bound_bits`` with S(k) =
+    |f(k, 1)| + ... + |f(k, N-1)|; over any other ring 1, for which << 1 is
+    * t on a ``_Coefficients`` or a ``_Residues``.  Every coefficient of the
+    value is at most X: the Schur walk passes one level per cell and
+    pairs = C - height (proved in ``schur_value``), the linear routes their
+    levels and no pairs (proved in ``_linear_value_prefixes``)."""
     if cmap.ring is not _ZZ:
         return 1
-    totals = {k: sum(map(abs, cmap.row(k, N))) for k in set().union(*levels)}
+    return _bound_bits(levels, N, cmap, abs, pairs)
+
+
+def _bound_bits(
+    levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, norm: Callable, pairs: int
+) -> int:
+    """One more than the bit length of
+
+        X = 2^pairs * product over the levels of the largest S(k) there,
+        S(k) = norm(f(k, 1)) + ... + norm(f(k, N-1)),
+
+    a level whose largest S(k) is 0 counted as 1, and X at least 1.  The
+    labels are looked up level by level, so a label the map rejects raises
+    where the route would first meet it."""
+    totals: dict = {}
+    for level in levels:
+        for k in level:
+            if k not in totals:
+                totals[k] = cmap.total(k, N, norm)
     bound = 1 << pairs
     for level in levels:
-        bound *= max(map(totals.__getitem__, level), default=1)
-    return max(bound, 1).bit_length() + 1
+        bound *= max(map(totals.__getitem__, level), default=1) or 1
+    return bound.bit_length() + 1
+
+
+def _series_norm(series: QSeries) -> int:
+    """||series||_1, the sum of its coefficients' absolute values."""
+    return sum(map(abs, series.coeffs))
+
+
+def _packed_route(
+    levels: Sequence[Sequence[Any]], N: int, cmap: CoefficientMap, pairs: int = 0
+) -> tuple[CoefficientMap, int]:
+    """The map a packed route runs over, and its bits b per power of t.
+
+    A map with a packed form (the q-series maps) runs over that form at
+    q = 2^b', with b' from ``_bound_bits`` over the l1 norms of the
+    q-coefficients, S(k) = ||f(k, 1)||_1 + ... + ||f(k, N-1)||_1; its
+    states are ``_Residues``, t-lists, so b = 1.  Every q-coefficient of a
+    value is then at most X, by the proofs ``_slot_bits`` names with
+    ||.||_1 in place of |.|: the l1 norm of a product of series is at most
+    the product of their norms, truncation at q^Q only drops terms, and
+    those proofs sum norms over all maps from the cells (or keys) to
+    1..N-1, with no use of signs.  A level whose S(k) are all 0 (labels
+    with (k - 1) * m >= Q at every m, so f = 0) is counted as 1, so a
+    bound for a path is also one for each of its prefixes.  So
+    ``_unpacked`` reads the value's series back exactly.
+
+    Any other map runs as it is, at ``_slot_bits``."""
+    if cmap.packed_form is None:
+        return cmap, _slot_bits(levels, N, cmap, pairs)
+    return cmap.packed_form(_bound_bits(levels, N, cmap, _series_norm, pairs)), 1
 
 
 def _packed_constants(ring: Ring) -> tuple[Any, Any]:
-    """0 and 1 as the packed routes hold them: ints over the integers, else
-    ``_Coefficients``."""
+    """0 and 1 as the packed routes hold them: ints over the integers,
+    ``_Residues`` over a packed series ring, else ``_Coefficients``."""
     if ring is _ZZ:
         return 0, 1
+    if isinstance(ring, PackedSeriesRing):
+        return _Residues([], ring.mask), _Residues([1], ring.mask)
     return _Coefficients([], ring.zero), _Coefficients([ring.one], ring.zero)
+
+
+def _unpacked(value: Any, b: int, packed: CoefficientMap, ring: Ring) -> list:
+    """The coefficients over ring of a value a packed route ran over the
+    map ``packed`` (``_packed_route``): ``_decoded``'s, each read back into
+    a q-series when packed is the packed form of ring."""
+    coeffs = _decoded(value, b)
+    if packed.ring is ring:
+        return coeffs
+    return list(map(packed.ring.decode, coeffs))
 
 
 def _decoded(value: Any, b: int) -> list:
     """A packed t-polynomial's coefficients by ascending power of t, given
     every |c_k| < 2^(b-1) (``_slot_bits``): an int
     p(2^b)'s digits in base 2^b taken from -2^(b-1) .. 2^(b-1) - 1, where
-    they are unique, so trimmed; a ``_Coefficients``' own list."""
+    they are unique, so trimmed; a ``_Residues``' ints reduced by its mask,
+    trimmed; a ``_Coefficients``' own list."""
     if type(value) is not int:
+        if type(value) is _Residues:
+            mask = value.mask
+            return _trimmed([c & mask for c in value.coeffs])
         return value.coeffs
     mask = (1 << b) - 1
     half = 1 << (b - 1)
@@ -657,7 +814,11 @@ def _linear_value_prefixes(
     nonzero).  So 0 <= c_j < 2^(b-1), and the c_j are the signed base-2^b
     digits of p(2^b) (``_decoded``), the bit above each one reading 0 as
     its sign; as the packing is a ring map, only returned values need the
-    bound."""
+    bound.  Over a q-series map's packed form the same sum bounds every
+    q-coefficient of c_j in absolute value, with ||f(k, m)||_1 in place
+    of f(k, m) (``_packed_route``), and S(k) may be 0 there (f(k, m) = 0
+    when m(k - 1) >= Q), so each level counts at least 1 and the bound of
+    a path still covers its prefixes."""
     zero, one = _packed_constants(cmap.ring)
     if state is None:
         last, below = [zero] * (N - 1), [one] * N
@@ -696,8 +857,9 @@ def linear_value_by_recursion(keys: Sequence[Any], N: int, cmap: CoefficientMap)
     keys = tuple(keys)
 
     def body(c: CoefficientMap) -> TPoly:
-        b = _slot_bits([(k,) for k in keys], N, c)
-        return TPoly(c.ring, _decoded(_linear_value_by_recursion(keys, N, c, b)[1][-1][-1], b))
+        packed, b = _packed_route([(k,) for k in keys], N, c)
+        value = _linear_value_by_recursion(keys, N, packed, b)[1][-1][-1]
+        return TPoly(c.ring, _unpacked(value, b, packed, c.ring))
 
     return _undivided(cmap, N - 1, keys, body).divided()
 

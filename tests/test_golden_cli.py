@@ -36,6 +36,8 @@ EXTRA_COMMANDS = [
     "oyt-count --shape '[6,6,6,6,6,6]' --N 12",
     "jt-verify --shape '[4,4,4]' --N 5 --ring qsym --seed 1",
     "jt-verify --shape '[10,8,3]' --N 5 --ring qseries:8 --seed 1",
+    # 25 cells over qseries:8, at a size the packed q-series route makes cheap
+    "jt-verify --shape '[5,5,5,5,5]' --N 7 --ring qseries:8 --seed 1",
     "linear-verify --max-r 4 --N 6",
     "all-verify --N 6 --max-cells 3 --trials 1",
     "jt-verify --max-cells 6 --N 5 --trials 1 --seed 11",

@@ -24,7 +24,7 @@ from schurzeta.lattice import (
     schur_path_endpoints,
     white,
 )
-from schurzeta.rings import QQ, TPoly
+from schurzeta.rings import QQ, QSeries, TPoly
 from schurzeta.shapes import Partition, Tableau, admissible_baselines, partitions_up_to
 from schurzeta.values import (
     CoefficientMap,
@@ -45,6 +45,8 @@ from row_matrices import single_row
 
 RAT = rational_map()
 FRACTIONS = CoefficientMap("rational", QQ, RAT.fn)
+Q8 = q_analogue_map(8)
+Q8_WINDOW = {-2: 2, -1: 1, 0: 3, 1: 1, 2: 2}
 LABELS = range(-2, 4)
 N_VALUES = range(1, 7)
 
@@ -325,13 +327,35 @@ EVALUATORS = [
     ("determinants", lambda: [value.divided() for value in _determinants(
         Partition((3, 2, 2)), 5, RAT, DiagonalWeights({-2: 2, -1: -1, 0: 3, 1: 1, 2: 2}))],
      {"_integer_form": 2, "_linear_value_prefixes": 3 + 3}),
+    # Over qseries:8 each body runs once over one packed form
+    # (``_packed_route``), and so does each matrix; the determinants write
+    # their matrices over the packed form itself.
+    ("schur_value-qseries8", lambda: schur_value(
+        Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, Q8),
+     {"_schur_value": 1, "_packed_route": 1, "_decoded": 1}),
+    ("h_matrix-qseries8", lambda: _h_matrix(
+        Partition((3, 2, 2)), 5, Q8.packed_form(40), DiagonalWeights(Q8_WINDOW)),
+     {"_integer_form": 1, "_packed_route": 1, "_linear_value_prefixes": 3}),
+    ("determinants-qseries8", lambda: [value.divided() for value in _determinants(
+        Partition((3, 2, 2)), 5, Q8, DiagonalWeights(Q8_WINDOW))],
+     {"_integer_form": 2, "_packed_route": 2, "_linear_value_prefixes": 3 + 3}),
 ]
 
 
+def assert_value_over(value, ring):
+    if ring == QQ:
+        assert_rational(value)
+        return
+    assert isinstance(value, TPoly) and value.ring is ring
+    assert all(type(c) is QSeries and all(type(a) is int for a in c.coeffs) for c in value.coeffs)
+
+
 @pytest.mark.parametrize(
-    "call, expected", [e[1:] for e in EVALUATORS], ids=[e[0] for e in EVALUATORS]
+    "call, expected, ring",
+    [(e[1], e[2], Q8.ring if e[0].endswith("qseries8") else QQ) for e in EVALUATORS],
+    ids=[e[0] for e in EVALUATORS],
 )
-def test_evaluator_runs_once_per_call(monkeypatch, call, expected):
+def test_evaluator_runs_once_per_call(monkeypatch, call, expected, ring):
     runs = dict.fromkeys(expected, 0)
     for name in expected:
         original = getattr(values, name, None) or getattr(lattice, name)
@@ -351,4 +375,4 @@ def test_evaluator_runs_once_per_call(monkeypatch, call, expected):
         assert type(denominator) is int and denominator >= 1
         return
     for value in result if isinstance(result, list) else [result]:
-        assert_rational(value)
+        assert_value_over(value, ring)

@@ -662,7 +662,8 @@ def test_tagged_decode_expands_long_runs_of_equal_neighbours(parts, N, monkeypat
     cmap = quasisymmetric_map()
     rows = [[cmap(k, M) for row in tab.rows for k in row] for M in range(1, N)]
     tagged = PackedTerms.weights(rows)
-    state = walk(parts, N, {0: 1}, values._tagged_step(layer_graph(parts), tagged))
+    graph = layer_graph(parts)
+    state = walk(graph, N, {0: 1}, values._tagged_step(graph, tagged))
     assert max(key >> (tagged.shift + 64) for key in state) == sum(parts) - len(parts)
     value, listed = _on_both_routes(tab, N, monkeypatch)
     assert value == filling_sum_oracle(tab, N, cmap) == listed
