@@ -16,18 +16,27 @@ entry, the H matrix of the conjugate shape on the reflected window
 det E is that H determinant with t -> 1-t substituted once
 (``_determinants``).
 
-Both determinants take the one matrix format of ``rings``, (rows, D): over
-the rational map's integer form, rows of integer coefficient lists, each
-row over one denominator, and D the product of the row denominators; over
-the q-analogue map's packed form, at a width bounding the determinant
-(``_determinant_bits``), rows of coefficient lists of packed residues with
-D = 1, which go to the same elimination and are decoded once; over any
-other map (qsym, or a q-series map built by hand), rows of ``TPoly``s with
-D = 1, for the Laplace expansion.  ``_h_matrix`` writes it from one
-evaluator run per matrix.  The entries of one H column are prefixes of
-a single run of offsets, so each column comes from one prefix-DP pass
-(``values._linear_value_prefixes``), all packed at one slot width, and
-only the entries the matrix uses are decoded.  The determinants stay
+The entries of one H column are prefixes of a single run of offsets, so
+each column comes from one prefix-DP pass (``values._linear_value_prefixes``),
+all packed at one slot width, and the matrix (``_h_entries``) from one
+evaluator run.  Its form and route depend on the map:
+
+* over the rational map's integer form, the rows of ``rings`` (rows, D):
+  integer coefficient lists, each row over one denominator, and D the
+  product of the row denominators, for fraction-free elimination;
+* over the q-analogue map's packed form, at a width bounding the
+  determinant (``values._determinant_bits``), ``_Residues`` entries,
+  t-lists of masked residues, for the masked Laplace expansion, decoded
+  once (``values._form_determinant``);
+* over the quasi-symmetric map's tagged form, when the exponent bound of
+  ``values._determinant_form`` fits the 64-bit fields, ``_Tagged``
+  entries, one dict of tagged monomial keys each, for the same Laplace
+  expansion, split by power of t once;
+* over any other map (a hand-built one, or qsym labels past that bound),
+  ``TPoly`` rows with D = 1 (``_h_matrix``), for the Laplace expansion
+  over t-polynomials.
+
+Only the entries the matrix uses are decoded.  The determinants stay
 undivided (``rings.ScaledPoly``): t -> 1-t is substituted on the
 numerators, and the checks in ``sweeps`` compare them so.
 ``PalindromeReport`` holds them undivided too.
@@ -36,17 +45,17 @@ numerators, and the checks in ``sweeps`` compare them so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 from .rings import ScaledPoly, _scaled_determinant
 from .shapes import Partition
 from .values import (
     CoefficientMap,
     DiagonalWeights,
+    _determinant_form,
+    _form_determinant,
     _linear_value_prefixes,
+    _packed_constants,
     _packed_route,
-    _series_norm,
     _undivided_rows,
     _unpacked,
     linear_value,  # noqa: F401  (bench/selftest.py checks it is traced here)
@@ -63,12 +72,8 @@ def _h_matrix(
 
     Every entry of a column is a prefix of the same run, so one prefix-DP
     pass gives the whole column.  All columns run over one integer form
-    (``values._undivided_rows``), or one packed form, at one slot width:
-    position s of every run holds a label of levels[s], so each entry's
-    coefficients are within the bound ``values._packed_route`` takes over
-    the levels.  Over a map's packed form itself (``_h_determinant``) the
-    rows are coefficient lists of packed residues, D = 1, and no entry is
-    decoded.
+    (``values._undivided_rows``), or one packed form, at one slot width
+    (``_h_entries``).
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -90,68 +95,50 @@ def _h_rows(runs: list[list], lengths: list[list[int]], N: int, cmap: Coefficien
     """``_h_matrix`` from its runs and prefix lengths (``_h_runs``), N >= 1."""
 
     def body(c: CoefficientMap) -> list[list]:
-        longest = len(runs[-1]) if runs else 0
-        levels = [{run[s] for run in runs if s < len(run)} for s in range(longest)]
-        packed, b = _packed_route(levels, N, c)
-        columns = [_linear_value_prefixes(run, N, packed, b)[0] for run in runs]
-        return [
-            [_unpacked(columns[j][r], b, packed, c.ring) if r >= 0 else []
-             for j, r in enumerate(row)]
-            for row in lengths
-        ]
+        entries, b, packed = _h_entries(runs, lengths, N, c)
+        return [[_unpacked(e, b, packed, c.ring) for e in row] for row in entries]
 
     prefixes = [[(j, max(r, 0)) for j, r in enumerate(row)] for row in lengths]
     return _undivided_rows(cmap, N - 1, runs, prefixes, body)
 
 
+def _h_entries(runs: list[list], lengths: list[list[int]], N: int, cmap: CoefficientMap) -> tuple:
+    """The H matrix undecoded, (entries, b, packed): each entry the value
+    the prefix DP leaves for it over the map ``packed`` that cmap's packed
+    route runs on, at t = 2^b, and that route's zero below length zero.
+    Position s of every run holds a label of levels[s], so each entry's
+    coefficients are within the bound ``values._packed_route`` takes over
+    the levels."""
+    longest = len(runs[-1]) if runs else 0
+    levels = [{run[s] for run in runs if s < len(run)} for s in range(longest)]
+    packed, b = _packed_route(levels, N, cmap)
+    zero = _packed_constants(packed.ring)[0]
+    columns = [_linear_value_prefixes(run, N, packed, b)[0] for run in runs]
+    entries = [[columns[j][r] if r >= 0 else zero for j, r in enumerate(row)] for row in lengths]
+    return entries, b, packed
+
+
 def _h_determinant(
     shape: Partition, N: int, cmap: CoefficientMap, weights: DiagonalWeights
 ) -> ScaledPoly:
-    """det H, undivided.  Over a map with a packed form the matrix is
-    written over that form at the slot width of ``_determinant_bits``, as
-    rows of packed residues, and ``rings._scaled_determinant`` eliminates
-    them over Z[t] and decodes the result; any other map writes its own
-    rows."""
+    """det H, undivided.  Over a map with a packed or tagged form
+    (``values._determinant_form``) the entries are written over that form
+    and go to the Laplace expansion over it (``values._form_determinant``);
+    any other map writes the rows of ``rings._scaled_determinant``.
+
+    The width of the packed form, ``values._determinant_bits`` with
+    factor 1, holds: entry (i, j) sums t^e times a product of f(k, m) over
+    the chains below N of its labels, so its l1 norm in t and q is at most
+    the sum over all maps from its labels to 1..N-1 of the products of
+    their norms, X_ij (0 for a zero entry, 1 for a length-0 one)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     runs, lengths = _h_runs(shape, weights)
-    if cmap.packed_form is not None:
-        cmap = cmap.packed_form(_determinant_bits(runs, lengths, N, cmap))
-    return _scaled_determinant(_h_rows(runs, lengths, N, cmap), cmap.ring)
-
-
-def _determinant_bits(
-    runs: list[list], lengths: list[list[int]], N: int, cmap: CoefficientMap
-) -> int:
-    """Bits per q-slot for det H over cmap's packed form: one more than the
-    bit length of
-
-        X = product over the rows i of the sum over j of X_ij,
-        X_ij = product over the labels k of entry (i, j) of S(k),
-
-    S(k) = ||f(k, 1)||_1 + ... + ||f(k, N-1)||_1 (X_ij = 0 for a zero
-    entry, 1 for a length-0 one), X at least 1: a bound taken from the
-    entries alone.
-
-    Proof.  Let ||p|| be the l1 norm of a polynomial in t and q: the sum of
-    its coefficients' absolute values.  It is subadditive, and
-    submultiplicative also after truncation at q^Q, which only drops
-    terms.  An entry sums t^e times a product of f(k, m) over the chains
-    below N of its labels, so ||entry|| is at most the sum over all maps
-    from its labels to 1..N-1 of the products of their norms, X_ij.  The
-    determinant sums, over the permutations s, +-prod_i entry(i, s(i)), so
-    ||det H|| <= sum over s of prod_i X_(i, s(i)) <= prod_i sum_j X_ij = X,
-    the last sum running over all maps i -> j.  So every q-coefficient of
-    det H is at most X < 2^(bits - 1), in the digit range of the packed
-    ring, and the decode after elimination is exact."""
-    products = [
-        list(accumulate([cmap.total(k, N, _series_norm) for k in run], mul, initial=1))
-        for run in runs
-    ]
-    bound = 1
-    for row in lengths:
-        bound *= sum(p[r] for p, r in zip(products, row) if r >= 0)
-    return max(bound, 1).bit_length() + 1
+    route = _determinant_form(cmap, N, runs, [list(enumerate(row)) for row in lengths])
+    if route is None:
+        return _scaled_determinant(_h_rows(runs, lengths, N, cmap), cmap.ring)
+    form, bound = route
+    return _form_determinant(_h_entries(runs, lengths, N, form)[0], form, bound, cmap.ring)
 
 
 def _determinants(

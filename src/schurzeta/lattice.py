@@ -95,21 +95,58 @@ truncated series is at most the product of the norms
 (``values._packed_route``).
 
 The checks stay independent of the sweep: the determinant side is one
-forward path sum per source row (``_scaled_path_matrix``, which gives a
-whole row of pairwise path sums at once, then the determinant), and
+forward path sum per source row (``_path_sums``, which gives a whole row of
+pairwise path sums at once), then the determinant, and
 ``values.schur_value`` walks the row layers of sub-partitions.  Enumerating
-the systems one by one remains the test oracle.
+the systems one by one remains the test oracle.  A row is one body over
+every form (``values._packed_constants``): packed ints at t = 2^b over the
+rational integer form, ``_Residues`` over a q-series packed form,
+``_Tagged`` over the quasi-symmetric tagged form, and ``_Coefficients``
+over a hand-built map, the oracle; an exit multiplies by f(a_x, h), and
+times t is << b.
+
+Row slot width.  A path from A to a sink B leaves each column A.x .. B.x - 1
+once, and is fixed by its exits: in each column it leaves, a height h in
+1..A.y and whether it goes down or across, weight f(a_x, h), times t
+across.  So over the integer form, whose f(k, m) are positive, every
+t-coefficient c_d of w(A, B) has
+
+    0 <= c_d <= sum over the paths of prod f(a_x, h) <= X = prod over
+    the columns x it leaves of 2 S(a_x),  S(k) = f(k, 1) + ... + f(k, A.y),
+
+the l1 count of a single path.  X = 1 is attained: a sink in A's own
+column is reached by the trivial path alone, of weight 1.  A row is packed
+at one width for all its sinks (``_path_sums``): the bound of
+``values._slot_bits`` over the labels of the columns A.x .. x_max - 1,
+x_max the rightmost sink a path can reach, with pairs = their number and
+each level counted at least 1.  A nearer sink's paths leave a prefix of
+those columns, so its bound divides into that one by factors
+2 max(S, 1) >= 1.  Over a q-series packed form the same count bounds every
+q-coefficient in absolute value, with S(k) the sum of the l1 norms
+||f(k, m)||_1 (``values._packed_route``).
+
+Path-matrix width.  Over a q-series packed form the determinant takes the
+width of ``values._determinant_bits`` with factor 2: entry (i, j) has l1
+norm at most X_ij = 2^p prod S(a_x) over the p columns its paths leave, by
+the count above (S taken over the heights 1..top, top the highest source,
+which only enlarges it), and 0 for a sink no path from source i reaches.
+Over the tagged form a term of entry (i, j) multiplies one f(a_x, h) per
+column left, so each of its exponents is at most the sum of e(a_x) over
+those columns, the bound E_ij of ``values._determinant_form``
+(``_path_determinant``).
 
 A path leaves every column between its endpoints exactly once, so all the
 terms of a path sum or a signed sum multiply the same labels, and over the
 rational map they share one denominator: both run over the map's integer
 form (see ``values``).  Each quantity has one evaluator, and none
-divides.  ``_scaled_lgv_signed_sum`` and ``_scaled_path_sum`` return a
-``rings.ScaledPoly``; ``_scaled_path_matrix`` returns the path matrix in
-the one matrix format of ``rings``, (rows, D): over the integer form, rows
-of integer coefficient lists, each row over one denominator, and D the
-product of the row denominators; over any other map, rows of ``TPoly``s
-with D = 1.  The checks in ``sweeps`` compare undivided values and divide
+divides.  ``_scaled_lgv_signed_sum``, ``_scaled_path_sum`` and
+``_path_determinant`` return a ``rings.ScaledPoly``;
+``_scaled_path_matrix`` returns the path matrix in the one matrix format
+of ``rings``, (rows, D): over the integer form, rows of integer coefficient
+lists, each row over one denominator, and D the product of the row
+denominators; over any other map, rows of ``TPoly``s with D = 1 (the
+q-series and quasi-symmetric determinants take the entries on their forms
+instead).  The checks in ``sweeps`` compare undivided values and divide
 only in the text they report.
 """
 
@@ -122,16 +159,19 @@ from math import comb, factorial
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .rings import ScaledPoly, TPoly, _trimmed
+from .rings import ScaledPoly, TPoly, _scaled_determinant
 from .shapes import BitStats, BitTableau, Partition, _SizedCache
 from .values import (
     CoefficientMap,
     DiagonalWeights,
     _decoded,
+    _determinant_form,
+    _form_determinant,
     _packed_constants,
     _packed_route,
     _undivided,
     _undivided_rows,
+    _unpacked,
 )
 
 
@@ -153,69 +193,114 @@ def black(x: int, y: int) -> Vertex:
     return Vertex(x, y, True)
 
 
-def _path_row(
+def _path_labels(
     A: Vertex, sinks: Sequence[Vertex], cmap: CoefficientMap, weights: DiagonalWeights
-) -> list[Sequence]:
+) -> tuple[list, list[int]]:
+    """The labels of the columns a path from A to a sink leaves, and for
+    each sink the number of them its paths leave, -1 for a sink no path
+    reaches from A (left of it, above it, or below height 0, where no edge
+    leads).
+
+    The columns are A.x .. x_max - 1, x_max the rightmost such sink, as
+    long as A.y >= 1 (at height 0 no edge leaves A): ``_path_sums`` looks
+    up f(a_x, A.y) in each, and an exit from any column x needs a sink
+    right of it.  Each label is looked up and given to the map (f(k, m)
+    for m = 1 .. A.y) in column order, so a missing column or a label the
+    map rejects raises where the sweep of ``_path_sums`` first meets it."""
+    targets = [B.x for B in sinks if B.x >= A.x and 0 <= B.y <= A.y]
+    labels = []
+    if targets and A.y >= 1:
+        for x in range(A.x, max(targets)):
+            k = weights[x]
+            cmap.row(k, A.y + 1)
+            labels.append(k)
+    return labels, [B.x - A.x if B.y <= A.y and 0 <= B.x - A.x <= len(labels) else -1
+                    for B in sinks]
+
+
+def _path_sums(
+    A: Vertex, sinks: Sequence[Vertex], cmap: CoefficientMap, weights: DiagonalWeights
+) -> tuple[list, int, CoefficientMap]:
     """The path sums A -> B for every sink B, from one forward dynamic
-    program over the columns A.x .. (rightmost sink), as trimmed
-    t-coefficient lists.
+    program over the columns A.x .. (rightmost sink), as (sums, b, packed):
+    each sum packed at t = 2^b over the map ``packed`` that cmap's packed
+    route runs on (``values._packed_constants``), None where no path
+    reaches.
 
     Column x is swept from the top down: white(x, y) sums its entries from
     column x - 1 and white(x, y + 1) above it, and black(x, y) its entries
     from column x - 1.  An exit from height y to column x + 1 looks up
     f(a_x, y) only when some sink lies right of column x at height y or
     below, so the window needs only the columns a path to a sink leaves
-    from.  Path sums are t-coefficient lists, None where no path reaches.
+    from (``_path_labels``).  An exit multiplies by f(a_x, y), and the
+    black one also by t, << b.  The slot width b is the one of the module
+    docstring, over the labels of those columns.
     """
-    ring = cmap.ring
-    zero = ring.zero
-    targets = [B for B in sinks if B.x >= A.x and B.y <= A.y]
-    found: dict[Vertex, list] = {}
-    if targets:
-        last = max(B.x for B in targets)
+    labels, _ = _path_labels(A, sinks, cmap, weights)
+    packed, b = _packed_route([(k,) for k in labels], A.y + 1, cmap, len(labels))
+    top = A.y
+    ends: dict[int, set[int]] = {}  # column -> heights of its targets
+    for B in sinks:
+        if B.x >= A.x and 0 <= B.y <= top:  # no path goes below height 0
+            ends.setdefault(B.x, set()).add(B.y)
+    one = _packed_constants(packed.ring)[1]
+    if top < 0:  # no edge leaves A, and no path reaches it: the trivial path alone
+        return [one if B == A else None for B in sinks], b, packed
+    found: dict[tuple[int, int], tuple] = {}  # (x, y) -> the white and the black sum
+    if ends:
+        last = max(ends)
         # lowest[x - A.x]: the lowest target in column x or right of it.
-        lowest = [min(B.y for B in targets if B.x >= x) for x in range(A.x, last + 1)]
-        heights: dict[int, set[int]] = {}  # column -> heights of its targets
-        for B in targets:
-            heights.setdefault(B.x, set()).add(B.y)
-        length = last - A.x + 1  # a path exits at most last - A.x columns
-        start = [ring.one] + [zero] * (length - 1)
-        whites: dict[int, list] = {} if A.black else {A.y: start}
-        blacks: dict[int, list] = {A.y: start} if A.black else {}
-        for x in range(A.x, last + 1):
-            floor = lowest[x + 1 - A.x] if x < last else None
-            next_whites: dict[int, list] = {}
-            next_blacks: dict[int, list] = {}
-            ends = heights.get(x, ())
+        lowest = []
+        for x in range(last, A.x - 1, -1):
+            low = min(ends[x]) if x in ends else top
+            lowest.append(min(low, lowest[-1]) if lowest else low)
+        lowest.reverse()
+        whites: list = [None] * (top + 1)  # by height, None where no path reaches
+        blacks: list = [None] * (top + 1)
+        (blacks if A.black else whites)[top] = one
+        for c, x in enumerate(range(A.x, last + 1)):
+            if c < len(labels):
+                floor = lowest[c + 1]
+                stop = floor if floor > 1 else 1  # exits leave from heights stop .. A.y
+                f = packed.row(labels[c], top + 1)  # f[y - 1] = f(a_x, y)
+            else:
+                stop = top + 1  # no exit from the last column, nor from height 0
+            next_whites: list = [None] * (top + 1)
+            next_blacks: list = [None] * (top + 1)
+            heights = ends.get(x, ())
+            # Below both its lowest target and its lowest exit a column holds
+            # nothing a sink reads.
+            end = min(stop, *heights) if heights else stop
             above = None  # the sum at white(x, y + 1)
-            for y in range(A.y, lowest[x - A.x] - 1, -1):
-                w = _sum_lists(whites.get(y), above)
-                b = blacks.get(y)
-                if y in ends:
-                    found[Vertex(x, y, False)] = w
-                    found[Vertex(x, y, True)] = b
-                above = w if y >= 1 else None
-                if floor is None or y < max(floor, 1):
+            for y in range(top, end - 1, -1):
+                w = whites[y]
+                if above is not None:
+                    w = above if w is None else w + above
+                on_black = blacks[y]
+                if y in heights:
+                    found[x, y] = (w, on_black)
+                above = w
+                if y < stop:
                     continue
-                here = _sum_lists(w, b)
+                here = w if on_black is None else on_black if w is None else w + on_black
                 if here is None:
                     continue
-                f = cmap(weights[x], y)
-                out = [c * f for c in here]
+                out = here * f[y - 1]
                 if y > floor:
-                    next_whites[y - 1] = _sum_lists(next_whites.get(y - 1), out)
-                next_blacks[y] = [zero, *out[:-1]]  # times t
+                    down = next_whites[y - 1]
+                    next_whites[y - 1] = out if down is None else down + out
+                next_blacks[y] = out << b  # times t
             whites, blacks = next_whites, next_blacks
-    return [_trimmed(found.get(B) or []) for B in sinks]
+    return [found.get((B.x, B.y), (None, None))[B.black] for B in sinks], b, packed
 
 
-def _sum_lists(a: list | None, b: list | None) -> list | None:
-    """a + b for equally long coefficient lists, None standing for no path."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return [x + y for x, y in zip(a, b)]
+def _path_row(
+    A: Vertex, sinks: Sequence[Vertex], cmap: CoefficientMap, weights: DiagonalWeights
+) -> list[Sequence]:
+    """The path sums A -> B for every sink B (``_path_sums``), each decoded
+    into its t-coefficients over cmap's ring, [] where no path reaches."""
+    sums, b, packed = _path_sums(A, sinks, cmap, weights)
+    return [[] if v is None else _unpacked(v, b, packed, cmap.ring) for v in sums]
 
 
 _NOT_STARTED = -1
@@ -527,6 +612,35 @@ def _scaled_path_matrix(
     top = max((a.y for a in sources), default=0)
     return _undivided_rows(
         cmap, top, runs, prefixes, lambda c: [_path_row(a, sinks, c, weights) for a in sources])
+
+
+def _path_determinant(
+    sources: Sequence[Vertex],
+    sinks: Sequence[Vertex],
+    cmap: CoefficientMap,
+    weights: DiagonalWeights,
+) -> ScaledPoly:
+    """det of the path matrix, undivided.  Over a map with a packed or
+    tagged form (``values._determinant_form``) each row is one
+    ``_path_sums`` run over that form, at the width of the module
+    docstring, and the entries go to the Laplace expansion over it
+    (``values._form_determinant``); any other map writes the rows of
+    ``rings._scaled_determinant`` (``_scaled_path_matrix``)."""
+    top = max((a.y for a in sources), default=0)
+    runs, prefixes = [], []
+    if cmap.packed_form is not None or cmap.tagged_form is not None:  # their bounds read these
+        for i, a in enumerate(sources):
+            labels, lengths = _path_labels(a, sinks, cmap, weights)
+            runs.append(labels)
+            prefixes.append([(i, p) for p in lengths])
+    route = _determinant_form(cmap, top + 1, runs, prefixes, 2)
+    if route is None:
+        return _scaled_determinant(_scaled_path_matrix(sources, sinks, cmap, weights), cmap.ring)
+    form, bound = route
+    zero = _packed_constants(form.ring)[0]
+    matrix = [[zero if v is None else v for v in _path_sums(a, sinks, form, weights)[0]]
+              for a in sources]
+    return _form_determinant(matrix, form, bound, cmap.ring)
 
 
 def _scaled_path_sum(

@@ -34,24 +34,24 @@ agree, by cross-multiplication otherwise -- and rendered from the
 numerators (``format_numerators``); only the public API divides, once, into
 a ``TPoly`` of ``Fraction``s.
 
-Every determinant the package takes goes through ``_scaled_determinant``,
-and every matrix it takes has one format, (rows, D).  Over the rationals a
-row is a list of integer coefficient lists (ascending powers of t, trimmed),
-all over one denominator, and D is the product of the row denominators:
-fraction-free (Bareiss) elimination runs on the rows over Z[t], with exact
-polynomial division, in O(n^3) polynomial operations, and the determinant
-is the result over D.  Over a ``PackedSeriesRing``, integer q-series at
-q = 2^b modulo 2^(bQ), a row is a list of coefficient lists of packed
-residues and D is 1: the same elimination runs on them, and each
-coefficient of the result is decoded into a q-series.  Over any other ring
-the rows hold ``TPoly``s, D is 1, and the division-free Laplace expansion,
-O(2^n * n), takes them; it is also the tests' oracle for the elimination.
-The matrix builders (``jacobi_trudi._h_matrix``,
-``lattice._scaled_path_matrix``) write this format straight from one
-evaluator run over the rational map's integer form, and the H matrix also
-over the q-analogue map's packed form.  Rational coefficient lists are
-converted into it by ``_integer_numerators`` only in the public
-``ring_determinant`` and for a rational map with no integer form.
+Determinants are taken by one of two routes.  Over the rationals a matrix
+has one format, (rows, D): a row is a list of integer coefficient lists
+(ascending powers of t, trimmed), all over one denominator, and D is the
+product of the row denominators.  ``_scaled_determinant`` sends it to
+fraction-free (Bareiss) elimination over Z[t], with exact polynomial
+division, in O(n^3) polynomial operations, and the determinant is the
+result over D.  Every other matrix goes to the division-free Laplace
+expansion, memoised on the unused columns, O(2^n * n) products
+(``_laplace``), over whatever elements it holds: ``TPoly``s of the ring
+(D = 1), which is also the tests' oracle for the elimination, or a q-series
+map's masked residue lists (``values._form_determinant``), decoded once.
+Quasi-symmetric matrices on tagged keys take the same expansion with each
+minor held as one dict per power of t (``values._tagged_laplace``).  The
+matrix builders (``jacobi_trudi._h_matrix``, ``lattice._scaled_path_matrix``)
+write the rational format straight from one evaluator run over the
+rational map's integer form.  Rational coefficient lists are converted into
+it by ``_integer_numerators`` only in the public ``ring_determinant`` and
+for a rational map with no integer form.
 
 ``QSeries`` and ``MonomialPolynomial`` normalize in their public
 constructors only: a series converts each coefficient through ``Fraction``
@@ -342,6 +342,21 @@ class PackedSeriesRing(Ring):
         object.__setattr__(series, "order", self.order)
         object.__setattr__(series, "coeffs", tuple(digits))
         return series
+
+
+@dataclass(frozen=True)
+class TaggedRing(Ring):
+    """Single monomials as packed keys (``MonomialPolynomial``'s), with t
+    tagged at bit ``shift``, above every field a key uses: an element is a
+    key and a product of two is their sum, so one is key 0 and no key
+    stands for zero.  A t-polynomial over it is one dict from tagged keys,
+    a key plus d << shift for t^d, to counts (``values._Tagged``)."""
+
+    shift: int = field(compare=False)
+
+    @staticmethod
+    def of(shift: int) -> "TaggedRing":
+        return TaggedRing(f"monomial-keys@{shift}", None, 0, shift)
 
 
 # Packed monomials: the exponent of x_v fills bits 64*(v-1) .. 64*v - 1.
@@ -871,23 +886,12 @@ def _scaled_determinant(matrix: tuple[list, int], ring: Ring) -> ScaledPoly:
 
     Over the rationals the rows of integer coefficient lists go to
     fraction-free elimination (``_bareiss``), which consumes them, and the
-    determinant is the result over D.  Over a ``PackedSeriesRing`` D is 1
-    and the rows hold coefficient lists of packed residues, any integers
-    standing for them: the same elimination takes them as rows over Z[t],
-    and each coefficient of the result is decoded into a q-series.  That
-    is exact when every coefficient of the determinant lies within the
-    ring's digit range: the determinant of integer representatives is
-    congruent modulo 2^(bits * order), coefficient by coefficient, to the
-    packing of the determinant of the truncated entries, since packing
-    and truncation are ring maps and congruence is kept by sums and
-    products.  Over any other ring D is 1 and the rows of ``TPoly``s go to
-    the Laplace expansion over t-polynomials.
+    determinant is the result over D.  Over any other ring D is 1 and the
+    rows of ``TPoly``s go to the Laplace expansion over t-polynomials.
     """
     rows, denominator = matrix
     if ring == QQ:
         return ScaledPoly(TPoly(_ZZ, _bareiss(rows)), denominator)
-    if isinstance(ring, PackedSeriesRing):
-        return ScaledPoly(TPoly(ring.series, [ring.decode(c) for c in _bareiss(rows)]))
     return ScaledPoly(_laplace(rows, PolyRing(ring)))
 
 
@@ -953,10 +957,11 @@ def _bareiss(a: list) -> list:
     (p * a_ij - a_ik * a_kj) / (the previous pivot), a division that is
     exact in Z[t] (the entries are minors of the matrix); a nonzero
     remainder raises.  Coefficient growth decides the cost, so the integer
-    content of every row and then every column is taken out first and
-    multiplied back at the end, and the pivot is the remaining entry of
-    column k with the lowest degree, then the fewest coefficient bits.  A
-    column with no nonzero entry left makes the determinant zero.
+    content of every row and then every column is taken out first (a row or
+    column of content 1 is left as it is) and multiplied back at the end,
+    and the pivot is the remaining entry of column k with the lowest
+    degree, then the fewest coefficient bits.  A column with no nonzero
+    entry left makes the determinant zero.
     """
     n = len(a)
     factor = 1
@@ -964,15 +969,17 @@ def _bareiss(a: list) -> list:
         g = math.gcd(*(c for p in row for c in p))
         if not g:
             return []
-        factor *= g
-        row[:] = [[c // g for c in p] for p in row]
+        if g != 1:
+            factor *= g
+            row[:] = [[c // g for c in p] for p in row]
     for j in range(n):
         g = math.gcd(*(c for row in a for c in row[j]))
         if not g:
             return []
-        factor *= g
-        for row in a:
-            row[j] = [c // g for c in row[j]]
+        if g != 1:
+            factor *= g
+            for row in a:
+                row[j] = [c // g for c in row[j]]
     previous = [1]
     for k in range(n):
         candidates = [i for i in range(k, n) if a[i][k]]
@@ -1000,34 +1007,38 @@ def _bareiss(a: list) -> list:
 
 
 def _laplace(matrix: Sequence[Sequence[Element]], ring: Ring) -> Element:
-    """Laplace expansion of a square matrix, memoized on the unused columns."""
+    """Laplace expansion of a square matrix, memoized on the unused columns:
+    each minor on the last k rows is computed once, as the signed sum over
+    its columns of an entry times a minor on k - 1 rows, and the minors on
+    the last row are its entries.  The entries need +, unary -, * and truth
+    (false for zero); ring gives zero and one."""
     n = len(matrix)
-    one = ring.one
     zero = ring.zero
-    # Each row with and without its sign flipped, so no term is negated.
-    signed_rows = [(row, [-entry for entry in row]) for row in matrix]
-    memo: dict = {}
+    # Each nonzero entry with and without its sign flipped, so no term is
+    # negated; None for a zero entry, which no term multiplies.
+    signed_rows = [[(entry, -entry) if entry else None for entry in row] for row in matrix]
+    memo: dict = {1 << j: entry for j, entry in enumerate(matrix[-1])} if n else {}
+    memo[0] = ring.one
 
     def expand(cols: int) -> Element:
-        if cols == 0:
-            return one
         cached = memo.get(cols)
         if cached is not None:
             return cached
         # The row to expand along is determined by how many columns remain.
-        rows = signed_rows[n - bin(cols).count("1")]
-        acc = zero
+        row = signed_rows[n - cols.bit_count()]
+        acc = None
         flip = 0
         for j in range(n):
             bit = 1 << j
             if not cols & bit:
                 continue
-            entry = rows[flip][j]
-            if entry:
-                acc = acc + entry * expand(cols ^ bit)
+            signed = row[j]
+            if signed is not None:
+                term = signed[flip] * expand(cols ^ bit)
+                acc = term if acc is None else acc + term
             # Sign alternates over the remaining columns only.
             flip ^= 1
-        memo[cols] = acc
+        memo[cols] = acc = zero if acc is None else acc
         return acc
 
     return expand((1 << n) - 1)

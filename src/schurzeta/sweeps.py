@@ -29,13 +29,13 @@ from typing import Any, Callable, Iterable, Sequence
 from .jacobi_trudi import _determinants, verify_palindromic_matrix
 from .lattice import (
     _layer_sides,
+    _path_determinant,
     _scaled_lgv_signed_sum,
-    _scaled_path_matrix,
     _scaled_path_sum,
     schur_path_endpoints,
     white,
 )
-from .rings import ScaledPoly, _same_value, _scaled_determinant, format_numerators
+from .rings import ScaledPoly, _same_value, format_numerators
 from .shapes import (
     Partition,
     Tableau,
@@ -190,7 +190,7 @@ def run_conjugation_sweep(
 def _check_lgv(shape: Partition, N: int, cmap, weights: DiagonalWeights) -> dict:
     sources, sinks = schur_path_endpoints(shape, N)
     signed = _scaled_lgv_signed_sum(sources, sinks, cmap, weights)
-    det = _scaled_determinant(_scaled_path_matrix(sources, sinks, cmap, weights), cmap.ring)
+    det = _path_determinant(sources, sinks, cmap, weights)
     schur = _scaled_schur_value(diagonal_tableau(shape, weights), N, cmap)
     equal = signed == det and det == schur
     signed_json, det_json, schur_json = _rendered(equal, signed, det, schur)

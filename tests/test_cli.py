@@ -444,14 +444,14 @@ def test_oracle_triangle_compares_merge_numerators_over_another_denominator(monk
 def test_lgv_sweep_catches_a_perturbed_path_matrix(capsys, monkeypatch):
     # The determinant side reads the path matrix as (rows, D): its first
     # entry gains D t^(degree + 1) in the numerators of its row.
-    original = sweeps._scaled_path_matrix
+    original = lattice._scaled_path_matrix
 
     def perturbed(sources, sinks, cmap, weights):
         rows, denominator = original(sources, sinks, cmap, weights)
         rows[0][0] = [*rows[0][0], denominator]
         return rows, denominator
 
-    monkeypatch.setattr(sweeps, "_scaled_path_matrix", perturbed)
+    monkeypatch.setattr(lattice, "_scaled_path_matrix", perturbed)
     report = sweeps.run_lgv_sweep(max_cells=2, max_n=2)
     assert report["pass"] is False
     # The one-cell shape's 1 x 1 matrix, whose row is over D itself, moves

@@ -46,6 +46,8 @@ EXTRA_COMMANDS = [
     "layer-verify --max-cells 5 --M 4 --seed 4",
     "palindrome-verify --max-r 4 --N 5",
     "lgv-verify --max-cells 4 --N 4 --ring qsym --seed 2",
+    # path rows and the path-matrix determinant on the packed q-series form
+    "lgv-verify --max-cells 4 --N 4 --ring qseries:8 --seed 2",
     "layer-verify --max-cells 4 --M 3 --ring qseries:8 --seed 2",
     "compute --shape '[3,3]' --N 8 --ring qsym --diagonal '{\"-1\":2,\"0\":1,\"1\":3,\"2\":2}'",
     "conjugation-verify --max-cells 4 --N 4 --ring qsym --seed 1",

@@ -17,6 +17,7 @@ from schurzeta import jacobi_trudi, lattice, values
 from schurzeta.errors import DomainError
 from schurzeta.jacobi_trudi import _determinants, _h_matrix
 from schurzeta.lattice import (
+    _path_determinant,
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
     black,
@@ -24,7 +25,7 @@ from schurzeta.lattice import (
     schur_path_endpoints,
     white,
 )
-from schurzeta.rings import QQ, QSeries, TPoly
+from schurzeta.rings import QQ, MonomialPolynomial, QSeries, TPoly
 from schurzeta.shapes import Partition, Tableau, admissible_baselines, partitions_up_to
 from schurzeta.values import (
     CoefficientMap,
@@ -35,6 +36,7 @@ from schurzeta.values import (
     linear_value_by_recursion,
     merge_expansion,
     q_analogue_map,
+    quasisymmetric_map,
     rational_map,
     required_offsets,
     schur_value,
@@ -47,6 +49,8 @@ RAT = rational_map()
 FRACTIONS = CoefficientMap("rational", QQ, RAT.fn)
 Q8 = q_analogue_map(8)
 Q8_WINDOW = {-2: 2, -1: 1, 0: 3, 1: 1, 2: 2}
+QSYM = quasisymmetric_map()
+PATH_ENDPOINTS = schur_path_endpoints(Partition((2, 2, 1)), 5)  # two sources
 LABELS = range(-2, 4)
 N_VALUES = range(1, 7)
 
@@ -329,17 +333,46 @@ EVALUATORS = [
      {"_integer_form": 2, "_linear_value_prefixes": 3 + 3}),
     # Over qseries:8 each body runs once over one packed form
     # (``_packed_route``), and so does each matrix; the determinants write
-    # their matrices over the packed form itself.
+    # their entries over the packed form itself, try no integer form and
+    # take one Laplace expansion each.  Over qsym the determinants write
+    # theirs over the tagged form; the TPoly matrices the tests read are
+    # rows of one integer-form attempt.
     ("schur_value-qseries8", lambda: schur_value(
         Tableau(Partition((2, 1)), [[2, 1], [3]]), 5, Q8),
      {"_schur_value": 1, "_packed_route": 1, "_decoded": 1}),
     ("h_matrix-qseries8", lambda: _h_matrix(
-        Partition((3, 2, 2)), 5, Q8.packed_form(40), DiagonalWeights(Q8_WINDOW)),
+        Partition((3, 2, 2)), 5, Q8, DiagonalWeights(Q8_WINDOW)),
      {"_integer_form": 1, "_packed_route": 1, "_linear_value_prefixes": 3}),
     ("determinants-qseries8", lambda: [value.divided() for value in _determinants(
         Partition((3, 2, 2)), 5, Q8, DiagonalWeights(Q8_WINDOW))],
-     {"_integer_form": 2, "_packed_route": 2, "_linear_value_prefixes": 3 + 3}),
+     {"_integer_form": 0, "_packed_route": 2, "_linear_value_prefixes": 3 + 3, "_laplace": 2}),
+    ("path_matrix-qseries8", lambda: _scaled_path_matrix(
+        *PATH_ENDPOINTS, Q8, DiagonalWeights(Q8_WINDOW)),
+     {"_integer_form": 1, "_path_sums": 2, "_packed_route": 2}),
+    ("path_determinant-qseries8", lambda: _path_determinant(
+        *PATH_ENDPOINTS, Q8, DiagonalWeights(Q8_WINDOW)).divided(),
+     {"_integer_form": 0, "_path_sums": 2, "_packed_route": 2, "_laplace": 1}),
+    ("h_matrix-qsym", lambda: _h_matrix(
+        Partition((3, 2, 2)), 5, QSYM, DiagonalWeights(Q8_WINDOW)),
+     {"_integer_form": 1, "_packed_route": 1, "_linear_value_prefixes": 3}),
+    ("determinants-qsym", lambda: [value.divided() for value in _determinants(
+        Partition((3, 2, 2)), 5, QSYM, DiagonalWeights(Q8_WINDOW))],
+     {"_integer_form": 0, "_packed_route": 2, "_linear_value_prefixes": 3 + 3,
+      "_tagged_laplace": 2, "_laplace": 0}),
+    ("path_matrix-qsym", lambda: _scaled_path_matrix(
+        *PATH_ENDPOINTS, QSYM, DiagonalWeights(Q8_WINDOW)),
+     {"_integer_form": 1, "_path_sums": 2, "_packed_route": 2}),
+    ("path_determinant-qsym", lambda: _path_determinant(
+        *PATH_ENDPOINTS, QSYM, DiagonalWeights(Q8_WINDOW)).divided(),
+     {"_integer_form": 0, "_path_sums": 2, "_packed_route": 2, "_tagged_laplace": 1,
+      "_laplace": 0}),
 ]
+
+
+def ring_of(test_id):
+    if test_id.endswith("qseries8"):
+        return Q8.ring
+    return QSYM.ring if test_id.endswith("qsym") else QQ
 
 
 def assert_value_over(value, ring):
@@ -347,12 +380,15 @@ def assert_value_over(value, ring):
         assert_rational(value)
         return
     assert isinstance(value, TPoly) and value.ring is ring
+    if ring == QSYM.ring:
+        assert all(type(c) is MonomialPolynomial for c in value.coeffs)
+        return
     assert all(type(c) is QSeries and all(type(a) is int for a in c.coeffs) for c in value.coeffs)
 
 
 @pytest.mark.parametrize(
     "call, expected, ring",
-    [(e[1], e[2], Q8.ring if e[0].endswith("qseries8") else QQ) for e in EVALUATORS],
+    [(e[1], e[2], ring_of(e[0])) for e in EVALUATORS],
     ids=[e[0] for e in EVALUATORS],
 )
 def test_evaluator_runs_once_per_call(monkeypatch, call, expected, ring):
@@ -371,8 +407,14 @@ def test_evaluator_runs_once_per_call(monkeypatch, call, expected, ring):
     assert runs == expected
     if isinstance(result, tuple):  # a matrix: one row per source or row index
         rows, denominator = result
-        assert all(type(c) is int for row in rows for entry in row for c in entry)
         assert type(denominator) is int and denominator >= 1
+        for row in rows:
+            for entry in row:
+                if isinstance(entry, TPoly):  # over a map's own ring, D = 1
+                    assert denominator == 1
+                    assert_value_over(entry, ring)
+                else:
+                    assert all(type(c) is int for c in entry)
         return
     for value in result if isinstance(result, list) else [result]:
         assert_value_over(value, ring)

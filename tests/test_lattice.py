@@ -18,6 +18,7 @@ from schurzeta.shapes import (
 from schurzeta import lattice
 from schurzeta.lattice import (
     _layer_sides,
+    _path_determinant,
     _scaled_lgv_signed_sum,
     _scaled_path_matrix,
     _sweep_plan,
@@ -27,6 +28,7 @@ from schurzeta.lattice import (
     white,
 )
 from schurzeta.values import (
+    CoefficientMap,
     DiagonalWeights,
     coefficient_map_for,
     diagonal_tableau,
@@ -47,6 +49,12 @@ from path_enumeration import (
 from row_matrices import assert_stands_for, single_row
 
 RAT = rational_map()
+
+
+def by_hand(spec):
+    """The map of spec with no integer, packed or tagged form."""
+    cmap = coefficient_map_for(spec)
+    return CoefficientMap(cmap.name, cmap.ring, cmap.fn)
 
 
 def frac_pow(m, k):
@@ -498,6 +506,16 @@ def test_path_matrix_reads_only_the_columns_a_path_leaves():
     ) == expected
     with pytest.raises(ValueError):
         _scaled_path_matrix(sources, sinks, RAT, DiagonalWeights({0: 2}))
+    # The determinant on every map's own form reads the same columns: packed
+    # ints, masked q-series residues, tagged qsym keys, and by hand.
+    needed = {0: 2, 1: 3}
+    for cmap in (*map(coefficient_map_for, RING_SPECS), *map(by_hand, RING_SPECS)):
+        det = _path_determinant(sources, sinks, cmap, DiagonalWeights(needed))
+        assert det.divided()
+        assert _path_determinant(
+            sources, sinks, cmap, DiagonalWeights({-1: "x", **needed, 2: "x"})) == det
+        with pytest.raises(ValueError, match="no offset 1"):
+            _path_determinant(sources, sinks, cmap, DiagonalWeights({0: 2}))
 
 
 @pytest.mark.parametrize("spec", RING_SPECS)
@@ -661,10 +679,18 @@ def test_missing_columns_and_bad_labels_raise_where_they_are_looked_up(case):
     dw, cmap = DiagonalWeights(window), coefficient_map_for(spec)
     if error is None:  # nothing to look up: a source below its sink
         assert signed_sum(sources, sinks, cmap, dw) == TPoly.zero(cmap.ring)
+        for route in (cmap, by_hand(spec)):
+            assert not _path_determinant(sources, sinks, route, dw).poly
         return
     with pytest.raises(error) as raised:
         signed_sum(sources, sinks, cmap, dw)
     assert str(raised.value) == message
+    # The path-matrix determinant, on the map's packed or tagged form and by
+    # hand, looks up the columns its rows leave in the same order.
+    for route in (cmap, by_hand(spec)):
+        with pytest.raises(error) as raised:
+            _path_determinant(sources, sinks, route, dw)
+        assert str(raised.value) == message
 
 
 def test_plan_cache_stays_within_its_bound(monkeypatch):

@@ -1,11 +1,12 @@
 """The q-series maps' packed form against the ``QSeries`` route.
 
-``q_analogue_map(Q)`` has a packed form: its Schur walk, prefix DP and
-recursion run on ints at q = 2^b modulo 2^(bQ), and its Jacobi-Trudi
-determinants eliminate packed residues over Z[t].  A hand-built map with
-the same function and no packed form runs the same evaluator bodies on
-``values._Coefficients`` of ``QSeries``, and its determinants go to the
-Laplace expansion: it is the oracle here.
+``q_analogue_map(Q)`` has a packed form: its Schur walk, prefix DP,
+recursion and LGV sweep run on ints at q = 2^b modulo 2^(bQ), and its
+Jacobi-Trudi determinants are masked Laplace expansions over the packed
+residues.  A hand-built map with the same function and no packed form runs
+the same evaluator bodies on ``values._Coefficients`` of ``QSeries``, and
+its determinants go to the Laplace expansion over ``TPoly``s: it is the
+oracle here (``tests/test_packed_matrices.py`` covers the path matrices).
 """
 
 import random
@@ -13,13 +14,19 @@ import random
 import pytest
 
 from schurzeta import rings, values
-from schurzeta.lattice import _scaled_lgv_signed_sum, layer_endpoints, schur_path_endpoints
-from schurzeta.jacobi_trudi import _determinant_bits, _determinants, _h_matrix, _h_runs
+from schurzeta.lattice import (
+    _path_determinant,
+    _scaled_lgv_signed_sum,
+    layer_endpoints,
+    schur_path_endpoints,
+)
+from schurzeta.jacobi_trudi import _determinants, _h_entries, _h_matrix, _h_runs
 from schurzeta.rings import PackedSeriesRing, QSeries, QSeriesRing, TPoly, _scaled_determinant
 from schurzeta.shapes import Partition, Tableau, admissible_baselines, partitions_up_to
 from schurzeta.values import (
     CoefficientMap,
     DiagonalWeights,
+    _determinant_bits,
     _linear_value_by_recursion,
     _linear_value_prefixes,
     _packed_route,
@@ -29,6 +36,7 @@ from schurzeta.values import (
     linear_value,
     linear_value_by_recursion,
     q_analogue_map,
+    quasisymmetric_map,
     required_offsets,
     schur_value,
 )
@@ -105,13 +113,15 @@ def test_h_matrices_and_determinants_match_the_series_route(Q):
             rows, denominator = _h_matrix(shape, N, cmap, dw)
             oracle, one = _h_matrix(shape, N, slow, dw)
             assert denominator == one == 1 and rows == oracle
-            # The packed form's own rows: each entry is the packing of the
+            # The packed form's own entries: each is the packing of the
             # oracle's, reduced by the mask, at the determinant's width.
-            packed = cmap.packed_form(_determinant_bits(*_h_runs(shape, dw), N, cmap))
-            packed_rows, denominator = _h_matrix(shape, N, packed, dw)
+            runs, lengths = _h_runs(shape, dw)
+            prefixes = [list(enumerate(row)) for row in lengths]
+            packed = cmap.packed_form(_determinant_bits(runs, prefixes, N, cmap))
+            entries, b, form = _h_entries(runs, lengths, N, packed)
             ring = packed.ring
-            assert denominator == 1
-            assert packed_rows == [
+            assert form is packed and b == 1
+            assert [[values._decoded(e, b) for e in row] for row in entries] == [
                 [values._trimmed([ring.encode(c) for c in entry.coeffs]) for entry in row]
                 for row in oracle
             ]
@@ -127,8 +137,7 @@ def test_h_matrices_and_determinants_match_the_series_route(Q):
 
 @pytest.mark.parametrize("Q", ORDERS)
 def test_signed_path_system_sums_match_the_series_route(Q):
-    # The LGV column sweep runs over the packed form too; its path matrix
-    # stays on QSeries.
+    # The LGV column sweep runs over the packed form too.
     cmap = q_analogue_map(Q)
     slow = by_hand(cmap)
     rng = rng_for("lgv", Q)
@@ -143,22 +152,34 @@ def test_signed_path_system_sums_match_the_series_route(Q):
             assert fast == _scaled_lgv_signed_sum(sources, sinks, slow, dw)
 
 
-def test_packed_rows_go_to_elimination_and_tpoly_rows_to_laplace(monkeypatch):
-    cmap = q_analogue_map(8)
+def test_only_rational_rows_go_to_elimination(monkeypatch):
+    # Rational rows go to Bareiss, from the integer form or, built by hand,
+    # from Fractions; packed q-series entries and tagged qsym entries to
+    # their Laplace expansions; the other hand-built maps, with no packed
+    # or tagged form, to the Laplace expansion over TPolys.
     shape, N = Partition((3, 2)), 5
     dw = DiagonalWeights({d: 1 + d % 3 for d in required_offsets(shape)})
+    sources, sinks = schur_path_endpoints(shape, N)
     calls = []
-    for name in ("_bareiss", "_laplace"):
-        original = getattr(rings, name)
+    for module, name in ((rings, "_bareiss"), (values, "_laplace"), (rings, "_laplace"),
+                         (values, "_tagged_laplace")):
+        original = getattr(module, name)
         monkeypatch.setattr(
-            rings, name, lambda *a, _n=name, _o=original: calls.append(_n) or _o(*a)
+            module, name, lambda *a, _n=name, _o=original: calls.append(_n) or _o(*a)
         )
-    fast = _determinants(shape, N, cmap, dw)
-    assert calls == ["_bareiss", "_bareiss"]
-    calls.clear()
-    slow = _determinants(shape, N, by_hand(cmap), dw)
-    assert calls == ["_laplace", "_laplace"]
-    assert [v.poly for v in fast] == [v.poly for v in slow]
+    for cmap, route in ((q_analogue_map(8), "_laplace"), (quasisymmetric_map(), "_tagged_laplace"),
+                        (values.rational_map(), "_bareiss")):
+        calls.clear()
+        fast = [*_determinants(shape, N, cmap, dw), _path_determinant(sources, sinks, cmap, dw)]
+        assert calls == [route] * 3, cmap.name
+        if route == "_laplace":  # over the residues themselves, not TPolys
+            assert all(type(e) is values._Residues
+                       for row in _h_entries(*_h_runs(shape, dw), N, cmap)[0] for e in row)
+        calls.clear()
+        slow = [*_determinants(shape, N, by_hand(cmap), dw),
+                _path_determinant(sources, sinks, by_hand(cmap), dw)]
+        assert calls == ["_bareiss" if route == "_bareiss" else "_laplace"] * 3
+        assert fast == slow
 
 
 # The decode: the order signed digits of a residue in base 2^b.
